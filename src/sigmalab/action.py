@@ -32,21 +32,13 @@ which vanishes identically for round spheres.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import clifford as cl
-from .fields import (
-    _second_fund_correction,
-    dirac_conformal,
-    q_norm2_field,
-    require_tangent,
-    tangency_project,
-    twisted_dirac,
-)
+from .fields import q_norm2_field, require_tangent, twisted_dirac
 from .geometry import Grid, TargetManifold, grad, require_on_manifold
 
 __all__ = [
@@ -91,9 +83,6 @@ class ActionBreakdown:
             "total": self.total,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 class TargetData:
     """Per-site extrinsic data of the target along a map field.
@@ -127,41 +116,82 @@ def target_data(target: TargetManifold, phi: np.ndarray) -> TargetData:
     return TargetData(target, phi)
 
 
+# ---- per-site densities (sum * cell_area = term; None where a term vanishes) ----
+
+
+def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
+    return np.sum(dphi * dphi, axis=(0, -1))
+
+
+def _dirac_density(psi, phi, u, grid, target, tdata) -> np.ndarray | None:
+    if not np.any(psi):
+        return None
+    tw = twisted_dirac(psi, phi, u, grid, target, check=False, tdata=tdata)
+    return np.einsum("xyai,xyai->xy", psi, tw) * np.exp(3.0 * u)
+
+
+def _gravitino_density(dphi, psi, chi, u) -> np.ndarray | None:
+    if not (np.any(psi) and np.any(chi)):
+        return None
+    ggchi = np.einsum("abij,xyaj->xybi", GG, chi)
+    return 2.0 * np.einsum("xybi,xyki,bxyk->xy", ggchi, psi, dphi) * np.exp(2.0 * u)
+
+
+def _qchi_density(psi, chi, u) -> np.ndarray | None:
+    if not (np.any(psi) and np.any(chi)):
+        return None
+    pn2 = np.einsum("xyai,xyai->xy", psi, psi)
+    return -(q_norm2_field(chi) * pn2 * np.exp(4.0 * u))
+
+
+def _curvature_density(psi, phi, u, target, tdata) -> np.ndarray | None:
+    if not np.any(psi):
+        return None
+    sr = sr_of(psi, phi, target, tdata)
+    return -np.einsum("xyai,xyai->xy", sr, psi) * np.exp(4.0 * u) / 6.0
+
+
+def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
+    """Densities of the summands I..V, in order; None where a term vanishes."""
+    if tdata is None and np.any(psi):
+        tdata = target_data(target, phi)
+    dphi = grad(phi, grid)
+    return (
+        _dirichlet_density(dphi),
+        _dirac_density(psi, phi, u, grid, target, tdata),
+        _gravitino_density(dphi, psi, chi, u),
+        _qchi_density(psi, chi, u),
+        _curvature_density(psi, phi, u, target, tdata),
+    )
+
+
+def _integral(density: np.ndarray | None, grid: Grid) -> float:
+    return 0.0 if density is None else float(np.sum(density) * grid.cell_area)
+
+
 # ---- individual terms ----------------------------------------------------------
 
 
 def term_dirichlet(phi: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     """Map kinetic term; conformally invariant in 2d, so u never enters."""
-    dphi = grad(phi, grid)
-    return float(np.sum(dphi * dphi) * grid.cell_area)
+    return _integral(_dirichlet_density(grad(phi, grid)), grid)
 
 
 def term_dirac(psi, phi, u, grid, target, check: bool = True) -> float:
     """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
-    if not np.any(psi):
-        return 0.0
-    tw = twisted_dirac(psi, phi, u, grid, target, check=check)
-    dens = np.einsum("xyai,xyai->xy", psi, tw)
-    return float(np.sum(dens * np.exp(3.0 * u)) * grid.cell_area)
+    if check:
+        require_tangent(psi, phi, target)
+    return _integral(_dirac_density(psi, phi, u, grid, target, None), grid)
 
 
 def term_gravitino(phi, psi, chi, u, grid) -> float:
     """Linear gravitino-spinor coupling; depends on chi only through Q chi."""
-    if not (np.any(psi) and np.any(chi)):
-        return 0.0
-    dphi = grad(phi, grid)
-    ggchi = np.einsum("abij,xyaj->xybi", GG, chi)
-    dens = np.einsum("xybi,xyki,bxyk->xy", ggchi, psi, dphi)
-    return float(2.0 * np.sum(dens * np.exp(2.0 * u)) * grid.cell_area)
+    return _integral(_gravitino_density(grad(phi, grid), psi, chi, u), grid)
 
 
 def term_qchi(chi, psi, u, grid) -> float:
     """-|Q chi|^2 |psi|^2 weighted by e^{4u}; never positive."""
-    if not (np.any(psi) and np.any(chi)):
-        return 0.0
-    qn2 = q_norm2_field(chi)
-    pn2 = np.einsum("xyai,xyai->xy", psi, psi)
-    return float(-np.sum(qn2 * pn2 * np.exp(4.0 * u)) * grid.cell_area)
+    return _integral(_qchi_density(psi, chi, u), grid)
 
 
 def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
@@ -175,22 +205,16 @@ def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
 
 def term_curvature(psi, phi, u, grid, target, tdata: TargetData | None = None) -> float:
     """-(1/6) sum <SR(psi), psi> e^{4u} h1 h2."""
-    if not np.any(psi):
-        return 0.0
-    sr = sr_of(psi, phi, target, tdata)
-    dens = np.einsum("xyai,xyai->xy", sr, psi)
-    return float(-np.sum(dens * np.exp(4.0 * u)) * grid.cell_area / 6.0)
+    return _integral(_curvature_density(psi, phi, u, target, tdata), grid)
 
 
-def snr_of(psi, phi, target, tdata: TargetData | None = None,
-           natensor: np.ndarray | None = None) -> np.ndarray:
+def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     """Quartic contraction of the curvature derivative; zero on round spheres."""
-    if natensor is None and target.parallel_second_fund:
+    if target.parallel_second_fund:
         return np.zeros_like(phi)
     if tdata is None:
         tdata = target_data(target, phi)
-    if natensor is None:
-        natensor = target.nabla_a_tensor(phi)
+    natensor = target.nabla_a_tensor(phi)
     inner = np.einsum("xyai,xyci->xyac", psi, psi)
     c1 = np.einsum("xyeacl,xyac->xyel", natensor, inner)
     c2 = np.einsum("xybdl,xybd->xyl", tdata.asym, inner)
@@ -208,12 +232,7 @@ def total_action(phi, psi, u, chi, grid, target, check: bool = True) -> ActionBr
     if check:
         require_on_manifold(target, phi)
         require_tangent(psi, phi, target)
-    tdata = target_data(target, phi) if np.any(psi) else None
-    t1 = term_dirichlet(phi, u, grid)
-    t2 = term_dirac(psi, phi, u, grid, target, check=False)
-    t3 = term_gravitino(phi, psi, chi, u, grid)
-    t4 = term_qchi(chi, psi, u, grid)
-    t5 = term_curvature(psi, phi, u, grid, target, tdata)
+    t1, t2, t3, t4, t5 = (_integral(d, grid) for d in _densities(phi, psi, u, chi, grid, target))
     total = ((t1 + t2) + t3 + t4) + t5
     return ActionBreakdown(t1, t2, t3, t4, t5, total)
 
@@ -225,31 +244,13 @@ def action_density(phi, psi, u, chi, grid, target,
     Every site's density depends on the fields only within one stencil step,
     which the finite-difference oracle exploits for local delta evaluation.
     """
-    if tdata is None:
-        tdata = target_data(target, phi)
-
-    dphi = grad(phi, grid)
-    dens = np.sum(dphi * dphi, axis=(0, -1))
-
-    dpsi = dirac_conformal(psi, u, grid)
-    dpsi += _second_fund_correction(psi, phi, u, grid, target, tdata.nu, tdata.dnu)
-    dpsi = tangency_project(dpsi, phi, target, nu=tdata.nu)
-    dens = dens + np.einsum("xyai,xyai->xy", psi, dpsi) * np.exp(3.0 * u)
-
-    ggchi = np.einsum("abij,xyaj->xybi", GG, chi)
-    dens = dens + 2.0 * np.einsum("xybi,xyki,bxyk->xy", ggchi, psi, dphi) * np.exp(2.0 * u)
-
-    qn2 = q_norm2_field(chi)
-    pn2 = np.einsum("xyai,xyai->xy", psi, psi)
-    e4u = np.exp(4.0 * u)
-    dens = dens - qn2 * pn2 * e4u
-
-    sr = sr_of(psi, phi, target, tdata)
-    dens = dens - np.einsum("xyai,xyai->xy", sr, psi) * e4u / 6.0
+    dens, *rest = _densities(phi, psi, u, chi, grid, target, tdata)
+    for d in rest:
+        if d is not None:
+            dens = dens + d
     return dens
 
 
 def action_value(phi, psi, u, chi, grid, target, tdata: TargetData | None = None) -> float:
     """Lean total for the finite-difference oracle; no constraint checks."""
-    return float(np.sum(action_density(phi, psi, u, chi, grid, target, tdata))
-                 * grid.cell_area)
+    return _integral(action_density(phi, psi, u, chi, grid, target, tdata), grid)

@@ -23,11 +23,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "DiscGrid",
     "MorreyParams",
+    "check_radii",
     "morrey_norm",
     "decay_profile",
     "riesz_i1",
@@ -87,13 +87,19 @@ def _local_integrals(values: np.ndarray, grid: DiscGrid, centers_xy, p: float,
     return out
 
 
-def morrey_norm(values: np.ndarray, params: MorreyParams, radii, grid: DiscGrid) -> float:
-    """Discrete (p, lambda) Morrey norm: max over in-disc centers and radii."""
+def check_radii(radii) -> np.ndarray:
+    """The radii as a float array; raises ValueError unless all lie in (0, 1]."""
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
         raise ValueError("radii list must not be empty")
     if np.any(radii <= 0.0) or np.any(radii > 1.0):
         raise ValueError("radii must lie in (0, domain radius]")
+    return radii
+
+
+def morrey_norm(values: np.ndarray, params: MorreyParams, radii, grid: DiscGrid) -> float:
+    """Discrete (p, lambda) Morrey norm: max over in-disc centers and radii."""
+    radii = check_radii(radii)
     mask = grid.mask()
     x, y = grid.centers()
     centers = np.stack([x[mask], y[mask]], axis=-1)
@@ -112,7 +118,10 @@ def decay_profile(values: np.ndarray, grid: DiscGrid, center, params: MorreyPara
 
 
 def riesz_i1(values: np.ndarray, grid: DiscGrid) -> np.ndarray:
-    """Discrete convolution with |x - y|^{-1}; linear and positivity-preserving."""
+    """Discrete convolution with |x - y|^{-1}; linear and positivity-preserving.
+
+    FFTs zero-padded to the full convolution size 3m-2 avoid wrap-around.
+    """
     m = grid.resolution
     h = grid.h
     field = np.where(grid.mask(), values, 0.0)
@@ -123,7 +132,9 @@ def riesz_i1(values: np.ndarray, grid: DiscGrid) -> np.ndarray:
     nz = dist > 0
     kernel[nz] = 1.0 / dist[nz]
     kernel[~nz] = 4.0 * np.log(1.0 + np.sqrt(2.0)) / h
-    out = fftconvolve(field, kernel, mode="valid") * h**2
+    n = 3 * m - 2
+    full = np.fft.irfft2(np.fft.rfft2(field, (n, n)) * np.fft.rfft2(kernel, (n, n)), (n, n))
+    out = full[m - 1:2 * m - 1, m - 1:2 * m - 1] * h**2
     return np.where(grid.mask(), out, 0.0)
 
 

@@ -29,6 +29,7 @@ from .action import total_action
 from .analysis import (
     DiscGrid,
     MorreyParams,
+    check_radii,
     decay_profile,
     morrey_norm,
     write_decay_profile,
@@ -83,6 +84,10 @@ def _get(section, key, default=None, cast=str):
         raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _load_named_field(section, base: Path, kind: str, shape_check) -> np.ndarray:
     path = base / _get(section, "path")
     if not path.exists():
@@ -98,7 +103,16 @@ def _load_named_field(section, base: Path, kind: str, shape_check) -> np.ndarray
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
-    path = Path(path)
+    """Read and validate a run configuration; every bad value is a ConfigError."""
+    try:
+        return _parse_config(Path(path), seed_override)
+    except (ConfigError, ConstraintError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
@@ -116,8 +130,7 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
             radius=_get(tsec, "radius", "1.0", float),
         )
     elif tkind == "ellipsoid":
-        axes = [float(v) for v in _get(tsec, "semi_axes", "1.0,1.0,1.0").split(",")]
-        target = ellipsoid_target(axes)
+        target = ellipsoid_target(_get(tsec, "semi_axes", "1.0,1.0,1.0", _float_list))
     else:
         raise ConfigError(f"unknown target kind {tkind!r}")
     K = target.ambient_dim
@@ -157,7 +170,7 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
         phi = smooth_map_field(grid, target, seed + 21,
                                _get(psec, "amplitude", "0.4", float))
     elif pkind == "constant":
-        point = np.array([float(v) for v in _get(psec, "point").split(",")])
+        point = np.array(_get(psec, "point", cast=_float_list))
         if point.shape != (K,):
             raise ConfigError(f"constant map point needs {K} components")
         phi = np.broadcast_to(target.project(point), grid.shape + (K,)).copy()
@@ -199,30 +212,28 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"unknown gravitino kind {ckind!r}")
 
     osec = ini["solver"] if "solver" in ini else {}
-    try:
-        solver = SolverConfig(
-            max_iterations=_get(osec, "max_iterations", "10000", int),
-            tolerance=_get(osec, "tolerance", "1e-6", float),
-            initial_step=_get(osec, "initial_step", "1e-5", float),
-            shrink=_get(osec, "shrink", "0.5", float),
-            grow=_get(osec, "grow", "1.1", float),
-            mode=_get(osec, "mode", "joint"),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    solver = SolverConfig(
+        max_iterations=_get(osec, "max_iterations", "10000", int),
+        tolerance=_get(osec, "tolerance", "1e-6", float),
+        initial_step=_get(osec, "initial_step", "1e-5", float),
+        shrink=_get(osec, "shrink", "0.5", float),
+        grow=_get(osec, "grow", "1.1", float),
+        mode=_get(osec, "mode", "joint"),
+    )
 
     qsec = ini["morrey"] if "morrey" in ini else {}
     morrey = {
-        "resolution": _get(qsec, "resolution", "32", int),
-        "p": _get(qsec, "p", "4.0", float),
-        "lambda": _get(qsec, "lambda", "2.0", float),
-        "radii": [float(v) for v in _get(qsec, "radii", "0.125,0.25,0.5,1.0").split(",")],
-        "center": [float(v) for v in _get(qsec, "center", "0.0,0.0").split(",")],
+        "grid": DiscGrid(_get(qsec, "resolution", "32", int)),
+        "params": MorreyParams(p=_get(qsec, "p", "4.0", float),
+                               lam=_get(qsec, "lambda", "2.0", float)),
+        "radii": check_radii(_get(qsec, "radii", "0.125,0.25,0.5,1.0", _float_list)),
+        "center": _get(qsec, "center", "0.0,0.0", _float_list),
         "field": _get(qsec, "field", "gaussian"),
         "width": _get(qsec, "width", "0.4", float),
         "exponent": _get(qsec, "exponent", "-0.5", float),
     }
+    if len(morrey["center"]) != 2:
+        raise ConfigError("morrey center needs 2 components")
     return RunConfig(grid=grid, target=target, phi=phi, psi=psi, chi=chi, u=u,
                      solver=solver, seed=seed, morrey=morrey)
 
@@ -274,7 +285,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_morrey(cfg: RunConfig, out: Path) -> int:
     spec = cfg.morrey
-    dgrid = DiscGrid(spec["resolution"])
+    dgrid, params = spec["grid"], spec["params"]
     x, y = dgrid.centers()
     r = np.hypot(x, y)
     if spec["field"] == "gaussian":
@@ -283,12 +294,11 @@ def _cmd_morrey(cfg: RunConfig, out: Path) -> int:
         values = np.where(r > dgrid.h / 2, r, dgrid.h / 2) ** spec["exponent"]
     else:
         raise ConfigError(f"unknown morrey field kind {spec['field']!r}")
-    params = MorreyParams(p=spec["p"], lam=spec["lambda"])
     rows = decay_profile(values, dgrid, spec["center"], params, spec["radii"])
     write_decay_profile(out / "decay_profile.csv", rows)
     norm = morrey_norm(values, params, spec["radii"], dgrid)
     _dump_json(out / "morrey_summary.json",
-               {"morrey_norm": norm, "p": spec["p"], "lambda": spec["lambda"]})
+               {"morrey_norm": norm, "p": params.p, "lambda": params.lam})
     return 0
 
 
@@ -325,3 +335,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

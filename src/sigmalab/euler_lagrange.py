@@ -174,8 +174,9 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
     has_psi = bool(np.any(psi))
     has_chi = bool(np.any(chi))
 
-    out = e3u * dirac_conformal_sym(psi, u, grid)
+    out = np.zeros_like(psi)
     if has_psi:
+        out += e3u * dirac_conformal_sym(psi, u, grid)
         out += e2u * _second_fund_correction(psi, phi, u, grid, target, tdata.nu, tdata.dnu)
         out -= e4u * sr_of(psi, phi, target, tdata) / 3.0
     if has_chi:
@@ -187,18 +188,21 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
     return tangency_project(out, phi, target, nu=tdata.nu)
 
 
-def residuals(phi, psi, chi, u, grid, target, check: bool = True) -> ELResidual:
-    tdata = target_data(target, phi)
+def residuals(phi, psi, chi, u, grid, target, check: bool = True,
+              tdata: TargetData | None = None) -> ELResidual:
     if check:
         require_on_manifold(target, phi)
         require_tangent(psi, phi, target)
+    if tdata is None:
+        tdata = target_data(target, phi)
     return ELResidual(
         r_phi=residual_phi(phi, psi, chi, u, grid, target, check=False, tdata=tdata),
         r_psi=residual_psi(phi, psi, chi, u, grid, target, check=False, tdata=tdata),
     )
 
 
-def potentials(phi, psi, chi, u, grid, target, check: bool = True) -> AntisymPotentials:
+def potentials(phi, psi, chi, u, grid, target, check: bool = True,
+               tdata: TargetData | None = None) -> AntisymPotentials:
     """Antisymmetric coefficient matrices of the rewritten map equation.
 
     omega carries the second-fundamental-form trace, F (with the factor 1/2
@@ -208,7 +212,8 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True) -> AntisymPot
     if check:
         require_on_manifold(target, phi)
         require_tangent(psi, phi, target)
-    tdata = target_data(target, phi)
+    if tdata is None:
+        tdata = target_data(target, phi)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
     dt = _projected_grad(phi, grid, tdata)
@@ -230,8 +235,8 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True) -> AntisymPot
 def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     """Rebuild r_phi from the rewritten equation; equal to residual_phi to
     machine precision (cross-implementation check)."""
-    pots = potentials(phi, psi, chi, u, grid, target, check=False)
     tdata = target_data(target, phi)
+    pots = potentials(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
     dt = _projected_grad(phi, grid, tdata)
     coeff = pots.omega + pots.f + pots.t
 
@@ -376,9 +381,10 @@ def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
 
 
 def residual_norms(res: ELResidual, grid: Grid, target: TargetManifold,
-                   phi: np.ndarray) -> dict:
+                   phi: np.ndarray, tdata: TargetData | None = None) -> dict:
     """(L2, Linf) pairs of the tangent parts, for the diagnostics report."""
-    rp = np.einsum("xyab,xyb->xya", target.tangent_projector(phi), res.r_phi)
+    pi = target.tangent_projector(phi) if tdata is None else tdata.pi
+    rp = np.einsum("xyab,xyb->xya", pi, res.r_phi)
     cell = grid.cell_area
     l2_phi = float(np.sqrt(np.sum(rp * rp) * cell))
     l2_psi = float(np.sqrt(np.sum(res.r_psi * res.r_psi) * cell))

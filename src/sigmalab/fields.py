@@ -32,11 +32,16 @@ and projects back onto the tangent bundle along phi.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import clifford as cl
 from .errors import ConstraintError
 from .geometry import Grid, TargetManifold, grad
+
+if TYPE_CHECKING:
+    from .action import TargetData
 
 __all__ = [
     "tangency_violation",
@@ -138,21 +143,22 @@ def _second_fund_correction(psi, phi, u, grid, target, nu, dnu):
 
 
 def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
-                  target: TargetManifold, symmetrized: bool = False,
-                  check: bool = True) -> np.ndarray:
+                  target: TargetManifold, check: bool = True,
+                  tdata: TargetData | None = None) -> np.ndarray:
     """Dirac operator twisted by the pullback of TN, in the extrinsic picture.
 
     Applies the conformal operator to each of the K spinor slots, adds the
     second-fundamental-form correction, and tangent-projects, so the output
-    satisfies the tangency constraint.  With symmetrized=True the slot-wise
-    operator is dirac_conformal_sym (used by the variational residuals).
+    satisfies the tangency constraint.  tdata, the target data along phi, is
+    built here when not passed.
     """
     if check:
         require_tangent(psi, phi, target)
-    nu = target.normal_frame(phi)
-    dnu = target.normal_frame_derivative(phi)
-    op = dirac_conformal_sym if symmetrized else dirac_conformal
-    out = op(psi, u, grid)
+    if tdata is None:
+        nu, dnu = target.normal_frame(phi), target.normal_frame_derivative(phi)
+    else:
+        nu, dnu = tdata.nu, tdata.dnu
+    out = dirac_conformal(psi, u, grid)
     out = out + _second_fund_correction(psi, phi, u, grid, target, nu, dnu)
     return tangency_project(out, phi, target, nu=nu)
 

@@ -124,14 +124,13 @@ def wide_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
 class TargetManifold:
     """Extrinsic descriptor of an embedded target N in R^K.
 
-    Subclasses provide project / normal_frame / normal_frame_derivative /
-    nabla_second_fund; everything else is derived.  All methods broadcast over
-    leading axes of the point array p (..., K).
+    Subclasses provide project / normal_frame / normal_frame_derivative;
+    everything else is derived.  All methods broadcast over leading axes of
+    the point array p (..., K).
     """
 
     ambient_dim: int
     codim: int
-    mode: str
     # True when (nabla A) vanishes identically (round spheres)
     parallel_second_fund: bool = False
 
@@ -146,10 +145,6 @@ class TargetManifold:
         """dnu[..., l, a, b] = d nu_l^b / d u^a of the extended frame."""
         raise NotImplementedError
 
-    def nabla_second_fund(self, p, X, Y, Z) -> np.ndarray:
-        """(nabla_Z A)(X, Y) as an ambient (normal) vector."""
-        raise NotImplementedError
-
     # ---- derived quantities -------------------------------------------------
 
     def tangent_projector(self, p: np.ndarray) -> np.ndarray:
@@ -162,52 +157,19 @@ class TargetManifold:
         coeff = np.einsum("...lb,...b->...l", nu, w)
         return w - np.einsum("...l,...la->...a", coeff, nu)
 
-    def a_tensor(self, p: np.ndarray) -> np.ndarray:
-        """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric."""
-        dnu = self.normal_frame_derivative(p)
-        pi = self.tangent_projector(p)
-        raw = -np.einsum("...ac,...bd,...lcd->...abl", pi, pi, dnu)
-        return 0.5 * (raw + np.swapaxes(raw, -3, -2))
-
     def nabla_a_tensor(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
         """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>."""
         K = self.ambient_dim
+        if self.parallel_second_fund:
+            return np.zeros(p.shape[:-1] + (K, K, K, self.codim))
         pi = self.tangent_projector(p)
-        nu = self.normal_frame(p)
-        out = np.zeros(p.shape[:-1] + (K, K, K, self.codim))
-        for e in range(K):
-            z = pi[..., :, e]
-            vec = self._nabla_a_direction(p, z, pi, step)  # (..., K, K, Kvec)
-            out[..., e, :, :, :] = np.einsum("...abv,...lv->...abl", vec, nu)
-        return out
-
-    def _nabla_a_direction(self, p, z, pi0, step):
-        """Centered transport difference of A along z; (..., a, b, ambient)."""
-        scale = step if step is not None else 1e-4 * (1.0 + np.sqrt(self.ambient_dim))
-        pp = self.project(p + scale * z)
-        pm = self.project(p - scale * z)
-        wp = self._a_transported(pp, pi0)
-        wm = self._a_transported(pm, pi0)
-        diff = (wp - wm) / (2.0 * scale)
-        # normal-bundle covariant derivative: keep the normal part at p
-        nu0 = self.normal_frame(p)
-        coeff = np.einsum("...lv,...abv->...abl", nu0, diff)
-        return np.einsum("...abl,...lv->...abv", coeff, nu0)
-
-    def _a_transported(self, q, pi0):
-        """A_q(Pi_q Pi0 e_a, Pi_q Pi0 e_b) as ambient vectors (..., a, b, K)."""
-        piq = self.tangent_projector(q)
-        basis = np.einsum("...ac,...cb->...ab", piq, pi0)  # columns: transported e_b
-        dnu = self.normal_frame_derivative(q)
-        nuq = self.normal_frame(q)
-        coeff = -np.einsum("...ca,...db,...lcd->...abl", basis, basis, dnu)
-        return np.einsum("...abl,...lv->...abv", coeff, nuq)
+        return np.stack([_nabla_a_fd(self, p, pi, pi[..., :, e], step) for e in range(K)],
+                        axis=-4)
 
 
 class SphereTarget(TargetManifold):
     """Round sphere of given radius in R^K, with closed-form extrinsic data."""
 
-    mode = "analytic"
     parallel_second_fund = True
 
     def __init__(self, ambient_dim: int = 3, radius: float = 1.0):
@@ -234,14 +196,6 @@ class SphereTarget(TargetManifold):
         dnu = (eye - ph[..., :, None] * ph[..., None, :]) / norm[..., None]
         return dnu[..., None, :, :]
 
-    def nabla_second_fund(self, p, X, Y, Z) -> np.ndarray:
-        # totally umbilic with constant radius: parallel second fundamental form
-        return np.zeros(np.broadcast(p, X, Y, Z).shape)
-
-    def nabla_a_tensor(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
-        K = self.ambient_dim
-        return np.zeros(p.shape[:-1] + (K, K, K, 1))
-
 
 class ImplicitSurfaceTarget(TargetManifold):
     """Codimension-1 target given as a level set F = 0 with d F != 0 on it.
@@ -260,7 +214,6 @@ class ImplicitSurfaceTarget(TargetManifold):
         ambient_dim: int,
         hessian: Callable[[np.ndarray], np.ndarray] | None = None,
         fd_step: float = 1e-5,
-        name: str = "implicit",
     ):
         self.value = value
         self.gradient = gradient
@@ -268,7 +221,6 @@ class ImplicitSurfaceTarget(TargetManifold):
         self.ambient_dim = ambient_dim
         self.codim = 1
         self.fd_step = fd_step
-        self.name = name
         self.mode = "analytic-frame" if hessian is not None else "finite-difference"
 
     def project(self, p: np.ndarray) -> np.ndarray:
@@ -309,13 +261,12 @@ class ImplicitSurfaceTarget(TargetManifold):
             dnu[..., a, :] = (nup - num) / (2.0 * eps)
         return dnu[..., None, :, :]
 
-    def nabla_second_fund(self, p, X, Y, Z) -> np.ndarray:
-        return _nabla_a_fd(self, p, X, Y, Z, step=None)
-
 
 def ellipsoid_target(semi_axes) -> ImplicitSurfaceTarget:
     """Ellipsoid sum (x_a / r_a)^2 = 1 with analytic frame derivatives."""
     r = np.asarray(semi_axes, dtype=np.float64)
+    if r.ndim != 1 or r.size < 2 or not np.all((r > 0.0) & np.isfinite(r)):
+        raise ValueError(f"ellipsoid needs >= 2 positive finite semi-axes, got {semi_axes}")
     w = 1.0 / r**2
 
     def value(p):
@@ -328,9 +279,7 @@ def ellipsoid_target(semi_axes) -> ImplicitSurfaceTarget:
         h = np.diag(2.0 * w)
         return np.broadcast_to(h, p.shape[:-1] + h.shape)
 
-    return ImplicitSurfaceTarget(
-        value, gradient, ambient_dim=len(r), hessian=hessian, name="ellipsoid"
-    )
+    return ImplicitSurfaceTarget(value, gradient, ambient_dim=len(r), hessian=hessian)
 
 
 # ---- module-level operations (spec surface) ----------------------------------
@@ -389,34 +338,30 @@ def curvature_operator(target, p, X, Y, Z) -> np.ndarray:
 def nabla_A(target, p, X, Y, Z, step: float | None = None) -> np.ndarray:
     """(nabla_Z A)(X, Y); identically zero for round spheres."""
     require_on_manifold(target, p)
-    if isinstance(target, SphereTarget):
+    if target.parallel_second_fund:
         return np.zeros(np.broadcast(X, Y).shape)
-    return _nabla_a_fd(target, p, X, Y, Z, step)
+    coeff = _nabla_a_fd(target, p, np.stack(np.broadcast_arrays(X, Y), axis=-1), Z, step)
+    return np.einsum("...l,...la->...a", coeff[..., 0, 1, :], target.normal_frame(p))
 
 
-def _nabla_a_fd(target, p, X, Y, Z, step):
+def _nabla_a_fd(target, p, basis, z, step):
     """Transport finite difference for the covariant derivative of A.
 
-    Arguments are reprojected onto the tangent spaces at p +- eps Z (equal to
-    parallel transport to first order), A is evaluated there, and the ambient
-    difference is projected back onto the normal space at p.
+    Returns coeff[..., a, b, l] = <(nabla_z A)(b_a, b_b), nu_l(p)> for the
+    tangent columns b_a of basis (..., K, n).  The columns are reprojected onto
+    the tangent spaces at p +- eps z (equal to parallel transport to first
+    order), A is evaluated there, and the centered difference is read off in
+    the normal frame at p.  The default step is eps = 1e-4 (1 + |p|).
     """
-    eps = step if step is not None else 1e-4 * (1.0 + np.linalg.norm(p, axis=-1, keepdims=True))
-    if np.isscalar(eps):
-        eps = np.full(p.shape[:-1] + (1,), eps)
-    zn = Z * eps
-    pp = target.project(p + zn)
-    pm = target.project(p - zn)
+    eps = step if step is not None else 1e-4 * (1.0 + np.linalg.norm(p, axis=-1))
+    eps = np.asarray(eps)[..., None]
 
     def a_at(q):
-        xq = target.tangent_project(q, X)
-        yq = target.tangent_project(q, Y)
-        dnu = target.normal_frame_derivative(q)
-        nu = target.normal_frame(q)
-        coeff = -np.einsum("...a,...b,...lab->...l", xq, yq, dnu)
-        return np.einsum("...l,...la->...a", coeff, nu)
+        bq = np.einsum("...ac,...cb->...ab", target.tangent_projector(q), basis)
+        coeff = -np.einsum("...ca,...db,...lcd->...abl", bq, bq,
+                           target.normal_frame_derivative(q))
+        return np.einsum("...abl,...lv->...abv", coeff, target.normal_frame(q))
 
-    diff = (a_at(pp) - a_at(pm)) / (2.0 * eps)
-    nu0 = target.normal_frame(p)
-    coeff = np.einsum("...la,...a->...l", nu0, diff)
-    return np.einsum("...l,...la->...a", coeff, nu0)
+    diff = a_at(target.project(p + eps * z)) - a_at(target.project(p - eps * z))
+    coeff = np.einsum("...lv,...abv->...abl", target.normal_frame(p), diff)
+    return coeff / (2.0 * eps[..., None, None])

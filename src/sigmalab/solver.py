@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import total_action
+from .action import target_data, total_action
 from .errors import SolverError
-from .euler_lagrange import residual_norms, residuals
+from .euler_lagrange import ELResidual, residual_norms, residuals
 from .fields import tangency_project
-from .geometry import Grid, TargetManifold
+from .geometry import Grid, TargetManifold, grad
 
-__all__ = ["SolverConfig", "FlowState", "FlowReport", "flow_step", "solve"]
+__all__ = ["SolverConfig", "Evaluation", "FlowState", "FlowReport", "flow_step", "solve"]
 
 DT_UNDERFLOW = 1e-14
 
@@ -38,15 +38,27 @@ class SolverConfig:
     shrink: float = 0.5
     grow: float = 1.1
     mode: str = "joint"  # joint | phi-only | psi-only
-    seed: int = 0
 
     def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.initial_step <= 0:
+            raise ValueError("initial_step must be positive")
         if not (0.0 < self.shrink < 1.0 < self.grow):
             raise ValueError("need 0 < shrink < 1 < grow")
         if self.mode not in ("joint", "phi-only", "psi-only"):
             raise ValueError(f"unknown flow mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Residuals of one iterate, their combined (L2, Linf) norms and Pi along phi."""
+
+    residual: ELResidual
+    norms: tuple[float, float]
+    pi: np.ndarray
 
 
 @dataclass
@@ -56,6 +68,8 @@ class FlowState:
     iteration: int
     residual_norms: tuple[float, float]  # combined (L2, Linf)
     step_size: float
+    # evaluation of (phi, psi); flow_step computes it when None
+    evaluation: Evaluation | None = None
 
 
 @dataclass
@@ -64,14 +78,12 @@ class FlowReport:
     iterations: int
     records: list[dict] = field(default_factory=list)
 
-    def final_residual(self) -> float:
-        return self.records[-1]["residual_l2"] if self.records else float("nan")
 
-
-def _norms(phi, psi, chi, u, grid, target):
-    res = residuals(phi, psi, chi, u, grid, target, check=False)
-    n = residual_norms(res, grid, target, phi)
-    return res, n
+def _evaluate(phi, psi, chi, u, grid, target) -> Evaluation:
+    tdata = target_data(target, phi)
+    res = residuals(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
+    combined = residual_norms(res, grid, target, phi, tdata)["combined"]
+    return Evaluation(res, (combined["l2"], combined["linf"]), tdata.pi)
 
 
 def _dirichlet_increment(phi_new, phi_old, grid) -> float:
@@ -80,22 +92,21 @@ def _dirichlet_increment(phi_new, phi_old, grid) -> float:
     Near convergence the raw energies agree to machine precision while the
     increment is still meaningful; this form resolves it exactly.
     """
-    from .geometry import grad
-
     d_diff = grad(phi_new - phi_old, grid)
     d_sum = grad(phi_new + phi_old, grid)
     return float(np.sum(d_diff * d_sum) * grid.cell_area)
 
 
 def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
-              config: SolverConfig, entry=None) -> FlowState:
+              config: SolverConfig) -> FlowState:
     """One accepted step (shrinking dt until the acceptance rule passes).
 
-    entry optionally carries (residuals, norms) of the current state so the
-    driving loop can hand the previous iteration's values forward.
+    The returned state carries its own evaluation, so the next step starts
+    from it without recomputing the residuals.
     """
     phi, psi = state.phi, state.psi
-    res, norms = entry if entry is not None else _norms(phi, psi, chi, u, grid, target)
+    ev = state.evaluation or _evaluate(phi, psi, chi, u, grid, target)
+    res = ev.residual
     if not (np.all(np.isfinite(res.r_phi)) and np.all(np.isfinite(res.r_psi))):
         raise SolverError("non-finite residual")
 
@@ -105,7 +116,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         and not np.any(chi)
     )
 
-    rp_t = np.einsum("xyab,xyb->xya", target.tangent_projector(phi), res.r_phi)
+    rp_t = np.einsum("xyab,xyb->xya", ev.pi, res.r_phi)
     dt = state.step_size
     while True:
         if dt < DT_UNDERFLOW:
@@ -122,25 +133,22 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
             accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
             trial = None
         else:
-            trial = _norms(phi_new, psi_new, chi, u, grid, target)
-            accepted = trial[1]["combined"]["l2"] < norms["combined"]["l2"]
+            trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
+            accepted = trial.norms[0] < ev.norms[0]
         if accepted:
             break
         dt *= config.shrink
 
-    res_after, norms_after = trial if trial is not None else _norms(
-        phi_new, psi_new, chi, u, grid, target
-    )
-    new_state = FlowState(
+    if trial is None:
+        trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
+    return FlowState(
         phi=phi_new,
         psi=psi_new,
         iteration=state.iteration + 1,
-        residual_norms=(norms_after["combined"]["l2"], norms_after["combined"]["linf"]),
+        residual_norms=trial.norms,
         step_size=dt * config.grow,
+        evaluation=trial,
     )
-    # stash for the driving loop so it can skip recomputing the entry residual
-    new_state._after = (res_after, norms_after)
-    return new_state
 
 
 def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowState, FlowReport]:
@@ -152,13 +160,14 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     """
     phi = target.project(phi)
     psi = tangency_project(psi, phi, target)
-    _, norms = _norms(phi, psi, chi, u, grid, target)
+    ev = _evaluate(phi, psi, chi, u, grid, target)
     state = FlowState(
         phi=phi,
         psi=psi,
         iteration=0,
-        residual_norms=(norms["combined"]["l2"], norms["combined"]["linf"]),
+        residual_norms=ev.norms,
         step_size=config.initial_step,
+        evaluation=ev,
     )
     report = FlowReport(converged=False, iterations=0)
 
@@ -175,18 +184,16 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
         )
 
     record(state)
-    entry = None
     while state.iteration < config.max_iterations:
         if state.residual_norms[0] < config.tolerance:
             report.converged = True
             break
         try:
-            state = flow_step(state, chi, u, grid, target, config, entry=entry)
+            state = flow_step(state, chi, u, grid, target, config)
         except SolverError as exc:
             # honest stall report: no accepted step can make progress
             report.records.append({"stalled": True, "detail": str(exc)})
             break
-        entry = getattr(state, "_after", None)
         record(state)
     else:
         report.converged = state.residual_norms[0] < config.tolerance

@@ -120,6 +120,26 @@ def test_riesz_far_field_vs_cell_integral_oracle():
         assert abs(out[i, j] - integral) / integral < 1e-2
 
 
+@pytest.mark.parametrize("resolution", [8, 13, 20])
+def test_riesz_matches_direct_sum(resolution):
+    # O(R^4) reference: h^2 sum_y f(y) k(x - y) over the in-disc cells, with
+    # the exact cell integral 4 ln(1 + sqrt 2) / h at y = x
+    g = DiscGrid(resolution)
+    x, y = g.centers()
+    mask = g.mask()
+    values = np.random.default_rng(resolution).standard_normal(x.shape) + 2.0
+    pts = np.stack([x[mask], y[mask]], axis=-1)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    kernel = np.full_like(dist, 4.0 * np.log(1.0 + np.sqrt(2.0)) / g.h)
+    off = dist > 0
+    kernel[off] = 1.0 / dist[off]
+    expected = np.zeros_like(x)
+    expected[mask] = kernel @ values[mask] * g.h**2
+    out = riesz_i1(values, g)
+    assert np.all(out[~mask] == 0.0)
+    assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) < 1e-12
+
+
 def test_riesz_linearity_and_positivity():
     g = DiscGrid(32)
     r = np.random.default_rng(3)

@@ -1,9 +1,15 @@
 """Command-line surface: artifacts, determinism, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import sigmalab
 from sigmalab.cli import run
 from sigmalab.fieldio import load_field, save_field
 
@@ -150,3 +156,57 @@ def test_bad_target_kind_rejected(tmp_path, capsys):
     rc = run(["eval", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def _morrey(line):
+    return ("[solver]", f"[morrey]\n{line}\n\n[solver]")
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("n1 = 8", "n1 = 3", id="grid-too-small"),
+    pytest.param("ambient_dim = 3", "ambient_dim = 1", id="sphere-ambient-dim"),
+    pytest.param("kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 1,x,1",
+                 id="ellipsoid-axes"),
+    pytest.param("kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 0,1,1",
+                 id="ellipsoid-zero-axis"),
+    pytest.param("max_iterations = 3000", "max_iterations = -5", id="negative-iterations"),
+    pytest.param("initial_step = 1e-5", "initial_step = -1", id="negative-step"),
+    pytest.param(*_morrey("p = 0.5"), id="morrey-p"),
+    pytest.param(*_morrey("resolution = 2"), id="morrey-resolution"),
+    pytest.param(*_morrey("radii = 0.5,abc"), id="morrey-radii-text"),
+    pytest.param(*_morrey("radii = 0.5,2.0"), id="morrey-radii-range"),
+    pytest.param(*_morrey("center = 0.0"), id="morrey-center"),
+])
+def test_bad_config_value_rejected(tmp_path, capsys, old, new):
+    text = config_text()
+    assert old in text
+    cfg = write_config(tmp_path / "run.ini", text.replace(old, new))
+    out = tmp_path / "out"
+    assert run(["morrey", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def _run_python(args, tmp_path):
+    src = str(Path(sigmalab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_reports_errors(tmp_path):
+    proc = _run_python(["-m", "sigmalab.cli", "eval", "--config", "missing.ini",
+                        "--out", "x"], tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = ("import sys, sigmalab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = _run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -31,6 +31,10 @@ def test_config_validation():
         SolverConfig(shrink=1.5)
     with pytest.raises(ValueError):
         SolverConfig(mode="sideways")
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations=-5)
+    with pytest.raises(ValueError):
+        SolverConfig(initial_step=-1.0)
 
 
 def test_critical_point_converges_in_zero_iterations():
