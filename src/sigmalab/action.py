@@ -227,12 +227,14 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
 # ---- totals ---------------------------------------------------------------------
 
 
-def total_action(phi, psi, u, chi, grid, target, check: bool = True) -> ActionBreakdown:
+def total_action(phi, psi, u, chi, grid, target, check: bool = True,
+                 tdata: TargetData | None = None) -> ActionBreakdown:
     """All five terms plus their total, summed in a fixed order."""
     if check:
         require_on_manifold(target, phi)
         require_tangent(psi, phi, target)
-    t1, t2, t3, t4, t5 = (_integral(d, grid) for d in _densities(phi, psi, u, chi, grid, target))
+    densities = _densities(phi, psi, u, chi, grid, target, tdata)
+    t1, t2, t3, t4, t5 = (_integral(d, grid) for d in densities)
     total = ((t1 + t2) + t3 + t4) + t5
     return ActionBreakdown(t1, t2, t3, t4, t5, total)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,8 +85,15 @@ def _get(section, key, default=None, cast=str):
         raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    return [_finite(v) for v in text.split(",")]
 
 
 def _load_named_field(section, base: Path, kind: str, shape_check) -> np.ndarray:
@@ -98,6 +106,8 @@ def _load_named_field(section, base: Path, kind: str, shape_check) -> np.ndarray
         raise ConfigError(str(exc)) from exc
     if file_kind != kind:
         raise ConfigError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(f"{path}: field values must be finite")
     shape_check(array, path)
     return array
 
@@ -127,7 +137,7 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     if tkind == "sphere":
         target = SphereTarget(
             ambient_dim=_get(tsec, "ambient_dim", "3", int),
-            radius=_get(tsec, "radius", "1.0", float),
+            radius=_get(tsec, "radius", "1.0", _finite),
         )
     elif tkind == "ellipsoid":
         target = ellipsoid_target(_get(tsec, "semi_axes", "1.0,1.0,1.0", _float_list))
@@ -138,6 +148,8 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     seed = seed_override if seed_override is not None else _get(
         ini["run"] if "run" in ini else {}, "seed", "0", int
     )
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     def check_sites(array, p, expected_tail):
         if array.shape[:2] != grid.shape or array.shape[2:] != expected_tail:
@@ -150,9 +162,9 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     if mkind == "zero":
         u = np.zeros(grid.shape)
     elif mkind == "constant":
-        u = np.full(grid.shape, _get(msec, "value", None, float))
+        u = np.full(grid.shape, _get(msec, "value", None, _finite))
     elif mkind == "smooth":
-        u = smooth_scalar_field(grid, seed + 11, _get(msec, "amplitude", "0.3", float))
+        u = smooth_scalar_field(grid, seed + 11, _get(msec, "amplitude", "0.3", _finite))
     elif mkind == "file":
         u = _load_named_field(msec, base, "scalar", lambda a, p: check_sites(a, p, ()))
     else:
@@ -164,11 +176,11 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         phi = equator_map(grid, K)
     elif pkind == "perturbed-equator":
         phi = perturbed_equator_map(
-            grid, _get(psec, "amplitude", "0.05", float), seed + 21, K
+            grid, _get(psec, "amplitude", "0.05", _finite), seed + 21, K
         )
     elif pkind == "smooth":
         phi = smooth_map_field(grid, target, seed + 21,
-                               _get(psec, "amplitude", "0.4", float))
+                               _get(psec, "amplitude", "0.4", _finite))
     elif pkind == "constant":
         point = np.array(_get(psec, "point", cast=_float_list))
         if point.shape != (K,):
@@ -186,10 +198,10 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         psi = np.zeros(grid.shape + (K, 4))
     elif skind == "smooth":
         psi = smooth_vector_spinor(grid, phi, target, seed + 31,
-                                   _get(ssec, "amplitude", "0.5", float))
+                                   _get(ssec, "amplitude", "0.5", _finite))
     elif skind == "random":
         psi = random_vector_spinor(grid, phi, target, _seeded(seed, 31),
-                                   _get(ssec, "amplitude", "1.0", float))
+                                   _get(ssec, "amplitude", "1.0", _finite))
     elif skind == "file":
         psi = _load_named_field(ssec, base, "vectorspinor",
                                 lambda a, p: check_sites(a, p, (K, 4)))
@@ -201,10 +213,10 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     if ckind == "zero":
         chi = np.zeros(grid.shape + (2, 4))
     elif ckind == "smooth":
-        chi = smooth_gravitino(grid, seed + 41, _get(csec, "amplitude", "0.5", float))
+        chi = smooth_gravitino(grid, seed + 41, _get(csec, "amplitude", "0.5", _finite))
     elif ckind == "random":
         chi = random_gravitino(grid, _seeded(seed, 41),
-                               _get(csec, "amplitude", "1.0", float))
+                               _get(csec, "amplitude", "1.0", _finite))
     elif ckind == "file":
         chi = _load_named_field(csec, base, "gravitino",
                                 lambda a, p: check_sites(a, p, (2, 4)))
@@ -214,26 +226,28 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     osec = ini["solver"] if "solver" in ini else {}
     solver = SolverConfig(
         max_iterations=_get(osec, "max_iterations", "10000", int),
-        tolerance=_get(osec, "tolerance", "1e-6", float),
-        initial_step=_get(osec, "initial_step", "1e-5", float),
-        shrink=_get(osec, "shrink", "0.5", float),
-        grow=_get(osec, "grow", "1.1", float),
+        tolerance=_get(osec, "tolerance", "1e-6", _finite),
+        initial_step=_get(osec, "initial_step", "1e-5", _finite),
+        shrink=_get(osec, "shrink", "0.5", _finite),
+        grow=_get(osec, "grow", "1.1", _finite),
         mode=_get(osec, "mode", "joint"),
     )
 
     qsec = ini["morrey"] if "morrey" in ini else {}
     morrey = {
         "grid": DiscGrid(_get(qsec, "resolution", "32", int)),
-        "params": MorreyParams(p=_get(qsec, "p", "4.0", float),
-                               lam=_get(qsec, "lambda", "2.0", float)),
+        "params": MorreyParams(p=_get(qsec, "p", "4.0", _finite),
+                               lam=_get(qsec, "lambda", "2.0", _finite)),
         "radii": check_radii(_get(qsec, "radii", "0.125,0.25,0.5,1.0", _float_list)),
         "center": _get(qsec, "center", "0.0,0.0", _float_list),
         "field": _get(qsec, "field", "gaussian"),
-        "width": _get(qsec, "width", "0.4", float),
-        "exponent": _get(qsec, "exponent", "-0.5", float),
+        "width": _get(qsec, "width", "0.4", _finite),
+        "exponent": _get(qsec, "exponent", "-0.5", _finite),
     }
     if len(morrey["center"]) != 2:
         raise ConfigError("morrey center needs 2 components")
+    if morrey["field"] not in ("gaussian", "power"):
+        raise ConfigError(f"unknown morrey field kind {morrey['field']!r}")
     return RunConfig(grid=grid, target=target, phi=phi, psi=psi, chi=chi, u=u,
                      solver=solver, seed=seed, morrey=morrey)
 
@@ -290,10 +304,8 @@ def _cmd_morrey(cfg: RunConfig, out: Path) -> int:
     r = np.hypot(x, y)
     if spec["field"] == "gaussian":
         values = np.exp(-(r / spec["width"]) ** 2)
-    elif spec["field"] == "power":
-        values = np.where(r > dgrid.h / 2, r, dgrid.h / 2) ** spec["exponent"]
     else:
-        raise ConfigError(f"unknown morrey field kind {spec['field']!r}")
+        values = np.where(r > dgrid.h / 2, r, dgrid.h / 2) ** spec["exponent"]
     rows = decay_profile(values, dgrid, spec["center"], params, spec["radii"])
     write_decay_profile(out / "decay_profile.csv", rows)
     norm = morrey_norm(values, params, spec["radii"], dgrid)

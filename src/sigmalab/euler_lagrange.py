@@ -12,9 +12,10 @@ difference and raw centered differences elsewhere):
             + div^h ( e^{2u} V^a )
             + e^{2u} <V^b, D phi^c> (dnu_l^b/du^c) nu_l^a
 
-and for the vector-spinor (tangent-projected at the end):
+and for the vector-spinor (tangent-projected at the end, which also removes
+the normal twisting term A(d phi, psi) of the Dirac operator):
 
-    r_psi^a = e^{3u} (D_sym psi)^a + e^{2u} A-correction
+    r_psi^a = e^{3u} (D_sym psi)^a
             + e^{2u} d^h_b phi^a gamma_e gamma_b chi^e
             - e^{4u} ( |Q chi|^2 psi^a + (1/3) SR(psi)^a ).
 
@@ -44,13 +45,7 @@ import numpy as np
 
 from . import clifford as cl
 from .action import GG, TargetData, action_density, action_value, sr_of, snr_of, target_data
-from .fields import (
-    _second_fund_correction,
-    dirac_conformal_sym,
-    q_norm2_field,
-    require_tangent,
-    tangency_project,
-)
+from .fields import dirac_conformal_sym, q_norm2_field, require_tangent, tangency_project
 from .geometry import (
     Grid,
     TargetManifold,
@@ -97,6 +92,14 @@ def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("beij,xybj,xyai->xyae", GG, chi, psi)
 
 
+def _prepare(phi, psi, target, check: bool, tdata: TargetData | None) -> TargetData:
+    """Check the constraints if asked; build the target data unless passed."""
+    if check:
+        require_on_manifold(target, phi)
+        require_tangent(psi, phi, target)
+    return target_data(target, phi) if tdata is None else tdata
+
+
 def _projected_grad(phi, grid, tdata):
     """Tangent-projected centered differences, (2, n1, n2, K)."""
     dphi = grad(phi, grid)
@@ -115,11 +118,7 @@ def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
     For psi = chi = 0 on a unit sphere this is the harmonic-map residual
     div grad phi + |d phi|^2 phi.
     """
-    if check:
-        require_on_manifold(target, phi)
-        require_tangent(psi, phi, target)
-    if tdata is None:
-        tdata = target_data(target, phi)
+    tdata = _prepare(phi, psi, target, check, tdata)
     e2u = np.exp(2.0 * u)
     e4u = np.exp(4.0 * u)
     has_psi = bool(np.any(psi))
@@ -163,21 +162,18 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
     constant phi and drops only where SR(psi) vanishes.  At u = 0 the
     slot-wise operator is the flat one.
     """
-    if check:
-        require_on_manifold(target, phi)
-        require_tangent(psi, phi, target)
-    if tdata is None:
-        tdata = target_data(target, phi)
+    tdata = _prepare(phi, psi, target, check, tdata)
+    has_psi = bool(np.any(psi))
+    has_chi = bool(np.any(chi))
+    out = np.zeros_like(psi)
+    if not (has_psi or has_chi):
+        return out
     e2u = np.exp(2.0 * u)[..., None, None]
     e3u = np.exp(3.0 * u)[..., None, None]
     e4u = np.exp(4.0 * u)[..., None, None]
-    has_psi = bool(np.any(psi))
-    has_chi = bool(np.any(chi))
 
-    out = np.zeros_like(psi)
     if has_psi:
         out += e3u * dirac_conformal_sym(psi, u, grid)
-        out += e2u * _second_fund_correction(psi, phi, u, grid, target, tdata.nu, tdata.dnu)
         out -= e4u * sr_of(psi, phi, target, tdata) / 3.0
     if has_chi:
         dphi = grad(phi, grid)
@@ -190,11 +186,7 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
 
 def residuals(phi, psi, chi, u, grid, target, check: bool = True,
               tdata: TargetData | None = None) -> ELResidual:
-    if check:
-        require_on_manifold(target, phi)
-        require_tangent(psi, phi, target)
-    if tdata is None:
-        tdata = target_data(target, phi)
+    tdata = _prepare(phi, psi, target, check, tdata)
     return ELResidual(
         r_phi=residual_phi(phi, psi, chi, u, grid, target, check=False, tdata=tdata),
         r_psi=residual_psi(phi, psi, chi, u, grid, target, check=False, tdata=tdata),
@@ -209,11 +201,7 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True,
     from the spinor antisymmetrization, weighted e^{2u}) the curvature
     coupling, and T (weighted e^{2u}) the V-field coupling.
     """
-    if check:
-        require_on_manifold(target, phi)
-        require_tangent(psi, phi, target)
-    if tdata is None:
-        tdata = target_data(target, phi)
+    tdata = _prepare(phi, psi, target, check, tdata)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
     dt = _projected_grad(phi, grid, tdata)
@@ -310,9 +298,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
                     phi[mask] + sign * hstep[mask][:, None] * direction[mask]
                 )
                 phi_w[mask] = moved
-                nu_new = target.normal_frame(moved)
-                coeff = np.einsum("slb,sbc->slc", nu_new, psi[mask])
-                psi_w[mask] = psi[mask] - np.einsum("slc,slb->sbc", coeff, nu_new)
+                psi_w[mask] = tangency_project(psi[mask], moved, target)
                 dens = action_density(phi_w, psi_w, u, chi, grid, target)
                 deltas.append(_cross_sum(dens - base)[mask])
             fd = (deltas[0] - deltas[1]) / (2.0 * hstep[mask]) * grid.cell_area
@@ -357,9 +343,7 @@ def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
                 for sign in (+1.0, -1.0):
                     pnew = target.project(p0 + sign * hstep * direction)
                     phi_w[i, j] = pnew
-                    nu_new = target.normal_frame(pnew)
-                    coeff = np.einsum("lb,bc->lc", nu_new, s0)
-                    psi_w[i, j] = s0 - np.einsum("lc,lb->bc", coeff, nu_new)
+                    psi_w[i, j] = tangency_project(s0, pnew, target)
                     vals.append(action_value(phi_w, psi_w, u, chi, grid, target))
                 grad_phi[i, j] += ((vals[0] - vals[1]) / (2.0 * hstep)) * direction
                 phi_w[i, j] = p0

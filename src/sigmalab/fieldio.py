@@ -114,18 +114,24 @@ def load_field(path) -> tuple[np.ndarray, str]:
                 raise ValueError(f"{path}: missing sigmalab-field header")
             meta = dict(item.split("=") for item in header.split()[2:])
             reader = csv.reader(fh)
-            next(reader)  # column names
+            if next(reader, None) is None:
+                raise ValueError(f"{path}: missing column-name row")
             flat = np.array([[float(v) for v in row] for row in reader])
     elif path.suffix == ".json":
         with open(path) as fh:
             payload = json.load(fh)
-        if payload.get("format") != "sigmalab-field":
+        if not isinstance(payload, dict) or payload.get("format") != "sigmalab-field":
             raise ValueError(f"{path}: not a sigmalab-field JSON file")
+        if "data" not in payload:
+            raise ValueError(f"{path}: missing data")
         meta = payload
         flat = np.array(payload["data"], dtype=np.float64)
     else:
         raise ValueError(f"unsupported field file extension: {path.suffix!r}")
 
+    missing = [key for key in ("kind", "n1", "n2", "K") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing metadata {', '.join(missing)}")
     kind = meta["kind"]
     n1, n2, K = int(meta["n1"]), int(meta["n2"]), int(meta["K"])
     if kind not in FIELD_KINDS:

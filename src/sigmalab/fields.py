@@ -22,12 +22,10 @@ e^{3u} (spinor-metric rescale e^{u} times volume e^{2u}), and the exact
 adjoint / symmetrization with respect to that pairing are provided for the
 variational residuals.
 
-The twisted operator on psi applies the conformal operator slot-wise, adds
-the second-fundamental-form correction
-
-    + sum_{l,b} e^{-u} (d^h phi^d . gamma) psi^b (d nu_l^b / d u^d) nu_l,
-
-and projects back onto the tangent bundle along phi.
+The twisted operator on psi is Pi D_u: the conformal operator applied
+slot-wise, then projected onto the tangent bundle along phi.  In the extrinsic
+picture the twisting term A(d phi, psi) is normal to N, so the projection
+removes it and it is never formed.
 """
 
 from __future__ import annotations
@@ -133,34 +131,20 @@ def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     return 0.5 * (dirac_conformal(s, u, grid) + dirac_conformal_adjoint(s, u, grid))
 
 
-def _second_fund_correction(psi, phi, u, grid, target, nu, dnu):
-    """+ sum e^{-u} (d^h phi^d gamma_a psi^b) dnu[l,d,b] nu_l, normal valued."""
-    dphi = grad(phi, grid)
-    gpsi = np.einsum("aij,xykj->axyki", cl.GAMMA, psi)
-    coeff = np.einsum("axyd,axybi,xyldb->xyli", dphi, gpsi, dnu)
-    coeff = coeff * np.exp(-u)[..., None, None]
-    return np.einsum("xyli,xyla->xyai", coeff, nu)
-
-
 def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
                   target: TargetManifold, check: bool = True,
                   tdata: TargetData | None = None) -> np.ndarray:
     """Dirac operator twisted by the pullback of TN, in the extrinsic picture.
 
-    Applies the conformal operator to each of the K spinor slots, adds the
-    second-fundamental-form correction, and tangent-projects, so the output
-    satisfies the tangency constraint.  tdata, the target data along phi, is
-    built here when not passed.
+    Pi D_u: the conformal operator on each of the K spinor slots, projected
+    onto the tangent bundle along phi, so the output satisfies the tangency
+    constraint.  Only the normal frame of tdata, the target data along phi,
+    is read; it is computed here when tdata is not passed.
     """
     if check:
         require_tangent(psi, phi, target)
-    if tdata is None:
-        nu, dnu = target.normal_frame(phi), target.normal_frame_derivative(phi)
-    else:
-        nu, dnu = tdata.nu, tdata.dnu
-    out = dirac_conformal(psi, u, grid)
-    out = out + _second_fund_correction(psi, phi, u, grid, target, nu, dnu)
-    return tangency_project(out, phi, target, nu=nu)
+    nu = target.normal_frame(phi) if tdata is None else tdata.nu
+    return tangency_project(dirac_conformal(psi, u, grid), phi, target, nu=nu)
 
 
 # ---- pointwise projectors and rescalings ---------------------------------------

@@ -231,6 +231,8 @@ class ImplicitSurfaceTarget(TargetManifold):
                 break
             g = self.gradient(q)
             g2 = np.einsum("...a,...a->...", g, g)
+            if np.any(g2 == 0.0):
+                raise ConstraintError("cannot project a critical point of F onto the level set")
             q = q - (f / g2)[..., None] * g
         return q
 

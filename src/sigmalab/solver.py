@@ -15,11 +15,12 @@ conformal factor are parameters of the functional and stay fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import target_data, total_action
+from .action import ActionBreakdown, target_data, total_action
 from .errors import SolverError
 from .euler_lagrange import ELResidual, residual_norms, residuals
 from .fields import tangency_project
@@ -40,6 +41,9 @@ class SolverConfig:
     mode: str = "joint"  # joint | phi-only | psi-only
 
     def __post_init__(self):
+        for name in ("tolerance", "initial_step", "shrink", "grow"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
         if self.tolerance <= 0:
@@ -54,11 +58,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Residuals of one iterate, their combined (L2, Linf) norms and Pi along phi."""
+    """Residuals of one iterate, their combined (L2, Linf) norms, Pi along phi
+    and the action breakdown, all from one TargetData."""
 
     residual: ELResidual
     norms: tuple[float, float]
     pi: np.ndarray
+    action: ActionBreakdown | None = None
 
 
 @dataclass
@@ -83,7 +89,8 @@ def _evaluate(phi, psi, chi, u, grid, target) -> Evaluation:
     tdata = target_data(target, phi)
     res = residuals(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
     combined = residual_norms(res, grid, target, phi, tdata)["combined"]
-    return Evaluation(res, (combined["l2"], combined["linf"]), tdata.pi)
+    action = total_action(phi, psi, u, chi, grid, target, check=False, tdata=tdata)
+    return Evaluation(res, (combined["l2"], combined["linf"]), tdata.pi, action)
 
 
 def _dirichlet_increment(phi_new, phi_old, grid) -> float:
@@ -122,12 +129,12 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         if dt < DT_UNDERFLOW:
             raise SolverError(f"step size underflow: dt = {dt:.3e}")
         phi_new, psi_new = phi, psi
-        if config.mode in ("joint", "phi-only"):
+        if config.mode != "psi-only":
             phi_new = target.project(phi + dt * rp_t)
-        if config.mode in ("joint", "psi-only"):
-            psi_new = tangency_project(psi - dt * res.r_psi, phi_new, target)
-        else:
-            psi_new = tangency_project(psi, phi_new, target)
+        if not pure_map:  # psi = 0 is tangent along every phi
+            if config.mode != "phi-only":
+                psi_new = psi - dt * res.r_psi
+            psi_new = tangency_project(psi_new, phi_new, target)
 
         if pure_map:
             accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
@@ -172,14 +179,13 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     report = FlowReport(converged=False, iterations=0)
 
     def record(st: FlowState):
-        breakdown = total_action(st.phi, st.psi, u, chi, grid, target, check=False)
         report.records.append(
             {
                 "iteration": st.iteration,
                 "step_size": st.step_size,
                 "residual_l2": st.residual_norms[0],
                 "residual_linf": st.residual_norms[1],
-                "action": breakdown.to_dict(),
+                "action": st.evaluation.action.to_dict(),
             }
         )
 

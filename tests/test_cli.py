@@ -176,6 +176,12 @@ def _morrey(line):
     pytest.param(*_morrey("radii = 0.5,abc"), id="morrey-radii-text"),
     pytest.param(*_morrey("radii = 0.5,2.0"), id="morrey-radii-range"),
     pytest.param(*_morrey("center = 0.0"), id="morrey-center"),
+    pytest.param("initial_step = 1e-5", "initial_step = nan", id="nan-step"),
+    pytest.param("tolerance = 1e-5", "tolerance = nan", id="nan-tolerance"),
+    pytest.param("[metric]\nkind = zero", "[metric]\nkind = constant\nvalue = nan",
+                 id="metric-nan"),
+    pytest.param(*_morrey("field = foo"), id="morrey-field-kind"),
+    pytest.param("[solver]", "[run]\nseed = -1\n\n[solver]", id="negative-seed"),
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, old, new):
     text = config_text()
@@ -210,3 +216,39 @@ def test_cli_import_loads_no_scipy(tmp_path):
     proc = _run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _assert_cli_rejects(tmp_path, cfg, error, *extra):
+    """One JSON error line on stderr, exit 2 and no output directory."""
+    proc = _run_python(["-m", "sigmalab.cli", "eval", "--config", cfg,
+                        "--out", "out", *extra], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == error
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_option_rejected(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", config_text())
+    _assert_cli_rejects(tmp_path, cfg, "ConfigError", "--seed", "-1")
+
+
+def test_non_finite_map_file_rejected(tmp_path):
+    phi = np.zeros((8, 8, 3))
+    phi[..., 2] = 1.0
+    phi[3, 4] = np.nan
+    save_field(tmp_path / "phi.csv", phi, "map")
+    cfg = write_config(
+        tmp_path / "run.ini",
+        config_text(phi_kind="file", phi_extra="path = phi.csv"),
+    )
+    _assert_cli_rejects(tmp_path, cfg, "ConfigError")
+
+
+def test_ellipsoid_center_point_rejected(tmp_path):
+    text = config_text(phi_kind="constant", phi_extra="point = 0,0,0").replace(
+        "kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 1.0,1.3,0.8"
+    )
+    cfg = write_config(tmp_path / "run.ini", text)
+    _assert_cli_rejects(tmp_path, cfg, "ConstraintError")

@@ -14,7 +14,7 @@ from sigmalab.euler_lagrange import (
     v_fields,
 )
 from sigmalab.fields import tangency_project, tangency_violation, twisted_dirac
-from sigmalab.geometry import Grid, SphereTarget
+from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target
 from sigmalab.presets import (
     equator_map,
     smooth_gravitino,
@@ -215,3 +215,18 @@ def test_residual_norms_structure():
         assert set(n[key]) == {"l2", "linf"}
         assert n[key]["l2"] >= 0.0
     assert n["combined"]["l2"] >= max(n["phi"]["l2"], n["psi"]["l2"]) / np.sqrt(2)
+
+
+def test_psi_residual_fd_exact_on_ellipsoid():
+    # a non-umbilic target: the second fundamental form is not a multiple of
+    # the metric, so the twisting term of the Dirac operator is not uniform
+    target = ellipsoid_target([1.0, 1.3, 0.8])
+    g = Grid(8, 8)
+    phi = smooth_map_field(g, target, seed=10, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, target, seed=11, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=16, amplitude=0.3)
+    rs = residual_psi(phi, psi, chi, u, g, target)
+    _, gs = action_gradient_fd(phi, psi, u, chi, g, target)
+    err = np.linalg.norm(gs / (2.0 * g.cell_area) - rs) / np.linalg.norm(rs)
+    assert err < 1e-8

@@ -1,7 +1,14 @@
 """Bit-exact round trips of the field file formats."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sigmalab.fieldio import load_field, save_field
 
@@ -46,6 +53,26 @@ def test_bad_files_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_field(tmp_path / "y.csv", np.zeros((4, 4, 3)), "scalar")
 
+    # truncated files name what is missing
+    header = "# sigmalab-field kind=scalar n1=1 n2=1 K=1\n"
+    p.write_text(header)
+    with pytest.raises(ValueError, match="column"):
+        load_field(p)
+    p.write_text("# sigmalab-field n1=1 n2=1 K=1\nvalue\n1.0\n")
+    with pytest.raises(ValueError, match="kind"):
+        load_field(p)
+    p.write_text("# sigmalab-field kind=scalar n2=1 K=1\nvalue\n1.0\n")
+    with pytest.raises(ValueError, match="n1"):
+        load_field(p)
+    j = tmp_path / "x.json"
+    j.write_text(json.dumps({"format": "sigmalab-field", "kind": "scalar",
+                             "n1": 1, "n2": 1, "K": 1}))
+    with pytest.raises(ValueError, match="data"):
+        load_field(j)
+    j.write_text("[]")
+    with pytest.raises(ValueError, match="not a sigmalab-field"):
+        load_field(j)
+
 
 def test_row_major_site_order(tmp_path):
     array = np.arange(24, dtype=float).reshape(4, 6)
@@ -55,3 +82,27 @@ def test_row_major_site_order(tmp_path):
     # data starts on line 3; site (i, j) -> row i * n2 + j
     assert lines[2] == "0.0"
     assert lines[2 + 6] == "6.0"
+
+
+_SHAPES = {"scalar": (3, 2), "map": (3, 2, 3), "vectorspinor": (2, 2, 3, 4),
+           "gravitino": (2, 2, 2, 4)}
+
+
+@st.composite
+def _fields(draw):
+    kind = draw(st.sampled_from(sorted(_SHAPES)))
+    values = st.floats(allow_nan=False) | st.sampled_from([-0.0, np.inf, -np.inf])
+    return kind, draw(arrays(np.float64, _SHAPES[kind], elements=values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=_fields(), ext=st.sampled_from([".csv", ".json"]))
+def test_round_trip_bit_exact_property(field, ext):
+    kind, array = field
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"field{ext}"
+        save_field(path, array, kind)
+        back, back_kind = load_field(path)
+    assert back_kind == kind
+    assert back.shape == array.shape
+    assert np.array_equal(back.view(np.uint64), array.view(np.uint64))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sigmalab.action import term_dirichlet
+from sigmalab.action import term_dirichlet, total_action
 from sigmalab.errors import SolverError
 from sigmalab.fields import tangency_violation
 from sigmalab.geometry import Grid, SphereTarget, on_manifold_violation
@@ -13,6 +13,7 @@ from sigmalab.presets import (
     perturbed_equator_map,
     smooth_gravitino,
     smooth_map_field,
+    smooth_scalar_field,
     smooth_vector_spinor,
 )
 from sigmalab.solver import FlowState, SolverConfig, flow_step, solve
@@ -35,6 +36,15 @@ def test_config_validation():
         SolverConfig(max_iterations=-5)
     with pytest.raises(ValueError):
         SolverConfig(initial_step=-1.0)
+    for bad in (
+        {"initial_step": float("nan")},
+        {"initial_step": float("inf")},
+        {"grow": float("inf")},
+        {"tolerance": float("nan")},
+        {"shrink": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 def test_critical_point_converges_in_zero_iterations():
@@ -129,3 +139,17 @@ def test_solve_ends_without_crash_when_stalled():
     assert not report.converged
     stalled = any(rec.get("stalled") for rec in report.records)
     assert stalled or report.iterations == 40
+
+
+def test_last_record_is_action_of_returned_state():
+    g = Grid(16, 16)
+    phi0 = smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+    psi0 = smooth_vector_spinor(g, phi0, TG, seed=9, amplitude=0.05, modes=1)
+    chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    u0 = smooth_scalar_field(g, seed=11, amplitude=0.2)
+    cfg = SolverConfig(max_iterations=10, tolerance=1e-14, initial_step=1e-5)
+    state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    last = report.records[-1]
+    assert last["iteration"] == state.iteration > 0
+    expected = total_action(state.phi, state.psi, u0, chi0, g, TG).to_dict()
+    assert last["action"] == expected
