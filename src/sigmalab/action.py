@@ -32,7 +32,7 @@ which vanishes identically for round spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "ActionBreakdown",
     "TargetData",
     "target_data",
+    "gamma_chi",
     "term_dirichlet",
     "term_dirac",
     "term_gravitino",
@@ -62,6 +63,11 @@ GG = np.einsum("aik,bkj->abij", cl.GAMMA, cl.GAMMA)
 GG.setflags(write=False)
 
 
+def gamma_chi(chi: np.ndarray) -> np.ndarray:
+    """Gamma chi[..., e, i] = sum_b (gamma_b gamma_e chi^b)_i, shaped like chi."""
+    return np.einsum("beij,xybj->xyei", GG, chi)
+
+
 @dataclass(frozen=True)
 class ActionBreakdown:
     """The five summands and their total (fixed summation order)."""
@@ -74,29 +80,28 @@ class ActionBreakdown:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "I_dirichlet": self.I_dirichlet,
-            "II_dirac": self.II_dirac,
-            "III_gravitino": self.III_gravitino,
-            "IV_qchi": self.IV_qchi,
-            "V_curvature": self.V_curvature,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 class TargetData:
     """Per-site extrinsic data of the target along a map field.
 
-    The frame, its derivative and the tangent projector are computed eagerly;
-    the symmetrized second-fundamental-form tensor and the Gauss curvature
-    tensor only on first use (the zero-spinor paths never need them).
+    The normal frame and its derivative are computed eagerly; the tangent
+    projector, the symmetrized second-fundamental-form tensor and the Gauss
+    tensor only on first use, by the contractions that need them (tangential
+    parts of fields are taken from nu, so the zero-spinor paths never do).
     """
 
     def __init__(self, target: TargetManifold, phi: np.ndarray):
+        self._target = target
+        self._phi = phi
         self.nu = target.normal_frame(phi)              # (n1, n2, L, K)
         self.dnu = target.normal_frame_derivative(phi)  # (n1, n2, L, K, K)
-        eye = np.eye(target.ambient_dim)
-        self.pi = eye - np.einsum("...la,...lb->...ab", self.nu, self.nu)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Pi[..., a, b] = delta_ab - sum_l nu_l^a nu_l^b."""
+        return self._target.tangent_projector(self._phi)
 
     @cached_property
     def asym(self) -> np.ndarray:
@@ -123,18 +128,17 @@ def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
     return np.sum(dphi * dphi, axis=(0, -1))
 
 
-def _dirac_density(psi, phi, u, grid, target, tdata) -> np.ndarray | None:
+def _dirac_density(psi, phi, u, grid, target) -> np.ndarray | None:
     if not np.any(psi):
         return None
-    tw = twisted_dirac(psi, phi, u, grid, target, check=False, tdata=tdata)
+    tw = twisted_dirac(psi, phi, u, grid, target, check=False)
     return np.einsum("xyai,xyai->xy", psi, tw) * np.exp(3.0 * u)
 
 
 def _gravitino_density(dphi, psi, chi, u) -> np.ndarray | None:
     if not (np.any(psi) and np.any(chi)):
         return None
-    ggchi = np.einsum("abij,xyaj->xybi", GG, chi)
-    return 2.0 * np.einsum("xybi,xyki,bxyk->xy", ggchi, psi, dphi) * np.exp(2.0 * u)
+    return 2.0 * np.einsum("xybi,xyki,bxyk->xy", gamma_chi(chi), psi, dphi) * np.exp(2.0 * u)
 
 
 def _qchi_density(psi, chi, u) -> np.ndarray | None:
@@ -158,7 +162,7 @@ def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
     dphi = grad(phi, grid)
     return (
         _dirichlet_density(dphi),
-        _dirac_density(psi, phi, u, grid, target, tdata),
+        _dirac_density(psi, phi, u, grid, target),
         _gravitino_density(dphi, psi, chi, u),
         _qchi_density(psi, chi, u),
         _curvature_density(psi, phi, u, target, tdata),
@@ -181,7 +185,7 @@ def term_dirac(psi, phi, u, grid, target, check: bool = True) -> float:
     """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
     if check:
         require_tangent(psi, phi, target)
-    return _integral(_dirac_density(psi, phi, u, grid, target, None), grid)
+    return _integral(_dirac_density(psi, phi, u, grid, target), grid)
 
 
 def term_gravitino(phi, psi, chi, u, grid) -> float:

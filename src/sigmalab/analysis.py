@@ -72,18 +72,28 @@ class MorreyParams:
             raise ValueError("lambda must lie in [0, 2]")
 
 
+PAIRS_PER_BLOCK = 1 << 20
+
+
 def _local_integrals(values: np.ndarray, grid: DiscGrid, centers_xy, p: float,
                      radii: np.ndarray) -> np.ndarray:
-    """sum over B_r(x) of |u|^p h^2, shaped (n_centers, n_radii)."""
+    """sum over B_r(x) of |u|^p h^2, shaped (n_centers, n_radii).
+
+    Centers are processed in blocks of at most PAIRS_PER_BLOCK (center, point)
+    pairs, so memory stays O(R^2) while each center's sum is unchanged.
+    """
     mask = grid.mask()
     x, y = grid.centers()
     pts = np.stack([x[mask], y[mask]], axis=-1)
     dens = (np.abs(values[mask]) ** p) * grid.h**2
     cx = np.asarray(centers_xy, dtype=np.float64)
-    d2 = np.sum((cx[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     out = np.empty((len(cx), len(radii)))
-    for k, r in enumerate(radii):
-        out[:, k] = np.where(d2 <= r * r, dens[None, :], 0.0).sum(axis=1)
+    block = max(1, PAIRS_PER_BLOCK // len(pts))
+    for start in range(0, len(cx), block):
+        rows = slice(start, start + block)
+        d2 = np.sum((cx[rows, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        for k, r in enumerate(radii):
+            out[rows, k] = np.where(d2 <= r * r, dens[None, :], 0.0).sum(axis=1)
     return out
 
 

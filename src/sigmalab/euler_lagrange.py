@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import GG, TargetData, action_density, action_value, sr_of, snr_of, target_data
+from .action import TargetData, action_density, action_value, gamma_chi, snr_of, sr_of, target_data
 from .fields import dirac_conformal_sym, q_norm2_field, require_tangent, tangency_project
 from .geometry import (
     Grid,
@@ -53,7 +53,6 @@ from .geometry import (
     grad,
     require_on_manifold,
     tangent_basis,
-    wide_laplacian,
 )
 
 __all__ = [
@@ -89,7 +88,7 @@ class AntisymPotentials:
 
 def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """V[..., a, e] = sum_b <gamma_b gamma_e chi^b, psi^a>, one 2-vector per slot."""
-    return np.einsum("beij,xybj,xyai->xyae", GG, chi, psi)
+    return np.einsum("xyei,xyai->xyae", gamma_chi(chi), psi)
 
 
 def _prepare(phi, psi, target, check: bool, tdata: TargetData | None) -> TargetData:
@@ -98,12 +97,6 @@ def _prepare(phi, psi, target, check: bool, tdata: TargetData | None) -> TargetD
         require_on_manifold(target, phi)
         require_tangent(psi, phi, target)
     return target_data(target, phi) if tdata is None else tdata
-
-
-def _projected_grad(phi, grid, tdata):
-    """Tangent-projected centered differences, (2, n1, n2, K)."""
-    dphi = grad(phi, grid)
-    return np.einsum("xyab,exyb->exya", tdata.pi, dphi)
 
 
 def _tproj_dnu(tdata):
@@ -124,8 +117,9 @@ def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
     has_psi = bool(np.any(psi))
     has_chi = bool(np.any(chi))
 
-    dt = _projected_grad(phi, grid, tdata)
-    r = wide_laplacian(phi, grid)
+    dphi = grad(phi, grid)
+    dt = target.tangent_project(phi, dphi)
+    r = div(dphi, grid)
 
     # second-fundamental-form trace (normal valued)
     r += np.einsum("exyc,exyb,xylcb,xyla->xya", dt, dt, tdata.dnu, tdata.nu)
@@ -177,11 +171,10 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
         out -= e4u * sr_of(psi, phi, target, tdata) / 3.0
     if has_chi:
         dphi = grad(phi, grid)
-        ggchi = np.einsum("ebij,xyej->xybi", GG, chi)
-        out += e2u * np.einsum("bxya,xybi->xyai", dphi, ggchi)
+        out += e2u * np.einsum("bxya,xybi->xyai", dphi, gamma_chi(chi))
         if has_psi:
             out -= e4u * q_norm2_field(chi)[..., None, None] * psi
-    return tangency_project(out, phi, target, nu=tdata.nu)
+    return tangency_project(out, phi, target)
 
 
 def residuals(phi, psi, chi, u, grid, target, check: bool = True,
@@ -204,7 +197,7 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True,
     tdata = _prepare(phi, psi, target, check, tdata)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
-    dt = _projected_grad(phi, grid, tdata)
+    dt = target.tangent_project(phi, grad(phi, grid))
     s = np.einsum("exyc,xylca->exyla", dt, tdata.dnu)
     omega = np.einsum("exyla,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
@@ -225,10 +218,11 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     machine precision (cross-implementation check)."""
     tdata = target_data(target, phi)
     pots = potentials(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
-    dt = _projected_grad(phi, grid, tdata)
+    dphi = grad(phi, grid)
+    dt = target.tangent_project(phi, dphi)
     coeff = pots.omega + pots.f + pots.t
 
-    r = wide_laplacian(phi, grid)
+    r = div(dphi, grid)
     r -= np.einsum("xyeab,exyb->xya", coeff, dt)
     r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, tdata)
     v = v_fields(chi, psi)
@@ -365,10 +359,9 @@ def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
 
 
 def residual_norms(res: ELResidual, grid: Grid, target: TargetManifold,
-                   phi: np.ndarray, tdata: TargetData | None = None) -> dict:
+                   phi: np.ndarray) -> dict:
     """(L2, Linf) pairs of the tangent parts, for the diagnostics report."""
-    pi = target.tangent_projector(phi) if tdata is None else tdata.pi
-    rp = np.einsum("xyab,xyb->xya", pi, res.r_phi)
+    rp = target.tangent_project(phi, res.r_phi)
     cell = grid.cell_area
     l2_phi = float(np.sqrt(np.sum(rp * rp) * cell))
     l2_psi = float(np.sqrt(np.sum(res.r_psi * res.r_psi) * cell))

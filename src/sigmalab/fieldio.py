@@ -31,25 +31,18 @@ __all__ = ["save_field", "load_field", "FIELD_KINDS"]
 FIELD_KINDS = ("scalar", "map", "vectorspinor", "gravitino")
 
 
+def _site_shape(kind: str, K) -> tuple:
+    """Trailing per-site axes of a field of this kind."""
+    return {"scalar": (), "map": (K,), "vectorspinor": (K, 4), "gravitino": (2, 4)}[kind]
+
+
 def _field_dims(kind: str, array: np.ndarray) -> tuple[int, int, int]:
-    n1, n2 = array.shape[0], array.shape[1]
-    if kind == "scalar":
-        if array.ndim != 2:
-            raise ValueError("scalar field must be (n1, n2)")
-        return n1, n2, 1
-    if kind == "map":
-        if array.ndim != 3:
-            raise ValueError("map field must be (n1, n2, K)")
-        return n1, n2, array.shape[2]
-    if kind == "vectorspinor":
-        if array.ndim != 4 or array.shape[3] != 4:
-            raise ValueError("vector-spinor field must be (n1, n2, K, 4)")
-        return n1, n2, array.shape[2]
-    if kind == "gravitino":
-        if array.ndim != 4 or array.shape[2:] != (2, 4):
-            raise ValueError("gravitino field must be (n1, n2, 2, 4)")
-        return n1, n2, 0
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind not in FIELD_KINDS:
+        raise ValueError(f"unknown field kind {kind!r}")
+    K = {"scalar": 1, "gravitino": 0}.get(kind, array.shape[2] if array.ndim > 2 else -1)
+    if array.ndim < 2 or array.shape[2:] != _site_shape(kind, K):
+        raise ValueError(f"{kind} field must be (n1, n2) + {_site_shape(kind, 'K')}")
+    return array.shape[0], array.shape[1], K
 
 
 def _columns(kind: str, K: int) -> list[str]:
@@ -62,26 +55,11 @@ def _columns(kind: str, K: int) -> list[str]:
     return [f"chi{e}_{c}" for e in range(1, 3) for c in range(1, 5)]
 
 
-def _flatten(kind: str, array: np.ndarray) -> np.ndarray:
-    n1, n2 = array.shape[0], array.shape[1]
-    return np.asarray(array, dtype=np.float64).reshape(n1 * n2, -1)
-
-
-def _unflatten(kind: str, flat: np.ndarray, n1: int, n2: int, K: int) -> np.ndarray:
-    if kind == "scalar":
-        return flat.reshape(n1, n2)
-    if kind == "map":
-        return flat.reshape(n1, n2, K)
-    if kind == "vectorspinor":
-        return flat.reshape(n1, n2, K, 4)
-    return flat.reshape(n1, n2, 2, 4)
-
-
 def save_field(path, array: np.ndarray, kind: str) -> None:
     """Write a field; the format follows the file extension (.csv or .json)."""
     path = Path(path)
     n1, n2, K = _field_dims(kind, array)
-    flat = _flatten(kind, array)
+    flat = np.asarray(array, dtype=np.float64).reshape(n1 * n2, -1)
     if path.suffix == ".csv":
         with open(path, "w", newline="") as fh:
             fh.write(f"# sigmalab-field kind={kind} n1={n1} n2={n2} K={K}\n")
@@ -104,8 +82,21 @@ def save_field(path, array: np.ndarray, kind: str) -> None:
         raise ValueError(f"unsupported field file extension: {path.suffix!r}")
 
 
+def _count(path: Path, meta: dict, key: str) -> int:
+    """A metadata count: a non-negative int (decimal text in a CSV header)."""
+    value = meta[key]
+    if path.suffix == ".csv" and value.isdecimal():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{path}: {key} must be a non-negative integer, got {meta[key]!r}")
+    return value
+
+
 def load_field(path) -> tuple[np.ndarray, str]:
-    """Read a field file; returns (array, kind)."""
+    """Read a field file; returns (array, kind).
+
+    Raises ValueError naming the key whose metadata or data does not fit.
+    """
     path = Path(path)
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
@@ -116,7 +107,7 @@ def load_field(path) -> tuple[np.ndarray, str]:
             reader = csv.reader(fh)
             if next(reader, None) is None:
                 raise ValueError(f"{path}: missing column-name row")
-            flat = np.array([[float(v) for v in row] for row in reader])
+            rows = [[float(v) for v in row] for row in reader]
     elif path.suffix == ".json":
         with open(path) as fh:
             payload = json.load(fh)
@@ -125,7 +116,7 @@ def load_field(path) -> tuple[np.ndarray, str]:
         if "data" not in payload:
             raise ValueError(f"{path}: missing data")
         meta = payload
-        flat = np.array(payload["data"], dtype=np.float64)
+        rows = payload["data"]
     else:
         raise ValueError(f"unsupported field file extension: {path.suffix!r}")
 
@@ -133,9 +124,15 @@ def load_field(path) -> tuple[np.ndarray, str]:
     if missing:
         raise ValueError(f"{path}: missing metadata {', '.join(missing)}")
     kind = meta["kind"]
-    n1, n2, K = int(meta["n1"]), int(meta["n2"]), int(meta["K"])
-    if kind not in FIELD_KINDS:
+    if not isinstance(kind, str) or kind not in FIELD_KINDS:
         raise ValueError(f"{path}: unknown field kind {kind!r}")
-    if flat.shape[0] != n1 * n2:
-        raise ValueError(f"{path}: expected {n1 * n2} site rows, found {flat.shape[0]}")
-    return _unflatten(kind, flat, n1, n2, K), kind
+    n1, n2, K = (_count(path, meta, key) for key in ("n1", "n2", "K"))
+    try:
+        flat = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: data is not a table of numbers ({exc})") from None
+    shape = (n1 * n2, len(_columns(kind, K)))
+    if flat.shape != shape:
+        raise ValueError(f"{path}: data must be {shape[0]} site rows of {shape[1]} "
+                         f"columns, found shape {flat.shape}")
+    return flat.reshape((n1, n2) + _site_shape(kind, K)), kind

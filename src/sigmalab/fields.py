@@ -22,24 +22,19 @@ e^{3u} (spinor-metric rescale e^{u} times volume e^{2u}), and the exact
 adjoint / symmetrization with respect to that pairing are provided for the
 variational residuals.
 
-The twisted operator on psi is Pi D_u: the conformal operator applied
-slot-wise, then projected onto the tangent bundle along phi.  In the extrinsic
-picture the twisting term A(d phi, psi) is normal to N, so the projection
-removes it and it is never formed.
+The twisted operator on psi is the tangential part of D_u: the conformal
+operator applied slot-wise, then with the normal components along phi
+removed.  In the extrinsic picture the twisting term A(d phi, psi) is normal
+to N, so taking the tangential part removes it and it is never formed.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import clifford as cl
 from .errors import ConstraintError
 from .geometry import Grid, TargetManifold, grad
-
-if TYPE_CHECKING:
-    from .action import TargetData
 
 __all__ = [
     "tangency_violation",
@@ -82,11 +77,13 @@ def require_tangent(psi, phi, target, tol: float = TANGENCY_TOL):
         raise ConstraintError(f"vector-spinor not tangent along phi: violation {v:.3e} > {tol:.1e}")
 
 
-def tangency_project(psi: np.ndarray, phi: np.ndarray, target: TargetManifold,
-                     nu: np.ndarray | None = None) -> np.ndarray:
-    """Remove the normal components of every spinor slot; idempotent."""
-    if nu is None:
-        nu = target.normal_frame(phi)
+def tangency_project(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> np.ndarray:
+    """Remove the normal components nu_l(phi) of every spinor slot; idempotent.
+
+    Its own einsum pair rather than TargetManifold.tangent_project on swapped
+    axes, so that the result keeps psi's contiguous layout.
+    """
+    nu = target.normal_frame(phi)
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
     return psi - np.einsum("...lc,...lb->...bc", coeff, nu)
 
@@ -132,19 +129,16 @@ def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
-                  target: TargetManifold, check: bool = True,
-                  tdata: TargetData | None = None) -> np.ndarray:
+                  target: TargetManifold, check: bool = True) -> np.ndarray:
     """Dirac operator twisted by the pullback of TN, in the extrinsic picture.
 
-    Pi D_u: the conformal operator on each of the K spinor slots, projected
-    onto the tangent bundle along phi, so the output satisfies the tangency
-    constraint.  Only the normal frame of tdata, the target data along phi,
-    is read; it is computed here when tdata is not passed.
+    The conformal operator on each of the K spinor slots followed by
+    tangency_project along phi, so the output satisfies the tangency
+    constraint.
     """
     if check:
         require_tangent(psi, phi, target)
-    nu = target.normal_frame(phi) if tdata is None else tdata.nu
-    return tangency_project(dirac_conformal(psi, u, grid), phi, target, nu=nu)
+    return tangency_project(dirac_conformal(psi, u, grid), phi, target)
 
 
 # ---- pointwise projectors and rescalings ---------------------------------------

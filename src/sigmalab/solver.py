@@ -58,12 +58,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Residuals of one iterate, their combined (L2, Linf) norms, Pi along phi
-    and the action breakdown, all from one TargetData."""
+    """Residuals of one iterate, their combined (L2, Linf) norms and the
+    action breakdown; the residuals and the action share one TargetData."""
 
     residual: ELResidual
     norms: tuple[float, float]
-    pi: np.ndarray
     action: ActionBreakdown | None = None
 
 
@@ -88,9 +87,9 @@ class FlowReport:
 def _evaluate(phi, psi, chi, u, grid, target) -> Evaluation:
     tdata = target_data(target, phi)
     res = residuals(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
-    combined = residual_norms(res, grid, target, phi, tdata)["combined"]
+    combined = residual_norms(res, grid, target, phi)["combined"]
     action = total_action(phi, psi, u, chi, grid, target, check=False, tdata=tdata)
-    return Evaluation(res, (combined["l2"], combined["linf"]), tdata.pi, action)
+    return Evaluation(res, (combined["l2"], combined["linf"]), action)
 
 
 def _dirichlet_increment(phi_new, phi_old, grid) -> float:
@@ -123,7 +122,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         and not np.any(chi)
     )
 
-    rp_t = np.einsum("xyab,xyb->xya", ev.pi, res.r_phi)
+    rp_t = target.tangent_project(phi, res.r_phi)
     dt = state.step_size
     while True:
         if dt < DT_UNDERFLOW:

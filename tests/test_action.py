@@ -1,6 +1,8 @@
 """The five action terms, the curvature contractions, and the exact symmetries."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmalab.action import (
     snr_of,
@@ -288,6 +290,25 @@ def test_super_weyl_invariance_exact():
     scale = 1.0 + max(abs(v) for v in base.to_dict().values())
     for a, b in zip(base.to_dict().values(), shifted.to_dict().values()):
         assert abs(a - b) / scale < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_sign_flip_and_super_weyl_on_ellipsoid_property(seed):
+    et = ellipsoid_target([1.0, 1.3, 0.8])
+    g = Grid(8, 8)
+    phi = smooth_map_field(g, et, seed=seed, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, et, seed=seed + 1, amplitude=0.5)
+    chi = smooth_gravitino(g, seed=seed + 2, amplitude=0.5)
+    u = smooth_scalar_field(g, seed=seed + 3, amplitude=0.3)
+    base = total_action(phi, psi, u, chi, g, et).to_dict()
+    flip = total_action(phi, -psi, u, -chi, g, et).to_dict()
+    assert flip == base
+    spin = np.random.default_rng(seed).standard_normal(g.shape + (4,))
+    shifted = total_action(phi, psi, u, chi + sigma_lift(spin), g, et).to_dict()
+    scale = 1.0 + max(abs(v) for v in base.values())
+    for key, value in base.items():
+        assert abs(shifted[key] - value) / scale <= 1e-12
 
 
 def test_conformal_invariance_second_order():

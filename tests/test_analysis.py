@@ -1,8 +1,11 @@
 """Morrey-norm and Riesz-potential diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sigmalab import analysis
 from sigmalab.analysis import (
     DiscGrid,
     MorreyParams,
@@ -82,6 +85,33 @@ def test_morrey_validation():
         morrey_norm(values, MorreyParams(p=2.0, lam=1.0), [], g)
     with pytest.raises(ValueError):
         morrey_norm(values, MorreyParams(p=2.0, lam=1.0), [1.5], g)
+
+
+def test_morrey_memory_is_bounded():
+    g = DiscGrid(64)
+    x, y = g.centers()
+    values = np.sin(3.0 * x) * np.cos(2.0 * y) + x * y
+    radii = [0.0625, 0.125, 0.25, 0.5, 1.0]
+    tracemalloc.start()
+    try:
+        morrey_norm(values, MorreyParams(p=2.0, lam=1.0), radii, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_morrey_blocks_do_not_change_results(monkeypatch):
+    g = DiscGrid(16)
+    x, y = g.centers()
+    values = np.exp(x) * np.cos(3.0 * y)
+    params = MorreyParams(p=3.0, lam=0.5)
+    radii = [0.125, 0.5, 1.0]
+    norm = morrey_norm(values, params, radii, g)
+    profile = decay_profile(values, g, (0.1, -0.2), params, radii)
+    monkeypatch.setattr(analysis, "PAIRS_PER_BLOCK", 1)
+    assert morrey_norm(values, params, radii, g) == norm
+    assert decay_profile(values, g, (0.1, -0.2), params, radii) == profile
 
 
 def test_riesz_far_field_of_point_source():

@@ -246,6 +246,19 @@ def test_non_finite_map_file_rejected(tmp_path):
     _assert_cli_rejects(tmp_path, cfg, "ConfigError")
 
 
+def test_map_file_with_null_metadata_rejected(tmp_path):
+    phi = np.zeros((8, 8, 3))
+    phi[..., 2] = 1.0
+    save_field(tmp_path / "phi.json", phi, "map")
+    payload = json.loads((tmp_path / "phi.json").read_text())
+    (tmp_path / "phi.json").write_text(json.dumps({**payload, "n1": None}))
+    cfg = write_config(
+        tmp_path / "run.ini",
+        config_text(phi_kind="file", phi_extra="path = phi.json"),
+    )
+    _assert_cli_rejects(tmp_path, cfg, "ConfigError")
+
+
 def test_ellipsoid_center_point_rejected(tmp_path):
     text = config_text(phi_kind="constant", phi_extra="point = 0,0,0").replace(
         "kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 1.0,1.3,0.8"

@@ -73,6 +73,28 @@ def test_bad_files_rejected(tmp_path):
     with pytest.raises(ValueError, match="not a sigmalab-field"):
         load_field(j)
 
+    # metadata and data of the wrong type name the offending key
+    good = {"format": "sigmalab-field", "kind": "map", "n1": 1, "n2": 2, "K": 3,
+            "data": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]}
+    for key, value in [("data", 5), ("data", [0.0, 0.0, 1.0]), ("data", [[0.0, 1.0]] * 2),
+                       ("data", [[0.0, 0.0, 1.0]] * 3), ("data", {"a": 1}),
+                       ("data", [["x", 0.0, 1.0]] * 2), ("n1", None), ("n1", 1.5),
+                       ("n1", 1.0), ("n1", True), ("n1", -1), ("n1", "1"), ("K", None),
+                       ("kind", 3), ("kind", ["map"]), ("kind", "tensor")]:
+        j.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ValueError, match=key):
+            load_field(j)
+    for meta in ["kind=map n1=1.5 n2=2 K=3", "kind=map n1=x n2=2 K=3",
+                 "kind=map n1=1 n2=-2 K=3", "kind=map n1=1 n2=2 K="]:
+        p.write_text(f"# sigmalab-field {meta}\nu1,u2,u3\n0,0,1\n1,0,0\n")
+        with pytest.raises(ValueError, match="n1|n2|K"):
+            load_field(p)
+    p.write_text("# sigmalab-field kind=map n1=1 n2=2 K=3\nu1,u2,u3\n0,0\n1,0\n")
+    with pytest.raises(ValueError, match="data"):
+        load_field(p)
+    j.write_text(json.dumps(good))
+    assert load_field(j)[0].shape == (1, 2, 3)
+
 
 def test_row_major_site_order(tmp_path):
     array = np.arange(24, dtype=float).reshape(4, 6)

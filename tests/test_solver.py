@@ -7,8 +7,9 @@ import pytest
 
 from sigmalab.action import term_dirichlet, total_action
 from sigmalab.errors import SolverError
+from sigmalab.euler_lagrange import residual_norms, residuals
 from sigmalab.fields import tangency_violation
-from sigmalab.geometry import Grid, SphereTarget, on_manifold_violation
+from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target, on_manifold_violation
 from sigmalab.presets import (
     perturbed_equator_map,
     smooth_gravitino,
@@ -153,3 +154,40 @@ def test_last_record_is_action_of_returned_state():
     assert last["iteration"] == state.iteration > 0
     expected = total_action(state.phi, state.psi, u0, chi0, g, TG).to_dict()
     assert last["action"] == expected
+
+
+ET = ellipsoid_target([1.0, 1.3, 0.8])
+
+
+def _ellipsoid_joint_solve():
+    """Ten joint steps on a non-round target, with u != 0."""
+    g = Grid(16, 16)
+    phi0 = smooth_map_field(g, ET, seed=8, amplitude=0.3, modes=1)
+    psi0 = smooth_vector_spinor(g, phi0, ET, seed=9, amplitude=0.05, modes=1)
+    chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    u0 = smooth_scalar_field(g, seed=11, amplitude=0.2)
+    cfg = SolverConfig(max_iterations=10, tolerance=1e-14, initial_step=1e-5)
+    state, report = solve(phi0, psi0, chi0, u0, g, ET, cfg)
+    return g, chi0, u0, state, report
+
+
+def test_joint_flow_on_ellipsoid_keeps_constraints_and_descends():
+    g, chi0, u0, state, report = _ellipsoid_joint_solve()
+    assert state.iteration > 0
+    assert on_manifold_violation(ET, state.phi) <= 1e-9
+    assert tangency_violation(state.psi, state.phi, ET) <= 1e-9
+    res = [rec["residual_l2"] for rec in report.records if "residual_l2" in rec]
+    assert all(b <= a for a, b in zip(res, res[1:]))
+    expected = total_action(state.phi, state.psi, u0, chi0, g, ET).to_dict()
+    assert report.records[-1]["action"] == expected
+
+
+def test_residual_norms_take_tangent_part_on_ellipsoid():
+    g, chi0, u0, state, _ = _ellipsoid_joint_solve()
+    res = residuals(state.phi, state.psi, chi0, u0, g, ET)
+    norms = residual_norms(res, g, ET, state.phi)["phi"]
+    rp = np.einsum("xyab,xyb->xya", ET.tangent_projector(state.phi), res.r_phi)
+    l2 = np.sqrt(np.sum(rp * rp) * g.cell_area)
+    linf = np.max(np.abs(rp))
+    assert abs(norms["l2"] - l2) <= 1e-14 * l2
+    assert abs(norms["linf"] - linf) <= 1e-14 * linf
