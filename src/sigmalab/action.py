@@ -181,10 +181,9 @@ def term_dirichlet(phi: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     return _integral(_dirichlet_density(grad(phi, grid)), grid)
 
 
-def term_dirac(psi, phi, u, grid, target, check: bool = True) -> float:
+def term_dirac(psi, phi, u, grid, target) -> float:
     """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
-    if check:
-        require_tangent(psi, phi, target)
+    require_tangent(psi, phi, target)
     return _integral(_dirac_density(psi, phi, u, grid, target), grid)
 
 
@@ -207,9 +206,9 @@ def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     return np.einsum("xyac,xyci->xyai", m, psi)
 
 
-def term_curvature(psi, phi, u, grid, target, tdata: TargetData | None = None) -> float:
+def term_curvature(psi, phi, u, grid, target) -> float:
     """-(1/6) sum <SR(psi), psi> e^{4u} h1 h2."""
-    return _integral(_curvature_density(psi, phi, u, target, tdata), grid)
+    return _integral(_curvature_density(psi, phi, u, target, None), grid)
 
 
 def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:

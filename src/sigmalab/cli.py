@@ -38,7 +38,8 @@ from .analysis import (
 from .checks import run_all_checks
 from .errors import ConfigError, ConstraintError, SolverError
 from .euler_lagrange import residual_norms, residuals
-from .fieldio import load_field, save_field
+from .fields import require_tangent
+from .fieldio import load_field, save_field, site_shape
 from .geometry import Grid, SphereTarget, TargetManifold, ellipsoid_target
 from .presets import (
     equator_map,
@@ -75,7 +76,7 @@ def _seeded(seed: int, salt: int) -> np.random.Generator:
 
 
 def _get(section, key, default=None, cast=str):
-    if section is None or key not in section:
+    if key not in section:
         if default is None:
             raise ConfigError(f"missing configuration key {key!r}")
         return cast(default)
@@ -96,20 +97,11 @@ def _float_list(text: str) -> list[float]:
     return [_finite(v) for v in text.split(",")]
 
 
-def _load_named_field(section, base: Path, kind: str, shape_check) -> np.ndarray:
-    path = base / _get(section, "path")
-    if not path.exists():
-        raise ConfigError(f"referenced field file does not exist: {path}")
-    try:
-        array, file_kind = load_field(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if file_kind != kind:
-        raise ConfigError(f"{path}: expected kind {kind!r}, found {file_kind!r}")
-    if not np.all(np.isfinite(array)):
-        raise ConfigError(f"{path}: field values must be finite")
-    shape_check(array, path)
-    return array
+def _constant_map(section, grid: Grid, target: TargetManifold) -> np.ndarray:
+    point = np.array(_get(section, "point", cast=_float_list))
+    if point.shape != (target.ambient_dim,):
+        raise ConfigError(f"constant map point needs {target.ambient_dim} components")
+    return np.broadcast_to(target.project(point), grid.shape + point.shape)
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
@@ -127,103 +119,83 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
     ini.read(path)
-    base = path.parent
 
-    gsec = ini["grid"] if "grid" in ini else None
-    grid = Grid(_get(gsec, "n1", cast=int), _get(gsec, "n2", cast=int))
+    def section(name):
+        return ini[name] if name in ini else {}
 
-    tsec = ini["target"] if "target" in ini else {}
-    tkind = _get(tsec, "kind", "sphere")
-    if tkind == "sphere":
-        target = SphereTarget(
-            ambient_dim=_get(tsec, "ambient_dim", "3", int),
-            radius=_get(tsec, "radius", "1.0", _finite),
-        )
-    elif tkind == "ellipsoid":
-        target = ellipsoid_target(_get(tsec, "semi_axes", "1.0,1.0,1.0", _float_list))
-    else:
-        raise ConfigError(f"unknown target kind {tkind!r}")
+    def build(name, default, builders, field=None, key="kind"):
+        """builders[kind](section) for the kind that ``key`` names in [name].
+
+        When ``field`` names a fieldio kind, kind = file reads that field from
+        the section's ``path`` and checks it against the grid and K (the field
+        sections are read after the target, so K is known by then).
+        """
+        sec = section(name)
+        kind = _get(sec, key, default)
+        if field is not None and kind == "file":
+            file = path.parent / _get(sec, "path")
+            if not file.exists():
+                raise ConfigError(f"referenced field file does not exist: {file}")
+            array, file_kind = load_field(file)
+            if file_kind != field:
+                raise ConfigError(f"{file}: expected kind {field!r}, found {file_kind!r}")
+            if not np.all(np.isfinite(array)):
+                raise ConfigError(f"{file}: field values must be finite")
+            if array.shape != grid.shape + site_shape(field, K):
+                raise ConfigError(f"{file}: shape {array.shape} inconsistent with grid "
+                                  f"{grid.shape} and K={K}")
+            return array
+        if kind not in builders:
+            label = name if key == "kind" else f"{name} {key}"
+            raise ConfigError(f"unknown {label} kind {kind!r}")
+        return builders[kind](sec)
+
+    grid = Grid(_get(section("grid"), "n1", cast=int), _get(section("grid"), "n2", cast=int))
+    target = build("target", "sphere", {
+        "sphere": lambda s: SphereTarget(ambient_dim=_get(s, "ambient_dim", "3", int),
+                                         radius=_get(s, "radius", "1.0", _finite)),
+        "ellipsoid": lambda s: ellipsoid_target(
+            _get(s, "semi_axes", "1.0,1.0,1.0", _float_list)),
+    })
     K = target.ambient_dim
 
-    seed = seed_override if seed_override is not None else _get(
-        ini["run"] if "run" in ini else {}, "seed", "0", int
-    )
+    seed = _get(section("run"), "seed", "0", int) if seed_override is None else seed_override
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    def check_sites(array, p, expected_tail):
-        if array.shape[:2] != grid.shape or array.shape[2:] != expected_tail:
-            raise ConfigError(
-                f"{p}: shape {array.shape} inconsistent with grid {grid.shape} and K={K}"
-            )
+    u = build("metric", "zero", {
+        "zero": lambda s: np.zeros(grid.shape),
+        "constant": lambda s: np.full(grid.shape, _get(s, "value", None, _finite)),
+        "smooth": lambda s: smooth_scalar_field(grid, seed + 11,
+                                                _get(s, "amplitude", "0.3", _finite)),
+    }, field="scalar")
+    # phi from every source is projected onto N (ConstraintError where that fails)
+    phi = target.project(build("phi", "equator", {
+        "equator": lambda s: equator_map(grid, K),
+        "perturbed-equator": lambda s: perturbed_equator_map(
+            grid, _get(s, "amplitude", "0.05", _finite), seed + 21, K),
+        "smooth": lambda s: smooth_map_field(grid, target, seed + 21,
+                                             _get(s, "amplitude", "0.4", _finite)),
+        "constant": lambda s: _constant_map(s, grid, target),
+    }, field="map"))
+    psi = build("psi", "zero", {
+        "zero": lambda s: np.zeros(grid.shape + (K, 4)),
+        "smooth": lambda s: smooth_vector_spinor(grid, phi, target, seed + 31,
+                                                 _get(s, "amplitude", "0.5", _finite)),
+        "random": lambda s: random_vector_spinor(grid, phi, target, _seeded(seed, 31),
+                                                 _get(s, "amplitude", "1.0", _finite)),
+    }, field="vectorspinor")
+    # the presets are tangent by construction; a psi file must be tangent along phi
+    require_tangent(psi, phi, target)
+    chi = build("gravitino", "zero", {
+        "zero": lambda s: np.zeros(grid.shape + (2, 4)),
+        "smooth": lambda s: smooth_gravitino(grid, seed + 41,
+                                             _get(s, "amplitude", "0.5", _finite)),
+        "random": lambda s: random_gravitino(grid, _seeded(seed, 41),
+                                             _get(s, "amplitude", "1.0", _finite)),
+    }, field="gravitino")
 
-    msec = ini["metric"] if "metric" in ini else {}
-    mkind = _get(msec, "kind", "zero")
-    if mkind == "zero":
-        u = np.zeros(grid.shape)
-    elif mkind == "constant":
-        u = np.full(grid.shape, _get(msec, "value", None, _finite))
-    elif mkind == "smooth":
-        u = smooth_scalar_field(grid, seed + 11, _get(msec, "amplitude", "0.3", _finite))
-    elif mkind == "file":
-        u = _load_named_field(msec, base, "scalar", lambda a, p: check_sites(a, p, ()))
-    else:
-        raise ConfigError(f"unknown metric kind {mkind!r}")
-
-    psec = ini["phi"] if "phi" in ini else {}
-    pkind = _get(psec, "kind", "equator")
-    if pkind == "equator":
-        phi = equator_map(grid, K)
-    elif pkind == "perturbed-equator":
-        phi = perturbed_equator_map(
-            grid, _get(psec, "amplitude", "0.05", _finite), seed + 21, K
-        )
-    elif pkind == "smooth":
-        phi = smooth_map_field(grid, target, seed + 21,
-                               _get(psec, "amplitude", "0.4", _finite))
-    elif pkind == "constant":
-        point = np.array(_get(psec, "point", cast=_float_list))
-        if point.shape != (K,):
-            raise ConfigError(f"constant map point needs {K} components")
-        phi = np.broadcast_to(target.project(point), grid.shape + (K,)).copy()
-    elif pkind == "file":
-        phi = _load_named_field(psec, base, "map", lambda a, p: check_sites(a, p, (K,)))
-    else:
-        raise ConfigError(f"unknown phi kind {pkind!r}")
-    phi = target.project(phi)
-
-    ssec = ini["psi"] if "psi" in ini else {}
-    skind = _get(ssec, "kind", "zero")
-    if skind == "zero":
-        psi = np.zeros(grid.shape + (K, 4))
-    elif skind == "smooth":
-        psi = smooth_vector_spinor(grid, phi, target, seed + 31,
-                                   _get(ssec, "amplitude", "0.5", _finite))
-    elif skind == "random":
-        psi = random_vector_spinor(grid, phi, target, _seeded(seed, 31),
-                                   _get(ssec, "amplitude", "1.0", _finite))
-    elif skind == "file":
-        psi = _load_named_field(ssec, base, "vectorspinor",
-                                lambda a, p: check_sites(a, p, (K, 4)))
-    else:
-        raise ConfigError(f"unknown psi kind {skind!r}")
-
-    csec = ini["gravitino"] if "gravitino" in ini else {}
-    ckind = _get(csec, "kind", "zero")
-    if ckind == "zero":
-        chi = np.zeros(grid.shape + (2, 4))
-    elif ckind == "smooth":
-        chi = smooth_gravitino(grid, seed + 41, _get(csec, "amplitude", "0.5", _finite))
-    elif ckind == "random":
-        chi = random_gravitino(grid, _seeded(seed, 41),
-                               _get(csec, "amplitude", "1.0", _finite))
-    elif ckind == "file":
-        chi = _load_named_field(csec, base, "gravitino",
-                                lambda a, p: check_sites(a, p, (2, 4)))
-    else:
-        raise ConfigError(f"unknown gravitino kind {ckind!r}")
-
-    osec = ini["solver"] if "solver" in ini else {}
+    osec = section("solver")
     solver = SolverConfig(
         max_iterations=_get(osec, "max_iterations", "10000", int),
         tolerance=_get(osec, "tolerance", "1e-6", _finite),
@@ -233,21 +205,24 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         mode=_get(osec, "mode", "joint"),
     )
 
-    qsec = ini["morrey"] if "morrey" in ini else {}
+    qsec = section("morrey")
+    dgrid = DiscGrid(_get(qsec, "resolution", "32", int))
     morrey = {
-        "grid": DiscGrid(_get(qsec, "resolution", "32", int)),
+        "grid": dgrid,
         "params": MorreyParams(p=_get(qsec, "p", "4.0", _finite),
                                lam=_get(qsec, "lambda", "2.0", _finite)),
         "radii": check_radii(_get(qsec, "radii", "0.125,0.25,0.5,1.0", _float_list)),
         "center": _get(qsec, "center", "0.0,0.0", _float_list),
-        "field": _get(qsec, "field", "gaussian"),
-        "width": _get(qsec, "width", "0.4", _finite),
-        "exponent": _get(qsec, "exponent", "-0.5", _finite),
     }
     if len(morrey["center"]) != 2:
         raise ConfigError("morrey center needs 2 components")
-    if morrey["field"] not in ("gaussian", "power"):
-        raise ConfigError(f"unknown morrey field kind {morrey['field']!r}")
+    width = _get(qsec, "width", "0.4", _finite)
+    exponent = _get(qsec, "exponent", "-0.5", _finite)
+    r = np.hypot(*dgrid.centers())
+    morrey["values"] = build("morrey", "gaussian", {
+        "gaussian": lambda s: np.exp(-(r / width) ** 2),
+        "power": lambda s: np.where(r > dgrid.h / 2, r, dgrid.h / 2) ** exponent,
+    }, key="field")
     return RunConfig(grid=grid, target=target, phi=phi, psi=psi, chi=chi, u=u,
                      solver=solver, seed=seed, morrey=morrey)
 
@@ -300,15 +275,9 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 def _cmd_morrey(cfg: RunConfig, out: Path) -> int:
     spec = cfg.morrey
     dgrid, params = spec["grid"], spec["params"]
-    x, y = dgrid.centers()
-    r = np.hypot(x, y)
-    if spec["field"] == "gaussian":
-        values = np.exp(-(r / spec["width"]) ** 2)
-    else:
-        values = np.where(r > dgrid.h / 2, r, dgrid.h / 2) ** spec["exponent"]
-    rows = decay_profile(values, dgrid, spec["center"], params, spec["radii"])
+    rows = decay_profile(spec["values"], dgrid, spec["center"], params, spec["radii"])
     write_decay_profile(out / "decay_profile.csv", rows)
-    norm = morrey_norm(values, params, spec["radii"], dgrid)
+    norm = morrey_norm(spec["values"], params, spec["radii"], dgrid)
     _dump_json(out / "morrey_summary.json",
                {"morrey_norm": norm, "p": params.p, "lambda": params.lam})
     return 0

@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["save_field", "load_field", "FIELD_KINDS"]
+__all__ = ["save_field", "load_field", "site_shape", "FIELD_KINDS"]
 
 FIELD_KINDS = ("scalar", "map", "vectorspinor", "gravitino")
 
 
-def _site_shape(kind: str, K) -> tuple:
+def site_shape(kind: str, K) -> tuple:
     """Trailing per-site axes of a field of this kind."""
     return {"scalar": (), "map": (K,), "vectorspinor": (K, 4), "gravitino": (2, 4)}[kind]
 
@@ -40,8 +40,8 @@ def _field_dims(kind: str, array: np.ndarray) -> tuple[int, int, int]:
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     K = {"scalar": 1, "gravitino": 0}.get(kind, array.shape[2] if array.ndim > 2 else -1)
-    if array.ndim < 2 or array.shape[2:] != _site_shape(kind, K):
-        raise ValueError(f"{kind} field must be (n1, n2) + {_site_shape(kind, 'K')}")
+    if array.ndim < 2 or array.shape[2:] != site_shape(kind, K):
+        raise ValueError(f"{kind} field must be (n1, n2) + {site_shape(kind, 'K')}")
     return array.shape[0], array.shape[1], K
 
 
@@ -135,4 +135,4 @@ def load_field(path) -> tuple[np.ndarray, str]:
     if flat.shape != shape:
         raise ValueError(f"{path}: data must be {shape[0]} site rows of {shape[1]} "
                          f"columns, found shape {flat.shape}")
-    return flat.reshape((n1, n2) + _site_shape(kind, K)), kind
+    return flat.reshape((n1, n2) + site_shape(kind, K)), kind

@@ -71,10 +71,11 @@ def tangency_violation(psi: np.ndarray, phi: np.ndarray, target: TargetManifold)
     return float(np.max(np.abs(coeff) / scale[..., None, None]))
 
 
-def require_tangent(psi, phi, target, tol: float = TANGENCY_TOL):
+def require_tangent(psi, phi, target):
     v = tangency_violation(psi, phi, target)
-    if v > tol:
-        raise ConstraintError(f"vector-spinor not tangent along phi: violation {v:.3e} > {tol:.1e}")
+    if v > TANGENCY_TOL:
+        raise ConstraintError(f"vector-spinor not tangent along phi: violation {v:.3e} "
+                              f"> {TANGENCY_TOL:.1e}")
 
 
 def tangency_project(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> np.ndarray:

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 ON_MANIFOLD_TOL = 1e-9
+FRAME_FD_STEP = 1e-5  # relative step of the finite-difference normal-frame derivative
+PROJECT_TOL = 1e-14   # |F| at which the level-set retraction stops
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,13 @@ class TargetManifold:
         coeff = np.einsum("...lb,...b->...l", nu, w)
         return w - np.einsum("...l,...la->...a", coeff, nu)
 
-    def nabla_a_tensor(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
+    def nabla_a_tensor(self, p: np.ndarray) -> np.ndarray:
         """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>."""
         K = self.ambient_dim
         if self.parallel_second_fund:
             return np.zeros(p.shape[:-1] + (K, K, K, self.codim))
         pi = self.tangent_projector(p)
-        return np.stack([_nabla_a_fd(self, p, pi, pi[..., :, e], step) for e in range(K)],
+        return np.stack([_nabla_a_fd(self, p, pi, pi[..., :, e], None) for e in range(K)],
                         axis=-4)
 
 
@@ -175,6 +177,8 @@ class SphereTarget(TargetManifold):
     def __init__(self, ambient_dim: int = 3, radius: float = 1.0):
         if ambient_dim < 2:
             raise ValueError("sphere target needs ambient dimension >= 2")
+        if not (radius > 0.0 and np.isfinite(radius)):
+            raise ValueError(f"sphere radius must be positive and finite, got {radius}")
         self.ambient_dim = ambient_dim
         self.codim = 1
         self.radius = float(radius)
@@ -204,7 +208,7 @@ class ImplicitSurfaceTarget(TargetManifold):
     nearest-point projection to second order and fixes points of N).  The
     normal frame is grad F normalized; its derivative is analytic when a
     Hessian is supplied, otherwise a centered difference with relative step
-    fd_step.  nabla_A is always a transport finite difference.
+    FRAME_FD_STEP.  nabla_A is always a transport finite difference.
     """
 
     def __init__(
@@ -213,27 +217,29 @@ class ImplicitSurfaceTarget(TargetManifold):
         gradient: Callable[[np.ndarray], np.ndarray],
         ambient_dim: int,
         hessian: Callable[[np.ndarray], np.ndarray] | None = None,
-        fd_step: float = 1e-5,
     ):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.ambient_dim = ambient_dim
         self.codim = 1
-        self.fd_step = fd_step
         self.mode = "analytic-frame" if hessian is not None else "finite-difference"
 
     def project(self, p: np.ndarray) -> np.ndarray:
         q = np.array(p, dtype=np.float64)
         for _ in range(60):
             f = np.asarray(self.value(q))
-            if np.max(np.abs(f)) < 1e-14:
-                break
+            if np.max(np.abs(f)) < PROJECT_TOL:
+                return q
             g = self.gradient(q)
             g2 = np.einsum("...a,...a->...", g, g)
             if np.any(g2 == 0.0):
                 raise ConstraintError("cannot project a critical point of F onto the level set")
             q = q - (f / g2)[..., None] * g
+        f = np.max(np.abs(self.value(q)))
+        if not f < PROJECT_TOL:
+            raise ConstraintError(f"level-set projection did not converge: max |F| = {f:.3e} "
+                                  f"after 60 Newton steps")
         return q
 
     def normal_frame(self, p: np.ndarray) -> np.ndarray:
@@ -253,7 +259,7 @@ class ImplicitSurfaceTarget(TargetManifold):
                 np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
             )
             return dnu[..., None, :, :]
-        eps = self.fd_step * (1.0 + np.linalg.norm(p, axis=-1, keepdims=True))
+        eps = FRAME_FD_STEP * (1.0 + np.linalg.norm(p, axis=-1, keepdims=True))
         dnu = np.zeros(p.shape[:-1] + (K, K))
         for a in range(K):
             dp = np.zeros_like(p)
@@ -295,10 +301,11 @@ def on_manifold_violation(target: TargetManifold, p: np.ndarray) -> float:
     return float(np.max(num / den))
 
 
-def require_on_manifold(target: TargetManifold, p: np.ndarray, tol: float = ON_MANIFOLD_TOL):
+def require_on_manifold(target: TargetManifold, p: np.ndarray):
     v = on_manifold_violation(target, p)
-    if v > tol:
-        raise ConstraintError(f"point off the target manifold: violation {v:.3e} > {tol:.1e}")
+    if v > ON_MANIFOLD_TOL:
+        raise ConstraintError(f"point off the target manifold: violation {v:.3e} "
+                              f"> {ON_MANIFOLD_TOL:.1e}")
 
 
 def tangent_basis(target: TargetManifold, p: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ class Evaluation:
 
     residual: ELResidual
     norms: tuple[float, float]
-    action: ActionBreakdown | None = None
+    action: ActionBreakdown
 
 
 @dataclass

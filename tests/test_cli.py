@@ -1,13 +1,18 @@
 """Command-line surface: artifacts, determinism, error reporting."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigmalab
 from sigmalab.cli import run
@@ -165,6 +170,7 @@ def _morrey(line):
 @pytest.mark.parametrize("old, new", [
     pytest.param("n1 = 8", "n1 = 3", id="grid-too-small"),
     pytest.param("ambient_dim = 3", "ambient_dim = 1", id="sphere-ambient-dim"),
+    pytest.param("ambient_dim = 3", "ambient_dim = 3\nradius = -1", id="sphere-negative-radius"),
     pytest.param("kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 1,x,1",
                  id="ellipsoid-axes"),
     pytest.param("kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 0,1,1",
@@ -265,3 +271,140 @@ def test_ellipsoid_center_point_rejected(tmp_path):
     )
     cfg = write_config(tmp_path / "run.ini", text)
     _assert_cli_rejects(tmp_path, cfg, "ConstraintError")
+
+
+def _assert_field_commands_reject(tmp_path, capsys, cfg, error):
+    """eval, residual, check and solve: exit 2, one JSON line, no output directory."""
+    for command in ("eval", "residual", "check", "solve"):
+        out = tmp_path / f"out-{command}"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not out.exists()
+
+
+def test_non_tangent_psi_file_rejected(tmp_path, capsys):
+    psi = np.random.default_rng(0).standard_normal((8, 8, 3, 4))
+    save_field(tmp_path / "psi.csv", psi, "vectorspinor")
+    cfg = write_config(tmp_path / "run.ini", config_text(psi_kind="file\npath = psi.csv"))
+    _assert_field_commands_reject(tmp_path, capsys, cfg, "ConstraintError")
+
+
+def test_unconverged_ellipsoid_projection_rejected(tmp_path, capsys):
+    text = config_text(phi_kind="constant", phi_extra="point = 1e-150,0,0").replace(
+        "kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 1.0,1.3,0.8"
+    )
+    cfg = write_config(tmp_path / "run.ini", text)
+    _assert_field_commands_reject(tmp_path, capsys, cfg, "ConstraintError")
+
+
+_VALID_CONFIGS = ("""
+[grid]
+n1 = 8
+n2 = 8
+
+[target]
+kind = sphere
+ambient_dim = 3
+radius = 1.0
+
+[phi]
+kind = smooth
+amplitude = 0.4
+
+[psi]
+kind = random
+amplitude = 0.5
+
+[gravitino]
+kind = smooth
+amplitude = 0.5
+
+[metric]
+kind = file
+path = u.csv
+
+[solver]
+max_iterations = 2
+tolerance = 1e-6
+initial_step = 1e-5
+shrink = 0.5
+grow = 1.1
+mode = joint
+
+[morrey]
+resolution = 12
+p = 4.0
+lambda = 2.0
+radii = 0.25,0.5
+center = 0.0,0.0
+field = gaussian
+width = 0.4
+
+[run]
+seed = 0
+""", """
+[grid]
+n1 = 8
+n2 = 6
+
+[target]
+kind = ellipsoid
+semi_axes = 1.0,1.3,0.8
+
+[phi]
+kind = constant
+point = 0.3,0.2,0.9
+
+[psi]
+kind = smooth
+amplitude = 0.5
+
+[gravitino]
+kind = random
+amplitude = 1.0
+
+[metric]
+kind = constant
+value = 0.2
+
+[solver]
+max_iterations = 2
+
+[morrey]
+resolution = 12
+radii = 0.5,1.0
+field = power
+exponent = -0.5
+""")
+
+# (config, line) for every value line of the valid configs
+_VALUE_LINES = [(text, i) for text in _VALID_CONFIGS
+                for i, line in enumerate(text.splitlines()) if " = " in line]
+
+# text, non-finite, negative, zero, out of range (a radius), unknown kind, missing file
+_BAD_TOKENS = ["abc", "nan", "inf", "-inf", "-1", "-0.5", "0", "2.0", "torus", "missing.csv"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(site=st.sampled_from(_VALUE_LINES), token=st.sampled_from(_BAD_TOKENS),
+       command=st.sampled_from(["eval", "residual", "check", "solve", "morrey"]))
+def test_bad_value_exits_2_before_output_property(site, token, command):
+    text, index = site
+    lines = text.splitlines()
+    lines[index] = f"{lines[index].split(' = ')[0]} = {token}"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_field(tmp / "u.csv", np.zeros((8, 8)), "scalar")
+        cfg = write_config(tmp / "run.ini", "\n".join(lines) + "\n")
+        out = tmp / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            errors = err.getvalue().splitlines()
+            assert len(errors) == 1, errors
+            assert set(json.loads(errors[0])) == {"error", "detail"}
+            assert not out.exists()

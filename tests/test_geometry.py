@@ -246,3 +246,13 @@ def test_projection_fixes_points():
     assert np.max(np.abs(tg.project(p) - p)) < 1e-14
     te, pe = ellipsoid_points()
     assert np.max(np.abs(te.project(pe) - pe)) < 1e-10
+
+
+def test_projection_without_convergence_raises():
+    from sigmalab.geometry import ImplicitSurfaceTarget
+
+    # F = |p|^2 + 1 has no zero, so the Newton retraction can never converge
+    tg = ImplicitSurfaceTarget(lambda p: np.einsum("...a,...a->...", p, p) + 1.0,
+                               lambda p: 2.0 * p, ambient_dim=3)
+    with pytest.raises(ConstraintError, match="did not converge"):
+        tg.project(np.array([0.3, 0.2, 0.1]))
