@@ -72,29 +72,18 @@ class MorreyParams:
             raise ValueError("lambda must lie in [0, 2]")
 
 
-PAIRS_PER_BLOCK = 1 << 20
+def _convolve(field: np.ndarray, kernel, grid: DiscGrid) -> np.ndarray:
+    """sum_y field(y) k(x - y) at every cell x, with k = kernel(di, dj).
 
-
-def _local_integrals(values: np.ndarray, grid: DiscGrid, centers_xy, p: float,
-                     radii: np.ndarray) -> np.ndarray:
-    """sum over B_r(x) of |u|^p h^2, shaped (n_centers, n_radii).
-
-    Centers are processed in blocks of at most PAIRS_PER_BLOCK (center, point)
-    pairs, so memory stays O(R^2) while each center's sum is unchanged.
+    kernel maps the integer cell offsets (di, dj), each in [-(m-1), m-1], to
+    values; FFTs zero-padded to the full convolution size 3m-2 avoid wrap-around.
     """
-    mask = grid.mask()
-    x, y = grid.centers()
-    pts = np.stack([x[mask], y[mask]], axis=-1)
-    dens = (np.abs(values[mask]) ** p) * grid.h**2
-    cx = np.asarray(centers_xy, dtype=np.float64)
-    out = np.empty((len(cx), len(radii)))
-    block = max(1, PAIRS_PER_BLOCK // len(pts))
-    for start in range(0, len(cx), block):
-        rows = slice(start, start + block)
-        d2 = np.sum((cx[rows, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        for k, r in enumerate(radii):
-            out[rows, k] = np.where(d2 <= r * r, dens[None, :], 0.0).sum(axis=1)
-    return out
+    m = grid.resolution
+    offs = np.arange(1 - m, m)
+    k = kernel(*np.meshgrid(offs, offs, indexing="ij"))
+    n = 3 * m - 2
+    full = np.fft.irfft2(np.fft.rfft2(field, (n, n)) * np.fft.rfft2(k, (n, n)), (n, n))
+    return full[m - 1:2 * m - 1, m - 1:2 * m - 1]
 
 
 def check_radii(radii) -> np.ndarray:
@@ -108,43 +97,47 @@ def check_radii(radii) -> np.ndarray:
 
 
 def morrey_norm(values: np.ndarray, params: MorreyParams, radii, grid: DiscGrid) -> float:
-    """Discrete (p, lambda) Morrey norm: max over in-disc centers and radii."""
+    """Discrete (p, lambda) Morrey norm: max over in-disc centers and radii.
+
+    The closed ball |y - x| <= r is decided on integer offsets,
+    di^2 + dj^2 <= (r/h)^2, so each radius is one convolution.
+    """
     radii = check_radii(radii)
     mask = grid.mask()
-    x, y = grid.centers()
-    centers = np.stack([x[mask], y[mask]], axis=-1)
-    integrals = _local_integrals(values, grid, centers, params.p, radii)
-    scaled = integrals * radii[None, :] ** (params.lam - 2.0)
-    return float(np.max(scaled) ** (1.0 / params.p))
+    dens = np.where(mask, np.abs(values) ** params.p, 0.0) * grid.h**2
+    best = 0.0
+    for r in radii:
+        local = _convolve(dens, lambda di, dj: di * di + dj * dj <= (r / grid.h) ** 2, grid)
+        best = max(best, r ** (params.lam - 2.0) * np.max(local[mask]))
+    return float(best ** (1.0 / params.p))
 
 
 def decay_profile(values: np.ndarray, grid: DiscGrid, center, params: MorreyParams,
                   radii) -> list[tuple[float, float]]:
-    """(r, scaled local norm) pairs around one center; purely observational."""
-    radii = np.asarray(radii, dtype=np.float64)
-    integrals = _local_integrals(values, grid, [center], params.p, radii)[0]
+    """(r, scaled local norm) pairs around one center; purely observational.
+
+    The center is an arbitrary point, so each local integral is a direct sum.
+    """
+    radii = check_radii(radii)
+    mask = grid.mask()
+    x, y = grid.centers()
+    d2 = (center[0] - x[mask]) ** 2 + (center[1] - y[mask]) ** 2
+    dens = (np.abs(values[mask]) ** params.p) * grid.h**2
+    integrals = np.array([np.where(d2 <= r * r, dens, 0.0).sum() for r in radii])
     vals = (integrals * radii ** (params.lam - 2.0)) ** (1.0 / params.p)
     return list(zip(radii.tolist(), vals.tolist()))
 
 
 def riesz_i1(values: np.ndarray, grid: DiscGrid) -> np.ndarray:
-    """Discrete convolution with |x - y|^{-1}; linear and positivity-preserving.
-
-    FFTs zero-padded to the full convolution size 3m-2 avoid wrap-around.
-    """
-    m = grid.resolution
+    """Discrete convolution with |x - y|^{-1}; linear and positivity-preserving."""
     h = grid.h
-    field = np.where(grid.mask(), values, 0.0)
-    offs = np.arange(-(m - 1), m) * h
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    dist = np.hypot(ox, oy)
-    kernel = np.empty_like(dist)
-    nz = dist > 0
-    kernel[nz] = 1.0 / dist[nz]
-    kernel[~nz] = 4.0 * np.log(1.0 + np.sqrt(2.0)) / h
-    n = 3 * m - 2
-    full = np.fft.irfft2(np.fft.rfft2(field, (n, n)) * np.fft.rfft2(kernel, (n, n)), (n, n))
-    out = full[m - 1:2 * m - 1, m - 1:2 * m - 1] * h**2
+
+    def kernel(di, dj):
+        dist = np.hypot(di * h, dj * h)
+        cell = np.full_like(dist, 4.0 * np.log(1.0 + np.sqrt(2.0)) / h)
+        return np.divide(1.0, dist, out=cell, where=dist > 0)
+
+    out = _convolve(np.where(grid.mask(), values, 0.0), kernel, grid) * h**2
     return np.where(grid.mask(), out, 0.0)
 
 

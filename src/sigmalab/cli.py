@@ -217,6 +217,8 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
     if len(morrey["center"]) != 2:
         raise ConfigError("morrey center needs 2 components")
     width = _get(qsec, "width", "0.4", _finite)
+    if width <= 0.0:
+        raise ConfigError(f"morrey width must be positive, got {width}")
     exponent = _get(qsec, "exponent", "-0.5", _finite)
     r = np.hypot(*dgrid.centers())
     morrey["values"] = build("morrey", "gaussian", {

@@ -105,9 +105,12 @@ def load_field(path) -> tuple[np.ndarray, str]:
                 raise ValueError(f"{path}: missing sigmalab-field header")
             meta = dict(item.split("=") for item in header.split()[2:])
             reader = csv.reader(fh)
-            if next(reader, None) is None:
-                raise ValueError(f"{path}: missing column-name row")
-            rows = [[float(v) for v in row] for row in reader]
+            try:
+                if next(reader, None) is None:
+                    raise ValueError(f"{path}: missing column-name row")
+                rows = [[float(v) for v in row] for row in reader]
+            except csv.Error as exc:
+                raise ValueError(f"{path}: unreadable CSV ({exc})") from None
     elif path.suffix == ".json":
         with open(path) as fh:
             payload = json.load(fh)

@@ -123,6 +123,14 @@ def wide_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     return div(grad(field, grid), grid)
 
 
+def _frame_norm(v: np.ndarray, where: str) -> np.ndarray:
+    """|v| along the last axis (kept); ConstraintError where it is 0."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ConstraintError(f"the normal frame is undefined {where}")
+    return norm
+
+
 class TargetManifold:
     """Extrinsic descriptor of an embedded target N in R^K.
 
@@ -190,11 +198,10 @@ class SphereTarget(TargetManifold):
         return self.radius * p / norm
 
     def normal_frame(self, p: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(p, axis=-1, keepdims=True)
-        return (p / norm)[..., None, :]
+        return (p / _frame_norm(p, "at the origin"))[..., None, :]
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(p, axis=-1, keepdims=True)
+        norm = _frame_norm(p, "at the origin")
         ph = p / norm
         eye = np.eye(self.ambient_dim)
         dnu = (eye - ph[..., :, None] * ph[..., None, :]) / norm[..., None]
@@ -244,16 +251,15 @@ class ImplicitSurfaceTarget(TargetManifold):
 
     def normal_frame(self, p: np.ndarray) -> np.ndarray:
         g = self.gradient(p)
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        return (g / norm)[..., None, :]
+        return (g / _frame_norm(g, "where grad F = 0"))[..., None, :]
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
         K = self.ambient_dim
+        g = self.gradient(p)
+        norm = _frame_norm(g, "where grad F = 0")
         if self.hessian is not None:
             # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3
-            g = self.gradient(p)
             h = self.hessian(p)
-            norm = np.linalg.norm(g, axis=-1, keepdims=True)
             hg = np.einsum("...ab,...b->...a", h, g)
             dnu = h / norm[..., None] - (
                 np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3

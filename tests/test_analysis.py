@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigmalab import analysis
 from sigmalab.analysis import (
     DiscGrid,
     MorreyParams,
@@ -101,17 +100,42 @@ def test_morrey_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
-def test_morrey_blocks_do_not_change_results(monkeypatch):
-    g = DiscGrid(16)
+@pytest.mark.parametrize("resolution", [16, 25, 33])
+def test_morrey_matches_per_center_direct_sum(resolution):
+    # every in-disc center against every in-disc cell; the radii are no whole
+    # multiple of h at these resolutions, so float distances decide no tie
+    g = DiscGrid(resolution)
     x, y = g.centers()
-    values = np.exp(x) * np.cos(3.0 * y)
-    params = MorreyParams(p=3.0, lam=0.5)
-    radii = [0.125, 0.5, 1.0]
-    norm = morrey_norm(values, params, radii, g)
-    profile = decay_profile(values, g, (0.1, -0.2), params, radii)
-    monkeypatch.setattr(analysis, "PAIRS_PER_BLOCK", 1)
-    assert morrey_norm(values, params, radii, g) == norm
-    assert decay_profile(values, g, (0.1, -0.2), params, radii) == profile
+    mask = g.mask()
+    values = np.random.default_rng(resolution).standard_normal(x.shape)
+    p, lam = 3.0, 0.5
+    radii = [0.13, 0.3, 0.61, 0.97]
+    pts = np.stack([x[mask], y[mask]], axis=-1)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    dens = np.abs(values[mask]) ** p * g.h**2
+    expected = max(r ** (lam - 2.0) * np.max(np.where(d2 <= r * r, dens, 0.0).sum(axis=1))
+                   for r in radii) ** (1.0 / p)
+    norm = morrey_norm(values, MorreyParams(p=p, lam=lam), radii, g)
+    assert abs(norm - expected) / expected < 1e-12
+
+
+def test_morrey_ball_is_closed():
+    # with r = h the closed ball around a cell holds its four neighbours
+    g = DiscGrid(25)
+    mask = g.mask()
+    params = MorreyParams(p=1.0, lam=2.0)
+    placements = 0
+    for i in range(1, g.resolution - 1):
+        for j in range(1, g.resolution - 1):
+            cells = ([i - 1, i + 1, i, i], [j, j, j - 1, j + 1])
+            if not np.all(mask[cells]):
+                continue
+            values = np.zeros(mask.shape)
+            values[cells] = 1.0
+            norm = morrey_norm(values, params, [g.h], g)
+            assert abs(norm - 4.0 * g.h**2) < 1e-12 * g.h**2
+            placements += 1
+    assert placements > 300
 
 
 def test_riesz_far_field_of_point_source():
@@ -228,6 +252,15 @@ def test_decay_profile_borderline_field_bounded():
                          [0.0625, 0.125, 0.25, 0.5])
     vals = [v for _, v in rows]
     assert max(vals) / min(vals) < 2.0  # bounded profile as r -> 0
+
+
+def test_decay_profile_validates_radii():
+    g = DiscGrid(16)
+    values = np.ones((16, 16))
+    params = MorreyParams(p=2.0, lam=1.0)
+    for radii in ([], [0.0, 0.5], [0.5, 2.0], [-0.25]):
+        with pytest.raises(ValueError, match="radii"):
+            decay_profile(values, g, (0.0, 0.0), params, radii)
 
 
 def test_decay_profile_zero_field():

@@ -187,6 +187,8 @@ def _morrey(line):
     pytest.param("[metric]\nkind = zero", "[metric]\nkind = constant\nvalue = nan",
                  id="metric-nan"),
     pytest.param(*_morrey("field = foo"), id="morrey-field-kind"),
+    pytest.param(*_morrey("width = 0"), id="morrey-zero-width"),
+    pytest.param(*_morrey("width = -0.4"), id="morrey-negative-width"),
     pytest.param("[solver]", "[run]\nseed = -1\n\n[solver]", id="negative-seed"),
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, old, new):
@@ -262,6 +264,14 @@ def test_map_file_with_null_metadata_rejected(tmp_path):
         tmp_path / "run.ini",
         config_text(phi_kind="file", phi_extra="path = phi.json"),
     )
+    _assert_cli_rejects(tmp_path, cfg, "ConfigError")
+
+
+def test_oversized_csv_cell_in_field_file_rejected(tmp_path):
+    (tmp_path / "u.csv").write_text(
+        "# sigmalab-field kind=scalar n1=8 n2=8 K=1\nvalue\n" + "1" * 140_000 + "\n")
+    text = config_text().replace("[metric]\nkind = zero", "[metric]\nkind = file\npath = u.csv")
+    cfg = write_config(tmp_path / "run.ini", text)
     _assert_cli_rejects(tmp_path, cfg, "ConfigError")
 
 

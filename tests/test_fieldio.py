@@ -96,6 +96,14 @@ def test_bad_files_rejected(tmp_path):
     assert load_field(j)[0].shape == (1, 2, 3)
 
 
+def test_oversized_csv_cell_rejected(tmp_path):
+    # the csv module refuses cells longer than its field size limit (131072)
+    p = tmp_path / "u.csv"
+    p.write_text("# sigmalab-field kind=scalar n1=1 n2=1 K=1\nvalue\n" + "1" * 140_000 + "\n")
+    with pytest.raises(ValueError, match="u.csv"):
+        load_field(p)
+
+
 def test_row_major_site_order(tmp_path):
     array = np.arange(24, dtype=float).reshape(4, 6)
     path = tmp_path / "s.csv"

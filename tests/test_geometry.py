@@ -241,6 +241,27 @@ def test_on_manifold_error_signaled():
         second_fund_form(tg, bad, np.zeros(3), np.zeros(3))
 
 
+def test_sphere_normal_frame_undefined_at_origin():
+    tg = SphereTarget(3)
+    p = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    for frame in (tg.normal_frame, tg.normal_frame_derivative):
+        with pytest.raises(ConstraintError, match="normal frame"):
+            frame(p)
+
+
+def test_implicit_normal_frame_undefined_where_gradient_vanishes():
+    from sigmalab.geometry import ImplicitSurfaceTarget
+
+    # grad F = 0 at the ellipsoid's center, with analytic and FD frame derivatives
+    analytic = ellipsoid_target([1.0, 1.3, 0.8])
+    fd_target = ImplicitSurfaceTarget(analytic.value, analytic.gradient, ambient_dim=3)
+    p = np.array([[0.0, 0.0, 0.8], [0.0, 0.0, 0.0]])
+    for tg in (analytic, fd_target):
+        for frame in (tg.normal_frame, tg.normal_frame_derivative):
+            with pytest.raises(ConstraintError, match="normal frame"):
+                frame(p)
+
+
 def test_projection_fixes_points():
     tg, p = sphere_points()
     assert np.max(np.abs(tg.project(p) - p)) < 1e-14
