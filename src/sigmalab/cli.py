@@ -306,11 +306,13 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config, seed_override=args.seed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
-    except (ConfigError, ConstraintError, SolverError, OSError) as exc:
+        # an overflow or NaN would otherwise reach the artifacts as non-JSON Infinity/NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cfg = parse_config(args.config, seed_override=args.seed)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            return _COMMANDS[args.command](cfg, out)
+    except (ConfigError, ConstraintError, SolverError, FloatingPointError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

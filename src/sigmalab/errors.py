@@ -6,7 +6,7 @@ class ConstraintError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The gradient flow cannot proceed (non-finite residual, step underflow)."""
+    """The gradient flow cannot proceed (non-finite residual or step, step underflow)."""
 
 
 class ConfigError(ValueError):

@@ -3,14 +3,12 @@ finite-difference gradient oracle that validates both.
 
 Residuals are LHS - RHS of the extrinsic critical-point equations.  For the
 map field (per ambient component a, with D = tangent-projected centered
-difference and raw centered differences elsewhere):
+difference, raw centered differences elsewhere, and S_{e,l} = d_{D_e phi} nu_l
+the normal frame differentiated along D phi) it is in divergence form:
 
-    r_phi^a = div grad phi^a
-            + sum_e D_e phi^c D_e phi^b (dnu_l^b/du^c) nu_l^a
-            - e^{2u} <psi^c, D_e phi^d gamma_e psi^b> (dnu_l^b/du^d) (Pi dnu_l/du^c)^a
-            + (1/12) e^{4u} SnR(psi)^a
-            + div^h ( e^{2u} V^a )
-            + e^{2u} <V^b, D phi^c> (dnu_l^b/du^c) nu_l^a
+    r_phi^a = div^h( grad phi^a + e^{2u} V^a ) + sum_l <S_l, D phi + e^{2u} V> nu_l^a
+            - e^{2u} C(psi)^a + (1/12) e^{4u} SnR(psi)^a,
+    C(psi)^a = sum_{l,c,i} psi^c_i <S_l, gamma psi>_i (Pi dnu_l/du^c)^a,
 
 and for the vector-spinor (tangent-projected at the end, which also removes
 the normal twisting term A(d phi, psi) of the Dirac operator):
@@ -29,8 +27,8 @@ order).
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
 
-    div grad phi^a = sum (omega + F + T)^{ab}_e D_e phi^b
-                     - (1/12) e^{4u} SnR^a - div^h(e^{2u} V^a),
+    div^h( grad phi^a + e^{2u} V^a ) = sum (omega + F + T)^{ab}_e D_e phi^b
+                                       - (1/12) e^{4u} SnR^a,
 
 is exact discrete algebra, not merely exact in the continuum: the orthogonality
 identities it relies on (<d phi, nu> = 0 and the effective symmetry of dnu on
@@ -104,46 +102,45 @@ def _tproj_dnu(tdata):
     return np.einsum("xylcf,xyfa->xylca", tdata.dnu, tdata.pi)
 
 
+def _frame_derivative(dt, tdata):
+    """S[e, ..., l, b] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi."""
+    return np.einsum("exyc,xylcb->exylb", dt, tdata.dnu)
+
+
 def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
                  tdata: TargetData | None = None) -> np.ndarray:
     """Map-equation residual; vanishes to discretization order at critical points.
 
-    For psi = chi = 0 on a unit sphere this is the harmonic-map residual
-    div grad phi + |d phi|^2 phi.
+    r_phi = div(d phi + e^{2u} V) + sum_l <S_l, D phi + e^{2u} V> nu_l
+            - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative.
+    For psi = chi = 0 on a unit sphere this is div grad phi + |D phi|^2 phi.
     """
     tdata = _prepare(phi, psi, target, check, tdata)
     e2u = np.exp(2.0 * u)
-    e4u = np.exp(4.0 * u)
     has_psi = bool(np.any(psi))
     has_chi = bool(np.any(chi))
 
     dphi = grad(phi, grid)
     dt = target.tangent_project(phi, dphi)
-    r = div(dphi, grid)
-
-    # second-fundamental-form trace (normal valued)
-    r += np.einsum("exyc,exyb,xylcb,xyla->xya", dt, dt, tdata.dnu, tdata.nu)
+    s = _frame_derivative(dt, tdata)
+    flux, pair = dphi, dt
+    if has_psi and has_chi:
+        # gravitino couplings ride along with d phi
+        ev = np.moveaxis(e2u[..., None, None] * v_fields(chi, psi), -1, 0)
+        flux, pair = dphi + ev, dt + ev
+    r = div(flux, grid)
+    # second fundamental form on (D phi, D phi + e^{2u} V), normal valued
+    r += np.einsum("xyl,xyla->xya", np.einsum("exylb,exyb->xyl", s, pair), tdata.nu)
 
     if has_psi:
         # curvature coupling from the Dirac term
-        gpsi = np.einsum("eij,xybj->exybi", cl.GAMMA, psi)
-        mid = np.einsum("exyd,exybi->xydbi", dt, gpsi)
-        tp = _tproj_dnu(tdata)
-        rc = np.einsum("xyci,xydbi,xyldb,xylca->xya", psi, mid, tdata.dnu, tp)
+        s_gpsi = np.einsum("exylb,eij,xybj->xyli", s, cl.GAMMA, psi)
+        rc = np.einsum("xyci,xyli,xylca->xya", psi, s_gpsi, _tproj_dnu(tdata))
         r -= e2u[..., None] * rc
 
         # curvature-derivative coupling (zero for round spheres)
         if not target.parallel_second_fund:
-            r += (e4u[..., None] / 12.0) * snr_of(psi, phi, target, tdata)
-
-    if has_psi and has_chi:
-        # gravitino couplings
-        v = v_fields(chi, psi)
-        flux = np.moveaxis(e2u[..., None, None] * v, -1, 0)  # (2, n1, n2, K)
-        r += div(flux, grid)
-        vt_coeff = np.einsum("xybe,exyc->xybc", v, dt)
-        vt = np.einsum("xybc,xylcb,xyla->xya", vt_coeff, tdata.dnu, tdata.nu)
-        r += e2u[..., None] * vt
+            r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, tdata)
     return r
 
 
@@ -197,8 +194,7 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True,
     tdata = _prepare(phi, psi, target, check, tdata)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
-    dt = target.tangent_project(phi, grad(phi, grid))
-    s = np.einsum("exyc,xylca->exyla", dt, tdata.dnu)
+    s = _frame_derivative(target.tangent_project(phi, grad(phi, grid)), tdata)
     omega = np.einsum("exyla,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
 
@@ -222,12 +218,10 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     dt = target.tangent_project(phi, dphi)
     coeff = pots.omega + pots.f + pots.t
 
-    r = div(dphi, grid)
+    ev = np.moveaxis(np.exp(2.0 * u)[..., None, None] * v_fields(chi, psi), -1, 0)
+    r = div(dphi + ev, grid)
     r -= np.einsum("xyeab,exyb->xya", coeff, dt)
     r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, tdata)
-    v = v_fields(chi, psi)
-    flux = np.moveaxis(np.exp(2.0 * u)[..., None, None] * v, -1, 0)
-    r += div(flux, grid)
     return r
 
 

@@ -123,12 +123,16 @@ def wide_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     return div(grad(field, grid), grid)
 
 
-def _frame_norm(v: np.ndarray, where: str) -> np.ndarray:
-    """|v| along the last axis (kept); ConstraintError where it is 0."""
+def _checked_norm(v: np.ndarray, message: str) -> np.ndarray:
+    """|v| along the last axis (kept); ConstraintError where it is 0 or not finite."""
     norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ConstraintError(f"the normal frame is undefined {where}")
+    if not np.all((norm > 0.0) & (norm < np.inf)):
+        raise ConstraintError(message)
     return norm
+
+
+_SPHERE_FRAME = "the normal frame is undefined at the origin and at non-finite points"
+_LEVEL_SET_FRAME = "the normal frame is undefined where grad F is 0 or not finite"
 
 
 class TargetManifold:
@@ -192,16 +196,14 @@ class SphereTarget(TargetManifold):
         self.radius = float(radius)
 
     def project(self, p: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(p, axis=-1, keepdims=True)
-        if np.any(norm == 0.0):
-            raise ConstraintError("cannot project the origin onto the sphere")
-        return self.radius * p / norm
+        return self.radius * p / _checked_norm(
+            p, "cannot project the origin or a non-finite point onto the sphere")
 
     def normal_frame(self, p: np.ndarray) -> np.ndarray:
-        return (p / _frame_norm(p, "at the origin"))[..., None, :]
+        return (p / _checked_norm(p, _SPHERE_FRAME))[..., None, :]
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
-        norm = _frame_norm(p, "at the origin")
+        norm = _checked_norm(p, _SPHERE_FRAME)
         ph = p / norm
         eye = np.eye(self.ambient_dim)
         dnu = (eye - ph[..., :, None] * ph[..., None, :]) / norm[..., None]
@@ -251,12 +253,12 @@ class ImplicitSurfaceTarget(TargetManifold):
 
     def normal_frame(self, p: np.ndarray) -> np.ndarray:
         g = self.gradient(p)
-        return (g / _frame_norm(g, "where grad F = 0"))[..., None, :]
+        return (g / _checked_norm(g, _LEVEL_SET_FRAME))[..., None, :]
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
         K = self.ambient_dim
         g = self.gradient(p)
-        norm = _frame_norm(g, "where grad F = 0")
+        norm = _checked_norm(g, _LEVEL_SET_FRAME)
         if self.hessian is not None:
             # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3
             h = self.hessian(p)

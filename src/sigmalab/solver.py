@@ -9,8 +9,9 @@ defined by the residual norm, not by descent.
 Step control is accept/reject: in the pure map sector (psi = chi = 0) a trial
 step is accepted iff the Dirichlet energy does not increase, otherwise iff the
 combined residual L2 norm decreases.  Accepted steps grow dt, rejected steps
-shrink it; dt underflow below 1e-14 raises SolverError.  The gravitino and the
-conformal factor are parameters of the functional and stay fixed.
+shrink it; a non-finite dt or dt underflow below 1e-14 raises SolverError.
+The gravitino and the conformal factor are parameters of the functional and
+stay fixed.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
 
     rp_t = target.tangent_project(phi, res.r_phi)
     dt = state.step_size
+    if not math.isfinite(dt):  # shrinking would never reach the underflow test
+        raise SolverError(f"non-finite step size: dt = {dt}")
     while True:
         if dt < DT_UNDERFLOW:
             raise SolverError(f"step size underflow: dt = {dt:.3e}")

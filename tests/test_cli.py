@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigmalab
-from sigmalab.cli import run
+from sigmalab.cli import parse_config, run
 from sigmalab.fieldio import load_field, save_field
 
 
@@ -199,6 +199,32 @@ def test_bad_config_value_rejected(tmp_path, capsys, old, new):
     assert run(["morrey", "--config", cfg, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "residual", "check", "solve"])
+def test_floating_point_overflow_exits_2_without_artifacts(tmp_path, capsys, command):
+    # e^{4u} overflows at u = 200; the artifacts would otherwise hold Infinity or NaN
+    text = config_text(phi_kind="smooth", psi_kind="smooth", chi_kind="smooth").replace(
+        "[metric]\nkind = zero", "[metric]\nkind = constant\nvalue = 200")
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FloatingPointError"
+    assert list(out.glob("*")) == []
+
+
+def test_readme_complete_configuration_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A complete configuration", 1)[1].split("```ini\n", 1)[1]
+    cfg = write_config(tmp_path / "run.ini", block.split("```", 1)[0])
+    parsed = parse_config(cfg)
+    assert parsed.grid.shape == (32, 32) and parsed.solver.max_iterations == 10000
+    out = tmp_path / "out"
+    assert run(["eval", "--config", cfg, "--out", str(out)]) == 0
+    breakdown = json.loads((out / "breakdown.json").read_text())
+    assert breakdown["I_dirichlet"] > 0.0
 
 
 def _run_python(args, tmp_path):

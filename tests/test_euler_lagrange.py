@@ -14,7 +14,7 @@ from sigmalab.euler_lagrange import (
     v_fields,
 )
 from sigmalab.fields import tangency_project, tangency_violation, twisted_dirac
-from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target
+from sigmalab.geometry import Grid, SphereTarget, div, ellipsoid_target, grad
 from sigmalab.presets import (
     equator_map,
     smooth_gravitino,
@@ -125,6 +125,31 @@ def test_assembly_exact_with_conformal_factor():
     r = residual_phi(phi, psi, chi, u, g, TG)
     a = assemble_map_residual(phi, psi, chi, u, g, TG)
     assert np.max(np.abs(r - a)) < 1e-10
+
+
+def test_assembly_exact_on_ellipsoid():
+    target = ellipsoid_target([1.0, 1.3, 0.8])
+    g = Grid(12, 12)
+    phi = smooth_map_field(g, target, seed=10, amplitude=0.4, modes=2)
+    psi = smooth_vector_spinor(g, phi, target, seed=11, amplitude=0.5, modes=2)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.5, modes=2)
+    u = smooth_scalar_field(g, seed=14, amplitude=0.3)
+    assert all(np.all(f != 0.0) for f in (psi, chi, u))
+    r = residual_phi(phi, psi, chi, u, g, target)
+    a = assemble_map_residual(phi, psi, chi, u, g, target)
+    assert np.max(np.abs(r - a)) < 1e-10
+
+
+def test_residual_phi_closed_form_on_non_harmonic_map():
+    g = Grid(16, 16)
+    phi = smooth_map_field(g, TG, seed=10, amplitude=0.4, modes=2)
+    r = residual_phi(phi, np.zeros(g.shape + (3, 4)), np.zeros(g.shape + (2, 4)),
+                     np.zeros(g.shape), g, TG)
+    dphi = grad(phi, g)
+    d = TG.tangent_project(phi, dphi)
+    expected = div(dphi, g) + np.sum(d * d, axis=(0, -1))[..., None] * phi
+    assert np.max(np.abs(TG.tangent_project(phi, r))) > 0.1  # not a critical point
+    assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_fd_gradient_zero_at_critical_point():

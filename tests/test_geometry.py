@@ -262,6 +262,13 @@ def test_implicit_normal_frame_undefined_where_gradient_vanishes():
                 frame(p)
 
 
+@pytest.mark.parametrize("point", [[1e300, 2e300, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+def test_sphere_projection_rejects_zero_or_non_finite_norm(point):
+    # |p| overflows to inf for the first point, and p / inf would be the origin
+    with np.errstate(over="ignore"), pytest.raises(ConstraintError, match="cannot project"):
+        SphereTarget(3).project(np.array(point))
+
+
 def test_projection_fixes_points():
     tg, p = sphere_points()
     assert np.max(np.abs(tg.project(p) - p)) < 1e-14

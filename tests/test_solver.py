@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sigmalab.action import term_dirichlet, total_action
-from sigmalab.errors import SolverError
+from sigmalab.errors import ConstraintError, SolverError
 from sigmalab.euler_lagrange import residual_norms, residuals
 from sigmalab.fields import tangency_violation
 from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target, on_manifold_violation
@@ -127,6 +127,24 @@ def test_dt_underflow_signaled():
                       residual_norms=(0.0, 0.0), step_size=1e-5)
     with pytest.raises(SolverError):
         flow_step(state, chi0 + 1e-3, u0, g, TG, SolverConfig(mode="psi-only"))
+
+
+def test_non_finite_step_size_signaled():
+    g = Grid(8, 8)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
+    state = FlowState(phi=phi0, psi=psi0, iteration=0,
+                      residual_norms=(1.0, 1.0), step_size=float("inf"))
+    with pytest.raises(SolverError, match="non-finite step"):
+        flow_step(state, chi0, u0, g, TG, SolverConfig())
+
+
+def test_overflowing_step_fails_in_the_projection():
+    g = Grid(8, 8)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
+    with np.errstate(over="ignore"), pytest.raises(ConstraintError, match="cannot project"):
+        solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(initial_step=1e300))
 
 
 def test_solve_ends_without_crash_when_stalled():
