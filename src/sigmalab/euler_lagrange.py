@@ -64,6 +64,7 @@ __all__ = [
     "assemble_map_residual",
     "action_gradient_fd",
     "residual_norms",
+    "tangent_residual_norms",
 ]
 
 
@@ -355,13 +356,17 @@ def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
 def residual_norms(res: ELResidual, grid: Grid, target: TargetManifold,
                    phi: np.ndarray) -> dict:
     """(L2, Linf) pairs of the tangent parts, for the diagnostics report."""
-    rp = target.tangent_project(phi, res.r_phi)
+    return tangent_residual_norms(target.tangent_project(phi, res.r_phi), res.r_psi, grid)
+
+
+def tangent_residual_norms(rp: np.ndarray, r_psi: np.ndarray, grid: Grid) -> dict:
+    """residual_norms from the tangent part rp of r_phi, taken by the caller."""
     cell = grid.cell_area
     l2_phi = float(np.sqrt(np.sum(rp * rp) * cell))
-    l2_psi = float(np.sqrt(np.sum(res.r_psi * res.r_psi) * cell))
+    l2_psi = float(np.sqrt(np.sum(r_psi * r_psi) * cell))
     out = {
         "phi": {"l2": l2_phi, "linf": float(np.max(np.abs(rp)))},
-        "psi": {"l2": l2_psi, "linf": float(np.max(np.abs(res.r_psi)))},
+        "psi": {"l2": l2_psi, "linf": float(np.max(np.abs(r_psi)))},
     }
     out["combined"] = {
         "l2": float(np.sqrt(l2_phi**2 + l2_psi**2)),

@@ -32,6 +32,7 @@ __all__ = [
     "div",
     "laplacian",
     "wide_laplacian",
+    "wide_laplacian_symbol",
     "TargetManifold",
     "SphereTarget",
     "ImplicitSurfaceTarget",
@@ -121,6 +122,18 @@ def wide_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
     from centered first differences.
     """
     return div(grad(field, grid), grid)
+
+
+def wide_laplacian_symbol(grid: Grid) -> np.ndarray:
+    """-wide_laplacian in the rfft2 basis of the grid axes, shaped (n1, n2 // 2 + 1).
+
+    sum_a sin^2(theta_a) / h_a^2 with theta_a = 2 pi fftfreq(n_a): each centered
+    difference has the symbol i sin(theta_a) / h_a.  It vanishes on the null
+    modes of the wide stencil, the constant and (on even axes) the checkerboard.
+    """
+    s1 = np.sin(2.0 * np.pi * np.fft.fftfreq(grid.n1)) ** 2 / grid.h1**2
+    s2 = np.sin(2.0 * np.pi * np.fft.rfftfreq(grid.n2)) ** 2 / grid.h2**2
+    return s1[:, None] + s2[None, :]
 
 
 def _checked_norm(v: np.ndarray, message: str) -> np.ndarray:

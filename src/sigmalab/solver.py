@@ -1,13 +1,28 @@
 """Projected gradient flow toward critical points of the discrete action.
 
-The map field descends its sector of the action (phi <- project(phi + dt r_phi),
-the heat-flow direction: the coordinate gradient is -2 h1 h2 r_phi), while the
-vector-spinor sector seeks zeros of its residual with psi <- Pi(psi - dt r_psi);
-the Dirac term makes the action unbounded in psi, so "progress" there is
-defined by the residual norm, not by descent.
+The map field descends its sector of the action (the heat-flow direction
+r_phi: the coordinate gradient is -2 h1 h2 r_phi), while the vector-spinor
+sector seeks zeros of its residual with psi <- Pi(psi - dt r_psi); the Dirac
+term makes the action unbounded in psi, so "progress" there is defined by the
+residual norm, not by descent.
 
-Step control is accept/reject: in the pure map sector (psi = chi = 0) a trial
-step is accepted iff the Dirichlet energy does not increase, otherwise iff the
+In the pure map sector (psi = chi = 0, mode not psi-only) the step is the
+linearly implicit harmonic-map step (Alouges 1997; Bartels & Prohl 2007),
+
+    phi <- project(phi + dt P_T (I - dt Lap_w)^{-1} P_T r_phi),
+
+with P_T the tangent projection along phi and Lap_w = div grad the wide
+Laplacian.  On the periodic grid Lap_w has the rfft2 symbol
+-sum_a sin^2(theta_a) / h_a^2 (theta_a = 2 pi fftfreq(n_a)), so the inverse
+is one rfft2 of P_T r_phi per iterate and one division and irfft2 per trial
+dt; the constant and checkerboard null modes have symbol 0 and pass through
+unscaled.  The step has no stability limit, so initial_step is only the
+first trial dt: a small one costs about ln(dt* / initial_step) / ln(grow)
+warm-up iterations to reach the working step dt*.  Outside the pure map
+sector phi <- project(phi + dt P_T r_phi) and psi move explicitly.
+
+Step control is accept/reject: in the pure map sector a trial step is
+accepted iff the Dirichlet energy does not increase, otherwise iff the
 combined residual L2 norm decreases.  Accepted steps grow dt, rejected steps
 shrink it; a non-finite dt or dt underflow below 1e-14 raises SolverError.
 The gravitino and the conformal factor are parameters of the functional and
@@ -23,9 +38,9 @@ import numpy as np
 
 from .action import ActionBreakdown, target_data, total_action
 from .errors import SolverError
-from .euler_lagrange import ELResidual, residual_norms, residuals
+from .euler_lagrange import residual_phi, residual_psi, tangent_residual_norms
 from .fields import tangency_project
-from .geometry import Grid, TargetManifold, grad
+from .geometry import Grid, TargetManifold, grad, wide_laplacian_symbol
 
 __all__ = ["SolverConfig", "Evaluation", "FlowState", "FlowReport", "flow_step", "solve"]
 
@@ -59,10 +74,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Residuals of one iterate, their combined (L2, Linf) norms and the
-    action breakdown; the residuals and the action share one TargetData."""
+    """Residuals of one iterate (the tangent part of r_phi, and r_psi), their
+    combined (L2, Linf) norms and the action breakdown; the residuals and the
+    action share one TargetData."""
 
-    residual: ELResidual
+    r_phi_t: np.ndarray
+    r_psi: np.ndarray
     norms: tuple[float, float]
     action: ActionBreakdown
 
@@ -76,6 +93,7 @@ class FlowState:
     step_size: float
     # evaluation of (phi, psi); flow_step computes it when None
     evaluation: Evaluation | None = None
+    rejected: int = 0  # trial steps shrunk away before this one was accepted
 
 
 @dataclass
@@ -87,10 +105,25 @@ class FlowReport:
 
 def _evaluate(phi, psi, chi, u, grid, target) -> Evaluation:
     tdata = target_data(target, phi)
-    res = residuals(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
-    combined = residual_norms(res, grid, target, phi)["combined"]
+    r_phi = residual_phi(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
+    if np.any(psi) or np.any(chi):
+        r_psi = residual_psi(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
+    else:  # r_psi vanishes identically at psi = chi = 0
+        r_psi = np.zeros_like(psi)
+    r_phi_t = target.tangent_project(phi, r_phi)
+    combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
     action = total_action(phi, psi, u, chi, grid, target, check=False, tdata=tdata)
-    return Evaluation(res, (combined["l2"], combined["linf"]), action)
+    return Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action)
+
+
+def _resolvent(rhs: np.ndarray, grid: Grid):
+    """dt -> (I - dt wide_laplacian)^{-1} rhs for a (n1, n2, K) field.
+
+    rhs is transformed once; each dt costs one division and one irfft2.
+    """
+    rhs_hat = np.fft.rfft2(rhs, axes=(0, 1))
+    symbol = wide_laplacian_symbol(grid)[:, :, None]
+    return lambda dt: np.fft.irfft2(rhs_hat / (1.0 + dt * symbol), s=grid.shape, axes=(0, 1))
 
 
 def _dirichlet_increment(phi_new, phi_old, grid) -> float:
@@ -113,8 +146,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
     """
     phi, psi = state.phi, state.psi
     ev = state.evaluation or _evaluate(phi, psi, chi, u, grid, target)
-    res = ev.residual
-    if not (np.all(np.isfinite(res.r_phi)) and np.all(np.isfinite(res.r_psi))):
+    if not (np.all(np.isfinite(ev.r_phi_t)) and np.all(np.isfinite(ev.r_psi))):
         raise SolverError("non-finite residual")
 
     pure_map = (
@@ -122,33 +154,34 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         and not np.any(psi)
         and not np.any(chi)
     )
+    if pure_map:
+        resolve = _resolvent(ev.r_phi_t, grid)
 
-    rp_t = target.tangent_project(phi, res.r_phi)
     dt = state.step_size
     if not math.isfinite(dt):  # shrinking would never reach the underflow test
         raise SolverError(f"non-finite step size: dt = {dt}")
+    rejected = 0
     while True:
         if dt < DT_UNDERFLOW:
             raise SolverError(f"step size underflow: dt = {dt:.3e}")
         phi_new, psi_new = phi, psi
-        if config.mode != "psi-only":
-            phi_new = target.project(phi + dt * rp_t)
-        if not pure_map:  # psi = 0 is tangent along every phi
-            if config.mode != "phi-only":
-                psi_new = psi - dt * res.r_psi
-            psi_new = tangency_project(psi_new, phi_new, target)
-
-        if pure_map:
+        if pure_map:  # psi = 0 stays tangent along every phi
+            phi_new = target.project(phi + dt * target.tangent_project(phi, resolve(dt)))
             accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
-            trial = None
         else:
+            if config.mode != "psi-only":
+                phi_new = target.project(phi + dt * ev.r_phi_t)
+            if config.mode != "phi-only":
+                psi_new = psi - dt * ev.r_psi
+            psi_new = tangency_project(psi_new, phi_new, target)
             trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
             accepted = trial.norms[0] < ev.norms[0]
         if accepted:
             break
         dt *= config.shrink
+        rejected += 1
 
-    if trial is None:
+    if pure_map:
         trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
     return FlowState(
         phi=phi_new,
@@ -157,6 +190,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         residual_norms=trial.norms,
         step_size=dt * config.grow,
         evaluation=trial,
+        rejected=rejected,
     )
 
 
@@ -164,7 +198,8 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     """Iterate flow_step until the residual tolerance or max_iterations.
 
     The report carries one record per examined iterate (including the initial
-    one): residual norms, step size, and the full ActionBreakdown.  Reaching
+    one): residual norms, step size, the trial steps rejected before it was
+    accepted, and the full ActionBreakdown.  Reaching
     max_iterations yields converged=False, not an error.
     """
     phi = target.project(phi)
@@ -178,6 +213,7 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
         step_size=config.initial_step,
         evaluation=ev,
     )
+    del ev  # else this name keeps the first iterate's arrays alive for the whole solve
     report = FlowReport(converged=False, iterations=0)
 
     def record(st: FlowState):
@@ -185,6 +221,7 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
             {
                 "iteration": st.iteration,
                 "step_size": st.step_size,
+                "rejected": st.rejected,
                 "residual_l2": st.residual_norms[0],
                 "residual_linf": st.residual_norms[1],
                 "action": st.evaluation.action.to_dict(),

@@ -9,7 +9,13 @@ from sigmalab.action import term_dirichlet, total_action
 from sigmalab.errors import ConstraintError, SolverError
 from sigmalab.euler_lagrange import residual_norms, residuals
 from sigmalab.fields import tangency_violation
-from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target, on_manifold_violation
+from sigmalab.geometry import (
+    Grid,
+    SphereTarget,
+    ellipsoid_target,
+    on_manifold_violation,
+    wide_laplacian,
+)
 from sigmalab.presets import (
     perturbed_equator_map,
     smooth_gravitino,
@@ -17,7 +23,8 @@ from sigmalab.presets import (
     smooth_scalar_field,
     smooth_vector_spinor,
 )
-from sigmalab.solver import FlowState, SolverConfig, flow_step, solve
+from sigmalab import solver
+from sigmalab.solver import FlowState, SolverConfig, _resolvent, flow_step, solve
 
 TG = SphereTarget(3)
 
@@ -209,3 +216,93 @@ def test_residual_norms_take_tangent_part_on_ellipsoid():
     linf = np.max(np.abs(rp))
     assert abs(norms["l2"] - l2) <= 1e-14 * l2
     assert abs(norms["linf"] - linf) <= 1e-14 * linf
+
+
+@pytest.mark.parametrize("n1, n2", [(12, 20), (15, 17)])
+@pytest.mark.parametrize("dt", [1e-3, 10.0])
+def test_resolvent_inverts_wide_laplacian_step(n1, n2, dt):
+    g = Grid(n1, n2)
+    r = np.random.default_rng(n1 * n2).standard_normal(g.shape + (3,))
+    w = _resolvent(r, g)(dt)
+    back = w - dt * wide_laplacian(w, g)
+    assert np.max(np.abs(back - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_pure_map_iterations_do_not_grow_with_resolution(n):
+    # the criterion-8 problem; the explicit flow needed about 1218 steps at 64^2
+    g = Grid(n, n)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
+    cfg = SolverConfig(max_iterations=150, tolerance=1e-6, initial_step=1e-5)
+    state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    assert report.converged
+    assert state.residual_norms[0] < 1e-6
+
+
+def _rectangular_equator():
+    g = Grid(32, 48)
+    return g, TG, perturbed_equator_map(g, amplitude=0.05, seed=3)
+
+
+def _ellipsoid_smooth_map():
+    g = Grid(32, 32)
+    return g, ET, smooth_map_field(g, ET, seed=8, amplitude=0.3, modes=1)
+
+
+@pytest.mark.parametrize("problem", [_rectangular_equator, _ellipsoid_smooth_map],
+                         ids=["sphere-32x48", "ellipsoid-32x32"])
+def test_pure_map_flow_converges_and_descends(problem):
+    g, target, phi0 = problem()
+    psi0, chi0, u0 = _zeros(g)
+    cfg = SolverConfig(max_iterations=1000, tolerance=1e-6, initial_step=1e-5)
+    state, report = solve(phi0, psi0, chi0, u0, g, target, cfg)
+    assert report.converged
+    assert on_manifold_violation(target, state.phi) <= 1e-9
+    energy = [rec["action"]["I_dirichlet"] for rec in report.records]
+    assert all(b <= a for a, b in zip(energy, energy[1:]))
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["pure-map", "joint"])
+def test_recorded_norms_equal_residual_norms(coupled):
+    g = Grid(16, 16)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+    if coupled:
+        psi0 = smooth_vector_spinor(g, phi0, TG, seed=9, amplitude=0.05, modes=1)
+        chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    cfg = SolverConfig(max_iterations=3, tolerance=1e-14)
+    state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    norms = residual_norms(residuals(state.phi, state.psi, chi0, u0, g, TG), g, TG,
+                           state.phi)["combined"]
+    assert report.records[-1]["residual_l2"] == norms["l2"]
+    assert report.records[-1]["residual_linf"] == norms["linf"]
+
+
+def test_pure_map_flow_never_evaluates_the_spinor_residual(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("residual_psi called at psi = chi = 0")
+
+    monkeypatch.setattr(solver, "residual_psi", fail)
+    g = Grid(16, 16)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
+    _, report = solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(max_iterations=5))
+    assert report.iterations == 5
+
+
+def test_flow_report_counts_rejected_trials():
+    g = Grid(16, 16)
+    phi0 = smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+    psi0 = smooth_vector_spinor(g, phi0, TG, seed=9, amplitude=0.05, modes=1)
+    chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    cfg = SolverConfig(max_iterations=25, tolerance=1e-14, initial_step=1.0)
+    _, report = solve(phi0, psi0, chi0, np.zeros(g.shape), g, TG, cfg)
+    records = [rec for rec in report.records if "stalled" not in rec]
+    assert records[0]["rejected"] == 0
+    for prev, rec in zip(records, records[1:]):
+        dt = prev["step_size"]
+        for _ in range(rec["rejected"]):
+            dt *= cfg.shrink
+        assert rec["step_size"] == dt * cfg.grow
+    assert any(rec["rejected"] >= 1 for rec in records)
