@@ -27,19 +27,21 @@ quartic derivative couplings through nabla A,
     SnR(psi)^e = 2 (<(nabla_e A)_{ac}, A_{bd}> - <(nabla_e A)_{ad}, A_{bc}>)
                  <psi^a, psi^c> <psi^b, psi^d>,
 
-which vanishes identically for round spheres.
+which vanishes identically for round spheres.  Every term reads the target
+along phi from one geometry.TargetData: the Dirac term is the conformal
+operator with its normal part along that frame removed.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import clifford as cl
-from .fields import q_norm2_field, require_tangent, twisted_dirac
-from .geometry import Grid, TargetManifold, grad, require_on_manifold
+from .fields import dirac_conformal, q_norm2_field, require_tangent
+from .geometry import (Grid, TargetData, TargetManifold, grad, require_on_manifold,
+                       tangent_part_slots)
 
 __all__ = [
     "ActionBreakdown",
@@ -83,40 +85,6 @@ class ActionBreakdown:
         return asdict(self)
 
 
-class TargetData:
-    """Per-site extrinsic data of the target along a map field.
-
-    The normal frame and its derivative are computed eagerly; the tangent
-    projector, the symmetrized second-fundamental-form tensor and the Gauss
-    tensor only on first use, by the contractions that need them (tangential
-    parts of fields are taken from nu, so the zero-spinor paths never do).
-    """
-
-    def __init__(self, target: TargetManifold, phi: np.ndarray):
-        self._target = target
-        self._phi = phi
-        self.nu = target.normal_frame(phi)              # (n1, n2, L, K)
-        self.dnu = target.normal_frame_derivative(phi)  # (n1, n2, L, K, K)
-
-    @cached_property
-    def pi(self) -> np.ndarray:
-        """Pi[..., a, b] = delta_ab - sum_l nu_l^a nu_l^b."""
-        return self._target.tangent_projector(self._phi)
-
-    @cached_property
-    def asym(self) -> np.ndarray:
-        """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric."""
-        raw = -np.einsum("...ac,...bd,...lcd->...abl", self.pi, self.pi, self.dnu)
-        return 0.5 * (raw + np.swapaxes(raw, -3, -2))
-
-    @cached_property
-    def rtensor(self) -> np.ndarray:
-        """Gauss tensor R_{abcd} = sum_l (A_{ca} A_{db} - A_{cb} A_{da})_l."""
-        return np.einsum("...cal,...dbl->...abcd", self.asym, self.asym) - np.einsum(
-            "...cbl,...dal->...abcd", self.asym, self.asym
-        )
-
-
 def target_data(target: TargetManifold, phi: np.ndarray) -> TargetData:
     return TargetData(target, phi)
 
@@ -128,10 +96,10 @@ def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
     return np.sum(dphi * dphi, axis=(0, -1))
 
 
-def _dirac_density(psi, phi, u, grid, target) -> np.ndarray | None:
+def _dirac_density(psi, u, grid, tdata) -> np.ndarray | None:
     if not np.any(psi):
         return None
-    tw = twisted_dirac(psi, phi, u, grid, target, check=False)
+    tw = tangent_part_slots(tdata.nu, dirac_conformal(psi, u, grid))
     return np.einsum("xyai,xyai->xy", psi, tw) * np.exp(3.0 * u)
 
 
@@ -162,7 +130,7 @@ def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
     dphi = grad(phi, grid)
     return (
         _dirichlet_density(dphi),
-        _dirac_density(psi, phi, u, grid, target),
+        _dirac_density(psi, u, grid, tdata),
         _gravitino_density(dphi, psi, chi, u),
         _qchi_density(psi, chi, u),
         _curvature_density(psi, phi, u, target, tdata),
@@ -184,7 +152,7 @@ def term_dirichlet(phi: np.ndarray, u: np.ndarray, grid: Grid) -> float:
 def term_dirac(psi, phi, u, grid, target) -> float:
     """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
     require_tangent(psi, phi, target)
-    return _integral(_dirac_density(psi, phi, u, grid, target), grid)
+    return _integral(_dirac_density(psi, u, grid, target_data(target, phi)), grid)
 
 
 def term_gravitino(phi, psi, chi, u, grid) -> float:

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 
+MAX_RESOLUTION = 1024  # the Morrey FFTs are (3 resolution - 2)^2
+
+
 @dataclass(frozen=True)
 class DiscGrid:
     """Cell-centered square grid over [-1, 1]^2 masked to the unit disc."""
@@ -44,6 +47,9 @@ class DiscGrid:
     def __post_init__(self):
         if self.resolution < 4:
             raise ValueError("disc grid needs at least 4 cells per axis")
+        if self.resolution > MAX_RESOLUTION:
+            raise ValueError(f"disc grid needs at most {MAX_RESOLUTION} cells per axis, "
+                             f"got {self.resolution}")
 
     @property
     def h(self) -> float:
@@ -66,7 +72,7 @@ class MorreyParams:
     lam: float
 
     def __post_init__(self):
-        if self.p < 1.0:
+        if not self.p >= 1.0:  # NaN fails too
             raise ValueError("p must be >= 1")
         if not (0.0 <= self.lam <= 2.0):
             raise ValueError("lambda must lie in [0, 2]")
@@ -91,7 +97,7 @@ def check_radii(radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
         raise ValueError("radii list must not be empty")
-    if np.any(radii <= 0.0) or np.any(radii > 1.0):
+    if not np.all((radii > 0.0) & (radii <= 1.0)):  # NaN fails too
         raise ValueError("radii must lie in (0, domain radius]")
     return radii
 

@@ -312,7 +312,8 @@ def run(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             return _COMMANDS[args.command](cfg, out)
-    except (ConfigError, ConstraintError, SolverError, FloatingPointError, OSError) as exc:
+    except (ConfigError, ConstraintError, SolverError, FloatingPointError, MemoryError,
+            OSError) as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

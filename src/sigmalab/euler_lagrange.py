@@ -42,16 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import TargetData, action_density, action_value, gamma_chi, snr_of, sr_of, target_data
+from .action import action_density, action_value, gamma_chi, snr_of, sr_of, target_data
 from .fields import dirac_conformal_sym, q_norm2_field, require_tangent, tangency_project
-from .geometry import (
-    Grid,
-    TargetManifold,
-    div,
-    grad,
-    require_on_manifold,
-    tangent_basis,
-)
+from .geometry import (Grid, TargetData, TargetManifold, div, grad, require_on_manifold,
+                       tangent_basis, tangent_part, tangent_part_slots)
 
 __all__ = [
     "ELResidual",
@@ -122,7 +116,7 @@ def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
     has_chi = bool(np.any(chi))
 
     dphi = grad(phi, grid)
-    dt = target.tangent_project(phi, dphi)
+    dt = tangent_part(tdata.nu, dphi)
     s = _frame_derivative(dt, tdata)
     flux, pair = dphi, dt
     if has_psi and has_chi:
@@ -172,7 +166,7 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
         out += e2u * np.einsum("bxya,xybi->xyai", dphi, gamma_chi(chi))
         if has_psi:
             out -= e4u * q_norm2_field(chi)[..., None, None] * psi
-    return tangency_project(out, phi, target)
+    return tangent_part_slots(tdata.nu, out)
 
 
 def residuals(phi, psi, chi, u, grid, target, check: bool = True,
@@ -195,7 +189,7 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True,
     tdata = _prepare(phi, psi, target, check, tdata)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
-    s = _frame_derivative(target.tangent_project(phi, grad(phi, grid)), tdata)
+    s = _frame_derivative(tangent_part(tdata.nu, grad(phi, grid)), tdata)
     omega = np.einsum("exyla,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
 
@@ -216,7 +210,7 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     tdata = target_data(target, phi)
     pots = potentials(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
     dphi = grad(phi, grid)
-    dt = target.tangent_project(phi, dphi)
+    dt = tangent_part(tdata.nu, dphi)
     coeff = pots.omega + pots.f + pots.t
 
     ev = np.moveaxis(np.exp(2.0 * u)[..., None, None] * v_fields(chi, psi), -1, 0)

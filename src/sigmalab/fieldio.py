@@ -65,8 +65,7 @@ def save_field(path, array: np.ndarray, kind: str) -> None:
             fh.write(f"# sigmalab-field kind={kind} n1={n1} n2={n2} K={K}\n")
             writer = csv.writer(fh)
             writer.writerow(_columns(kind, K))
-            for row in flat:
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerows(flat.tolist())  # floats are written with repr
     elif path.suffix == ".json":
         payload = {
             "format": "sigmalab-field",
@@ -74,7 +73,7 @@ def save_field(path, array: np.ndarray, kind: str) -> None:
             "n1": n1,
             "n2": n2,
             "K": K,
-            "data": [[float(v) for v in row] for row in flat],
+            "data": flat.tolist(),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import clifford as cl
 from .errors import ConstraintError
-from .geometry import Grid, TargetManifold, grad
+from .geometry import Grid, TargetManifold, grad, tangent_part_slots
 
 __all__ = [
     "tangency_violation",
@@ -81,12 +81,10 @@ def require_tangent(psi, phi, target):
 def tangency_project(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> np.ndarray:
     """Remove the normal components nu_l(phi) of every spinor slot; idempotent.
 
-    Its own einsum pair rather than TargetManifold.tangent_project on swapped
-    axes, so that the result keeps psi's contiguous layout.
+    geometry.tangent_part_slots on the frame of phi; callers holding the
+    TargetData of phi pass its nu to that instead of computing the frame again.
     """
-    nu = target.normal_frame(phi)
-    coeff = np.einsum("...lb,...bc->...lc", nu, psi)
-    return psi - np.einsum("...lc,...lb->...bc", coeff, nu)
+    return tangent_part_slots(target.normal_frame(phi), psi)
 
 
 # ---- Dirac operators ----------------------------------------------------------

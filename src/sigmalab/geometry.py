@@ -14,11 +14,14 @@ data derived from them,
     R(X, Y) Z  = P(A(Y, Z); X) - P(A(X, Z); Y)                 (Gauss equation)
 
 Derivative tensors use the index order dnu[..., l, a, b] = d nu_l^b / d u^a.
+Along a map field phi one TargetData holds this data and computes nu once; Pi
+and every tangential part along phi (tangent_part, tangent_part_slots) use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,6 +36,9 @@ __all__ = [
     "laplacian",
     "wide_laplacian",
     "wide_laplacian_symbol",
+    "tangent_part",
+    "tangent_part_slots",
+    "TargetData",
     "TargetManifold",
     "SphereTarget",
     "ImplicitSurfaceTarget",
@@ -49,11 +55,15 @@ __all__ = [
 ON_MANIFOLD_TOL = 1e-9
 FRAME_FD_STEP = 1e-5  # relative step of the finite-difference normal-frame derivative
 PROJECT_TOL = 1e-14   # |F| at which the level-set retraction stops
+MAX_GRID_SITES = 2**20  # about 2.3 GB for the joint flow at 2.2 KB per site
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic grid on the unit torus; indices wrap modulo (n1, n2)."""
+    """Periodic grid on the unit torus; indices wrap modulo (n1, n2).
+
+    At most MAX_GRID_SITES sites, so that no field array exhausts memory.
+    """
 
     n1: int
     n2: int
@@ -61,6 +71,9 @@ class Grid:
     def __post_init__(self):
         if self.n1 < 4 or self.n2 < 4:
             raise ValueError(f"grid must be at least 4x4, got {self.n1}x{self.n2}")
+        if self.n1 * self.n2 > MAX_GRID_SITES:
+            raise ValueError(f"grid must have at most {MAX_GRID_SITES} sites, "
+                             f"got {self.n1}x{self.n2}")
 
     @property
     def h1(self) -> float:
@@ -148,6 +161,51 @@ _SPHERE_FRAME = "the normal frame is undefined at the origin and at non-finite p
 _LEVEL_SET_FRAME = "the normal frame is undefined where grad F is 0 or not finite"
 
 
+def tangent_part(nu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w (..., K) minus its components along the normal frame nu (..., L, K)."""
+    coeff = np.einsum("...lb,...b->...l", nu, w)
+    return w - np.einsum("...l,...la->...a", coeff, nu)
+
+
+def tangent_part_slots(nu: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """tangent_part of every spinor slot of psi (..., K, 4), in psi's own layout."""
+    coeff = np.einsum("...lb,...bc->...lc", nu, psi)
+    return psi - np.einsum("...lc,...lb->...bc", coeff, nu)
+
+
+class TargetData:
+    """Per-site target data along a map field phi: the normal frame nu, computed
+    once on construction, and dnu, Pi (from nu), A and the Gauss tensor on first use."""
+
+    def __init__(self, target: TargetManifold, phi: np.ndarray):
+        self.target = target
+        self.phi = phi
+        self.nu = target.normal_frame(phi)              # (..., L, K)
+
+    @cached_property
+    def dnu(self) -> np.ndarray:
+        """dnu[..., l, a, b] = d nu_l^b / d u^a."""
+        return self.target.normal_frame_derivative(self.phi)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Pi[..., a, b] = delta_ab - sum_l nu_l^a nu_l^b."""
+        return np.eye(self.nu.shape[-1]) - np.einsum("...la,...lb->...ab", self.nu, self.nu)
+
+    @cached_property
+    def asym(self) -> np.ndarray:
+        """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric."""
+        raw = -np.einsum("...ac,...bd,...lcd->...abl", self.pi, self.pi, self.dnu)
+        return 0.5 * (raw + np.swapaxes(raw, -3, -2))
+
+    @cached_property
+    def rtensor(self) -> np.ndarray:
+        """Gauss tensor R_{abcd} = sum_l (A_{ca} A_{db} - A_{cb} A_{da})_l."""
+        return np.einsum("...cal,...dbl->...abcd", self.asym, self.asym) - np.einsum(
+            "...cbl,...dal->...abcd", self.asym, self.asym
+        )
+
+
 class TargetManifold:
     """Extrinsic descriptor of an embedded target N in R^K.
 
@@ -175,23 +233,19 @@ class TargetManifold:
     # ---- derived quantities -------------------------------------------------
 
     def tangent_projector(self, p: np.ndarray) -> np.ndarray:
-        nu = self.normal_frame(p)
-        eye = np.eye(self.ambient_dim)
-        return eye - np.einsum("...la,...lb->...ab", nu, nu)
+        return TargetData(self, p).pi
 
     def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        nu = self.normal_frame(p)
-        coeff = np.einsum("...lb,...b->...l", nu, w)
-        return w - np.einsum("...l,...la->...a", coeff, nu)
+        return tangent_part(self.normal_frame(p), w)
 
     def nabla_a_tensor(self, p: np.ndarray) -> np.ndarray:
         """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>."""
         K = self.ambient_dim
         if self.parallel_second_fund:
             return np.zeros(p.shape[:-1] + (K, K, K, self.codim))
-        pi = self.tangent_projector(p)
-        return np.stack([_nabla_a_fd(self, p, pi, pi[..., :, e], None) for e in range(K)],
-                        axis=-4)
+        tdata = TargetData(self, p)
+        return np.stack([_nabla_a_fd(tdata, tdata.pi, tdata.pi[..., :, e], None)
+                         for e in range(K)], axis=-4)
 
 
 class SphereTarget(TargetManifold):
@@ -341,21 +395,19 @@ def tangent_basis(target: TargetManifold, p: np.ndarray) -> np.ndarray:
 def second_fund_form(target, p, X, Y) -> np.ndarray:
     """A(X, Y), a normal-space vector; symmetric and bilinear in (X, Y)."""
     require_on_manifold(target, p)
-    dnu = target.normal_frame_derivative(p)
-    nu = target.normal_frame(p)
-    coeff = -np.einsum("...a,...b,...lab->...l", X, Y, dnu)
-    return np.einsum("...l,...la->...a", coeff, nu)
+    tdata = TargetData(target, p)
+    coeff = -np.einsum("...a,...b,...lab->...l", X, Y, tdata.dnu)
+    return np.einsum("...l,...la->...a", coeff, tdata.nu)
 
 
 def shape_operator(target, p, xi, Z) -> np.ndarray:
     """P(xi; Z) = -(d_Z nu-extension of xi)^tangent; dual to A."""
     require_on_manifold(target, p)
-    dnu = target.normal_frame_derivative(p)
-    nu = target.normal_frame(p)
-    xi_l = np.einsum("...la,...a->...l", nu, xi)
-    dz = np.einsum("...a,...lab->...lb", Z, dnu)
+    tdata = TargetData(target, p)
+    xi_l = np.einsum("...la,...a->...l", tdata.nu, xi)
+    dz = np.einsum("...a,...lab->...lb", Z, tdata.dnu)
     raw = -np.einsum("...l,...lb->...b", xi_l, dz)
-    return target.tangent_project(p, raw)
+    return tangent_part(tdata.nu, raw)
 
 
 def curvature_operator(target, p, X, Y, Z) -> np.ndarray:
@@ -370,28 +422,31 @@ def nabla_A(target, p, X, Y, Z, step: float | None = None) -> np.ndarray:
     require_on_manifold(target, p)
     if target.parallel_second_fund:
         return np.zeros(np.broadcast(X, Y).shape)
-    coeff = _nabla_a_fd(target, p, np.stack(np.broadcast_arrays(X, Y), axis=-1), Z, step)
-    return np.einsum("...l,...la->...a", coeff[..., 0, 1, :], target.normal_frame(p))
+    tdata = TargetData(target, p)
+    coeff = _nabla_a_fd(tdata, np.stack(np.broadcast_arrays(X, Y), axis=-1), Z, step)
+    return np.einsum("...l,...la->...a", coeff[..., 0, 1, :], tdata.nu)
 
 
-def _nabla_a_fd(target, p, basis, z, step):
+def _nabla_a_fd(tdata, basis, z, step):
     """Transport finite difference for the covariant derivative of A.
 
     Returns coeff[..., a, b, l] = <(nabla_z A)(b_a, b_b), nu_l(p)> for the
-    tangent columns b_a of basis (..., K, n).  The columns are reprojected onto
-    the tangent spaces at p +- eps z (equal to parallel transport to first
-    order), A is evaluated there, and the centered difference is read off in
-    the normal frame at p.  The default step is eps = 1e-4 (1 + |p|).
+    tangent columns b_a of basis (..., K, n), with tdata the TargetData at p.
+    The columns are reprojected onto the tangent spaces at p +- eps z (equal
+    to parallel transport to first order), A is evaluated there from one
+    TargetData each, and the centered difference is read off in the normal
+    frame at p.  The default step is eps = 1e-4 (1 + |p|).
     """
+    target, p = tdata.target, tdata.phi
     eps = step if step is not None else 1e-4 * (1.0 + np.linalg.norm(p, axis=-1))
     eps = np.asarray(eps)[..., None]
 
     def a_at(q):
-        bq = np.einsum("...ac,...cb->...ab", target.tangent_projector(q), basis)
-        coeff = -np.einsum("...ca,...db,...lcd->...abl", bq, bq,
-                           target.normal_frame_derivative(q))
-        return np.einsum("...abl,...lv->...abv", coeff, target.normal_frame(q))
+        tq = TargetData(target, target.project(q))
+        bq = np.einsum("...ac,...cb->...ab", tq.pi, basis)
+        coeff = -np.einsum("...ca,...db,...lcd->...abl", bq, bq, tq.dnu)
+        return np.einsum("...abl,...lv->...abv", coeff, tq.nu)
 
-    diff = a_at(target.project(p + eps * z)) - a_at(target.project(p - eps * z))
-    coeff = np.einsum("...lv,...abv->...abl", target.normal_frame(p), diff)
+    diff = a_at(p + eps * z) - a_at(p - eps * z)
+    coeff = np.einsum("...lv,...abv->...abl", tdata.nu, diff)
     return coeff / (2.0 * eps[..., None, None])

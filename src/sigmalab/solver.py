@@ -39,8 +39,8 @@ import numpy as np
 from .action import ActionBreakdown, target_data, total_action
 from .errors import SolverError
 from .euler_lagrange import residual_phi, residual_psi, tangent_residual_norms
-from .fields import tangency_project
-from .geometry import Grid, TargetManifold, grad, wide_laplacian_symbol
+from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
+                       wide_laplacian_symbol)
 
 __all__ = ["SolverConfig", "Evaluation", "FlowState", "FlowReport", "flow_step", "solve"]
 
@@ -75,13 +75,14 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Evaluation:
     """Residuals of one iterate (the tangent part of r_phi, and r_psi), their
-    combined (L2, Linf) norms and the action breakdown; the residuals and the
-    action share one TargetData."""
+    combined (L2, Linf) norms, the action breakdown and the normal frame nu;
+    all from one TargetData, of which only nu outlives the step."""
 
     r_phi_t: np.ndarray
     r_psi: np.ndarray
     norms: tuple[float, float]
     action: ActionBreakdown
+    nu: np.ndarray
 
 
 @dataclass
@@ -103,17 +104,19 @@ class FlowReport:
     records: list[dict] = field(default_factory=list)
 
 
-def _evaluate(phi, psi, chi, u, grid, target) -> Evaluation:
+def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
+    """psi tangent-projected along phi, and the evaluation at it, from one TargetData."""
     tdata = target_data(target, phi)
+    psi = tangent_part_slots(tdata.nu, psi)
     r_phi = residual_phi(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
     if np.any(psi) or np.any(chi):
         r_psi = residual_psi(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
     else:  # r_psi vanishes identically at psi = chi = 0
         r_psi = np.zeros_like(psi)
-    r_phi_t = target.tangent_project(phi, r_phi)
+    r_phi_t = tangent_part(tdata.nu, r_phi)
     combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
     action = total_action(phi, psi, u, chi, grid, target, check=False, tdata=tdata)
-    return Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action)
+    return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
 
 
 def _resolvent(rhs: np.ndarray, grid: Grid):
@@ -145,7 +148,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
     from it without recomputing the residuals.
     """
     phi, psi = state.phi, state.psi
-    ev = state.evaluation or _evaluate(phi, psi, chi, u, grid, target)
+    ev = state.evaluation or _evaluate(phi, psi, chi, u, grid, target)[1]
     if not (np.all(np.isfinite(ev.r_phi_t)) and np.all(np.isfinite(ev.r_psi))):
         raise SolverError("non-finite residual")
 
@@ -166,15 +169,14 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
             raise SolverError(f"step size underflow: dt = {dt:.3e}")
         phi_new, psi_new = phi, psi
         if pure_map:  # psi = 0 stays tangent along every phi
-            phi_new = target.project(phi + dt * target.tangent_project(phi, resolve(dt)))
+            phi_new = target.project(phi + dt * tangent_part(ev.nu, resolve(dt)))
             accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
         else:
             if config.mode != "psi-only":
                 phi_new = target.project(phi + dt * ev.r_phi_t)
             if config.mode != "phi-only":
                 psi_new = psi - dt * ev.r_psi
-            psi_new = tangency_project(psi_new, phi_new, target)
-            trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
+            psi_new, trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
             accepted = trial.norms[0] < ev.norms[0]
         if accepted:
             break
@@ -182,7 +184,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         rejected += 1
 
     if pure_map:
-        trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
+        trial = _evaluate(phi_new, psi_new, chi, u, grid, target)[1]
     return FlowState(
         phi=phi_new,
         psi=psi_new,
@@ -203,8 +205,7 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     max_iterations yields converged=False, not an error.
     """
     phi = target.project(phi)
-    psi = tangency_project(psi, phi, target)
-    ev = _evaluate(phi, psi, chi, u, grid, target)
+    psi, ev = _evaluate(phi, psi, chi, u, grid, target)
     state = FlowState(
         phi=phi,
         psi=psi,

@@ -268,3 +268,30 @@ def test_decay_profile_zero_field():
     rows = decay_profile(np.zeros((16, 16)), g, (0.0, 0.0),
                          MorreyParams(p=2.0, lam=1.0), [0.25, 0.5])
     assert all(v == 0.0 for _, v in rows)
+
+
+def test_nan_fails_the_input_checks():
+    from sigmalab.analysis import check_radii
+
+    nan = float("nan")
+    g = DiscGrid(8)
+    values = np.ones((8, 8))
+    params = MorreyParams(p=4.0, lam=2.0)
+    for radii in ([nan], [0.5, nan]):
+        with pytest.raises(ValueError):
+            check_radii(radii)
+        with pytest.raises(ValueError):
+            morrey_norm(values, params, radii, g)
+        with pytest.raises(ValueError):
+            decay_profile(values, g, (0.0, 0.0), params, radii)
+    for p, lam in [(nan, 2.0), (4.0, nan)]:
+        with pytest.raises(ValueError):
+            MorreyParams(p=p, lam=lam)
+
+
+def test_disc_grid_resolution_limit():
+    from sigmalab.analysis import MAX_RESOLUTION
+
+    assert DiscGrid(MAX_RESOLUTION).resolution == 1024
+    with pytest.raises(ValueError, match="at most"):
+        DiscGrid(MAX_RESOLUTION + 1)

@@ -444,3 +444,37 @@ def test_bad_value_exits_2_before_output_property(site, token, command):
             assert len(errors) == 1, errors
             assert set(json.loads(errors[0])) == {"error", "detail"}
             assert not out.exists()
+
+
+def test_grid_above_the_site_limit_exits_2(tmp_path):
+    # 40000^2 sites: Grid rejects it before any field array is built
+    text = config_text().replace("n1 = 8\nn2 = 8", "n1 = 40000\nn2 = 40000")
+    _assert_cli_rejects(tmp_path, write_config(tmp_path / "run.ini", text), "ConfigError")
+
+
+def test_memory_error_exits_2(tmp_path):
+    # K = 80 with a smooth psi asks for a 4.9 GiB Gauss tensor (K = 200 asks for
+    # 191 GiB, but only after 40 s of building A); the address-space limit makes
+    # that allocation fail whatever the host's overcommit setting
+    import resource
+
+    cap = 3 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    text = config_text(psi_kind="smooth").replace("n1 = 8\nn2 = 8", "n1 = 4\nn2 = 4")
+    cfg = write_config(tmp_path / "run.ini", text.replace("ambient_dim = 3", "ambient_dim = 80"))
+    src = str(Path(sigmalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "sigmalab.cli", "eval", "--config", cfg,
+                           "--out", "out"], cwd=tmp_path, env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "MemoryError"
+    assert list((tmp_path / "out").glob("*")) == []

@@ -136,3 +136,14 @@ def test_round_trip_bit_exact_property(field, ext):
     assert back_kind == kind
     assert back.shape == array.shape
     assert np.array_equal(back.view(np.uint64), array.view(np.uint64))
+
+
+def test_edge_floats_are_written_with_repr(tmp_path):
+    values = np.array([[-0.0, np.inf, -np.inf, np.nan], [5e-324, 1e16, 1e-5, 0.1]])
+    flat = values.reshape(-1)
+    save_field(tmp_path / "f.csv", values, "scalar")
+    rows = (tmp_path / "f.csv").read_text().splitlines()[2:]
+    assert rows == [repr(float(v)) for v in flat]
+    save_field(tmp_path / "f.json", values, "scalar")
+    payload = json.loads((tmp_path / "f.json").read_text())
+    assert [repr(v) for row in payload["data"] for v in row] == [repr(float(v)) for v in flat]

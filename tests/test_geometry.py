@@ -284,3 +284,23 @@ def test_projection_without_convergence_raises():
                                lambda p: 2.0 * p, ambient_dim=3)
     with pytest.raises(ConstraintError, match="did not converge"):
         tg.project(np.array([0.3, 0.2, 0.1]))
+
+
+def test_grid_site_limit():
+    from sigmalab.geometry import MAX_GRID_SITES
+
+    assert Grid(1024, MAX_GRID_SITES // 1024).shape == (1024, 1024)
+    for n1, n2 in [(1024, 1025), (40000, 40000)]:
+        with pytest.raises(ValueError, match="at most"):
+            Grid(n1, n2)
+
+
+def test_nabla_a_tensor_frames_per_call(monkeypatch):
+    # one frame at p and one at each transported point p +- eps Pi e_e
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    p = te.project(np.random.default_rng(4).standard_normal((6, 6, 3)))
+    calls = []
+    frame = te.normal_frame
+    monkeypatch.setattr(te, "normal_frame", lambda q: calls.append(1) or frame(q))
+    te.nabla_a_tensor(p)
+    assert 0 < len(calls) <= 7

@@ -306,3 +306,38 @@ def test_flow_report_counts_rejected_trials():
             dt *= cfg.shrink
         assert rec["step_size"] == dt * cfg.grow
     assert any(rec["rejected"] >= 1 for rec in records)
+
+
+def _count_frames_per_evaluation(monkeypatch, target):
+    """Wrap target.normal_frame and solver._evaluate; return the two counters."""
+    counts = {"frames": 0, "evaluations": 0}
+    frame, evaluate = target.normal_frame, solver._evaluate
+
+    def counted_frame(p):
+        counts["frames"] += 1
+        return frame(p)
+
+    def counted_evaluate(*args, **kwargs):
+        counts["evaluations"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(target, "normal_frame", counted_frame)
+    monkeypatch.setattr(solver, "_evaluate", counted_evaluate)
+    return counts
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["pure-map", "joint"])
+def test_solve_computes_one_normal_frame_per_evaluation(monkeypatch, coupled):
+    g = Grid(16, 16)
+    tg = SphereTarget(3)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
+    if coupled:
+        phi0 = smooth_map_field(g, tg, seed=8, amplitude=0.3, modes=1)
+        psi0 = smooth_vector_spinor(g, phi0, tg, seed=9, amplitude=0.05, modes=1)
+        chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    counts = _count_frames_per_evaluation(monkeypatch, tg)
+    _, report = solve(phi0, psi0, chi0, u0, g, tg, SolverConfig(max_iterations=10))
+    assert report.iterations == 10
+    assert counts["evaluations"] >= 11
+    assert counts["evaluations"] <= counts["frames"] <= counts["evaluations"] + 1
