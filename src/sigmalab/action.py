@@ -29,7 +29,9 @@ quartic derivative couplings through nabla A,
 
 which vanishes identically for round spheres.  Every term reads the target
 along phi from one geometry.TargetData: the Dirac term is the conformal
-operator with its normal part along that frame removed.
+operator with its normal part along that frame removed.  checked_target_data
+checks phi on N and psi tangent along that same frame; a caller that passes
+tdata instead vouches for both constraints.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "ActionBreakdown",
     "TargetData",
     "target_data",
+    "checked_target_data",
     "gamma_chi",
     "term_dirichlet",
     "term_dirac",
@@ -87,6 +90,14 @@ class ActionBreakdown:
 
 def target_data(target: TargetManifold, phi: np.ndarray) -> TargetData:
     return TargetData(target, phi)
+
+
+def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray) -> TargetData:
+    """target_data of phi after checking phi on N and psi tangent along its frame."""
+    require_on_manifold(target, phi)
+    tdata = target_data(target, phi)
+    require_tangent(psi, tdata.nu)
+    return tdata
 
 
 # ---- per-site densities (sum * cell_area = term; None where a term vanishes) ----
@@ -151,8 +162,9 @@ def term_dirichlet(phi: np.ndarray, u: np.ndarray, grid: Grid) -> float:
 
 def term_dirac(psi, phi, u, grid, target) -> float:
     """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
-    require_tangent(psi, phi, target)
-    return _integral(_dirac_density(psi, u, grid, target_data(target, phi)), grid)
+    tdata = target_data(target, phi)
+    require_tangent(psi, tdata.nu)
+    return _integral(_dirac_density(psi, u, grid, tdata), grid)
 
 
 def term_gravitino(phi, psi, chi, u, grid) -> float:
@@ -198,12 +210,11 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
 # ---- totals ---------------------------------------------------------------------
 
 
-def total_action(phi, psi, u, chi, grid, target, check: bool = True,
+def total_action(phi, psi, u, chi, grid, target,
                  tdata: TargetData | None = None) -> ActionBreakdown:
-    """All five terms plus their total, summed in a fixed order."""
-    if check:
-        require_on_manifold(target, phi)
-        require_tangent(psi, phi, target)
+    """All five terms and their total, summed in a fixed order; checked unless given tdata."""
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
     densities = _densities(phi, psi, u, chi, grid, target, tdata)
     t1, t2, t3, t4, t5 = (_integral(d, grid) for d in densities)
     total = ((t1 + t2) + t3 + t4) + t5

@@ -2,7 +2,9 @@
 
 Each suite evaluates a family of exact discrete identities on basis fibers
 and seeded random data and reports the worst deviation against its tolerance.
-Used by the command-line ``check`` command and by the acceptance tests.
+Used by the command-line ``check`` command and by the acceptance tests.  The
+symmetry suite checks the constraints once: its five actions share phi and only
+negate or rescale psi, which stays tangent, so all read one TargetData.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import total_action
+from .action import checked_target_data, total_action
 from .fields import (
     conformal_rescale,
     dirac_flat,
@@ -157,40 +159,34 @@ def projector_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
 def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12):
     """Super-Weyl shift and the sign flip, term by term."""
     out = []
-    base = total_action(phi, psi, u, chi, grid, target)
+    tdata = checked_target_data(target, phi, psi)
+    base = total_action(phi, psi, u, chi, grid, target, tdata)
     scale = 1.0 + max(abs(v) for v in base.to_dict().values())
 
     spin = rng.standard_normal(grid.shape + (4,))
-    shifted = total_action(phi, psi, u, chi + sigma_lift(spin), grid, target)
-    err = max(
-        abs(a - b)
-        for a, b in zip(base.to_dict().values(), shifted.to_dict().values())
-    )
+    shifted = total_action(phi, psi, u, chi + sigma_lift(spin), grid, target, tdata)
+    err = max(abs(a - b) for a, b in zip(base.to_dict().values(), shifted.to_dict().values()))
     out.append(CheckResult("symmetry", "super_weyl_shift", err / scale, tol))
 
-    flipped = total_action(phi, -psi, u, -chi, grid, target)
-    err = max(
-        abs(a - b)
-        for a, b in zip(base.to_dict().values(), flipped.to_dict().values())
-    )
+    flipped = total_action(phi, -psi, u, -chi, grid, target, tdata)
+    err = max(abs(a - b) for a, b in zip(base.to_dict().values(), flipped.to_dict().values()))
     out.append(CheckResult("symmetry", "sign_flip", err / scale, tol))
 
     psi_c, chi_c = conformal_rescale(psi, chi, u)
     # not exact at finite h (the Dirac conjugation leaks O(h^2)); generous bound
-    conf = total_action(phi, psi_c, u, chi_c, grid, target)
-    flat = total_action(phi, psi, np.zeros(grid.shape), chi, grid, target)
+    conf = total_action(phi, psi_c, u, chi_c, grid, target, tdata)
+    flat = total_action(phi, psi, np.zeros(grid.shape), chi, grid, target, tdata)
     out.append(
         CheckResult("symmetry", "conformal_total", abs(conf.total - flat.total) / scale, 1e-1)
     )
     return out
 
 
-def constraint_suite(phi, psi, grid, target, tol: float = 1e-9):
-    out = [
+def constraint_suite(phi, psi, target, tol: float = 1e-9):
+    return [
         CheckResult("constraints", "on_manifold", on_manifold_violation(target, phi), tol),
         CheckResult("constraints", "tangency", tangency_violation(psi, phi, target), tol),
     ]
-    return out
 
 
 def run_all_checks(phi, psi, chi, u, grid, target, seed: int = 0):
@@ -200,5 +196,5 @@ def run_all_checks(phi, psi, chi, u, grid, target, seed: int = 0):
     results += dirac_suite(grid, rng)
     results += projector_suite(grid, rng)
     results += symmetry_suite(phi, psi, chi, u, grid, target, rng)
-    results += constraint_suite(phi, psi, grid, target)
+    results += constraint_suite(phi, psi, target)
     return results

@@ -105,12 +105,12 @@ def _constant_map(section, grid: Grid, target: TargetManifold) -> np.ndarray:
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
-    """Read and validate a run configuration; every bad value is a ConfigError."""
+    """Read and validate a run configuration; bad values and malformed INI are ConfigErrors."""
     try:
         return _parse_config(Path(path), seed_override)
     except (ConfigError, ConstraintError):
         raise
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -186,7 +186,7 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
                                                  _get(s, "amplitude", "1.0", _finite)),
     }, field="vectorspinor")
     # the presets are tangent by construction; a psi file must be tangent along phi
-    require_tangent(psi, phi, target)
+    require_tangent(psi, target.normal_frame(phi))
     chi = build("gravitino", "zero", {
         "zero": lambda s: np.zeros(grid.shape + (2, 4)),
         "smooth": lambda s: smooth_gravitino(grid, seed + 41,

@@ -42,10 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import action_density, action_value, gamma_chi, snr_of, sr_of, target_data
-from .fields import dirac_conformal_sym, q_norm2_field, require_tangent, tangency_project
-from .geometry import (Grid, TargetData, TargetManifold, div, grad, require_on_manifold,
-                       tangent_basis, tangent_part, tangent_part_slots)
+from .action import (action_density, action_value, checked_target_data, gamma_chi, snr_of,
+                     sr_of, target_data)
+from .fields import dirac_conformal_sym, q_norm2_field, tangency_project
+from .geometry import (Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part,
+                       tangent_part_slots)
 
 __all__ = [
     "ELResidual",
@@ -84,14 +85,6 @@ def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("xyei,xyai->xyae", gamma_chi(chi), psi)
 
 
-def _prepare(phi, psi, target, check: bool, tdata: TargetData | None) -> TargetData:
-    """Check the constraints if asked; build the target data unless passed."""
-    if check:
-        require_on_manifold(target, phi)
-        require_tangent(psi, phi, target)
-    return target_data(target, phi) if tdata is None else tdata
-
-
 def _tproj_dnu(tdata):
     """Tp[..., l, c, a] = (Pi dnu_l/du^c)^a."""
     return np.einsum("xylcf,xyfa->xylca", tdata.dnu, tdata.pi)
@@ -102,7 +95,7 @@ def _frame_derivative(dt, tdata):
     return np.einsum("exyc,xylcb->exylb", dt, tdata.dnu)
 
 
-def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
+def residual_phi(phi, psi, chi, u, grid, target,
                  tdata: TargetData | None = None) -> np.ndarray:
     """Map-equation residual; vanishes to discretization order at critical points.
 
@@ -110,7 +103,8 @@ def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
             - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative.
     For psi = chi = 0 on a unit sphere this is div grad phi + |D phi|^2 phi.
     """
-    tdata = _prepare(phi, psi, target, check, tdata)
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
     e2u = np.exp(2.0 * u)
     has_psi = bool(np.any(psi))
     has_chi = bool(np.any(chi))
@@ -139,7 +133,7 @@ def residual_phi(phi, psi, chi, u, grid, target, check: bool = True,
     return r
 
 
-def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
+def residual_psi(phi, psi, chi, u, grid, target,
                  tdata: TargetData | None = None) -> np.ndarray:
     """Vector-spinor residual, tangent along phi.
 
@@ -148,7 +142,8 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
     constant phi and drops only where SR(psi) vanishes.  At u = 0 the
     slot-wise operator is the flat one.
     """
-    tdata = _prepare(phi, psi, target, check, tdata)
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
     has_psi = bool(np.any(psi))
     has_chi = bool(np.any(chi))
     out = np.zeros_like(psi)
@@ -169,16 +164,18 @@ def residual_psi(phi, psi, chi, u, grid, target, check: bool = True,
     return tangent_part_slots(tdata.nu, out)
 
 
-def residuals(phi, psi, chi, u, grid, target, check: bool = True,
+def residuals(phi, psi, chi, u, grid, target,
               tdata: TargetData | None = None) -> ELResidual:
-    tdata = _prepare(phi, psi, target, check, tdata)
+    """Both residuals from one TargetData; like each of them, checked unless given tdata."""
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
     return ELResidual(
-        r_phi=residual_phi(phi, psi, chi, u, grid, target, check=False, tdata=tdata),
-        r_psi=residual_psi(phi, psi, chi, u, grid, target, check=False, tdata=tdata),
+        r_phi=residual_phi(phi, psi, chi, u, grid, target, tdata=tdata),
+        r_psi=residual_psi(phi, psi, chi, u, grid, target, tdata=tdata),
     )
 
 
-def potentials(phi, psi, chi, u, grid, target, check: bool = True,
+def potentials(phi, psi, chi, u, grid, target,
                tdata: TargetData | None = None) -> AntisymPotentials:
     """Antisymmetric coefficient matrices of the rewritten map equation.
 
@@ -186,7 +183,8 @@ def potentials(phi, psi, chi, u, grid, target, check: bool = True,
     from the spinor antisymmetrization, weighted e^{2u}) the curvature
     coupling, and T (weighted e^{2u}) the V-field coupling.
     """
-    tdata = _prepare(phi, psi, target, check, tdata)
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
     s = _frame_derivative(tangent_part(tdata.nu, grad(phi, grid)), tdata)
@@ -208,7 +206,7 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     """Rebuild r_phi from the rewritten equation; equal to residual_phi to
     machine precision (cross-implementation check)."""
     tdata = target_data(target, phi)
-    pots = potentials(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
+    pots = potentials(phi, psi, chi, u, grid, target, tdata=tdata)
     dphi = grad(phi, grid)
     dt = tangent_part(tdata.nu, dphi)
     coeff = pots.omega + pots.f + pots.t

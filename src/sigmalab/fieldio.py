@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,10 @@ def load_field(path) -> tuple[np.ndarray, str]:
                 raise ValueError(f"{path}: unreadable CSV ({exc})") from None
     elif path.suffix == ".json":
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
         if not isinstance(payload, dict) or payload.get("format") != "sigmalab-field":
             raise ValueError(f"{path}: not a sigmalab-field JSON file")
         if "data" not in payload:
@@ -131,9 +135,9 @@ def load_field(path) -> tuple[np.ndarray, str]:
     n1, n2, K = (_count(path, meta, key) for key in ("n1", "n2", "K"))
     try:
         flat = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: data is not a table of numbers ({exc})") from None
-    shape = (n1 * n2, len(_columns(kind, K)))
+    shape = (n1 * n2, math.prod(site_shape(kind, K)))
     if flat.shape != shape:
         raise ValueError(f"{path}: data must be {shape[0]} site rows of {shape[1]} "
                          f"columns, found shape {flat.shape}")

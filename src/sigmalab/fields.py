@@ -63,16 +63,21 @@ def _expand(u: np.ndarray, ndim: int) -> np.ndarray:
 # ---- constraints --------------------------------------------------------------
 
 
-def tangency_violation(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> float:
-    """max over sites/slots of |sum_b psi^b nu_l^b| / (1 + |psi|)."""
-    nu = target.normal_frame(phi)
+def _frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
+    """max over sites/slots of |sum_b psi^b nu_l^b| / (1 + |psi|) for the frame nu."""
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
     scale = 1.0 + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
     return float(np.max(np.abs(coeff) / scale[..., None, None]))
 
 
-def require_tangent(psi, phi, target):
-    v = tangency_violation(psi, phi, target)
+def tangency_violation(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> float:
+    """The violation require_tangent checks, on the normal frame of phi."""
+    return _frame_violation(psi, target.normal_frame(phi))
+
+
+def require_tangent(psi: np.ndarray, nu: np.ndarray):
+    """ConstraintError unless psi is tangent along the normal frame nu (..., L, K)."""
+    v = _frame_violation(psi, nu)
     if v > TANGENCY_TOL:
         raise ConstraintError(f"vector-spinor not tangent along phi: violation {v:.3e} "
                               f"> {TANGENCY_TOL:.1e}")
@@ -128,16 +133,16 @@ def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
-                  target: TargetManifold, check: bool = True) -> np.ndarray:
+                  target: TargetManifold) -> np.ndarray:
     """Dirac operator twisted by the pullback of TN, in the extrinsic picture.
 
-    The conformal operator on each of the K spinor slots followed by
-    tangency_project along phi, so the output satisfies the tangency
-    constraint.
+    The conformal operator on each of the K spinor slots followed by the
+    tangential part along phi, so the output satisfies the tangency
+    constraint.  psi is checked tangent against the same normal frame of phi.
     """
-    if check:
-        require_tangent(psi, phi, target)
-    return tangency_project(dirac_conformal(psi, u, grid), phi, target)
+    nu = target.normal_frame(phi)
+    require_tangent(psi, nu)
+    return tangent_part_slots(nu, dirac_conformal(psi, u, grid))
 
 
 # ---- pointwise projectors and rescalings ---------------------------------------

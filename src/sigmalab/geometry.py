@@ -13,9 +13,10 @@ data derived from them,
     P(xi; Z)   = -sum_l <xi, nu_l> Pi(Z^a d nu_l / d u^a)      (shape operator)
     R(X, Y) Z  = P(A(Y, Z); X) - P(A(X, Z); Y)                 (Gauss equation)
 
-Derivative tensors use the index order dnu[..., l, a, b] = d nu_l^b / d u^a.
-Along a map field phi one TargetData holds this data and computes nu once; Pi
-and every tangential part along phi (tangent_part, tangent_part_slots) use it.
+Derivative tensors use the index order dnu[..., l, a, b] = d nu_l^b / d u^a,
+in closed form for every target (level sets from the Hessian of F).  Along phi
+one TargetData computes nu once; Pi, the tangential parts along phi
+(tangent_part, tangent_part_slots) and the tangency check of psi all use it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 ON_MANIFOLD_TOL = 1e-9
-FRAME_FD_STEP = 1e-5  # relative step of the finite-difference normal-frame derivative
 PROJECT_TOL = 1e-14   # |F| at which the level-set retraction stops
 MAX_GRID_SITES = 2**20  # about 2.3 GB for the joint flow at 2.2 KB per site
 
@@ -282,9 +282,9 @@ class ImplicitSurfaceTarget(TargetManifold):
 
     The retraction is a Newton iteration along grad F (agrees with the
     nearest-point projection to second order and fixes points of N).  The
-    normal frame is grad F normalized; its derivative is analytic when a
-    Hessian is supplied, otherwise a centered difference with relative step
-    FRAME_FD_STEP.  nabla_A is always a transport finite difference.
+    normal frame is grad F normalized and its derivative is analytic, from
+    the gradient and the Hessian of F.  nabla_A is a transport finite
+    difference.
     """
 
     def __init__(
@@ -292,14 +292,13 @@ class ImplicitSurfaceTarget(TargetManifold):
         value: Callable[[np.ndarray], np.ndarray],
         gradient: Callable[[np.ndarray], np.ndarray],
         ambient_dim: int,
-        hessian: Callable[[np.ndarray], np.ndarray] | None = None,
+        hessian: Callable[[np.ndarray], np.ndarray],
     ):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.ambient_dim = ambient_dim
         self.codim = 1
-        self.mode = "analytic-frame" if hessian is not None else "finite-difference"
 
     def project(self, p: np.ndarray) -> np.ndarray:
         q = np.array(p, dtype=np.float64)
@@ -323,25 +322,12 @@ class ImplicitSurfaceTarget(TargetManifold):
         return (g / _checked_norm(g, _LEVEL_SET_FRAME))[..., None, :]
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
-        K = self.ambient_dim
         g = self.gradient(p)
         norm = _checked_norm(g, _LEVEL_SET_FRAME)
-        if self.hessian is not None:
-            # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3
-            h = self.hessian(p)
-            hg = np.einsum("...ab,...b->...a", h, g)
-            dnu = h / norm[..., None] - (
-                np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
-            )
-            return dnu[..., None, :, :]
-        eps = FRAME_FD_STEP * (1.0 + np.linalg.norm(p, axis=-1, keepdims=True))
-        dnu = np.zeros(p.shape[:-1] + (K, K))
-        for a in range(K):
-            dp = np.zeros_like(p)
-            dp[..., a] = eps[..., 0]
-            nup = self.normal_frame(p + dp)[..., 0, :]
-            num = self.normal_frame(p - dp)[..., 0, :]
-            dnu[..., a, :] = (nup - num) / (2.0 * eps)
+        # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3
+        h = self.hessian(p)
+        hg = np.einsum("...ab,...b->...a", h, g)
+        dnu = h / norm[..., None] - np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
         return dnu[..., None, :, :]
 
 

@@ -108,14 +108,14 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     """psi tangent-projected along phi, and the evaluation at it, from one TargetData."""
     tdata = target_data(target, phi)
     psi = tangent_part_slots(tdata.nu, psi)
-    r_phi = residual_phi(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
+    r_phi = residual_phi(phi, psi, chi, u, grid, target, tdata=tdata)
     if np.any(psi) or np.any(chi):
-        r_psi = residual_psi(phi, psi, chi, u, grid, target, check=False, tdata=tdata)
+        r_psi = residual_psi(phi, psi, chi, u, grid, target, tdata=tdata)
     else:  # r_psi vanishes identically at psi = chi = 0
         r_psi = np.zeros_like(psi)
     r_phi_t = tangent_part(tdata.nu, r_phi)
     combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
-    action = total_action(phi, psi, u, chi, grid, target, check=False, tdata=tdata)
+    action = total_action(phi, psi, u, chi, grid, target, tdata=tdata)
     return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
 
 

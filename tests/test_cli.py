@@ -335,6 +335,50 @@ def test_unconverged_ellipsoid_projection_rejected(tmp_path, capsys):
     _assert_field_commands_reject(tmp_path, capsys, cfg, "ConstraintError")
 
 
+@pytest.mark.parametrize("old, new", [
+    pytest.param("\n[grid]", "seed = 1\n[grid]", id="no-section-header"),
+    pytest.param("n2 = 8", "n2 = 8\nn3", id="line-without-equals"),
+    pytest.param("n2 = 8", "n2 = 8\nn2 = 9", id="duplicate-option"),
+    pytest.param("[metric]", "[grid]\nn1 = 8\n\n[metric]", id="duplicate-section"),
+    pytest.param("kind = sphere", "kind = %(x)s", id="missing-interpolation"),
+    pytest.param("kind = sphere", "kind = 50%", id="bare-percent"),
+])
+def test_malformed_ini_rejected(tmp_path, old, new):
+    text = config_text()
+    assert old in text
+    _assert_cli_rejects(tmp_path, write_config(tmp_path / "run.ini", text.replace(old, new, 1)),
+                        "ConfigError")
+
+
+def test_map_file_with_overflowing_integer_rejected(tmp_path):
+    phi = np.zeros((8, 8, 3))
+    phi[..., 2] = 1.0
+    save_field(tmp_path / "phi.json", phi, "map")
+    text = (tmp_path / "phi.json").read_text().replace("1.0", "1" + "0" * 400, 1)
+    (tmp_path / "phi.json").write_text(text)
+    cfg = write_config(
+        tmp_path / "run.ini",
+        config_text(phi_kind="file", phi_extra="path = phi.json"),
+    )
+    _assert_cli_rejects(tmp_path, cfg, "ConfigError")
+
+
+def test_package_imports_numpy_alone(tmp_path):
+    # every sigmalab module may add only numpy and sigmalab to the non-stdlib
+    # top-level modules; compared with sys.modules before the import, since
+    # site hooks may preload third-party modules
+    code = ("import pkgutil, sys\n"
+            "before = {m.split('.')[0] for m in sys.modules}\n"
+            "import sigmalab\n"
+            "for info in pkgutil.walk_packages(sigmalab.__path__, 'sigmalab.'):\n"
+            "    __import__(info.name)\n"
+            "new = {m.split('.')[0] for m in sys.modules} - before\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n")
+    proc = _run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['numpy', 'sigmalab']"
+
+
 _VALID_CONFIGS = ("""
 [grid]
 n1 = 8

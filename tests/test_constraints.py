@@ -1,0 +1,111 @@
+"""Constraint checks: which functions check, with what message, from how many frames."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from sigmalab.action import term_dirac, total_action
+from sigmalab.checks import run_all_checks
+from sigmalab.errors import ConstraintError
+from sigmalab.euler_lagrange import potentials, residual_phi, residual_psi, residuals
+from sigmalab.fields import twisted_dirac
+from sigmalab.geometry import Grid, SphereTarget, TargetData, ellipsoid_target
+from sigmalab.presets import (
+    smooth_gravitino,
+    smooth_map_field,
+    smooth_scalar_field,
+    smooth_vector_spinor,
+)
+
+OFF_MANIFOLD = "point off the target manifold"
+NOT_TANGENT = "vector-spinor not tangent along phi"
+
+
+def _fields(target, n=8):
+    g = Grid(n, n)
+    phi = smooth_map_field(g, target, seed=1, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, target, seed=2, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=3, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=4, amplitude=0.2)
+    return g, phi, psi, chi, u
+
+
+CHECKED = {
+    "total_action": lambda phi, psi, chi, u, g, tg: total_action(phi, psi, u, chi, g, tg),
+    "residual_phi": residual_phi,
+    "residual_psi": residual_psi,
+    "residuals": residuals,
+    "potentials": potentials,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_off_manifold_phi_raises(name):
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    phi = phi.copy()
+    phi[2, 3] *= 1.5
+    with pytest.raises(ConstraintError, match=OFF_MANIFOLD):
+        CHECKED[name](phi, psi, chi, u, g, tg)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_non_tangent_psi_raises(name):
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    psi = psi.copy()
+    psi[1, 4, :, 2] += phi[1, 4]
+    with pytest.raises(ConstraintError, match=NOT_TANGENT):
+        CHECKED[name](phi, psi, chi, u, g, tg)
+
+
+def test_term_dirac_checks_tangency():
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    psi = psi.copy()
+    psi[0, 0, :, 0] += phi[0, 0]
+    with pytest.raises(ConstraintError, match=NOT_TANGENT):
+        term_dirac(psi, phi, u, g, tg)
+
+
+def _count_frames(monkeypatch, target) -> list:
+    calls = []
+    frame = target.normal_frame
+    monkeypatch.setattr(target, "normal_frame", lambda p: calls.append(1) or frame(p))
+    return calls
+
+
+def test_total_action_checks_and_evaluates_on_one_frame(monkeypatch):
+    tg = ellipsoid_target([1.0, 1.3, 0.8])
+    g, phi, psi, chi, u = _fields(tg)
+    calls = _count_frames(monkeypatch, tg)
+    total_action(phi, psi, u, chi, g, tg)
+    assert len(calls) == 1
+
+
+def test_twisted_dirac_checks_and_projects_on_one_frame(monkeypatch):
+    tg = ellipsoid_target([1.0, 1.3, 0.8])
+    g, phi, psi, chi, u = _fields(tg)
+    calls = _count_frames(monkeypatch, tg)
+    twisted_dirac(psi, phi, u, g, tg)
+    assert len(calls) == 1
+
+
+def test_check_suites_build_one_gauss_tensor(monkeypatch):
+    # the five symmetry-suite actions share phi, so they share one TargetData
+    calls = []
+    build = TargetData.__dict__["rtensor"].func
+
+    @functools.cached_property
+    def rtensor(self):
+        calls.append(1)
+        return build(self)
+
+    rtensor.__set_name__(TargetData, "rtensor")
+    monkeypatch.setattr(TargetData, "rtensor", rtensor)
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    results = run_all_checks(phi, psi, chi, u, g, tg)
+    assert all(r.passed for r in results)
+    assert len(calls) == 1

@@ -147,3 +147,34 @@ def test_edge_floats_are_written_with_repr(tmp_path):
     save_field(tmp_path / "f.json", values, "scalar")
     payload = json.loads((tmp_path / "f.json").read_text())
     assert [repr(v) for row in payload["data"] for v in row] == [repr(float(v)) for v in flat]
+
+
+def test_integer_beyond_float64_rejected(tmp_path):
+    j = tmp_path / "big.json"
+    j.write_text(json.dumps({"format": "sigmalab-field", "kind": "scalar", "n1": 1, "n2": 1,
+                             "K": 1, "data": [[10**400]]}))
+    with pytest.raises(ValueError, match="big.json"):
+        load_field(j)
+
+
+def test_deeply_nested_json_rejected(tmp_path):
+    j = tmp_path / "deep.json"
+    j.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="deep.json"):
+        load_field(j)
+
+
+def test_huge_column_count_rejected_without_building_it(tmp_path):
+    # K = 10**7 promises 10**7 columns; checking the row width must not list them
+    import tracemalloc
+
+    p = tmp_path / "wide.csv"
+    p.write_text("# sigmalab-field kind=map n1=1 n2=1 K=10000000\nu1\n1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="columns"):
+            load_field(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
