@@ -27,11 +27,16 @@ quartic derivative couplings through nabla A,
     SnR(psi)^e = 2 (<(nabla_e A)_{ac}, A_{bd}> - <(nabla_e A)_{ad}, A_{bc}>)
                  <psi^a, psi^c> <psi^b, psi^d>,
 
-which vanishes identically for round spheres.  Every term reads the target
-along phi from one geometry.TargetData: the Dirac term is the conformal
-operator with its normal part along that frame removed.  checked_target_data
-checks phi on N and psi tangent along that same frame; a caller that passes
-tdata instead vouches for both constraints.
+which vanishes identically for round spheres.  nabla A is the target's closed
+form (geometry nabla_a_tensor).  With M_ac = <psi^a, psi^c> and
+c_l = sum_bd A_bdl M_bd, snr_of evaluates it as matrix products,
+
+    SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} (c_l M_ac - (M A_l M)_ac).
+
+Every term reads the target along phi from one geometry.TargetData: the
+Dirac term is the conformal operator with its normal part along that frame
+removed.  checked_target_data checks phi on N and psi tangent along that same
+frame; a caller that passes tdata instead vouches for both constraints.
 """
 
 from __future__ import annotations
@@ -197,14 +202,13 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
         return np.zeros_like(phi)
     if tdata is None:
         tdata = target_data(target, phi)
-    natensor = target.nabla_a_tensor(phi)
-    inner = np.einsum("xyai,xyci->xyac", psi, psi)
-    c1 = np.einsum("xyeacl,xyac->xyel", natensor, inner)
-    c2 = np.einsum("xybdl,xybd->xyl", tdata.asym, inner)
-    t1 = np.einsum("xyel,xyl->xye", c1, c2)
-    x1 = np.einsum("xyeadl,xyac->xyecdl", natensor, inner)
-    t2 = np.einsum("xyecdl,xybcl,xybd->xye", x1, tdata.asym, inner)
-    return 2.0 * (t1 - t2)
+    natensor = target.nabla_a_tensor(phi)                     # (x, y, e, a, c, l)
+    m = psi @ np.swapaxes(psi, -1, -2)                        # M_ac = <psi^a, psi^c>
+    a_l = np.moveaxis(tdata.asym, -1, -3)                     # (x, y, l, b, d)
+    c = np.einsum("xylbd,xybd->xyl", a_l, m)                  # c_l = sum_bd A_bdl M_bd
+    w = c[..., None, None] * m[..., None, :, :] - m[..., None, :, :] @ a_l @ m[..., None, :, :]
+    w = np.moveaxis(w, -3, -1)                                # (x, y, a, c, l)
+    return 2.0 * (natensor.reshape(phi.shape + (-1,)) @ w.reshape(phi.shape[:-1] + (-1, 1)))[..., 0]
 
 
 # ---- totals ---------------------------------------------------------------------

@@ -14,8 +14,11 @@ data derived from them,
     R(X, Y) Z  = P(A(Y, Z); X) - P(A(X, Z); Y)                 (Gauss equation)
 
 Derivative tensors use the index order dnu[..., l, a, b] = d nu_l^b / d u^a,
-in closed form for every target (level sets from the Hessian of F).  Along phi
-one TargetData computes nu once; Pi, the tangential parts along phi
+in closed form for every target (level sets from the Hessian of F).  So is
+nabla A (nabla_a_tensor): zero on round spheres, and on level sets built from
+the Hessian and the third derivative D^3 F.  The public nabla_A is a transport
+finite difference, kept as the independent oracle for that closed form.  Along
+phi one TargetData computes nu once; Pi, the tangential parts along phi
 (tangent_part, tangent_part_slots) and the tangency check of psi all use it.
 """
 
@@ -240,12 +243,10 @@ class TargetManifold:
 
     def nabla_a_tensor(self, p: np.ndarray) -> np.ndarray:
         """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>."""
+        if not self.parallel_second_fund:
+            raise NotImplementedError
         K = self.ambient_dim
-        if self.parallel_second_fund:
-            return np.zeros(p.shape[:-1] + (K, K, K, self.codim))
-        tdata = TargetData(self, p)
-        return np.stack([_nabla_a_fd(tdata, tdata.pi, tdata.pi[..., :, e], None)
-                         for e in range(K)], axis=-4)
+        return np.zeros(p.shape[:-1] + (K, K, K, self.codim))
 
 
 class SphereTarget(TargetManifold):
@@ -283,8 +284,8 @@ class ImplicitSurfaceTarget(TargetManifold):
     The retraction is a Newton iteration along grad F (agrees with the
     nearest-point projection to second order and fixes points of N).  The
     normal frame is grad F normalized and its derivative is analytic, from
-    the gradient and the Hessian of F.  nabla_A is a transport finite
-    difference.
+    the gradient and the Hessian of F; nabla A is analytic too, from the
+    Hessian and the third derivative D^3 F (shaped (..., K, K, K)).
     """
 
     def __init__(
@@ -293,10 +294,12 @@ class ImplicitSurfaceTarget(TargetManifold):
         gradient: Callable[[np.ndarray], np.ndarray],
         ambient_dim: int,
         hessian: Callable[[np.ndarray], np.ndarray],
+        third: Callable[[np.ndarray], np.ndarray],
     ):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
+        self.third = third
         self.ambient_dim = ambient_dim
         self.codim = 1
 
@@ -330,6 +333,28 @@ class ImplicitSurfaceTarget(TargetManifold):
         dnu = h / norm[..., None] - np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
         return dnu[..., None, :, :]
 
+    def nabla_a_tensor(self, p: np.ndarray) -> np.ndarray:
+        """nabla A in closed form.  With X, Y, Z tangent, g = grad F, n = g/|g|,
+        H = D^2 F and T = D^3 F (Codazzi: symmetric in X, Y, Z):
+
+            <(nabla_Z A)(X, Y), n> = [H(X,Y) H(Z,n) + H(Y,Z) H(X,n) + H(Z,X) H(Y,n)] / |g|^2
+                                     - T(X, Y, Z) / |g|
+        """
+        tdata = TargetData(self, p)
+        pi, n = tdata.pi, tdata.nu[..., 0, :]
+        norm = np.linalg.norm(self.gradient(p), axis=-1)[..., None, None, None]
+        h = self.hessian(p)
+        php = pi @ h @ pi                                    # H(Pi e_a, Pi e_b)
+        phn = (pi @ (h @ n[..., None]))[..., 0]              # H(Pi e_a, n)
+        x = php[..., :, :, None] * phn[..., None, None, :]   # x[a, b, e] = H(a,b) H(e,n)
+        hh = x + np.moveaxis(x, -1, -3) + np.moveaxis(x, -3, -1)
+        # Pi on each slot of T: one (K^2, K) @ Pi on the last slot, then rotate the slots
+        K, lead = self.ambient_dim, p.shape[:-1]
+        t = self.third(p)
+        for _ in range(3):
+            t = np.moveaxis((t.reshape(lead + (K * K, K)) @ pi).reshape(lead + (K, K, K)), -1, -3)
+        return (hh / norm**2 - t / norm)[..., None]
+
 
 def ellipsoid_target(semi_axes) -> ImplicitSurfaceTarget:
     """Ellipsoid sum (x_a / r_a)^2 = 1 with analytic frame derivatives."""
@@ -348,7 +373,11 @@ def ellipsoid_target(semi_axes) -> ImplicitSurfaceTarget:
         h = np.diag(2.0 * w)
         return np.broadcast_to(h, p.shape[:-1] + h.shape)
 
-    return ImplicitSurfaceTarget(value, gradient, ambient_dim=len(r), hessian=hessian)
+    def third(p):
+        return np.zeros(p.shape[:-1] + (len(r),) * 3)
+
+    return ImplicitSurfaceTarget(value, gradient, ambient_dim=len(r), hessian=hessian,
+                                 third=third)
 
 
 # ---- module-level operations (spec surface) ----------------------------------
@@ -404,7 +433,10 @@ def curvature_operator(target, p, X, Y, Z) -> np.ndarray:
 
 
 def nabla_A(target, p, X, Y, Z, step: float | None = None) -> np.ndarray:
-    """(nabla_Z A)(X, Y); identically zero for round spheres."""
+    """(nabla_Z A)(X, Y) by the transport finite difference (the oracle for
+    nabla_a_tensor); identically zero for round spheres.  step must be positive."""
+    if step is not None and not (step > 0.0 and np.isfinite(step)):
+        raise ValueError(f"nabla_A step must be positive and finite, got {step}")
     require_on_manifold(target, p)
     if target.parallel_second_fund:
         return np.zeros(np.broadcast(X, Y).shape)

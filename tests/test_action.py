@@ -249,6 +249,42 @@ def test_snr_matches_brute_force_on_ellipsoid():
     assert np.max(np.abs(out.reshape(-1, 3) - oracle)) / scale < 1e-6
 
 
+def test_snr_matrix_products_match_five_index_sum():
+    # same five-index sum, but on the closed-form nabla A that snr_of reads, so
+    # only the contraction algebra is compared (no finite-difference error)
+    te = ellipsoid_target([1.0, 1.2, 0.9])
+    g = Grid(6, 6)
+    phi = smooth_map_field(g, te, seed=20, amplitude=0.2)
+    psi = smooth_vector_spinor(g, phi, te, seed=21, amplitude=0.7)
+    out = snr_of(psi, phi, te)
+
+    flat_p = phi.reshape(-1, 3)
+    pi = te.tangent_projector(flat_p)
+    nu = te.normal_frame(flat_p)
+    K = 3
+    a_vec = np.zeros((flat_p.shape[0], K, K, 3))
+    for a in range(K):
+        for b in range(K):
+            a_vec[:, a, b] = second_fund_form(te, flat_p, pi[:, :, a], pi[:, :, b])
+    na_vec = np.einsum("seabl,slv->seabv", te.nabla_a_tensor(flat_p), nu)
+    psi_flat = psi.reshape(-1, 3, 4)
+    inner = np.einsum("sai,sbi->sab", psi_flat, psi_flat)
+    oracle = np.zeros((flat_p.shape[0], 3))
+    for e in range(K):
+        for a in range(K):
+            for b in range(K):
+                for c in range(K):
+                    for d in range(K):
+                        nr = 2.0 * (
+                            np.einsum("sv,sv->s", na_vec[:, e, a, c], a_vec[:, b, d])
+                            - np.einsum("sv,sv->s", na_vec[:, e, a, d], a_vec[:, b, c])
+                        )
+                        oracle[:, e] += nr * inner[:, a, c] * inner[:, b, d]
+    scale = np.max(np.abs(oracle))
+    assert scale > 0.0
+    assert np.max(np.abs(out.reshape(-1, 3) - oracle)) / scale < 1e-12
+
+
 # ---- totals and symmetries ------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from sigmalab.errors import ConstraintError
 from sigmalab.geometry import (
     Grid,
+    ImplicitSurfaceTarget,
     SphereTarget,
     curvature_operator,
     div,
@@ -251,12 +252,11 @@ def test_projection_fixes_points():
 
 
 def test_projection_without_convergence_raises():
-    from sigmalab.geometry import ImplicitSurfaceTarget
-
     # F = |p|^2 + 1 has no zero, so the Newton retraction can never converge
     tg = ImplicitSurfaceTarget(lambda p: np.einsum("...a,...a->...", p, p) + 1.0,
                                lambda p: 2.0 * p, ambient_dim=3,
-                               hessian=lambda p: np.broadcast_to(2.0 * np.eye(3), p.shape + (3,)))
+                               hessian=lambda p: np.broadcast_to(2.0 * np.eye(3), p.shape + (3,)),
+                               third=lambda p: np.zeros(p.shape + (3, 3)))
     with pytest.raises(ConstraintError, match="did not converge"):
         tg.project(np.array([0.3, 0.2, 0.1]))
 
@@ -279,3 +279,89 @@ def test_nabla_a_tensor_frames_per_call(monkeypatch):
     monkeypatch.setattr(te, "normal_frame", lambda q: calls.append(1) or frame(q))
     te.nabla_a_tensor(p)
     assert 0 < len(calls) <= 7
+
+
+def quartic_target():
+    """x^4 + y^4 + z^4 = 1: a level set whose third derivative does not vanish."""
+    def third(p):
+        t = np.zeros(p.shape + (3, 3))
+        for a in range(3):
+            t[..., a, a, a] = 24.0 * p[..., a]
+        return t
+
+    return ImplicitSurfaceTarget(lambda p: np.sum(p**4, axis=-1) - 1.0,
+                                 lambda p: 4.0 * p**3, ambient_dim=3,
+                                 hessian=lambda p: 12.0 * p[..., :, None] ** 2 * np.eye(3),
+                                 third=third)
+
+
+def nabla_a_fd_tensor(tg, p, step=None):
+    """nabla_a_tensor's layout [..., e, a, b] (normal component) from nabla_A."""
+    pi = tg.tangent_projector(p)
+    n = tg.normal_frame(p)[..., 0, :]
+    K = tg.ambient_dim
+    out = np.zeros(p.shape[:-1] + (K, K, K))
+    for e in range(K):
+        for a in range(K):
+            for b in range(K):
+                v = nabla_A(tg, p, pi[..., :, a], pi[..., :, b], pi[..., :, e], step=step)
+                out[..., e, a, b] = np.einsum("...v,...v->...", v, n)
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: ellipsoid_target([1.0, 1.3, 0.8]), quartic_target])
+def test_nabla_a_tensor_equals_fd_to_second_order(make):
+    tg = make()
+    p = tg.project(np.random.default_rng(14).standard_normal((40, 3)))
+    closed = tg.nabla_a_tensor(p)
+    assert closed.shape == (40, 3, 3, 3, 1)
+    errors = []
+    for step in (2e-3, 1e-3, 5e-4):
+        fd = nabla_a_fd_tensor(tg, p, step)
+        errors.append(np.max(np.abs(closed[..., 0] - fd)) / np.max(np.abs(fd)))
+    assert errors[-1] < 1e-5
+    # centered difference: the error falls by 4 per halving of the step
+    assert errors[0] / errors[1] > 3.5 and errors[1] / errors[2] > 3.5
+
+
+@pytest.mark.parametrize("make", [lambda: ellipsoid_target([1.0, 1.3, 0.8]), quartic_target])
+def test_nabla_a_tensor_symmetric_codazzi(make):
+    tg = make()
+    t = tg.nabla_a_tensor(tg.project(np.random.default_rng(15).standard_normal((60, 3))))
+    assert np.max(np.abs(t)) > 0.1
+    for perm in [(0, 2, 1, 3, 4), (0, 1, 3, 2, 4), (0, 3, 2, 1, 4)]:
+        assert np.max(np.abs(t - t.transpose(perm))) < 1e-14
+
+
+@pytest.mark.parametrize("semi_axes", [[1.0, 1.5], [1.0, 1.3, 0.8, 1.1]])
+def test_nabla_a_tensor_matches_fd_in_other_dimensions(semi_axes):
+    tg = ellipsoid_target(semi_axes)
+    p = tg.project(np.random.default_rng(16).standard_normal((30, len(semi_axes))))
+    fd = nabla_a_fd_tensor(tg, p)
+    assert np.max(np.abs(tg.nabla_a_tensor(p)[..., 0] - fd)) / np.max(np.abs(fd)) < 1e-5
+
+
+def test_nabla_a_tensor_one_frame_per_call(monkeypatch):
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    p = te.project(np.random.default_rng(4).standard_normal((6, 6, 3)))
+    calls = []
+    frame = te.normal_frame
+    monkeypatch.setattr(te, "normal_frame", lambda q: calls.append(1) or frame(q))
+    te.nabla_a_tensor(p)
+    assert len(calls) == 1
+
+
+def test_nabla_a_tensor_needs_a_closed_form():
+    from sigmalab.geometry import TargetManifold
+
+    with pytest.raises(NotImplementedError):
+        TargetManifold().nabla_a_tensor(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
+def test_nabla_a_rejects_unusable_step(step):
+    tg, p = ellipsoid_points(5)
+    tb = tangent_basis(tg, p)
+    X, Y = tb[:, 0, :], tb[:, 1, :]
+    with pytest.raises(ValueError, match="step"):
+        nabla_A(tg, p, X, Y, X, step=step)
