@@ -37,6 +37,10 @@ Every term reads the target along phi from one geometry.TargetData: the
 Dirac term is the conformal operator with its normal part along that frame
 removed.  checked_target_data checks phi on N and psi tangent along that same
 frame; a caller that passes tdata instead vouches for both constraints.
+
+Contractions are matrix products (@) on site-major arrays, reshaped so that
+the contracted spinor, frame or K axes form one matrix dimension (site_inner
+for per-site pairings); unlike einsum, they report overflow under np.errstate.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import clifford as cl
-from .fields import dirac_conformal, q_norm2_field, require_tangent
+from .fields import dirac_conformal, q_norm2_field, require_tangent, site_inner
 from .geometry import (Grid, TargetData, TargetManifold, grad, require_on_manifold,
                        tangent_part_slots)
 
@@ -71,11 +75,14 @@ __all__ = [
 # gamma_a gamma_b products, indexed [a, b, i, j]
 GG = np.einsum("aik,bkj->abij", cl.GAMMA, cl.GAMMA)
 GG.setflags(write=False)
+# the same as an (8, 8) matrix from the flattened slots (b, j) of chi to (e, i)
+_GAMMA_CHI = np.ascontiguousarray(GG.transpose(0, 3, 1, 2).reshape(8, 8))
+_GAMMA_CHI.setflags(write=False)
 
 
 def gamma_chi(chi: np.ndarray) -> np.ndarray:
     """Gamma chi[..., e, i] = sum_b (gamma_b gamma_e chi^b)_i, shaped like chi."""
-    return np.einsum("beij,xybj->xyei", GG, chi)
+    return (chi.reshape(-1, 8) @ _GAMMA_CHI).reshape(chi.shape)
 
 
 @dataclass(frozen=True)
@@ -116,27 +123,27 @@ def _dirac_density(psi, u, grid, tdata) -> np.ndarray | None:
     if not np.any(psi):
         return None
     tw = tangent_part_slots(tdata.nu, dirac_conformal(psi, u, grid))
-    return np.einsum("xyai,xyai->xy", psi, tw) * np.exp(3.0 * u)
+    return site_inner(psi, tw) * np.exp(3.0 * u)
 
 
 def _gravitino_density(dphi, psi, chi, u) -> np.ndarray | None:
     if not (np.any(psi) and np.any(chi)):
         return None
-    return 2.0 * np.einsum("xybi,xyki,bxyk->xy", gamma_chi(chi), psi, dphi) * np.exp(2.0 * u)
+    # sum_b d_b phi^k (Gamma chi)[b] is the coefficient of psi^k
+    return 2.0 * site_inner(psi, np.moveaxis(dphi, 0, -1) @ gamma_chi(chi)) * np.exp(2.0 * u)
 
 
 def _qchi_density(psi, chi, u) -> np.ndarray | None:
     if not (np.any(psi) and np.any(chi)):
         return None
-    pn2 = np.einsum("xyai,xyai->xy", psi, psi)
-    return -(q_norm2_field(chi) * pn2 * np.exp(4.0 * u))
+    return -(q_norm2_field(chi) * site_inner(psi, psi) * np.exp(4.0 * u))
 
 
 def _curvature_density(psi, phi, u, target, tdata) -> np.ndarray | None:
     if not np.any(psi):
         return None
     sr = sr_of(psi, phi, target, tdata)
-    return -np.einsum("xyai,xyai->xy", sr, psi) * np.exp(4.0 * u) / 6.0
+    return -site_inner(sr, psi) * np.exp(4.0 * u) / 6.0
 
 
 def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
@@ -186,9 +193,12 @@ def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     """Cubic curvature contraction SR(psi); tangent, with <SR, psi> = R(psi)."""
     if tdata is None:
         tdata = target_data(target, phi)
-    inner = np.einsum("xydi,xybi->xydb", psi, psi)
-    m = np.einsum("xyabcd,xydb->xyac", tdata.rtensor, inner)
-    return np.einsum("xyac,xyci->xyai", m, psi)
+    lead, K = psi.shape[:-2], psi.shape[-2]
+    inner = psi @ np.swapaxes(psi, -1, -2)                    # <psi^d, psi^b> at [d, b]
+    # m_ac = sum_bd R_abcd <psi^d, psi^b>: R as a (c a) x (d b) matrix times inner as a vector
+    r = np.moveaxis(tdata.rtensor, (-4, -3, -2, -1), (-3, -1, -4, -2))
+    m = r.reshape(lead + (K * K, K * K)) @ inner.reshape(lead + (K * K, 1))
+    return np.swapaxes(m.reshape(lead + (K, K)), -1, -2) @ psi
 
 
 def term_curvature(psi, phi, u, grid, target) -> float:
@@ -202,11 +212,12 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
         return np.zeros_like(phi)
     if tdata is None:
         tdata = target_data(target, phi)
-    natensor = target.nabla_a_tensor(phi)                     # (x, y, e, a, c, l)
+    natensor = target.nabla_a_tensor(phi, tdata)              # (x, y, e, a, c, l)
     m = psi @ np.swapaxes(psi, -1, -2)                        # M_ac = <psi^a, psi^c>
     a_l = np.moveaxis(tdata.asym, -1, -3)                     # (x, y, l, b, d)
-    c = np.einsum("xylbd,xybd->xyl", a_l, m)                  # c_l = sum_bd A_bdl M_bd
-    w = c[..., None, None] * m[..., None, :, :] - m[..., None, :, :] @ a_l @ m[..., None, :, :]
+    lead, L, K = a_l.shape[:-3], a_l.shape[-3], a_l.shape[-1]
+    c = a_l.reshape(lead + (L, K * K)) @ m.reshape(lead + (K * K, 1))   # c_l = sum_bd A_bdl M_bd
+    w = c[..., None] * m[..., None, :, :] - m[..., None, :, :] @ a_l @ m[..., None, :, :]
     w = np.moveaxis(w, -3, -1)                                # (x, y, a, c, l)
     return 2.0 * (natensor.reshape(phi.shape + (-1,)) @ w.reshape(phi.shape[:-1] + (-1, 1)))[..., 0]
 

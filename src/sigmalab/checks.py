@@ -5,6 +5,8 @@ and seeded random data and reports the worst deviation against its tolerance.
 Used by the command-line ``check`` command and by the acceptance tests.  The
 symmetry suite checks the constraints once: its five actions share phi and only
 negate or rescale psi, which stays tangent, so all read one TargetData.
+run_all_checks builds that TargetData once and measures the constraint suite's
+two violations on it, then hands it to the symmetry suite where they hold.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import checked_target_data, total_action
+from .action import checked_target_data, target_data, total_action
 from .fields import (
     conformal_rescale,
     dirac_flat,
     dirac_flat_sigma,
+    frame_violation,
     q_norm2_field,
-    tangency_violation,
 )
 from .clifford import sigma_lift
-from .geometry import Grid, on_manifold_violation
+from .geometry import Grid, TargetData, on_manifold_violation
 
 __all__ = ["CheckResult", "clifford_suite", "dirac_suite", "projector_suite",
            "symmetry_suite", "constraint_suite", "run_all_checks"]
@@ -156,10 +158,11 @@ def projector_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
     return out
 
 
-def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12):
-    """Super-Weyl shift and the sign flip, term by term."""
+def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12, tdata=None):
+    """Super-Weyl shift and the sign flip, term by term; checked unless given tdata."""
     out = []
-    tdata = checked_target_data(target, phi, psi)
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
     base = total_action(phi, psi, u, chi, grid, target, tdata)
     scale = 1.0 + max(abs(v) for v in base.to_dict().values())
 
@@ -182,19 +185,25 @@ def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12):
     return out
 
 
-def constraint_suite(phi, psi, target, tol: float = 1e-9):
+def constraint_suite(psi, tdata: TargetData, tol: float = 1e-9):
+    """On-manifold violation of tdata's phi, and tangency violation of psi along its frame."""
     return [
-        CheckResult("constraints", "on_manifold", on_manifold_violation(target, phi), tol),
-        CheckResult("constraints", "tangency", tangency_violation(psi, phi, target), tol),
+        CheckResult("constraints", "on_manifold",
+                    on_manifold_violation(tdata.target, tdata.phi), tol),
+        CheckResult("constraints", "tangency", frame_violation(psi, tdata.nu), tol),
     ]
 
 
 def run_all_checks(phi, psi, chi, u, grid, target, seed: int = 0):
     rng = np.random.default_rng(seed)
+    tdata = target_data(target, phi)
+    constraints = constraint_suite(psi, tdata)
+    # where a constraint fails, the symmetry suite checks again and raises ConstraintError
+    checked = tdata if all(r.passed for r in constraints) else None
     results = []
     results += clifford_suite(rng)
     results += dirac_suite(grid, rng)
     results += projector_suite(grid, rng)
-    results += symmetry_suite(phi, psi, chi, u, grid, target, rng)
-    results += constraint_suite(phi, psi, target)
+    results += symmetry_suite(phi, psi, chi, u, grid, target, rng, tdata=checked)
+    results += constraints
     return results

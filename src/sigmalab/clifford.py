@@ -80,7 +80,8 @@ _K[2:, :2] = J_SIGMA
 QUATERNION = {"I": _frozen(_I), "J": _frozen(_J), "K": _frozen(_K)}
 
 # P chi = -1/2 e_b . e_a . chi^a ⊗ e_b  and  Q chi = -1/2 e_a . e_b . chi^a ⊗ e_b,
-# stored as (b, i, a, j) tensors acting on chi[..., a, j].
+# stored as (b, i, a, j) tensors acting on chi[..., a, j], and applied as one
+# (sites, 8) @ (8, 8) product on the flattened (a, j) slots.
 _PT = np.zeros((2, 4, 2, 4))
 _QT = np.zeros((2, 4, 2, 4))
 for _b in range(2):
@@ -89,6 +90,11 @@ for _b in range(2):
         _QT[_b, :, _a, :] = -0.5 * GAMMA[_a] @ GAMMA[_b]
 _P_TENSOR = _frozen(_PT)
 _Q_TENSOR = _frozen(_QT)
+
+
+def _slot_map(tensor: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """out[..., b, i] = sum_{a, j} tensor[b, i, a, j] chi[..., a, j]."""
+    return (chi.reshape(-1, 8) @ tensor.reshape(8, 8).T).reshape(chi.shape)
 
 
 def clifford_mul(v: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -123,9 +129,9 @@ def sigma_lift(s: np.ndarray) -> np.ndarray:
 
 def p_project(chi: np.ndarray) -> np.ndarray:
     """Projector onto the image of sigma_lift (the spin-1/2 part)."""
-    return np.einsum("biaj,...aj->...bi", _P_TENSOR, chi)
+    return _slot_map(_P_TENSOR, chi)
 
 
 def q_project(chi: np.ndarray) -> np.ndarray:
     """Projector onto ker(gamma_contract) (the spin-3/2 part); P + Q = Id."""
-    return np.einsum("biaj,...aj->...bi", _Q_TENSOR, chi)
+    return _slot_map(_Q_TENSOR, chi)

@@ -80,19 +80,24 @@ class AntisymPotentials:
     t: np.ndarray       # (n1, n2, 2, K, K)
 
 
+# GAMMA[e, i, j] as an (8, 4) matrix from the flattened (e, j) to i
+_GAMMA_EJ = np.ascontiguousarray(cl.GAMMA.transpose(0, 2, 1).reshape(8, 4))
+_GAMMA_EJ.setflags(write=False)
+
+
 def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """V[..., a, e] = sum_b <gamma_b gamma_e chi^b, psi^a>, one 2-vector per slot."""
-    return np.einsum("xyei,xyai->xyae", gamma_chi(chi), psi)
+    return psi @ np.swapaxes(gamma_chi(chi), -1, -2)
 
 
 def _tproj_dnu(tdata):
     """Tp[..., l, c, a] = (Pi dnu_l/du^c)^a."""
-    return np.einsum("xylcf,xyfa->xylca", tdata.dnu, tdata.pi)
+    return tdata.dnu @ tdata.pi[..., None, :, :]
 
 
 def _frame_derivative(dt, tdata):
-    """S[e, ..., l, b] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi."""
-    return np.einsum("exyc,xylcb->exylb", dt, tdata.dnu)
+    """S[..., l, e, b] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi."""
+    return np.moveaxis(dt, 0, -2)[..., None, :, :] @ tdata.dnu
 
 
 def residual_phi(phi, psi, chi, u, grid, target,
@@ -119,12 +124,17 @@ def residual_phi(phi, psi, chi, u, grid, target,
         flux, pair = dphi + ev, dt + ev
     r = div(flux, grid)
     # second fundamental form on (D phi, D phi + e^{2u} V), normal valued
-    r += np.einsum("xyl,xyla->xya", np.einsum("exylb,exyb->xyl", s, pair), tdata.nu)
+    lead, (L, K) = phi.shape[:-1], tdata.nu.shape[-2:]
+    pair = np.moveaxis(pair, 0, -2).reshape(lead + (2 * K, 1))
+    coeff = s.reshape(lead + (L, 2 * K)) @ pair                    # <S_l, pair>
+    r += (np.swapaxes(coeff, -1, -2) @ tdata.nu)[..., 0, :]
 
     if has_psi:
-        # curvature coupling from the Dirac term
-        s_gpsi = np.einsum("exylb,eij,xybj->xyli", s, cl.GAMMA, psi)
-        rc = np.einsum("xyci,xyli,xylca->xya", psi, s_gpsi, _tproj_dnu(tdata))
+        # curvature coupling from the Dirac term: <S_l, gamma psi>_i, then C(psi)
+        s_psi = s @ psi[..., None, :, :]                            # [..., l, e, j]
+        s_gpsi = (s_psi.reshape(-1, 8) @ _GAMMA_EJ).reshape(lead + (L, 4))
+        w = (s_gpsi @ np.swapaxes(psi, -1, -2)).reshape(lead + (1, L * K))   # [l, c]
+        rc = (w @ _tproj_dnu(tdata).reshape(lead + (L * K, K)))[..., 0, :]
         r -= e2u[..., None] * rc
 
         # curvature-derivative coupling (zero for round spheres)
@@ -158,7 +168,7 @@ def residual_psi(phi, psi, chi, u, grid, target,
         out -= e4u * sr_of(psi, phi, target, tdata) / 3.0
     if has_chi:
         dphi = grad(phi, grid)
-        out += e2u * np.einsum("bxya,xybi->xyai", dphi, gamma_chi(chi))
+        out += e2u * (np.moveaxis(dphi, 0, -1) @ gamma_chi(chi))
         if has_psi:
             out -= e4u * q_norm2_field(chi)[..., None, None] * psi
     return tangent_part_slots(tdata.nu, out)
@@ -188,7 +198,7 @@ def potentials(phi, psi, chi, u, grid, target,
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
     s = _frame_derivative(tangent_part(tdata.nu, grad(phi, grid)), tdata)
-    omega = np.einsum("exyla,xylb->xyeab", s, tdata.nu)
+    omega = np.einsum("xylea,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
 
     tp = _tproj_dnu(tdata)

@@ -26,6 +26,10 @@ The twisted operator on psi is the tangential part of D_u: the conformal
 operator applied slot-wise, then with the normal components along phi
 removed.  In the extrinsic picture the twisting term A(d phi, psi) is normal
 to N, so taking the tangential part removes it and it is never formed.
+
+The gamma matrices act as one (sites * slots, 4) @ (4, 4) product per frame
+direction, and site_inner pairs two fields with one batched @, so that an
+overflow in either raises under np.errstate (einsum would not report it).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import ConstraintError
 from .geometry import Grid, TargetManifold, grad, tangent_part_slots
 
 __all__ = [
+    "frame_violation",
     "tangency_violation",
     "require_tangent",
     "tangency_project",
@@ -48,6 +53,7 @@ __all__ = [
     "twisted_dirac",
     "field_p_project",
     "field_q_project",
+    "site_inner",
     "q_norm2_field",
     "conformal_rescale",
 ]
@@ -63,7 +69,7 @@ def _expand(u: np.ndarray, ndim: int) -> np.ndarray:
 # ---- constraints --------------------------------------------------------------
 
 
-def _frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
+def frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
     """max over sites/slots of |sum_b psi^b nu_l^b| / (1 + |psi|) for the frame nu."""
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
     scale = 1.0 + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
@@ -72,12 +78,12 @@ def _frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
 
 def tangency_violation(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> float:
     """The violation require_tangent checks, on the normal frame of phi."""
-    return _frame_violation(psi, target.normal_frame(phi))
+    return frame_violation(psi, target.normal_frame(phi))
 
 
 def require_tangent(psi: np.ndarray, nu: np.ndarray):
     """ConstraintError unless psi is tangent along the normal frame nu (..., L, K)."""
-    v = _frame_violation(psi, nu)
+    v = frame_violation(psi, nu)
     if v > TANGENCY_TOL:
         raise ConstraintError(f"vector-spinor not tangent along phi: violation {v:.3e} "
                               f"> {TANGENCY_TOL:.1e}")
@@ -95,10 +101,17 @@ def tangency_project(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -
 # ---- Dirac operators ----------------------------------------------------------
 
 
+def _clifford_derivative(gammas: np.ndarray, s: np.ndarray, grid: Grid) -> np.ndarray:
+    """sum_a gammas[a] d^h_a s: one (sites * slots, m) @ (m, m) product per direction a."""
+    ds = grad(s, grid).reshape(2, -1, s.shape[-1])
+    out = ds[0] @ gammas[0].T
+    out += np.matmul(ds[1], gammas[1].T, out=ds[0])   # ds[0] is spent; reuse it
+    return out.reshape(s.shape)
+
+
 def dirac_flat(s: np.ndarray, grid: Grid) -> np.ndarray:
     """Flat operator gamma(e_a) d^h_a on (n1, n2, ..., 4) spinor fields."""
-    ds = grad(s, grid)
-    return np.einsum("aij,a...j->...i", cl.GAMMA, ds)
+    return _clifford_derivative(cl.GAMMA, s, grid)
 
 
 def dirac_flat_sigma(s: np.ndarray, grid: Grid) -> np.ndarray:
@@ -107,8 +120,7 @@ def dirac_flat_sigma(s: np.ndarray, grid: Grid) -> np.ndarray:
     Built from the symmetric gamma_plus matrices, it is exactly antisymmetric
     under the grid sum, so its Dirac action vanishes identically.
     """
-    ds = grad(s, grid)
-    return np.einsum("aij,a...j->...i", cl.GAMMA_PLUS, ds)
+    return _clifford_derivative(cl.GAMMA_PLUS, s, grid)
 
 
 def dirac_conformal(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -158,9 +170,15 @@ def field_q_project(chi: np.ndarray) -> np.ndarray:
     return cl.q_project(chi)
 
 
+def site_inner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-site Euclidean pairing of two (n1, n2, ...) fields over all their component axes."""
+    n = f.shape[:2]
+    return (f.reshape(n + (1, -1)) @ g.reshape(n + (-1, 1)))[..., 0, 0]
+
+
 def q_norm2_field(chi: np.ndarray) -> np.ndarray:
     """|Q chi|^2 per site, evaluated as <chi, Q chi> (orthogonal projector)."""
-    return np.einsum("...ai,...ai->...", chi, cl.q_project(chi))
+    return site_inner(chi, cl.q_project(chi))
 
 
 def conformal_rescale(psi: np.ndarray, chi: np.ndarray, u: np.ndarray):

@@ -197,16 +197,26 @@ class TargetData:
 
     @cached_property
     def asym(self) -> np.ndarray:
-        """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric."""
-        raw = -np.einsum("...ac,...bd,...lcd->...abl", self.pi, self.pi, self.dnu)
-        return 0.5 * (raw + np.swapaxes(raw, -3, -2))
+        """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric.
+
+        -(Pi dnu_l Pi^T)_ab, as batched products on an (..., l, a, b) array.
+        """
+        pi = self.pi[..., None, :, :]
+        raw = -(pi @ self.dnu @ np.swapaxes(pi, -1, -2))
+        return np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)), -3, -1)
 
     @cached_property
     def rtensor(self) -> np.ndarray:
-        """Gauss tensor R_{abcd} = sum_l (A_{ca} A_{db} - A_{cb} A_{da})_l."""
-        return np.einsum("...cal,...dbl->...abcd", self.asym, self.asym) - np.einsum(
-            "...cbl,...dal->...abcd", self.asym, self.asym
-        )
+        """Gauss tensor R_{abcd} = sum_l (A_{ca} A_{db} - A_{cb} A_{da})_l.
+
+        Held in (c, a, d, b) memory order: sum_l A_{ca,l} A_{db,l} is one
+        (K^2, L) @ (L, K^2) product per site, and the second term is the same
+        array with a and b exchanged.
+        """
+        K = self.asym.shape[-2]
+        x = self.asym.reshape(self.asym.shape[:-3] + (K * K, -1))
+        outer = (x @ np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (K,) * 4)   # [c, a, d, b]
+        return np.moveaxis(outer - np.swapaxes(outer, -3, -1), (-3, -1, -4, -2), (-4, -3, -2, -1))
 
 
 class TargetManifold:
@@ -241,8 +251,11 @@ class TargetManifold:
     def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
         return tangent_part(self.normal_frame(p), w)
 
-    def nabla_a_tensor(self, p: np.ndarray) -> np.ndarray:
-        """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>."""
+    def nabla_a_tensor(self, p: np.ndarray, tdata: TargetData | None = None) -> np.ndarray:
+        """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>.
+
+        tdata, when given, is the TargetData of p, and its frame is used.
+        """
         if not self.parallel_second_fund:
             raise NotImplementedError
         K = self.ambient_dim
@@ -333,14 +346,15 @@ class ImplicitSurfaceTarget(TargetManifold):
         dnu = h / norm[..., None] - np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
         return dnu[..., None, :, :]
 
-    def nabla_a_tensor(self, p: np.ndarray) -> np.ndarray:
+    def nabla_a_tensor(self, p: np.ndarray, tdata: TargetData | None = None) -> np.ndarray:
         """nabla A in closed form.  With X, Y, Z tangent, g = grad F, n = g/|g|,
         H = D^2 F and T = D^3 F (Codazzi: symmetric in X, Y, Z):
 
             <(nabla_Z A)(X, Y), n> = [H(X,Y) H(Z,n) + H(Y,Z) H(X,n) + H(Z,X) H(Y,n)] / |g|^2
                                      - T(X, Y, Z) / |g|
         """
-        tdata = TargetData(self, p)
+        if tdata is None:
+            tdata = TargetData(self, p)
         pi, n = tdata.pi, tdata.nu[..., 0, :]
         norm = np.linalg.norm(self.gradient(p), axis=-1)[..., None, None, None]
         h = self.hessian(p)

@@ -215,6 +215,23 @@ def test_floating_point_overflow_exits_2_without_artifacts(tmp_path, capsys, com
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("command", ["eval", "residual", "check", "solve"])
+def test_overflow_inside_a_contraction_exits_2_without_artifacts(tmp_path, capsys, command):
+    # a finite, tangent psi of size 1e80: the quartic curvature density (psi^4 ~ 1e320)
+    # overflows inside a contraction, which must signal instead of writing NaN
+    smooth = config_text(phi_kind="smooth", psi_kind="smooth", chi_kind="smooth")
+    psi = parse_config(write_config(tmp_path / "smooth.ini", smooth)).psi
+    save_field(tmp_path / "psi.csv", 1e80 * psi, "vectorspinor")
+    cfg = write_config(tmp_path / "run.ini", config_text(
+        phi_kind="smooth", psi_kind="file\npath = psi.csv", chi_kind="smooth"))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FloatingPointError"
+    assert list(out.glob("*")) == []
+
+
 def test_readme_complete_configuration_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("A complete configuration", 1)[1].split("```ini\n", 1)[1]

@@ -109,3 +109,34 @@ def test_check_suites_build_one_gauss_tensor(monkeypatch):
     results = run_all_checks(phi, psi, chi, u, g, tg)
     assert all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def test_residuals_read_one_frame_on_the_ellipsoid(monkeypatch):
+    # snr_of reads the closed-form nabla A from the TargetData it is handed
+    tg = ellipsoid_target([1.0, 1.3, 0.8])
+    g, phi, psi, chi, u = _fields(tg)
+    calls = _count_frames(monkeypatch, tg)
+    residuals(phi, psi, chi, u, g, tg)
+    assert len(calls) == 1
+
+
+def test_check_suites_measure_the_constraints_on_one_frame(monkeypatch):
+    tg = ellipsoid_target([1.0, 1.3, 0.8])
+    g, phi, psi, chi, u = _fields(tg)
+    frames = _count_frames(monkeypatch, tg)
+    projections = []
+    project = tg.project
+    monkeypatch.setattr(tg, "project", lambda p: projections.append(1) or project(p))
+    results = run_all_checks(phi, psi, chi, u, g, tg)
+    assert all(r.passed for r in results)
+    assert len(frames) == 1
+    assert len(projections) == 1
+
+
+def test_check_suites_raise_on_a_failed_constraint():
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    psi = psi.copy()
+    psi[1, 4, :, 2] += phi[1, 4]
+    with pytest.raises(ConstraintError, match=NOT_TANGENT):
+        run_all_checks(phi, psi, chi, u, g, tg)
