@@ -16,20 +16,27 @@ These weights make the super-Weyl shift chi -> chi + sigma(s), the sign flip
 the discrete level (the only O(h^2) leak is the conformal conjugation inside
 the Dirac term).
 
-Curvature enters extrinsically through the Gauss tensor built from the second
-fundamental form,
+Curvature enters extrinsically through the second fundamental form A alone.
+The Gauss tensor
 
     R_{abcd} = sum_l (A_{ca,l} A_{db,l} - A_{cb,l} A_{da,l}),
     SR(psi)^a = R_{abcd} psi^c <psi^d, psi^b>,   R(psi) = <SR(psi), psi>,
 
-quartic derivative couplings through nabla A,
+is never formed: with M_ac = <psi^a, psi^c>, A_l = A_{..,l} as a K x K
+matrix and c_l = sum_bd A_bd,l M_bd, the two contractions are
+
+    SR(psi) = sum_l (c_l A_l - A_l M A_l) psi,
+    R(psi)  = sum_l (c_l^2 - <A_l M, M A_l>),
+
+so the curvature density needs no SR (geometry.curvature_operator is the
+independent oracle for R).  Quartic derivative couplings enter through nabla A,
 
     SnR(psi)^e = 2 (<(nabla_e A)_{ac}, A_{bd}> - <(nabla_e A)_{ad}, A_{bc}>)
                  <psi^a, psi^c> <psi^b, psi^d>,
 
 which vanishes identically for round spheres.  nabla A is the target's closed
-form (geometry nabla_a_tensor).  With M_ac = <psi^a, psi^c> and
-c_l = sum_bd A_bdl M_bd, snr_of evaluates it as matrix products,
+form (geometry nabla_a_tensor), and snr_of evaluates it from the same M, c_l
+and A_l as matrix products,
 
     SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} (c_l M_ac - (M A_l M)_ac).
 
@@ -139,11 +146,22 @@ def _qchi_density(psi, chi, u) -> np.ndarray | None:
     return -(q_norm2_field(chi) * site_inner(psi, psi) * np.exp(4.0 * u))
 
 
-def _curvature_density(psi, phi, u, target, tdata) -> np.ndarray | None:
+def _gauss_parts(psi, tdata: TargetData) -> tuple:
+    """M_ac = <psi^a, psi^c>, A_l as (..., L, K, K) and c_l = sum_bd A_bd,l M_bd, (..., L, 1)."""
+    m = psi @ np.swapaxes(psi, -1, -2)
+    a_l = np.moveaxis(tdata.asym, -1, -3)
+    lead, L, K = a_l.shape[:-3], a_l.shape[-3], a_l.shape[-1]
+    c = a_l.reshape(lead + (L, K * K)) @ m.reshape(lead + (K * K, 1))
+    return m, a_l, c
+
+
+def _curvature_density(psi, u, tdata) -> np.ndarray | None:
     if not np.any(psi):
         return None
-    sr = sr_of(psi, phi, target, tdata)
-    return -site_inner(sr, psi) * np.exp(4.0 * u) / 6.0
+    m, a_l, c = _gauss_parts(psi, tdata)
+    am = a_l @ m[..., None, :, :]                             # A_l M, the transpose of M A_l
+    r = site_inner(c, c) - site_inner(am, np.swapaxes(am, -1, -2))
+    return -r * np.exp(4.0 * u) / 6.0
 
 
 def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
@@ -156,7 +174,7 @@ def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
         _dirac_density(psi, u, grid, tdata),
         _gravitino_density(dphi, psi, chi, u),
         _qchi_density(psi, chi, u),
-        _curvature_density(psi, phi, u, target, tdata),
+        _curvature_density(psi, u, tdata),
     )
 
 
@@ -190,20 +208,17 @@ def term_qchi(chi, psi, u, grid) -> float:
 
 
 def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
-    """Cubic curvature contraction SR(psi); tangent, with <SR, psi> = R(psi)."""
+    """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent."""
     if tdata is None:
         tdata = target_data(target, phi)
-    lead, K = psi.shape[:-2], psi.shape[-2]
-    inner = psi @ np.swapaxes(psi, -1, -2)                    # <psi^d, psi^b> at [d, b]
-    # m_ac = sum_bd R_abcd <psi^d, psi^b>: R as a (c a) x (d b) matrix times inner as a vector
-    r = np.moveaxis(tdata.rtensor, (-4, -3, -2, -1), (-3, -1, -4, -2))
-    m = r.reshape(lead + (K * K, K * K)) @ inner.reshape(lead + (K * K, 1))
-    return np.swapaxes(m.reshape(lead + (K, K)), -1, -2) @ psi
+    m, a_l, c = _gauss_parts(psi, tdata)
+    w = np.sum(c[..., None] * a_l - (a_l @ m[..., None, :, :]) @ a_l, axis=-3)
+    return w @ psi
 
 
 def term_curvature(psi, phi, u, grid, target) -> float:
     """-(1/6) sum <SR(psi), psi> e^{4u} h1 h2."""
-    return _integral(_curvature_density(psi, phi, u, target, None), grid)
+    return _integral(_curvature_density(psi, u, target_data(target, phi)), grid)
 
 
 def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
@@ -213,10 +228,7 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     if tdata is None:
         tdata = target_data(target, phi)
     natensor = target.nabla_a_tensor(phi, tdata)              # (x, y, e, a, c, l)
-    m = psi @ np.swapaxes(psi, -1, -2)                        # M_ac = <psi^a, psi^c>
-    a_l = np.moveaxis(tdata.asym, -1, -3)                     # (x, y, l, b, d)
-    lead, L, K = a_l.shape[:-3], a_l.shape[-3], a_l.shape[-1]
-    c = a_l.reshape(lead + (L, K * K)) @ m.reshape(lead + (K * K, 1))   # c_l = sum_bd A_bdl M_bd
+    m, a_l, c = _gauss_parts(psi, tdata)
     w = c[..., None] * m[..., None, :, :] - m[..., None, :, :] @ a_l @ m[..., None, :, :]
     w = np.moveaxis(w, -3, -1)                                # (x, y, a, c, l)
     return 2.0 * (natensor.reshape(phi.shape + (-1,)) @ w.reshape(phi.shape[:-1] + (-1, 1)))[..., 0]

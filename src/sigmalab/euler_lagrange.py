@@ -17,12 +17,14 @@ the normal twisting term A(d phi, psi) of the Dirac operator):
             + e^{2u} d^h_b phi^a gamma_e gamma_b chi^e
             - e^{4u} ( |Q chi|^2 psi^a + (1/3) SR(psi)^a ).
 
-Up to the volume/cell normalization these are exactly the constrained
-gradients of the discrete action: grad_phi A = -2 h1 h2 r_phi (tangentially)
-and grad_psi A = +2 h1 h2 r_psi, which action_gradient_fd checks by central
-differences with per-site tangent-space perturbations (the vector-spinor is
-reprojected when the base point moves, i.e. parallel-transported to first
-order).
+Up to the volume/cell normalization r_psi is exactly the constrained gradient
+of the discrete action, grad_psi A = +2 h1 h2 r_psi.  r_phi approximates
+grad_phi A = -2 h1 h2 r_phi (tangentially) only to second order in h: its
+Dirac coupling C(psi) discretizes the continuum coupling and is not the exact
+derivative of the discrete Dirac term.  action_gradient_fd checks both by
+central differences with per-site tangent-space perturbations (the
+vector-spinor is reprojected when the base point moves, i.e.
+parallel-transported to first order).
 
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,

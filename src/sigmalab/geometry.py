@@ -178,7 +178,8 @@ def tangent_part_slots(nu: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 class TargetData:
     """Per-site target data along a map field phi: the normal frame nu, computed
-    once on construction, and dnu, Pi (from nu), A and the Gauss tensor on first use."""
+    once on construction, and dnu, Pi (from nu) and A on first use.  The
+    curvature contractions read A alone; no Gauss tensor is formed."""
 
     def __init__(self, target: TargetManifold, phi: np.ndarray):
         self.target = target
@@ -204,19 +205,6 @@ class TargetData:
         pi = self.pi[..., None, :, :]
         raw = -(pi @ self.dnu @ np.swapaxes(pi, -1, -2))
         return np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)), -3, -1)
-
-    @cached_property
-    def rtensor(self) -> np.ndarray:
-        """Gauss tensor R_{abcd} = sum_l (A_{ca} A_{db} - A_{cb} A_{da})_l.
-
-        Held in (c, a, d, b) memory order: sum_l A_{ca,l} A_{db,l} is one
-        (K^2, L) @ (L, K^2) product per site, and the second term is the same
-        array with a and b exchanged.
-        """
-        K = self.asym.shape[-2]
-        x = self.asym.reshape(self.asym.shape[:-3] + (K * K, -1))
-        outer = (x @ np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (K,) * 4)   # [c, a, d, b]
-        return np.moveaxis(outer - np.swapaxes(outer, -3, -1), (-3, -1, -4, -2), (-4, -3, -2, -1))
 
 
 class TargetManifold:

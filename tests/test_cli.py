@@ -513,10 +513,10 @@ def test_grid_above_the_site_limit_exits_2(tmp_path):
     _assert_cli_rejects(tmp_path, write_config(tmp_path / "run.ini", text), "ConfigError")
 
 
-def test_memory_error_exits_2(tmp_path):
-    # K = 80 with a smooth psi asks for a 4.9 GiB Gauss tensor (K = 200 asks for
-    # 191 GiB, but only after 40 s of building A); the address-space limit makes
-    # that allocation fail whatever the host's overcommit setting
+def _eval_under_3_gib(tmp_path, n, ambient_dim):
+    """cli eval on an n^2 grid, target S^{K-1} in R^K and a smooth psi, in a child
+    process whose address space is capped at 3 GiB, so that an oversized
+    allocation fails whatever the host's overcommit setting."""
     import resource
 
     cap = 3 << 30
@@ -527,15 +527,31 @@ def test_memory_error_exits_2(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
-    text = config_text(psi_kind="smooth").replace("n1 = 8\nn2 = 8", "n1 = 4\nn2 = 4")
-    cfg = write_config(tmp_path / "run.ini", text.replace("ambient_dim = 3", "ambient_dim = 80"))
+    text = config_text(psi_kind="smooth").replace("n1 = 8\nn2 = 8", f"n1 = {n}\nn2 = {n}")
+    text = text.replace("ambient_dim = 3", f"ambient_dim = {ambient_dim}")
+    cfg = write_config(tmp_path / "run.ini", text)
     src = str(Path(sigmalab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "sigmalab.cli", "eval", "--config", cfg,
+    return subprocess.run([sys.executable, "-m", "sigmalab.cli", "eval", "--config", cfg,
                            "--out", "out"], cwd=tmp_path, env=env, preexec_fn=limit,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_memory_error_exits_2(tmp_path):
+    # K = 200 at 64^2 needs per-site K x K arrays (Pi, A, M_ac = <psi^a, psi^c>) of
+    # 1.2 GiB each, (64, 64, 200, 200): more than the cap leaves room for
+    proc = _eval_under_3_gib(tmp_path, 64, 200)
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "MemoryError"
     assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_curvature_memory_is_bounded_by_k_squared(tmp_path):
+    # memory per site grows as K^2, not K^4: K = 80 on 4^2 sites fits the cap with
+    # room to spare, where a K^4-entry Gauss tensor alone would take 4.9 GiB
+    proc = _eval_under_3_gib(tmp_path, 4, 80)
+    assert proc.returncode == 0, proc.stderr
+    breakdown = json.loads((tmp_path / "out" / "breakdown.json").read_text())
+    assert np.isfinite(breakdown["V_curvature"])

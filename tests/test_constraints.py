@@ -93,17 +93,18 @@ def test_twisted_dirac_checks_and_projects_on_one_frame(monkeypatch):
 
 
 def test_check_suites_build_one_gauss_tensor(monkeypatch):
-    # the five symmetry-suite actions share phi, so they share one TargetData
+    # the five symmetry-suite actions share phi, so they share one TargetData and
+    # build A, the only input of the curvature terms, once
     calls = []
-    build = TargetData.__dict__["rtensor"].func
+    build = TargetData.__dict__["asym"].func
 
     @functools.cached_property
-    def rtensor(self):
+    def asym(self):
         calls.append(1)
         return build(self)
 
-    rtensor.__set_name__(TargetData, "rtensor")
-    monkeypatch.setattr(TargetData, "rtensor", rtensor)
+    asym.__set_name__(TargetData, "asym")
+    monkeypatch.setattr(TargetData, "asym", asym)
     tg = SphereTarget(3)
     g, phi, psi, chi, u = _fields(tg)
     results = run_all_checks(phi, psi, chi, u, g, tg)

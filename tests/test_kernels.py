@@ -1,8 +1,8 @@
 """Every matrix-product contraction against its einsum definition, index by index.
 
 The inputs are random and neither tangent nor symmetric: TargetData's frame,
-frame derivative, projector and (where a test says so) its Gauss tensor are
-replaced by random arrays, so that exchanging two axes of any contraction
+frame derivative and projector (and, where a test says so, A) are replaced
+by random arrays, so that exchanging two axes of any contraction
 changes its value.  The grid is not square, and a codimension-2 target
 (K = 4, L = 2) exercises the frame index l.
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sigmalab import clifford as cl
-from sigmalab.action import GG, _densities, gamma_chi, snr_of, sr_of
+from sigmalab.action import GG, _curvature_density, _densities, gamma_chi, snr_of, sr_of
 from sigmalab.euler_lagrange import (
     _frame_derivative,
     _tproj_dnu,
@@ -26,6 +26,7 @@ from sigmalab.geometry import (
     TargetData,
     TargetManifold,
     div,
+    ellipsoid_target,
     grad,
     tangent_part,
     tangent_part_slots,
@@ -82,16 +83,14 @@ def _fields(target, seed):
     return phi, psi, chi, u
 
 
-def _random_tdata(target, phi, seed, rtensor=False):
-    """TargetData of phi with nu, dnu and Pi (and optionally R) replaced by random arrays."""
+def _random_tdata(target, phi, seed):
+    """TargetData of phi with nu, dnu and Pi replaced by random arrays."""
     rng = np.random.default_rng(seed)
     td = TargetData(target, phi)
     lead, (L, K) = phi.shape[:-1], td.nu.shape[-2:]
     td.nu = rng.standard_normal(lead + (L, K))
     td.dnu = rng.standard_normal(lead + (L, K, K))
     td.pi = rng.standard_normal(lead + (K, K))
-    if rtensor:
-        td.rtensor = rng.standard_normal(lead + (K,) * 4)
     return td
 
 
@@ -127,9 +126,9 @@ def ref_rtensor(asym):
             - np.einsum("...cbl,...dal->...abcd", asym, asym))
 
 
-def ref_sr(psi, rtensor):
+def ref_sr(psi, asym):
     inner = np.einsum("xydi,xybi->xydb", psi, psi)
-    m = np.einsum("xyabcd,xydb->xyac", rtensor, inner)
+    m = np.einsum("xyabcd,xydb->xyac", ref_rtensor(asym), inner)
     return np.einsum("xyac,xyci->xyai", m, psi)
 
 
@@ -153,7 +152,7 @@ def ref_densities(phi, psi, u, chi, td):
         np.einsum("xyai,xyai->xy", psi, tw) * np.exp(3.0 * u),
         2.0 * np.einsum("xybi,xyki,bxyk->xy", ref_gamma_chi(chi), psi, dphi) * np.exp(2.0 * u),
         -ref_q_norm2(chi) * np.einsum("xyai,xyai->xy", psi, psi) * np.exp(4.0 * u),
-        -np.einsum("xyai,xyai->xy", ref_sr(psi, td.rtensor), psi) * np.exp(4.0 * u) / 6.0,
+        -np.einsum("xyai,xyai->xy", ref_sr(psi, td.asym), psi) * np.exp(4.0 * u) / 6.0,
     )
 
 
@@ -173,7 +172,7 @@ def ref_residual_phi(phi, psi, chi, u, td):
 def ref_residual_psi(phi, psi, chi, u, td):
     w = u[..., None, None]
     out = np.exp(3.0 * w) * ref_dirac_sym(psi, u)
-    out -= np.exp(4.0 * w) * ref_sr(psi, td.rtensor) / 3.0
+    out -= np.exp(4.0 * w) * ref_sr(psi, td.asym) / 3.0
     out += np.exp(2.0 * w) * np.einsum("bxya,xybi->xyai", grad(phi, GRID), ref_gamma_chi(chi))
     out -= np.exp(4.0 * w) * ref_q_norm2(chi)[..., None, None] * psi
     return tangent_part_slots(td.nu, out)
@@ -216,14 +215,23 @@ def test_target_data_matches_einsum(target):
     phi = _fields(target, 6)[0]
     td = _random_tdata(target, phi, 7)
     assert _relerr(td.asym, ref_asym(td.pi, td.dnu)) < RTOL
-    assert _relerr(td.rtensor, ref_rtensor(td.asym)) < RTOL
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=IDS)
 def test_sr_of_matches_einsum(target):
     phi, psi = _fields(target, 8)[:2]
-    td = _random_tdata(target, phi, 9, rtensor=True)
-    assert _relerr(sr_of(psi, phi, target, td), ref_sr(psi, td.rtensor)) < RTOL
+    td = _random_tdata(target, phi, 9)
+    assert _relerr(sr_of(psi, phi, target, td), ref_sr(psi, td.asym)) < RTOL
+
+
+@pytest.mark.parametrize("target", [SphereTarget(3), ellipsoid_target([1.0, 1.3, 0.8]),
+                                    PlaneSphere()], ids=["sphere", "ellipsoid", "plane-sphere"])
+def test_curvature_density_is_the_sr_pairing(target):
+    # the density reads sum_l (c_l^2 - <A_l M, M A_l>), not <SR(psi), psi>
+    phi, psi, _, u = _fields(target, 20)
+    td = TargetData(target, phi)
+    ref = -site_inner(sr_of(psi, phi, target, td), psi) * np.exp(4.0 * u) / 6.0
+    assert _relerr(_curvature_density(psi, u, td), ref) < RTOL
 
 
 class _RandomNablaA(PlaneSphere):
