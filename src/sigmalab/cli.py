@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import total_action
+from .action import checked_target_data, total_action
 from .analysis import (
     DiscGrid,
     MorreyParams,
@@ -38,9 +38,8 @@ from .analysis import (
 from .checks import run_all_checks
 from .errors import ConfigError, ConstraintError, SolverError
 from .euler_lagrange import residual_norms, residuals
-from .fields import require_tangent
 from .fieldio import load_field, save_field, site_shape
-from .geometry import Grid, SphereTarget, TargetManifold, ellipsoid_target
+from .geometry import Grid, SphereTarget, TargetData, TargetManifold, ellipsoid_target
 from .presets import (
     equator_map,
     perturbed_equator_map,
@@ -66,6 +65,7 @@ class RunConfig:
     psi: np.ndarray
     chi: np.ndarray
     u: np.ndarray
+    tdata: TargetData      # of phi, with phi checked on N and psi tangent along it
     solver: SolverConfig
     seed: int
     morrey: dict
@@ -104,6 +104,30 @@ def _constant_map(section, grid: Grid, target: TargetManifold) -> np.ndarray:
     return np.broadcast_to(target.project(point), grid.shape + point.shape)
 
 
+# the keys each section accepts, over all of its kinds; configparser copies the
+# keys of [DEFAULT] into every section, so they are checked there too
+_SECTION_KEYS = {
+    "grid": {"n1", "n2"},
+    "target": {"kind", "ambient_dim", "radius", "semi_axes"},
+    "run": {"seed"},
+    "metric": {"kind", "path", "value", "amplitude"},
+    "phi": {"kind", "path", "amplitude", "point"},
+    "psi": {"kind", "path", "amplitude"},
+    "gravitino": {"kind", "path", "amplitude"},
+    "solver": {"max_iterations", "tolerance", "initial_step", "shrink", "grow", "mode"},
+    "morrey": {"resolution", "p", "lambda", "radii", "center", "field", "width", "exponent"},
+}
+
+
+def _check_keys(ini: configparser.ConfigParser):
+    for name in ini.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown configuration section [{name}]")
+        unknown = sorted(set(ini[name]) - _SECTION_KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
+
+
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
     """Read and validate a run configuration; bad values and malformed INI are ConfigErrors."""
     try:
@@ -119,6 +143,7 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
     ini.read(path)
+    _check_keys(ini)
 
     def section(name):
         return ini[name] if name in ini else {}
@@ -185,8 +210,6 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         "random": lambda s: random_vector_spinor(grid, phi, target, _seeded(seed, 31),
                                                  _get(s, "amplitude", "1.0", _finite)),
     }, field="vectorspinor")
-    # the presets are tangent by construction; a psi file must be tangent along phi
-    require_tangent(psi, target.normal_frame(phi))
     chi = build("gravitino", "zero", {
         "zero": lambda s: np.zeros(grid.shape + (2, 4)),
         "smooth": lambda s: smooth_gravitino(grid, seed + 41,
@@ -225,7 +248,9 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         "gaussian": lambda s: np.exp(-(r / width) ** 2),
         "power": lambda s: np.where(r > dgrid.h / 2, r, dgrid.h / 2) ** exponent,
     }, key="field")
-    return RunConfig(grid=grid, target=target, phi=phi, psi=psi, chi=chi, u=u,
+    # the presets are tangent by construction; a psi file must be tangent along phi
+    tdata = checked_target_data(target, phi, psi)
+    return RunConfig(grid=grid, target=target, phi=phi, psi=psi, chi=chi, u=u, tdata=tdata,
                      solver=solver, seed=seed, morrey=morrey)
 
 
@@ -236,7 +261,8 @@ def _dump_json(path, payload):
 
 
 def _cmd_eval(cfg: RunConfig, out: Path) -> int:
-    breakdown = total_action(cfg.phi, cfg.psi, cfg.u, cfg.chi, cfg.grid, cfg.target)
+    breakdown = total_action(cfg.phi, cfg.psi, cfg.u, cfg.chi, cfg.grid, cfg.target,
+                             tdata=cfg.tdata)
     _dump_json(out / "breakdown.json", breakdown.to_dict())
     return 0
 
@@ -253,7 +279,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_residual(cfg: RunConfig, out: Path) -> int:
-    res = residuals(cfg.phi, cfg.psi, cfg.chi, cfg.u, cfg.grid, cfg.target)
+    res = residuals(cfg.phi, cfg.psi, cfg.chi, cfg.u, cfg.grid, cfg.target, tdata=cfg.tdata)
     _dump_json(out / "residuals.json", residual_norms(res, cfg.grid, cfg.target, cfg.phi))
     save_field(out / "fields_rphi.csv", res.r_phi, "map")
     save_field(out / "fields_rpsi.csv", res.r_psi, "vectorspinor")

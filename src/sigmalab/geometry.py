@@ -350,12 +350,15 @@ class ImplicitSurfaceTarget(TargetManifold):
         phn = (pi @ (h @ n[..., None]))[..., 0]              # H(Pi e_a, n)
         x = php[..., :, :, None] * phn[..., None, None, :]   # x[a, b, e] = H(a,b) H(e,n)
         hh = x + np.moveaxis(x, -1, -3) + np.moveaxis(x, -3, -1)
+        del x  # K^3 entries per site each: these arrays set residual_phi's peak memory
         # Pi on each slot of T: one (K^2, K) @ Pi on the last slot, then rotate the slots
         K, lead = self.ambient_dim, p.shape[:-1]
         t = self.third(p)
         for _ in range(3):
             t = np.moveaxis((t.reshape(lead + (K * K, K)) @ pi).reshape(lead + (K, K, K)), -1, -3)
-        return (hh / norm**2 - t / norm)[..., None]
+        hh /= norm**2
+        hh -= t / norm
+        return hh[..., None]
 
 
 def ellipsoid_target(semi_axes) -> ImplicitSurfaceTarget:

@@ -1,8 +1,8 @@
 """Deterministic field families for tests, benchmarks, and the CLI.
 
-Smooth fields are finite trigonometric sums whose coefficients depend only on
-the seed, never on the grid, so the same field can be sampled at several
-resolutions for refinement studies.  Random fields are plain seeded normals.
+Smooth fields are trigonometric sums, taken as separable matrix products, whose
+coefficients depend only on the seed, never on the grid, so the same field can be
+sampled at several resolutions for refinement studies.  Random fields are seeded normals.
 """
 
 from __future__ import annotations
@@ -27,50 +27,58 @@ __all__ = [
 def smooth_scalar_field(grid: Grid, seed: int, amplitude: float = 1.0,
                         modes: int = 2) -> np.ndarray:
     """Low-frequency trigonometric field with unit-normalized random coefficients."""
-    rng = np.random.default_rng(seed)
-    x, y = grid.coords()
-    out = np.zeros(grid.shape)
-    total = 0.0
-    for k in range(-modes, modes + 1):
-        for l in range(-modes, modes + 1):
-            if k == 0 and l == 0:
-                continue
-            c = rng.standard_normal()
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            out += c * np.cos(2.0 * np.pi * (k * x + l * y) + theta)
-            total += c * c
-    return amplitude * out / np.sqrt(total)
+    return _smooth_stack(grid, seed, 1, amplitude, modes)[..., 0]
 
 
 def _smooth_stack(grid, seed, count, amplitude, modes):
-    return np.stack(
-        [smooth_scalar_field(grid, seed + 101 * i, amplitude, modes) for i in range(count)],
-        axis=-1,
-    )
+    """(n1, n2, count) smooth fields, component i drawn from default_rng(seed + 101 i).
+
+    Each is amplitude / sqrt(sum c^2) times the sum over |k|, |l| <= modes, (k, l) != (0, 0)
+    (row-major; c normal, then theta uniform) of c cos(2 pi (k x + l y) + theta), which is
+    Re(E1 C E2) = [Re E1, Im E1] [[Re C, -Im C], [-Im C, -Re C]] [Re E2; Im E2] for
+    E1[x, k] = e^{2 pi i k x}, C[k, l] = c e^{i theta} and E2[l, y] = e^{2 pi i l y}.
+    """
+    freqs = 2.0 * np.pi * np.arange(-modes, modes + 1)
+    x, y = grid.coords()
+    e1 = np.hstack([np.cos(x[:, :1] * freqs), np.sin(x[:, :1] * freqs)])
+    e2 = np.vstack([np.cos(freqs[:, None] * y[:1]), np.sin(freqs[:, None] * y[:1])])
+    out = np.empty(grid.shape + (count,))
+    for i in range(count):
+        rng = np.random.default_rng(seed + 101 * i)
+        draws = [(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
+                 for _ in range(freqs.size ** 2 - 1)]
+        c, theta = np.insert(draws, len(draws) // 2, 0.0, axis=0).T.reshape(2, freqs.size, -1)
+        re, im = c * np.cos(theta), c * np.sin(theta)
+        out[..., i] = e1 @ np.block([[re, -im], [-im, -re]]) @ e2 * (amplitude / np.linalg.norm(c))
+    return out
 
 
 def smooth_map_field(grid: Grid, target: TargetManifold, seed: int,
                      amplitude: float = 0.4, modes: int = 2) -> np.ndarray:
     """Projection of a smooth ambient field anchored away from the origin."""
-    K = target.ambient_dim
-    base = np.zeros(grid.shape + (K,))
-    base[..., 0] = 1.0
-    bump = _smooth_stack(grid, seed, K, amplitude, modes)
-    return target.project(base + bump)
+    field = _smooth_stack(grid, seed, target.ambient_dim, amplitude, modes)
+    field[..., 0] += 1.0
+    return target.project(field)
 
 
 def smooth_vector_spinor(grid: Grid, phi: np.ndarray, target: TargetManifold,
                          seed: int, amplitude: float = 0.5, modes: int = 2) -> np.ndarray:
     """Smooth tangent vector-spinor along phi."""
-    K = target.ambient_dim
-    raw = _smooth_stack(grid, seed, 4 * K, amplitude, modes).reshape(grid.shape + (K, 4))
-    return tangency_project(raw, phi, target)
+    raw = _smooth_stack(grid, seed, 4 * target.ambient_dim, amplitude, modes)
+    return tangency_project(raw.reshape(grid.shape + (-1, 4)), phi, target)
 
 
-def smooth_gravitino(grid: Grid, seed: int, amplitude: float = 0.5,
-                     modes: int = 2) -> np.ndarray:
+def smooth_gravitino(grid: Grid, seed: int, amplitude: float = 0.5, modes: int = 2) -> np.ndarray:
     """Smooth unconstrained gravitino field."""
     return _smooth_stack(grid, seed, 8, amplitude, modes).reshape(grid.shape + (2, 4))
+
+
+def _circle(grid: Grid, ambient_dim: int, perturbation=0.0) -> np.ndarray:
+    """(cos phase, sin phase, 0, ...) with phase = 2 pi x + perturbation at every site."""
+    phase = 2.0 * np.pi * grid.coords()[0] + perturbation
+    out = np.zeros(grid.shape + (ambient_dim,))
+    out[..., 0], out[..., 1] = np.cos(phase), np.sin(phase)
+    return out
 
 
 def equator_map(grid: Grid, ambient_dim: int = 3) -> np.ndarray:
@@ -80,11 +88,7 @@ def equator_map(grid: Grid, ambient_dim: int = 3) -> np.ndarray:
     acts on it with eigenvalue -(sin(2 pi h1)/h1)^2, which equals minus its
     discrete energy density.
     """
-    x, _ = grid.coords()
-    out = np.zeros(grid.shape + (ambient_dim,))
-    out[..., 0] = np.cos(2.0 * np.pi * x)
-    out[..., 1] = np.sin(2.0 * np.pi * x)
-    return out
+    return _circle(grid, ambient_dim)
 
 
 def perturbed_equator_map(grid: Grid, amplitude: float = 0.05, seed: int = 0,
@@ -96,12 +100,7 @@ def perturbed_equator_map(grid: Grid, amplitude: float = 0.05, seed: int = 0,
     equator (transverse perturbations would instead slide off toward a point
     map, great circles being unstable harmonic maps).
     """
-    x, _ = grid.coords()
-    phase = 2.0 * np.pi * x + smooth_scalar_field(grid, seed, amplitude)
-    out = np.zeros(grid.shape + (ambient_dim,))
-    out[..., 0] = np.cos(phase)
-    out[..., 1] = np.sin(phase)
-    return out
+    return _circle(grid, ambient_dim, smooth_scalar_field(grid, seed, amplitude))
 
 
 def random_vector_spinor(grid: Grid, phi: np.ndarray, target: TargetManifold,

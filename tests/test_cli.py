@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, determinism, error reporting."""
 
+import ast
 import contextlib
 import io
 import json
@@ -555,3 +556,35 @@ def test_curvature_memory_is_bounded_by_k_squared(tmp_path):
     assert proc.returncode == 0, proc.stderr
     breakdown = json.loads((tmp_path / "out" / "breakdown.json").read_text())
     assert np.isfinite(breakdown["V_curvature"])
+
+
+@pytest.mark.parametrize("old, new, name", [
+    pytest.param("tolerance = 1e-5", "tolerence = 1e-12", "'tolerence'", id="misspelled-key"),
+    pytest.param("[solver]", "[sphere]\nradius = 2.0\n\n[solver]", "[sphere]",
+                 id="unknown-section"),
+    # configparser copies [DEFAULT] keys into every section, here [grid]
+    pytest.param("\n[grid]", "\n[DEFAULT]\namplitude = 0.3\n\n[grid]", "'amplitude'",
+                 id="default-key"),
+])
+def test_unknown_section_or_key_rejected(tmp_path, capsys, old, new, name):
+    text = config_text()
+    assert old in text
+    cfg = write_config(tmp_path / "run.ini", text.replace(old, new, 1))
+    out = tmp_path / "out"
+    assert run(["eval", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError" and name in payload["detail"]
+    assert not out.exists()
+
+
+def test_benchmark_cli_configuration_parses(tmp_path):
+    # perfbench runs this configuration with --seed and without a [run] section
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    text = next(node.value.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLI_CONFIG"])
+    parsed = parse_config(write_config(tmp_path / "cli.ini", text), seed_override=3)
+    assert parsed.grid.shape == (64, 64) and parsed.seed == 3
+    assert parsed.solver.max_iterations == 20
