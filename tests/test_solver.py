@@ -13,6 +13,7 @@ from sigmalab.geometry import (
     Grid,
     SphereTarget,
     ellipsoid_target,
+    grad,
     on_manifold_violation,
     wide_laplacian,
 )
@@ -341,3 +342,113 @@ def test_solve_computes_one_normal_frame_per_evaluation(monkeypatch, coupled):
     assert report.iterations == 10
     assert counts["evaluations"] >= 11
     assert counts["evaluations"] <= counts["frames"] <= counts["evaluations"] + 1
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (12, 20), (33, 17)])
+def test_dirichlet_increment_equals_two_grad_form_bit_for_bit(shape):
+    g = Grid(*shape)
+    r = np.random.default_rng(shape[0] * shape[1])
+    for k in (1, 3):
+        a = r.standard_normal(g.shape + (k,))
+        b = r.standard_normal(g.shape + (k,))
+        two_calls = float(np.sum(grad(a - b, g) * grad(a + b, g)) * g.cell_area)
+        assert solver._dirichlet_increment(a, b, g) == two_calls
+
+
+def _criterion_8_inputs(n):
+    g = Grid(n, n)
+    return g, perturbed_equator_map(g, amplitude=0.05, seed=3), _zeros(g)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_start_search_takes_criterion_8_to_its_working_step(n):
+    # growing dt by 1.1 from 1e-5 took 94 iterations at each of these sizes
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(n)
+    cfg = SolverConfig(max_iterations=100_000, tolerance=1e-6, initial_step=1e-5)
+    state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    assert report.converged
+    assert report.iterations <= 30
+    assert all(rec["rejected"] == 0 for rec in report.records)
+    assert 1 < report.records[0]["start_trials"] <= solver.START_DOUBLINGS + 1
+    assert report.records[0]["step_size"] > cfg.initial_step
+    e = term_dirichlet(state.phi, u0, g)
+    e_exact = (np.sin(2 * np.pi * g.h1) / g.h1) ** 2
+    assert abs(e - e_exact) / e_exact < 1e-2
+
+
+def test_start_search_stops_when_the_first_trial_raises_the_energy():
+    g = Grid(16, 16)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = TG.project(perturbed_equator_map(g, amplitude=0.05, seed=3))
+    cfg = SolverConfig(max_iterations=6, tolerance=1e-14, initial_step=1.0)
+    _, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    assert report.records[0]["start_trials"] == 1
+    assert report.records[0]["step_size"] == cfg.initial_step
+    # the shrink loop runs as it does from any first trial dt
+    state = FlowState(phi=phi0, psi=psi0, iteration=0, residual_norms=(1.0, 1.0),
+                      step_size=cfg.initial_step)
+    for rec in report.records[1:]:
+        state = flow_step(state, chi0, u0, g, TG, cfg)
+        assert rec["rejected"] == state.rejected
+        assert rec["step_size"] == state.step_size
+    assert report.records[1]["rejected"] >= 1
+    assert report.records[1]["step_size"] == (
+        cfg.initial_step * cfg.shrink ** report.records[1]["rejected"] * cfg.grow)
+
+
+def _improving_forever(monkeypatch):
+    calls = {"n": 0}
+
+    def increment(phi_new, phi_old, grid):
+        calls["n"] += 1
+        return -float(calls["n"])
+
+    monkeypatch.setattr(solver, "_dirichlet_increment", increment)
+
+
+def test_start_search_stops_at_the_doubling_cap(monkeypatch):
+    _improving_forever(monkeypatch)
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
+    cfg = SolverConfig(max_iterations=1, tolerance=1e-14, initial_step=1e-5)
+    state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    first = report.records[0]
+    assert first["start_trials"] == solver.START_DOUBLINGS + 1
+    assert first["step_size"] == cfg.initial_step * 2.0 ** (solver.START_DOUBLINGS - 1)
+    assert np.isfinite(first["step_size"])
+    assert report.iterations == 1
+    assert on_manifold_violation(TG, state.phi) < 1e-9
+
+
+def test_start_search_ends_at_a_trial_that_cannot_be_projected(monkeypatch):
+    _improving_forever(monkeypatch)
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
+    cfg = SolverConfig(max_iterations=1, tolerance=1e-14, initial_step=1e140)
+    with np.errstate(over="ignore"):
+        state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    first = report.records[0]
+    assert 2 < first["start_trials"] <= solver.START_DOUBLINGS
+    assert first["step_size"] == cfg.initial_step * 2.0 ** (first["start_trials"] - 3)
+    assert report.iterations == 1
+
+
+@pytest.mark.parametrize("mode", ["joint", "phi-only", "psi-only"])
+def test_other_sectors_start_at_initial_step(mode):
+    g = Grid(16, 16)
+    phi0 = smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+    psi0 = smooth_vector_spinor(g, phi0, TG, seed=9, amplitude=0.05, modes=1)
+    chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    cfg = SolverConfig(max_iterations=2, tolerance=1e-14, initial_step=1e-3, mode=mode)
+    _, report = solve(phi0, psi0, chi0, np.zeros(g.shape), g, TG, cfg)
+    assert report.records[0]["step_size"] == cfg.initial_step
+    assert all("start_trials" not in rec for rec in report.records)
+
+
+def test_no_start_search_without_a_step_to_take(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("start-step search ran")
+
+    monkeypatch.setattr(solver, "_start_step", fail)
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
+    _, report = solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(max_iterations=0))
+    assert report.records[0]["step_size"] == SolverConfig().initial_step
+    assert "start_trials" not in report.records[0]
