@@ -45,6 +45,16 @@ Dirac term is the conformal operator with its normal part along that frame
 removed.  checked_target_data checks phi on N and psi tangent along that same
 frame; a caller that passes tdata instead vouches for both constraints.
 
+The intermediates that the action shares with both residuals at one
+(phi, psi, chi, u) live in one FieldData beside that TargetData, each built on
+first use: d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts
+(M, A_l, c_l and A_l M).  A joint evaluation hands one FieldData to
+residual_phi, residual_psi and total_action, in that order; total_action is the
+last reader and takes each part out as it reads it, so none outlives its
+density.  A caller that passes fdata vouches for the constraints as with tdata;
+one that passes neither gets the parts computed afresh, so every standalone
+value is unchanged.
+
 Contractions are matrix products (@) on site-major arrays, reshaped so that
 the contracted spinor, frame or K axes form one matrix dimension (site_inner
 for per-site pairings); unlike einsum, they report overflow under np.errstate.
@@ -53,6 +63,7 @@ for per-site pairings); unlike einsum, they report overflow under np.errstate.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +77,9 @@ __all__ = [
     "TargetData",
     "target_data",
     "checked_target_data",
+    "GaussParts",
+    "FieldData",
+    "field_data",
     "gamma_chi",
     "term_dirichlet",
     "term_dirac",
@@ -119,63 +133,141 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
     return tdata
 
 
+class GaussParts:
+    """M_ac = <psi^a, psi^c>, A_l as (..., L, K, K) and c_l = sum_bd A_bd,l M_bd, (..., L, 1),
+    read by sr_of, snr_of and the curvature density; A_l M on first use."""
+
+    def __init__(self, psi: np.ndarray, tdata: TargetData):
+        self.psi = psi
+        self.a_l = np.moveaxis(tdata.asym, -1, -3)
+        lead, L, K = self.a_l.shape[:-3], self.a_l.shape[-3], self.a_l.shape[-1]
+        self.c = self.a_l.reshape(lead + (L, K * K)) @ self.m.reshape(lead + (K * K, 1))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self.psi @ np.swapaxes(self.psi, -1, -2)
+
+    @cached_property
+    def a_m(self) -> np.ndarray:
+        """A_l M, the transpose of M A_l.  M is dropped once A_l M is built (reading it
+        again recomputes it): SR and the curvature density read c_l and A_l M alone."""
+        a_m = self.a_l @ self.m[..., None, :, :]
+        del self.__dict__["m"]
+        return a_m
+
+
+class FieldData:
+    """The intermediates one evaluation of both residuals and the action shares
+    at (phi, psi, chi, u), each built on first use: d phi, D_u psi, the
+    gravitino coefficient d phi . Gamma chi of psi, |Q chi|^2 and the Gauss
+    parts of psi.  tdata is the TargetData of phi, built from target on first
+    use when not given; the other arguments are needed only by the parts that
+    read them.  take(name) hands a part to its last reader and drops it."""
+
+    def __init__(self, phi, psi, chi=None, u=None, grid: Grid | None = None, *,
+                 target: TargetManifold | None = None, tdata: TargetData | None = None):
+        self.phi, self.psi, self.chi, self.u, self.grid = phi, psi, chi, u, grid
+        self.target = target
+        if tdata is not None:
+            self.tdata = tdata
+
+    @cached_property
+    def tdata(self) -> TargetData:
+        return target_data(self.target, self.phi)
+
+    @cached_property
+    def has_psi(self) -> bool:
+        return bool(np.any(self.psi))
+
+    @cached_property
+    def has_chi(self) -> bool:
+        return bool(np.any(self.chi))
+
+    @cached_property
+    def dphi(self) -> np.ndarray:
+        return grad(self.phi, self.grid)
+
+    @cached_property
+    def dirac(self) -> np.ndarray:
+        """D_u psi, slot-wise (not yet tangent)."""
+        return dirac_conformal(self.psi, self.u, self.grid)
+
+    @cached_property
+    def dphi_gamma_chi(self) -> np.ndarray:
+        """sum_b d_b phi^k (Gamma chi)[b], the coefficient of psi^k, shaped like psi."""
+        return np.moveaxis(self.dphi, 0, -1) @ gamma_chi(self.chi)
+
+    @cached_property
+    def q_chi2(self) -> np.ndarray:
+        return q_norm2_field(self.chi)
+
+    @cached_property
+    def gauss(self) -> GaussParts:
+        return GaussParts(self.psi, self.tdata)
+
+    def take(self, name: str):
+        """The part name, computed if need be and no longer kept (reading it again recomputes it)."""
+        value = getattr(self, name)
+        del self.__dict__[name]
+        return value
+
+
+def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None) -> FieldData:
+    """FieldData of the fields on tdata, or on checked_target_data(target, phi, psi)."""
+    if tdata is None:
+        tdata = checked_target_data(target, phi, psi)
+    return FieldData(phi, psi, chi, u, grid, tdata=tdata)
+
+
 # ---- per-site densities (sum * cell_area = term; None where a term vanishes) ----
+# Each reads its parts from a FieldData and takes them: the action reads them last.
 
 
 def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
     return np.sum(dphi * dphi, axis=(0, -1))
 
 
-def _dirac_density(psi, u, grid, tdata) -> np.ndarray | None:
+def _dirac_density(fd: FieldData) -> np.ndarray | None:
+    if not fd.has_psi:
+        return None
+    tw = tangent_part_slots(fd.tdata.nu, fd.take("dirac"))
+    return site_inner(fd.psi, tw) * np.exp(3.0 * fd.u)
+
+
+def _gravitino_density(fd: FieldData) -> np.ndarray | None:
+    if not (fd.has_psi and fd.has_chi):
+        return None
+    return 2.0 * site_inner(fd.psi, fd.take("dphi_gamma_chi")) * np.exp(2.0 * fd.u)
+
+
+def _qchi_density(fd: FieldData) -> np.ndarray | None:
+    if not (fd.has_psi and fd.has_chi):
+        return None
+    return -(fd.take("q_chi2") * site_inner(fd.psi, fd.psi) * np.exp(4.0 * fd.u))
+
+
+def _curvature_density(psi, u, tdata, gauss: GaussParts | None = None) -> np.ndarray | None:
     if not np.any(psi):
         return None
-    tw = tangent_part_slots(tdata.nu, dirac_conformal(psi, u, grid))
-    return site_inner(psi, tw) * np.exp(3.0 * u)
-
-
-def _gravitino_density(dphi, psi, chi, u) -> np.ndarray | None:
-    if not (np.any(psi) and np.any(chi)):
-        return None
-    # sum_b d_b phi^k (Gamma chi)[b] is the coefficient of psi^k
-    return 2.0 * site_inner(psi, np.moveaxis(dphi, 0, -1) @ gamma_chi(chi)) * np.exp(2.0 * u)
-
-
-def _qchi_density(psi, chi, u) -> np.ndarray | None:
-    if not (np.any(psi) and np.any(chi)):
-        return None
-    return -(q_norm2_field(chi) * site_inner(psi, psi) * np.exp(4.0 * u))
-
-
-def _gauss_parts(psi, tdata: TargetData) -> tuple:
-    """M_ac = <psi^a, psi^c>, A_l as (..., L, K, K) and c_l = sum_bd A_bd,l M_bd, (..., L, 1)."""
-    m = psi @ np.swapaxes(psi, -1, -2)
-    a_l = np.moveaxis(tdata.asym, -1, -3)
-    lead, L, K = a_l.shape[:-3], a_l.shape[-3], a_l.shape[-1]
-    c = a_l.reshape(lead + (L, K * K)) @ m.reshape(lead + (K * K, 1))
-    return m, a_l, c
-
-
-def _curvature_density(psi, u, tdata) -> np.ndarray | None:
-    if not np.any(psi):
-        return None
-    m, a_l, c = _gauss_parts(psi, tdata)
-    am = a_l @ m[..., None, :, :]                             # A_l M, the transpose of M A_l
+    if gauss is None:
+        gauss = GaussParts(psi, tdata)
+    c, am = gauss.c, gauss.a_m
     r = site_inner(c, c) - site_inner(am, np.swapaxes(am, -1, -2))
     return -r * np.exp(4.0 * u) / 6.0
 
 
-def _densities(phi, psi, u, chi, grid, target, tdata=None) -> tuple:
-    """Densities of the summands I..V, in order; None where a term vanishes."""
-    if tdata is None and np.any(psi):
-        tdata = target_data(target, phi)
-    dphi = grad(phi, grid)
-    return (
-        _dirichlet_density(dphi),
-        _dirac_density(psi, u, grid, tdata),
-        _gravitino_density(dphi, psi, chi, u),
-        _qchi_density(psi, chi, u),
-        _curvature_density(psi, u, tdata),
-    )
+def _densities(phi, psi, u, chi, grid, target, tdata=None,
+               fdata: FieldData | None = None) -> tuple:
+    """Densities of the summands I..V, in order; None where a term vanishes.
+
+    The parts come from fdata, or from a fresh FieldData when it is None.
+    """
+    fd = fdata if fdata is not None else FieldData(phi, psi, chi, u, grid, target=target,
+                                                   tdata=tdata)
+    ii, iii, iv = _dirac_density(fd), _gravitino_density(fd), _qchi_density(fd)
+    v = _curvature_density(psi, u, fd.tdata, fd.take("gauss")) if fd.has_psi else None
+    # d phi last: the gravitino coefficient is built from it when fd does not hold it yet
+    return _dirichlet_density(fd.take("dphi")), ii, iii, iv, v
 
 
 def _integral(density: np.ndarray | None, grid: Grid) -> float:
@@ -194,25 +286,29 @@ def term_dirac(psi, phi, u, grid, target) -> float:
     """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
     tdata = target_data(target, phi)
     require_tangent(psi, tdata.nu)
-    return _integral(_dirac_density(psi, u, grid, tdata), grid)
+    return _integral(_dirac_density(FieldData(phi, psi, u=u, grid=grid, tdata=tdata)), grid)
 
 
 def term_gravitino(phi, psi, chi, u, grid) -> float:
     """Linear gravitino-spinor coupling; depends on chi only through Q chi."""
-    return _integral(_gravitino_density(grad(phi, grid), psi, chi, u), grid)
+    return _integral(_gravitino_density(FieldData(phi, psi, chi, u, grid)), grid)
 
 
 def term_qchi(chi, psi, u, grid) -> float:
     """-|Q chi|^2 |psi|^2 weighted by e^{4u}; never positive."""
-    return _integral(_qchi_density(psi, chi, u), grid)
+    return _integral(_qchi_density(FieldData(None, psi, chi, u)), grid)
 
 
-def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
-    """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent."""
-    if tdata is None:
-        tdata = target_data(target, phi)
-    m, a_l, c = _gauss_parts(psi, tdata)
-    w = np.sum(c[..., None] * a_l - (a_l @ m[..., None, :, :]) @ a_l, axis=-3)
+def sr_of(psi, phi, target, tdata: TargetData | None = None,
+          fdata: FieldData | None = None) -> np.ndarray:
+    """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent.
+
+    fdata, when given, is the FieldData of (phi, psi) and supplies the Gauss parts.
+    """
+    if fdata is None:
+        fdata = FieldData(phi, psi, target=target, tdata=tdata)
+    g = fdata.gauss
+    w = np.sum(g.c[..., None] * g.a_l - g.a_m @ g.a_l, axis=-3)
     return w @ psi
 
 
@@ -221,14 +317,20 @@ def term_curvature(psi, phi, u, grid, target) -> float:
     return _integral(_curvature_density(psi, u, target_data(target, phi)), grid)
 
 
-def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
-    """Quartic contraction of the curvature derivative; zero on round spheres."""
+def snr_of(psi, phi, target, tdata: TargetData | None = None,
+           fdata: FieldData | None = None) -> np.ndarray:
+    """Quartic contraction of the curvature derivative; zero on round spheres.
+
+    fdata, when given, is the FieldData of (phi, psi) and supplies the Gauss
+    parts, built after nabla A when it does not hold them yet.
+    """
     if target.parallel_second_fund:
         return np.zeros_like(phi)
-    if tdata is None:
-        tdata = target_data(target, phi)
-    natensor = target.nabla_a_tensor(phi, tdata)              # (x, y, e, a, c, l)
-    m, a_l, c = _gauss_parts(psi, tdata)
+    if fdata is None:
+        fdata = FieldData(phi, psi, target=target, tdata=tdata)
+    natensor = target.nabla_a_tensor(phi, fdata.tdata)        # (x, y, e, a, c, l)
+    g = fdata.gauss
+    m, a_l, c = g.m, g.a_l, g.c
     w = c[..., None] * m[..., None, :, :] - m[..., None, :, :] @ a_l @ m[..., None, :, :]
     w = np.moveaxis(w, -3, -1)                                # (x, y, a, c, l)
     return 2.0 * (natensor.reshape(phi.shape + (-1,)) @ w.reshape(phi.shape[:-1] + (-1, 1)))[..., 0]
@@ -237,12 +339,14 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
 # ---- totals ---------------------------------------------------------------------
 
 
-def total_action(phi, psi, u, chi, grid, target,
-                 tdata: TargetData | None = None) -> ActionBreakdown:
-    """All five terms and their total, summed in a fixed order; checked unless given tdata."""
-    if tdata is None:
-        tdata = checked_target_data(target, phi, psi)
-    densities = _densities(phi, psi, u, chi, grid, target, tdata)
+def total_action(phi, psi, u, chi, grid, target, tdata: TargetData | None = None,
+                 fdata: FieldData | None = None) -> ActionBreakdown:
+    """All five terms and their total, summed in a fixed order; checked unless given
+    tdata or fdata.  fdata, when given, is the FieldData of these fields; the
+    action reads its parts last and takes them out."""
+    if fdata is None:
+        fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    densities = _densities(phi, psi, u, chi, grid, target, fdata=fdata)
     t1, t2, t3, t4, t5 = (_integral(d, grid) for d in densities)
     total = ((t1 + t2) + t3 + t4) + t5
     return ActionBreakdown(t1, t2, t3, t4, t5, total)

@@ -26,6 +26,12 @@ central differences with per-site tangent-space perturbations (the
 vector-spinor is reprojected when the base point moves, i.e.
 parallel-transported to first order).
 
+Both residuals read the intermediates they share with each other and with the
+action (d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts of
+psi) from one action.FieldData: the flow builds one per evaluation and hands
+it to residual_phi, residual_psi and total_action in that order, so each part
+is computed once.  Called without fdata, a residual builds its own.
+
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
 
@@ -44,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import (action_density, action_value, checked_target_data, gamma_chi, snr_of,
-                     sr_of, target_data)
-from .fields import dirac_conformal_sym, q_norm2_field, tangency_project
+from .action import (FieldData, action_density, action_value, checked_target_data, field_data,
+                     gamma_chi, snr_of, sr_of, target_data)
+from .fields import dirac_conformal_sym, tangency_project
 from .geometry import (Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part,
                        tangent_part_slots)
 
@@ -102,62 +108,67 @@ def _frame_derivative(dt, tdata):
     return np.moveaxis(dt, 0, -2)[..., None, :, :] @ tdata.dnu
 
 
-def residual_phi(phi, psi, chi, u, grid, target,
-                 tdata: TargetData | None = None) -> np.ndarray:
+def residual_phi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
+                 fdata: FieldData | None = None) -> np.ndarray:
     """Map-equation residual; vanishes to discretization order at critical points.
 
     r_phi = div(d phi + e^{2u} V) + sum_l <S_l, D phi + e^{2u} V> nu_l
             - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative.
     For psi = chi = 0 on a unit sphere this is div grad phi + |D phi|^2 phi.
+    Checked unless given tdata or fdata, the FieldData of these fields.
     """
-    if tdata is None:
-        tdata = checked_target_data(target, phi, psi)
-    e2u = np.exp(2.0 * u)
-    has_psi = bool(np.any(psi))
-    has_chi = bool(np.any(chi))
+    if fdata is None:
+        fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    r = _residual_phi_without_snr(fdata)
+    # curvature-derivative coupling (zero for round spheres); the temporaries of the
+    # terms above are freed by now, as the K^3 arrays of nabla A set the peak memory
+    if fdata.has_psi and not target.parallel_second_fund:
+        r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, fdata=fdata)
+    return r
 
-    dphi = grad(phi, grid)
+
+def _residual_phi_without_snr(fdata: FieldData) -> np.ndarray:
+    """r_phi but its SnR term, from the fields and parts that fdata holds."""
+    tdata, psi, chi, grid = fdata.tdata, fdata.psi, fdata.chi, fdata.grid
+    e2u = np.exp(2.0 * fdata.u)
+    dphi = fdata.dphi
     dt = tangent_part(tdata.nu, dphi)
     s = _frame_derivative(dt, tdata)
     flux, pair = dphi, dt
-    if has_psi and has_chi:
+    if fdata.has_psi and fdata.has_chi:
         # gravitino couplings ride along with d phi
         ev = np.moveaxis(e2u[..., None, None] * v_fields(chi, psi), -1, 0)
         flux, pair = dphi + ev, dt + ev
     r = div(flux, grid)
     # second fundamental form on (D phi, D phi + e^{2u} V), normal valued
-    lead, (L, K) = phi.shape[:-1], tdata.nu.shape[-2:]
+    lead, (L, K) = dphi.shape[1:-1], tdata.nu.shape[-2:]
     pair = np.moveaxis(pair, 0, -2).reshape(lead + (2 * K, 1))
     coeff = s.reshape(lead + (L, 2 * K)) @ pair                    # <S_l, pair>
     r += (np.swapaxes(coeff, -1, -2) @ tdata.nu)[..., 0, :]
 
-    if has_psi:
+    if fdata.has_psi:
         # curvature coupling from the Dirac term: <S_l, gamma psi>_i, then C(psi)
         s_psi = s @ psi[..., None, :, :]                            # [..., l, e, j]
         s_gpsi = (s_psi.reshape(-1, 8) @ _GAMMA_EJ).reshape(lead + (L, 4))
         w = (s_gpsi @ np.swapaxes(psi, -1, -2)).reshape(lead + (1, L * K))   # [l, c]
         rc = (w @ _tproj_dnu(tdata).reshape(lead + (L * K, K)))[..., 0, :]
         r -= e2u[..., None] * rc
-
-        # curvature-derivative coupling (zero for round spheres)
-        if not target.parallel_second_fund:
-            r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, tdata)
     return r
 
 
-def residual_psi(phi, psi, chi, u, grid, target,
-                 tdata: TargetData | None = None) -> np.ndarray:
+def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
+                 fdata: FieldData | None = None) -> np.ndarray:
     """Vector-spinor residual, tangent along phi.
 
     With chi = 0 it is the Dirac-harmonic spinor equation (twisted Dirac
     operator minus the cubic curvature coupling); the cubic survives even at
     constant phi and drops only where SR(psi) vanishes.  At u = 0 the
-    slot-wise operator is the flat one.
+    slot-wise operator is the flat one.  Checked unless given tdata or fdata,
+    the FieldData of these fields.
     """
-    if tdata is None:
-        tdata = checked_target_data(target, phi, psi)
-    has_psi = bool(np.any(psi))
-    has_chi = bool(np.any(chi))
+    if fdata is None:
+        fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    has_psi, has_chi = fdata.has_psi, fdata.has_chi
     out = np.zeros_like(psi)
     if not (has_psi or has_chi):
         return out
@@ -166,24 +177,22 @@ def residual_psi(phi, psi, chi, u, grid, target,
     e4u = np.exp(4.0 * u)[..., None, None]
 
     if has_psi:
-        out += e3u * dirac_conformal_sym(psi, u, grid)
-        out -= e4u * sr_of(psi, phi, target, tdata) / 3.0
+        out += e3u * dirac_conformal_sym(psi, u, grid, forward=fdata.dirac)
+        out -= e4u * sr_of(psi, phi, target, fdata=fdata) / 3.0
     if has_chi:
-        dphi = grad(phi, grid)
-        out += e2u * (np.moveaxis(dphi, 0, -1) @ gamma_chi(chi))
+        out += e2u * fdata.dphi_gamma_chi
         if has_psi:
-            out -= e4u * q_norm2_field(chi)[..., None, None] * psi
-    return tangent_part_slots(tdata.nu, out)
+            out -= e4u * fdata.q_chi2[..., None, None] * psi
+    return tangent_part_slots(fdata.tdata.nu, out)
 
 
 def residuals(phi, psi, chi, u, grid, target,
               tdata: TargetData | None = None) -> ELResidual:
-    """Both residuals from one TargetData; like each of them, checked unless given tdata."""
-    if tdata is None:
-        tdata = checked_target_data(target, phi, psi)
+    """Both residuals from one FieldData; like each of them, checked unless given tdata."""
+    fdata = field_data(phi, psi, chi, u, grid, target, tdata)
     return ELResidual(
-        r_phi=residual_phi(phi, psi, chi, u, grid, target, tdata=tdata),
-        r_psi=residual_psi(phi, psi, chi, u, grid, target, tdata=tdata),
+        r_phi=residual_phi(phi, psi, chi, u, grid, target, fdata=fdata),
+        r_psi=residual_psi(phi, psi, chi, u, grid, target, fdata=fdata),
     )
 
 

@@ -30,6 +30,7 @@ import numpy as np
 __all__ = ["save_field", "load_field", "site_shape", "FIELD_KINDS"]
 
 FIELD_KINDS = ("scalar", "map", "vectorspinor", "gravitino")
+CSV_BLOCK = 256  # rows converted to Python floats at a time when writing a CSV
 
 
 def site_shape(kind: str, K) -> tuple:
@@ -66,7 +67,10 @@ def save_field(path, array: np.ndarray, kind: str) -> None:
             fh.write(f"# sigmalab-field kind={kind} n1={n1} n2={n2} K={K}\n")
             writer = csv.writer(fh)
             writer.writerow(_columns(kind, K))
-            writer.writerows(flat.tolist())  # floats are written with repr
+            # floats are written with repr, CSV_BLOCK rows at a time: the Python floats of
+            # a whole field would take about four times its array's memory at once
+            for start in range(0, flat.shape[0], CSV_BLOCK):
+                writer.writerows(flat[start:start + CSV_BLOCK].tolist())
     elif path.suffix == ".json":
         payload = {
             "format": "sigmalab-field",

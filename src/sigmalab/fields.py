@@ -70,9 +70,22 @@ def _expand(u: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
-    """max over sites/slots of |sum_b psi^b nu_l^b| / (1 + |psi|) for the frame nu."""
+    """max over sites/slots of |sum_b psi^b nu_l^b| / (1 + |psi|) for the frame nu.
+
+    einsum does not report overflow, so where |psi|^2 overflows the ratio is
+    taken again on psi divided per site by a power of two s that brings its
+    entries below 2, as |nu . psi/s| / (1/s + |psi/s|): scaling by a power of
+    two is exact, and a psi too large to square still shows its normal part.
+    """
+    norm2 = np.einsum("...bc,...bc->...", psi, psi)
+    if not float(np.max(norm2)) < np.inf:
+        big = np.maximum(np.max(psi, axis=(-2, -1)), -np.min(psi, axis=(-2, -1)))
+        s = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1, 0))
+        psi = psi / s[..., None, None]
+        scale = 1.0 / s + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
+    else:
+        scale = 1.0 + np.sqrt(norm2)
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
-    scale = 1.0 + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
     return float(np.max(np.abs(coeff) / scale[..., None, None]))
 
 
@@ -82,9 +95,10 @@ def tangency_violation(psi: np.ndarray, phi: np.ndarray, target: TargetManifold)
 
 
 def require_tangent(psi: np.ndarray, nu: np.ndarray):
-    """ConstraintError unless psi is tangent along the normal frame nu (..., L, K)."""
+    """ConstraintError unless psi is tangent along the normal frame nu (..., L, K);
+    a NaN in psi makes the violation NaN, which fails too."""
     v = frame_violation(psi, nu)
-    if v > TANGENCY_TOL:
+    if not v <= TANGENCY_TOL:
         raise ConstraintError(f"vector-spinor not tangent along phi: violation {v:.3e} "
                               f"> {TANGENCY_TOL:.1e}")
 
@@ -135,13 +149,17 @@ def dirac_conformal_adjoint(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndar
     return np.exp(-2.5 * w) * dirac_flat(np.exp(1.5 * w) * s, grid)
 
 
-def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
+def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid,
+                        forward: np.ndarray | None = None) -> np.ndarray:
     """Symmetrization of dirac_conformal w.r.t. the e^{3u}-weighted pairing.
 
     This is the exact variational operator of the Dirac term of the action;
-    it coincides with dirac_conformal at u = 0.
+    it coincides with dirac_conformal at u = 0.  forward, when given, is
+    dirac_conformal(s, u, grid), already computed by the caller.
     """
-    return 0.5 * (dirac_conformal(s, u, grid) + dirac_conformal_adjoint(s, u, grid))
+    if forward is None:
+        forward = dirac_conformal(s, u, grid)
+    return 0.5 * (forward + dirac_conformal_adjoint(s, u, grid))
 
 
 def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,

@@ -106,22 +106,35 @@ def shift(f: np.ndarray, axis: int, by: int) -> np.ndarray:
     return np.roll(f, -by, axis=axis)
 
 
+def _centered(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """(f[i + 1] - f[i - 1]) / (2 h) along axis, periodic, written into out.
+
+    Slices of f instead of shifted copies, so no temporary is allocated.
+    """
+    a, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    np.subtract(a[1], a[-1], out=o[0])
+    np.subtract(a[0], a[-2], out=o[-1])
+    out /= 2.0 * h
+    return out
+
+
 def grad(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Centered first derivatives, stacked on a new leading axis of length 2.
 
     Works for any field shaped (n1, n2, ...); the component axes ride along.
     """
     out = np.empty((2,) + field.shape, dtype=field.dtype)
-    out[0] = (shift(field, 0, +1) - shift(field, 0, -1)) / (2.0 * grid.h1)
-    out[1] = (shift(field, 1, +1) - shift(field, 1, -1)) / (2.0 * grid.h2)
+    _centered(field, 0, grid.h1, out[0])
+    _centered(field, 1, grid.h2, out[1])
     return out
 
 
 def div(vec: np.ndarray, grid: Grid) -> np.ndarray:
     """Centered divergence of a (2, n1, n2, ...) field; adjoint of -grad."""
-    d0 = (shift(vec[0], 0, +1) - shift(vec[0], 0, -1)) / (2.0 * grid.h1)
-    d1 = (shift(vec[1], 1, +1) - shift(vec[1], 1, -1)) / (2.0 * grid.h2)
-    return d0 + d1
+    d0 = _centered(vec[0], 0, grid.h1, np.empty_like(vec[0]))
+    d0 += _centered(vec[1], 1, grid.h2, np.empty_like(vec[1]))
+    return d0
 
 
 def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
@@ -167,13 +180,15 @@ _LEVEL_SET_FRAME = "the normal frame is undefined where grad F is 0 or not finit
 def tangent_part(nu: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w (..., K) minus its components along the normal frame nu (..., L, K)."""
     coeff = np.einsum("...lb,...b->...l", nu, w)
-    return w - np.einsum("...l,...la->...a", coeff, nu)
+    normal = np.einsum("...l,...la->...a", coeff, nu)
+    return np.subtract(w, normal, out=normal)
 
 
 def tangent_part_slots(nu: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """tangent_part of every spinor slot of psi (..., K, 4), in psi's own layout."""
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
-    return psi - np.einsum("...lc,...lb->...bc", coeff, nu)
+    normal = np.einsum("...lc,...lb->...bc", coeff, nu)
+    return np.subtract(psi, normal, out=normal)
 
 
 class TargetData:
@@ -348,16 +363,24 @@ class ImplicitSurfaceTarget(TargetManifold):
         h = self.hessian(p)
         php = pi @ h @ pi                                    # H(Pi e_a, Pi e_b)
         phn = (pi @ (h @ n[..., None]))[..., 0]              # H(Pi e_a, n)
+        # K^3 entries per site each: these arrays set residual_phi's peak memory, so every
+        # step below writes in place or drops its input before the next one is allocated
         x = php[..., :, :, None] * phn[..., None, None, :]   # x[a, b, e] = H(a,b) H(e,n)
-        hh = x + np.moveaxis(x, -1, -3) + np.moveaxis(x, -3, -1)
-        del x  # K^3 entries per site each: these arrays set residual_phi's peak memory
+        del php
+        hh = x + np.moveaxis(x, -1, -3)
+        hh += np.moveaxis(x, -3, -1)
+        del x
         # Pi on each slot of T: one (K^2, K) @ Pi on the last slot, then rotate the slots
         K, lead = self.ambient_dim, p.shape[:-1]
         t = self.third(p)
         for _ in range(3):
-            t = np.moveaxis((t.reshape(lead + (K * K, K)) @ pi).reshape(lead + (K, K, K)), -1, -3)
+            flat = t.reshape(lead + (K * K, K))
+            del t
+            t = np.moveaxis((flat @ pi).reshape(lead + (K, K, K)), -1, -3)
+            del flat
         hh /= norm**2
-        hh -= t / norm
+        t /= norm
+        hh -= t
         return hh[..., None]
 
 

@@ -28,6 +28,11 @@ starting at initial_step and growing dt by `grow` took 94.  Outside the pure
 map sector initial_step is the first trial dt, and phi <- project(phi + dt
 P_T r_phi) and psi move explicitly.
 
+Each evaluation of an iterate builds one TargetData and one action.FieldData
+of the fields and hands both to residual_phi, residual_psi and total_action,
+in that order: grad phi, D_u psi, the gravitino coefficient, |Q chi|^2 and the
+Gauss parts are computed once and dropped after their last reader, the action.
+
 Step control is accept/reject: in the pure map sector a trial step is
 accepted iff the Dirichlet energy does not increase, otherwise iff the
 combined residual L2 norm decreases.  Accepted steps grow dt, rejected steps
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import ActionBreakdown, target_data, total_action
+from .action import ActionBreakdown, FieldData, target_data, total_action
 from .errors import ConstraintError, SolverError
 from .euler_lagrange import residual_phi, residual_psi, tangent_residual_norms
 from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
@@ -114,17 +119,21 @@ class FlowReport:
 
 
 def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
-    """psi tangent-projected along phi, and the evaluation at it, from one TargetData."""
+    """psi tangent-projected along phi, and the evaluation at it, from one TargetData
+    and one FieldData: r_phi, r_psi and the action read its parts in that order,
+    and the action takes each out as it reads it."""
     tdata = target_data(target, phi)
     psi = tangent_part_slots(tdata.nu, psi)
-    r_phi = residual_phi(phi, psi, chi, u, grid, target, tdata=tdata)
-    if np.any(psi) or np.any(chi):
-        r_psi = residual_psi(phi, psi, chi, u, grid, target, tdata=tdata)
-    else:  # r_psi vanishes identically at psi = chi = 0
-        r_psi = np.zeros_like(psi)
+    fdata = FieldData(phi, psi, chi, u, grid, tdata=tdata)
+    r_phi = residual_phi(phi, psi, chi, u, grid, target, fdata=fdata)
+    if fdata.has_psi or fdata.has_chi:
+        r_psi = residual_psi(phi, psi, chi, u, grid, target, fdata=fdata)
+    else:  # r_psi vanishes identically at psi = chi = 0: a read-only zero view, no array
+        r_psi = np.broadcast_to(0.0, psi.shape)
+    action = total_action(phi, psi, u, chi, grid, target, fdata=fdata)
+    del fdata  # with any part the action did not read
     r_phi_t = tangent_part(tdata.nu, r_phi)
     combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
-    action = total_action(phi, psi, u, chi, grid, target, tdata=tdata)
     return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
 
 

@@ -345,6 +345,16 @@ def test_non_tangent_psi_file_rejected(tmp_path, capsys):
     _assert_field_commands_reject(tmp_path, capsys, cfg, "ConstraintError")
 
 
+def test_huge_normal_psi_file_rejected(tmp_path, capsys):
+    # |psi|^2 of a psi file of size 1e160 overflows; the tangency check must still
+    # see its normal part instead of letting a later contraction overflow
+    phi = parse_config(write_config(tmp_path / "base.ini", config_text())).phi
+    psi = 1e160 * np.repeat(phi[..., None], 4, axis=-1)   # the unit sphere's normal is phi
+    save_field(tmp_path / "psi.csv", psi, "vectorspinor")
+    cfg = write_config(tmp_path / "run.ini", config_text(psi_kind="file\npath = psi.csv"))
+    _assert_field_commands_reject(tmp_path, capsys, cfg, "ConstraintError")
+
+
 def test_unconverged_ellipsoid_projection_rejected(tmp_path, capsys):
     text = config_text(phi_kind="constant", phi_extra="point = 1e-150,0,0").replace(
         "kind = sphere\nambient_dim = 3", "kind = ellipsoid\nsemi_axes = 1.0,1.3,0.8"

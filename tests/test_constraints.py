@@ -5,11 +5,11 @@ import functools
 import numpy as np
 import pytest
 
-from sigmalab.action import term_dirac, total_action
+from sigmalab.action import checked_target_data, term_dirac, total_action
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
 from sigmalab.euler_lagrange import potentials, residual_phi, residual_psi, residuals
-from sigmalab.fields import twisted_dirac
+from sigmalab.fields import frame_violation, require_tangent, twisted_dirac
 from sigmalab.geometry import Grid, SphereTarget, TargetData, ellipsoid_target
 from sigmalab.presets import (
     smooth_gravitino,
@@ -67,6 +67,42 @@ def test_term_dirac_checks_tangency():
     psi[0, 0, :, 0] += phi[0, 0]
     with pytest.raises(ConstraintError, match=NOT_TANGENT):
         term_dirac(psi, phi, u, g, tg)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e80, 1e160, 1e300])
+def test_a_large_normal_psi_fails_the_tangency_check(size):
+    # psi = size * nu in every slot: |nu . psi| / (1 + |psi|) = size / (1 + 2 size) per slot;
+    # |psi|^2 overflows above about 1e154, which must not read as a tangent psi
+    tg = SphereTarget(3)
+    g, phi, *_ = _fields(tg)
+    nu = tg.normal_frame(phi)
+    psi = size * np.repeat(np.moveaxis(nu, -2, -1), 4, axis=-1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert frame_violation(psi, nu) == pytest.approx(size / (1.0 + 2.0 * size), rel=1e-12)
+        with pytest.raises(ConstraintError, match=NOT_TANGENT):
+            require_tangent(psi, nu)
+        with pytest.raises(ConstraintError, match=NOT_TANGENT):
+            checked_target_data(tg, phi, psi)
+
+
+def test_a_nan_in_psi_fails_the_tangency_check():
+    tg = SphereTarget(3)
+    g, phi, psi, *_ = _fields(tg)
+    psi = psi.copy()
+    psi[2, 3, 0, 0] = np.nan
+    with pytest.raises(ConstraintError, match=NOT_TANGENT):
+        checked_target_data(tg, phi, psi)
+
+
+@pytest.mark.parametrize("size", [1e-3, 1.0, 3.0, 1e5, 1e100])
+def test_frame_violation_is_the_unscaled_formula_where_that_does_not_overflow(size):
+    tg = SphereTarget(3)
+    g, phi, *_ = _fields(tg)
+    nu = tg.normal_frame(phi)
+    psi = size * np.random.default_rng(5).standard_normal(phi.shape + (4,))
+    coeff = np.einsum("...lb,...bc->...lc", nu, psi)
+    scale = 1.0 + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
+    assert frame_violation(psi, nu) == float(np.max(np.abs(coeff) / scale[..., None, None]))
 
 
 def _count_frames(monkeypatch, target) -> list:

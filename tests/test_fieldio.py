@@ -20,6 +20,7 @@ def cases():
         ("map", r.standard_normal((6, 5, 3))),
         ("vectorspinor", r.standard_normal((6, 5, 3, 4))),
         ("gravitino", r.standard_normal((6, 5, 2, 4))),
+        ("map", r.standard_normal((20, 17, 3))),   # 340 rows: more than one CSV block
     ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from sigmalab.action import term_dirichlet, total_action
 from sigmalab.errors import ConstraintError, SolverError
-from sigmalab.euler_lagrange import residual_norms, residuals
+from sigmalab.euler_lagrange import residual_norms, residual_phi, residual_psi, residuals
 from sigmalab.fields import tangency_violation
 from sigmalab.geometry import (
     Grid,
@@ -24,7 +24,7 @@ from sigmalab.presets import (
     smooth_scalar_field,
     smooth_vector_spinor,
 )
-from sigmalab import solver
+from sigmalab import action, euler_lagrange, fields, geometry, solver
 from sigmalab.solver import FlowState, SolverConfig, _resolvent, flow_step, solve
 
 TG = SphereTarget(3)
@@ -342,6 +342,72 @@ def test_solve_computes_one_normal_frame_per_evaluation(monkeypatch, coupled):
     assert report.iterations == 10
     assert counts["evaluations"] >= 11
     assert counts["evaluations"] <= counts["frames"] <= counts["evaluations"] + 1
+
+
+def _ellipsoid_fields(g):
+    """phi, psi, chi and u all nonzero on the ellipsoid (1.0, 1.3, 0.8), where SnR runs."""
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    phi0 = te.project(smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1))
+    psi0 = smooth_vector_spinor(g, phi0, te, seed=9, amplitude=0.05, modes=1)
+    chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
+    u0 = smooth_scalar_field(g, seed=11, amplitude=0.2, modes=1)
+    return te, phi0, psi0, chi0, u0
+
+
+def test_flow_evaluation_equals_the_standalone_residuals_and_action_on_the_ellipsoid():
+    g = Grid(16, 16)
+    te, phi0, psi0, chi0, u0 = _ellipsoid_fields(g)
+    state, _ = solve(phi0, psi0, chi0, u0, g, te, SolverConfig(max_iterations=2, tolerance=1e-14))
+    ev = state.evaluation
+    r_phi = residual_phi(state.phi, state.psi, chi0, u0, g, te)
+    assert np.array_equal(ev.r_phi_t, te.tangent_project(state.phi, r_phi))
+    assert np.array_equal(ev.r_psi, residual_psi(state.phi, state.psi, chi0, u0, g, te))
+    assert ev.action == total_action(state.phi, state.psi, u0, chi0, g, te)
+
+
+def _count_shared_parts(monkeypatch) -> dict:
+    """Count grad (under every name that binds it) and the Gauss parts built."""
+    counts = {"grad": 0, "gauss": 0}
+    grad_fn = geometry.grad
+
+    def counted_grad(*args, **kwargs):
+        counts["grad"] += 1
+        return grad_fn(*args, **kwargs)
+
+    for module in (geometry, fields, action, euler_lagrange, solver):
+        if getattr(module, "grad", None) is grad_fn:
+            monkeypatch.setattr(module, "grad", counted_grad)
+
+    class CountedGaussParts(action.GaussParts):
+        def __init__(self, *args, **kwargs):
+            counts["gauss"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(action, "GaussParts", CountedGaussParts)
+    return counts
+
+
+@pytest.mark.parametrize("target", ["sphere", "ellipsoid"])
+def test_joint_evaluation_shares_grad_and_the_gauss_parts(monkeypatch, target):
+    # one grad of phi plus the two of D_u psi and its adjoint; one set of Gauss parts
+    # for SR, R and (on the ellipsoid) SnR
+    g = Grid(16, 16)
+    te, phi, psi, chi, u = _ellipsoid_fields(g)
+    if target == "sphere":
+        te, phi = TG, smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+        psi = smooth_vector_spinor(g, phi, TG, seed=9, amplitude=0.05, modes=1)
+    counts = _count_shared_parts(monkeypatch)
+    solver._evaluate(phi, psi, chi, u, g, te)
+    assert counts["grad"] <= 3
+    assert counts["gauss"] == 1
+
+
+def test_pure_map_evaluation_takes_one_grad(monkeypatch):
+    g = Grid(16, 16)
+    psi0, chi0, u0 = _zeros(g)
+    counts = _count_shared_parts(monkeypatch)
+    solver._evaluate(perturbed_equator_map(g, amplitude=0.05, seed=3), psi0, chi0, u0, g, TG)
+    assert counts == {"grad": 1, "gauss": 0}
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 20), (33, 17)])
