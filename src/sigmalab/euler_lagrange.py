@@ -250,6 +250,27 @@ def _cross_sum(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fd_colors(grid: Grid) -> np.ndarray:
+    """Colour class of each site for the FD oracle, labels 0..count-1, shape (n1, n2).
+
+    Sites of one class are at torus Manhattan distance >= 3.  The classes are
+    c = (i + 2 j) mod m, with m the smallest m >= 5 dividing n1 and 2 n2 (so
+    that c is periodic): on the offsets 0 < |di| + |dj| <= 2, di + 2 dj takes
+    the values +-1..+-4, none of them 0 mod m.  That gives 8 classes on 2^k
+    grids from 8^2 up, 6 at 12^2 and 5 at 10^2.  Grids with no such m take
+    (i mod a, j mod b), with a and b the smallest divisors >= 3 of n1 and n2:
+    15 classes at 5x6, and one per site where both sides have no smaller
+    divisor, as at 4^2.
+    """
+    n1, n2 = grid.shape
+    i, j = np.ogrid[:n1, :n2]
+    m = next((m for m in range(5, n1 + 1) if n1 % m == 0 and 2 * n2 % m == 0), None)
+    if m is not None:
+        return (i + 2 * j) % m
+    a, b = (next(d for d in range(3, n + 1) if n % d == 0) for n in (n1, n2))
+    return (i % a) * b + j % b
+
+
 def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     """Central finite differences of the discrete action, per site.
 
@@ -260,17 +281,14 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     (grad_phi, grad_psi) in ambient coordinates, i.e. the tangent-projected
     coordinate gradients.  Validation only.
 
-    Sites a fixed spacing apart are perturbed simultaneously: the action
-    density only reaches one stencil step, so the per-site action change is
-    the density change summed over the 5-point cross, and one grid evaluation
-    serves a whole color class.  Grids not divisible by the spacing fall back
-    to the site-by-site loop.
+    The sites of one colour class (_fd_colors) are perturbed simultaneously:
+    the action density only reaches one stencil step, so the per-site action
+    change is the density change summed over the 5-point cross, and one grid
+    evaluation serves a whole class.  Same-class sites are at least 3 apart,
+    so no density in one perturbed site's cross reads another perturbed site.
     """
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
-    spacing = 4
-    if grid.n1 % spacing or grid.n2 % spacing:
-        return _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step)
 
     n1, n2, K = phi.shape
     tb = tangent_basis(target, phi)           # (n1, n2, dimN, K)
@@ -283,13 +301,9 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     hstep = step * (1.0 + np.linalg.norm(phi, axis=-1))          # (n1, n2)
     sstep = step * (1.0 + np.linalg.norm(psi.reshape(n1, n2, -1), axis=-1))
 
-    colors = [
-        (np.arange(n1) % spacing == a)[:, None] & (np.arange(n2) % spacing == b)[None, :]
-        for a in range(spacing)
-        for b in range(spacing)
-    ]
-
-    for mask in colors:
+    colors = _fd_colors(grid)
+    for c in range(int(colors.max()) + 1):
+        mask = colors == c
         for t in range(dim_n):
             direction = tb[:, :, t, :]
             deltas = []

@@ -65,12 +65,13 @@ def save_field(path, array: np.ndarray, kind: str) -> None:
     if path.suffix == ".csv":
         with open(path, "w", newline="") as fh:
             fh.write(f"# sigmalab-field kind={kind} n1={n1} n2={n2} K={K}\n")
-            writer = csv.writer(fh)
-            writer.writerow(_columns(kind, K))
-            # floats are written with repr, CSV_BLOCK rows at a time: the Python floats of
-            # a whole field would take about four times its array's memory at once
+            # the rows csv.writer would write (repr needs no quoting, lines end in \r\n),
+            # CSV_BLOCK rows at a time: the Python floats of a whole field would take
+            # about four times its array's memory at once
+            fh.write(",".join(_columns(kind, K)) + "\r\n")
             for start in range(0, flat.shape[0], CSV_BLOCK):
-                writer.writerows(flat[start:start + CSV_BLOCK].tolist())
+                fh.writelines(",".join(map(repr, row)) + "\r\n"
+                              for row in flat[start:start + CSV_BLOCK].tolist())
     elif path.suffix == ".json":
         payload = {
             "format": "sigmalab-field",

@@ -301,7 +301,8 @@ class ImplicitSurfaceTarget(TargetManifold):
     nearest-point projection to second order and fixes points of N).  The
     normal frame is grad F normalized and its derivative is analytic, from
     the gradient and the Hessian of F; nabla A is analytic too, from the
-    Hessian and the third derivative D^3 F (shaped (..., K, K, K)).
+    Hessian and the third derivative D^3 F (shaped (..., K, K, K)).  third is
+    None where D^3 F vanishes (quadrics), and nabla A then skips its T term.
     """
 
     def __init__(
@@ -310,7 +311,7 @@ class ImplicitSurfaceTarget(TargetManifold):
         gradient: Callable[[np.ndarray], np.ndarray],
         ambient_dim: int,
         hessian: Callable[[np.ndarray], np.ndarray],
-        third: Callable[[np.ndarray], np.ndarray],
+        third: Callable[[np.ndarray], np.ndarray] | None,
     ):
         self.value = value
         self.gradient = gradient
@@ -370,6 +371,9 @@ class ImplicitSurfaceTarget(TargetManifold):
         hh = x + np.moveaxis(x, -1, -3)
         hh += np.moveaxis(x, -3, -1)
         del x
+        hh /= norm**2
+        if self.third is None:
+            return hh[..., None]
         # Pi on each slot of T: one (K^2, K) @ Pi on the last slot, then rotate the slots
         K, lead = self.ambient_dim, p.shape[:-1]
         t = self.third(p)
@@ -378,7 +382,6 @@ class ImplicitSurfaceTarget(TargetManifold):
             del t
             t = np.moveaxis((flat @ pi).reshape(lead + (K, K, K)), -1, -3)
             del flat
-        hh /= norm**2
         t /= norm
         hh -= t
         return hh[..., None]
@@ -401,11 +404,8 @@ def ellipsoid_target(semi_axes) -> ImplicitSurfaceTarget:
         h = np.diag(2.0 * w)
         return np.broadcast_to(h, p.shape[:-1] + h.shape)
 
-    def third(p):
-        return np.zeros(p.shape[:-1] + (len(r),) * 3)
-
     return ImplicitSurfaceTarget(value, gradient, ambient_dim=len(r), hessian=hessian,
-                                 third=third)
+                                 third=None)
 
 
 # ---- module-level operations (spec surface) ----------------------------------

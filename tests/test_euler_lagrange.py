@@ -1,9 +1,12 @@
 """Variational residuals, the antisymmetric rewriting, and the FD oracle."""
 
 import numpy as np
+import pytest
 
+from sigmalab import euler_lagrange
 from sigmalab.euler_lagrange import (
     _action_gradient_fd_sitewise,
+    _fd_colors,
     action_gradient_fd,
     assemble_map_residual,
     potentials,
@@ -188,6 +191,56 @@ def test_colored_fd_matches_sitewise_reference():
     scale_s = np.max(np.abs(gs2)) + 1e-12
     assert np.max(np.abs(gp1 - gp2)) / scale_p < 1e-7
     assert np.max(np.abs(gs1 - gs2)) / scale_s < 1e-7
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 4), (5, 6), (5, 7), (8, 8), (10, 10), (12, 12), (12, 8),
+                                    (16, 32), (32, 32), (64, 64)])
+def test_fd_colors_are_at_torus_distance_3(n1, n2):
+    # no two sites of one class within torus Manhattan distance 2: every offset
+    # 0 < |di| + |dj| <= 2 moves each site to another class
+    colors = _fd_colors(Grid(n1, n2))
+    assert colors.shape == (n1, n2)
+    assert set(np.unique(colors)) == set(range(int(colors.max()) + 1))
+    for di in range(-2, 3):
+        for dj in range(abs(di) - 2, 3 - abs(di)):
+            if (di, dj) != (0, 0):
+                assert np.all(np.roll(colors, (di, dj), axis=(0, 1)) != colors), (di, dj)
+
+
+@pytest.mark.parametrize("n1, n2, count", [(8, 8, 8), (16, 16, 8), (32, 32, 8), (64, 64, 8),
+                                           (16, 32, 8), (10, 10, 5), (12, 12, 6),
+                                           (12, 8, 12), (5, 6, 15), (4, 4, 16), (5, 7, 35)])
+def test_fd_color_counts(n1, n2, count):
+    # one class per site on 4^2 and 5x7
+    assert int(_fd_colors(Grid(n1, n2)).max()) + 1 == count
+
+
+def test_fd_oracle_density_calls_at_32(monkeypatch):
+    # one base density, then per class 2 x 2 phi probes and 2 x 2 x 4 psi probes
+    g = Grid(32, 32)
+    phi = smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1)
+    psi = smooth_vector_spinor(g, phi, TG, seed=7, amplitude=0.1, modes=1)
+    chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=1)
+    calls = []
+    density = euler_lagrange.action_density
+    monkeypatch.setattr(euler_lagrange, "action_density",
+                        lambda *a, **k: calls.append(1) or density(*a, **k))
+    action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
+    assert len(calls) == 1 + 8 * (2 * 2 + 2 * 2 * 4) == 161
+
+
+@pytest.mark.parametrize("n1, n2", [(10, 10), (5, 6)])
+def test_colored_fd_matches_sitewise_reference_off_powers_of_two(n1, n2):
+    g = Grid(n1, n2)
+    phi = smooth_map_field(g, TG, seed=10, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, TG, seed=11, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=15, amplitude=0.25)
+    gp1, gs1 = action_gradient_fd(phi, psi, u, chi, g, TG)
+    gp2, gs2 = _action_gradient_fd_sitewise(phi, psi, u, chi, g, TG, 1e-5)
+    assert np.max(np.abs(gp2)) > 0.0 and np.max(np.abs(gs2)) > 0.0
+    assert np.max(np.abs(gp1 - gp2)) / np.max(np.abs(gp2)) < 1e-7
+    assert np.max(np.abs(gs1 - gs2)) / np.max(np.abs(gs2)) < 1e-7
 
 
 def _fd_match(g, phi, psi, chi, u):

@@ -1,5 +1,7 @@
 """Bit-exact round trips of the field file formats."""
 
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sigmalab.fieldio import load_field, save_field
+from sigmalab.fieldio import _columns, load_field, save_field
 
 
 def cases():
@@ -148,6 +150,22 @@ def test_edge_floats_are_written_with_repr(tmp_path):
     save_field(tmp_path / "f.json", values, "scalar")
     payload = json.loads((tmp_path / "f.json").read_text())
     assert [repr(v) for row in payload["data"] for v in row] == [repr(float(v)) for v in flat]
+
+
+@pytest.mark.parametrize("kind, site, K", [("scalar", (), 1), ("map", (3,), 3),
+                                           ("vectorspinor", (3, 4), 3), ("gravitino", (2, 4), 0)])
+def test_csv_bytes_equal_csv_writer_output(tmp_path, kind, site, K):
+    # 340 rows (more than one block), led by edge values, against csv.writer's own rows
+    array = np.random.default_rng(5).standard_normal((20, 17) + site)
+    edge = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -1e-308, np.inf, -np.inf, np.nan, 0.0, 1e16]
+    array.reshape(-1)[:len(edge)] = edge
+    save_field(tmp_path / "f.csv", array, kind)
+    expected = io.StringIO(newline="")
+    expected.write(f"# sigmalab-field kind={kind} n1=20 n2=17 K={K}\n")
+    writer = csv.writer(expected)
+    writer.writerow(_columns(kind, K))
+    writer.writerows(array.reshape(340, -1).tolist())
+    assert (tmp_path / "f.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_integer_beyond_float64_rejected(tmp_path):

@@ -351,6 +351,21 @@ def test_nabla_a_tensor_one_frame_per_call(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("semi_axes", [[1.0, 1.3, 0.8], [1.0, 1.5], [1.0, 1.3, 0.8, 1.1]])
+def test_quadric_nabla_a_tensor_equals_an_explicit_zero_third_derivative(semi_axes):
+    # an ellipsoid has D^3 F = 0 and skips the T term: the same target handed an
+    # all-zero third derivative gives the same tensor, bit for bit
+    te = ellipsoid_target(semi_axes)
+    K = len(semi_axes)
+    tz = ImplicitSurfaceTarget(te.value, te.gradient, ambient_dim=K, hessian=te.hessian,
+                               third=lambda p: np.zeros(p.shape[:-1] + (K, K, K)))
+    assert te.third is None
+    p = te.project(np.random.default_rng(17).standard_normal((16, 16, K)))
+    closed, zero = te.nabla_a_tensor(p), tz.nabla_a_tensor(p)
+    assert closed.shape == zero.shape == (16, 16, K, K, K, 1)
+    assert closed.tobytes() == zero.tobytes()
+
+
 def test_nabla_a_tensor_needs_a_closed_form():
     from sigmalab.geometry import TargetManifold
 
