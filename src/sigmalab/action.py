@@ -55,9 +55,13 @@ density.  A caller that passes fdata vouches for the constraints as with tdata;
 one that passes neither gets the parts computed afresh, so every standalone
 value is unchanged.
 
-Contractions are matrix products (@) on site-major arrays, reshaped so that
-the contracted spinor, frame or K axes form one matrix dimension (site_inner
-for per-site pairings); unlike einsum, they report overflow under np.errstate.
+The parts and the contractions are component-major (see _planes): psi as
+(K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
+(L, K, K, ...), (L, ...) and (L, K, K, ...), sites last.  Each per-site product
+is a short sum of elementwise products of whole site planes (_planes.contract),
+so there is no einsum and no product per site, and overflow raises under
+np.errstate.  FieldData converts each field once; the public functions keep the
+site-major layouts and return site-major views.
 """
 
 from __future__ import annotations
@@ -68,9 +72,9 @@ from functools import cached_property
 import numpy as np
 
 from . import clifford as cl
-from .fields import dirac_conformal, q_norm2_field, require_tangent, site_inner
-from .geometry import (Grid, TargetData, TargetManifold, grad, require_on_manifold,
-                       tangent_part_slots)
+from ._planes import contract, pair, tangent, to_planes, to_sites
+from .fields import dirac_conformal, q_norm2_field, require_tangent
+from .geometry import Grid, TargetData, TargetManifold, grad, require_on_manifold
 
 __all__ = [
     "ActionBreakdown",
@@ -96,14 +100,19 @@ __all__ = [
 # gamma_a gamma_b products, indexed [a, b, i, j]
 GG = np.einsum("aik,bkj->abij", cl.GAMMA, cl.GAMMA)
 GG.setflags(write=False)
-# the same as an (8, 8) matrix from the flattened slots (b, j) of chi to (e, i)
-_GAMMA_CHI = np.ascontiguousarray(GG.transpose(0, 3, 1, 2).reshape(8, 8))
+# the same as an (8, 8) matrix from the flattened slots (b, j) of chi to (e, i), from the left
+_GAMMA_CHI = np.ascontiguousarray(GG.transpose(0, 3, 1, 2).reshape(8, 8).T)
 _GAMMA_CHI.setflags(write=False)
+
+
+def gamma_chi_planes(chi_c: np.ndarray) -> np.ndarray:
+    """gamma_chi of a component-major chi_c (2, 4, ...): one (8, 8) @ (8, sites) product."""
+    return (_GAMMA_CHI @ chi_c.reshape(8, -1)).reshape(chi_c.shape)
 
 
 def gamma_chi(chi: np.ndarray) -> np.ndarray:
     """Gamma chi[..., e, i] = sum_b (gamma_b gamma_e chi^b)_i, shaped like chi."""
-    return (chi.reshape(-1, 8) @ _GAMMA_CHI).reshape(chi.shape)
+    return to_sites(gamma_chi_planes(to_planes(chi, 2)), 2)
 
 
 @dataclass(frozen=True)
@@ -134,35 +143,45 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
 
 
 class GaussParts:
-    """M_ac = <psi^a, psi^c>, A_l as (..., L, K, K) and c_l = sum_bd A_bd,l M_bd, (..., L, 1),
-    read by sr_of, snr_of and the curvature density; A_l M on first use."""
+    """The Gauss parts of psi along tdata, component-major (sites last): M[a, c] =
+    <psi^a, psi^c> (K, K, ...), A_l = tdata.asym_c (L, K, K, ...) and c_l = sum_bd
+    A_l[b, d] M[b, d] (L, ...), read by sr_of, snr_of and the curvature density;
+    A_l M (L, K, K, ...) on first use."""
 
     def __init__(self, psi: np.ndarray, tdata: TargetData):
-        self.psi = psi
-        self.a_l = np.moveaxis(tdata.asym, -1, -3)
-        lead, L, K = self.a_l.shape[:-3], self.a_l.shape[-3], self.a_l.shape[-1]
-        self.c = self.a_l.reshape(lead + (L, K * K)) @ self.m.reshape(lead + (K * K, 1))
+        self.psi_c = to_planes(psi, 2)
+        self.a_l = tdata.asym_c
+        L, K, sites = self.a_l.shape[0], self.a_l.shape[1], self.a_l.shape[3:]
+        flat = self.a_l.reshape((L, K * K) + sites).swapaxes(0, 1)
+        self.c = contract(flat, self.m.reshape((K * K,) + sites), np.empty((L,) + sites))
 
     @cached_property
     def m(self) -> np.ndarray:
-        return self.psi @ np.swapaxes(self.psi, -1, -2)
+        p = self.psi_c.swapaxes(0, 1)                       # p[i] = (psi^a_i)_a
+        return contract(p[:, :, None], p[:, None], np.empty(p.shape[1:2] + p.shape[1:]))
 
     @cached_property
     def a_m(self) -> np.ndarray:
         """A_l M, the transpose of M A_l.  M is dropped once A_l M is built (reading it
         again recomputes it): SR and the curvature density read c_l and A_l M alone."""
-        a_m = self.a_l @ self.m[..., None, :, :]
+        a_l, m = self.a_l, self.m
+        a_m, tmp = np.empty_like(a_l), np.empty(a_l.shape[:1] + a_l.shape[2:])
+        for a in range(a_l.shape[1]):   # row by row, so that the temporary is one row
+            contract(np.moveaxis(a_l[:, a], 1, 0)[:, :, None], m[:, None], a_m[:, a], tmp=tmp)
         del self.__dict__["m"]
         return a_m
 
 
 class FieldData:
     """The intermediates one evaluation of both residuals and the action shares
-    at (phi, psi, chi, u), each built on first use: d phi, D_u psi, the
-    gravitino coefficient d phi . Gamma chi of psi, |Q chi|^2 and the Gauss
-    parts of psi.  tdata is the TargetData of phi, built from target on first
-    use when not given; the other arguments are needed only by the parts that
-    read them.  take(name) hands a part to its last reader and drops it."""
+    at (phi, psi, chi, u), each built on first use: psi_c (K, 4, ...), d phi
+    (2, K, ...), D_u psi, the gravitino coefficient d phi . Gamma chi of psi
+    (K, 4, ...), |Q chi|^2 and the Gauss parts of psi.  All but D_u psi, which
+    keeps the flat Dirac operator's site-major layout, are component-major; the
+    fields themselves stay as given.  tdata is the TargetData of phi, built from
+    target on first use when not given; the other arguments are needed only by
+    the parts that read them.  take(name) hands a part to its last reader and
+    drops it; sharing hands parts to a FieldData of partly different fields."""
 
     def __init__(self, phi, psi, chi=None, u=None, grid: Grid | None = None, *,
                  target: TargetManifold | None = None, tdata: TargetData | None = None):
@@ -184,18 +203,32 @@ class FieldData:
         return bool(np.any(self.chi))
 
     @cached_property
+    def psi_c(self) -> np.ndarray:
+        return to_planes(self.psi, 2)
+
+    @cached_property
     def dphi(self) -> np.ndarray:
-        return grad(self.phi, self.grid)
+        """d phi[e, b, ...] = d_e phi^b."""
+        return to_planes(np.moveaxis(grad(self.phi, self.grid), 0, -2), 2)
 
     @cached_property
     def dirac(self) -> np.ndarray:
-        """D_u psi, slot-wise (not yet tangent)."""
+        """D_u psi, slot-wise (not yet tangent), site-major like psi: the flat Dirac
+        operator's own layout."""
         return dirac_conformal(self.psi, self.u, self.grid)
+
+    def gamma_chi(self) -> np.ndarray:
+        """Gamma chi, component-major (2, 4, ...); recomputed on each call, not kept."""
+        return gamma_chi_planes(to_planes(self.chi, 2))
 
     @cached_property
     def dphi_gamma_chi(self) -> np.ndarray:
-        """sum_b d_b phi^k (Gamma chi)[b], the coefficient of psi^k, shaped like psi."""
-        return np.moveaxis(self.dphi, 0, -1) @ gamma_chi(self.chi)
+        """sum_b d_b phi^k (Gamma chi)[b], the coefficient of psi^k, shaped like psi_c."""
+        d, g = self.dphi, self.gamma_chi()
+        out, tmp = np.empty(d.shape[1:2] + g.shape[1:]), np.empty(g.shape[1:])
+        for k in range(d.shape[1]):     # row by row, so that the temporary is one row
+            contract(d[:, k], g, out[k], tmp=tmp)
+        return out
 
     @cached_property
     def q_chi2(self) -> np.ndarray:
@@ -203,7 +236,27 @@ class FieldData:
 
     @cached_property
     def gauss(self) -> GaussParts:
-        return GaussParts(self.psi, self.tdata)
+        return GaussParts(to_sites(self.psi_c, 2), self.tdata)
+
+    # the fields each shareable part reads, besides phi and its TargetData
+    _READS = {"psi_c": {"psi"}, "dphi": set(), "dirac": {"psi", "u"},
+              "dphi_gamma_chi": {"chi"}, "q_chi2": {"chi"}, "gauss": {"psi"}}
+
+    def sharing(self, *parts: str, **fields) -> FieldData:
+        """A FieldData on the same phi and TargetData with the given fields (psi, chi or
+        u) replaced, holding the named parts of this one, built here first if need be;
+        each must read none of the replaced fields.  Both then read the same arrays, and
+        taking a part from one leaves it in the other."""
+        kept = {"psi": self.psi, "chi": self.chi, "u": self.u}
+        if not fields.keys() <= kept.keys():
+            raise ValueError(f"only psi, chi and u can be replaced, got {sorted(fields)}")
+        kept.update(fields)
+        new = FieldData(self.phi, kept["psi"], kept["chi"], kept["u"], self.grid, tdata=self.tdata)
+        for name in parts:
+            if self._READS[name] & fields.keys():
+                raise ValueError(f"{name} reads a replaced field")
+            new.__dict__[name] = getattr(self, name)
+        return new
 
     def take(self, name: str):
         """The part name, computed if need be and no longer kept (reading it again recomputes it)."""
@@ -224,26 +277,26 @@ def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None) 
 
 
 def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
-    return np.sum(dphi * dphi, axis=(0, -1))
+    return pair(dphi, dphi, 2)
 
 
 def _dirac_density(fd: FieldData) -> np.ndarray | None:
     if not fd.has_psi:
         return None
-    tw = tangent_part_slots(fd.tdata.nu, fd.take("dirac"))
-    return site_inner(fd.psi, tw) * np.exp(3.0 * fd.u)
+    tw = tangent(fd.tdata.nu_c, to_planes(fd.take("dirac"), 2))
+    return pair(fd.psi_c, tw, 2) * np.exp(3.0 * fd.u)
 
 
 def _gravitino_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return 2.0 * site_inner(fd.psi, fd.take("dphi_gamma_chi")) * np.exp(2.0 * fd.u)
+    return 2.0 * pair(fd.psi_c, fd.take("dphi_gamma_chi"), 2) * np.exp(2.0 * fd.u)
 
 
 def _qchi_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return -(fd.take("q_chi2") * site_inner(fd.psi, fd.psi) * np.exp(4.0 * fd.u))
+    return -(fd.take("q_chi2") * pair(fd.psi_c, fd.psi_c, 2) * np.exp(4.0 * fd.u))
 
 
 def _curvature_density(psi, u, tdata, gauss: GaussParts | None = None) -> np.ndarray | None:
@@ -252,7 +305,8 @@ def _curvature_density(psi, u, tdata, gauss: GaussParts | None = None) -> np.nda
     if gauss is None:
         gauss = GaussParts(psi, tdata)
     c, am = gauss.c, gauss.a_m
-    r = site_inner(c, c) - site_inner(am, np.swapaxes(am, -1, -2))
+    r = contract(c, c, np.empty(c.shape[1:]))
+    r -= contract(am, am.swapaxes(1, 2), np.empty(c.shape[1:]), axes=3)
     return -r * np.exp(4.0 * u) / 6.0
 
 
@@ -265,9 +319,11 @@ def _densities(phi, psi, u, chi, grid, target, tdata=None,
     fd = fdata if fdata is not None else FieldData(phi, psi, chi, u, grid, target=target,
                                                    tdata=tdata)
     ii, iii, iv = _dirac_density(fd), _gravitino_density(fd), _qchi_density(fd)
+    # d phi after the gravitino coefficient, which is built from it when fd does not hold
+    # it yet, and before the Gauss parts, which a fresh fd builds last
+    i = _dirichlet_density(fd.take("dphi"))
     v = _curvature_density(psi, u, fd.tdata, fd.take("gauss")) if fd.has_psi else None
-    # d phi last: the gravitino coefficient is built from it when fd does not hold it yet
-    return _dirichlet_density(fd.take("dphi")), ii, iii, iv, v
+    return i, ii, iii, iv, v
 
 
 def _integral(density: np.ndarray | None, grid: Grid) -> float:
@@ -279,7 +335,7 @@ def _integral(density: np.ndarray | None, grid: Grid) -> float:
 
 def term_dirichlet(phi: np.ndarray, u: np.ndarray, grid: Grid) -> float:
     """Map kinetic term; conformally invariant in 2d, so u never enters."""
-    return _integral(_dirichlet_density(grad(phi, grid)), grid)
+    return _integral(_dirichlet_density(FieldData(phi, None, grid=grid).dphi), grid)
 
 
 def term_dirac(psi, phi, u, grid, target) -> float:
@@ -299,6 +355,22 @@ def term_qchi(chi, psi, u, grid) -> float:
     return _integral(_qchi_density(FieldData(None, psi, chi, u)), grid)
 
 
+def sr_planes(g: GaussParts) -> np.ndarray:
+    """SR(psi) = sum_l (c_l A_l - A_l M A_l) psi from the Gauss parts, shaped like g.psi_c."""
+    a_l, a_m = g.a_l, g.a_m
+    buf = np.empty(a_l.shape[1:])
+    ama = contract(a_m.swapaxes(1, 2)[:, :, :, None], a_l[:, :, None],    # sum_l A_l M A_l
+                   np.empty_like(buf), axes=2, tmp=buf)
+    w = contract(g.c[:, None, None], a_l, buf)
+    w -= ama
+    del ama
+    psi = g.psi_c
+    out, tmp = np.empty_like(psi), np.empty(psi.shape[1:])
+    for a in range(psi.shape[0]):       # row by row, so that the temporary is one row
+        contract(w[a], psi, out[a], tmp=tmp)
+    return out
+
+
 def sr_of(psi, phi, target, tdata: TargetData | None = None,
           fdata: FieldData | None = None) -> np.ndarray:
     """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent.
@@ -307,9 +379,7 @@ def sr_of(psi, phi, target, tdata: TargetData | None = None,
     """
     if fdata is None:
         fdata = FieldData(phi, psi, target=target, tdata=tdata)
-    g = fdata.gauss
-    w = np.sum(g.c[..., None] * g.a_l - g.a_m @ g.a_l, axis=-3)
-    return w @ psi
+    return to_sites(sr_planes(fdata.gauss), 2)
 
 
 def term_curvature(psi, phi, u, grid, target) -> float:
@@ -328,12 +398,26 @@ def snr_of(psi, phi, target, tdata: TargetData | None = None,
         return np.zeros_like(phi)
     if fdata is None:
         fdata = FieldData(phi, psi, target=target, tdata=tdata)
-    natensor = target.nabla_a_tensor(phi, fdata.tdata)        # (x, y, e, a, c, l)
+    return to_sites(snr_planes(target, fdata), 1)
+
+
+def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
+    """SnR of fdata's psi on target, component-major (K, ...)."""
+    natensor = target.nabla_a_tensor(fdata.phi, fdata.tdata)        # (..., e, a, c, l)
     g = fdata.gauss
     m, a_l, c = g.m, g.a_l, g.c
-    w = c[..., None] * m[..., None, :, :] - m[..., None, :, :] @ a_l @ m[..., None, :, :]
-    w = np.moveaxis(w, -3, -1)                                # (x, y, a, c, l)
-    return 2.0 * (natensor.reshape(phi.shape + (-1,)) @ w.reshape(phi.shape[:-1] + (-1, 1)))[..., 0]
+    # w[l, a, c] = c_l M_ac - (M A_l M)_ac
+    ma = contract(m.swapaxes(0, 1)[:, None, :, None], a_l.swapaxes(0, 1)[:, :, None],
+                  np.empty_like(a_l))
+    w = contract(np.moveaxis(ma, 2, 0)[:, :, :, None], m[:, None, None], np.empty_like(ma))
+    del ma
+    np.subtract(c[:, None, None] * m, w, out=w)
+    # SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} w[l, a, c], read in place from nabla A's planes
+    n = natensor.ndim
+    nat = np.moveaxis(natensor, (n - 4, n - 3, n - 2, n - 1), (3, 0, 1, 2))   # [a, c, l, e, ...]
+    out = contract(nat, np.moveaxis(w, 0, 2), np.empty(nat.shape[3:]), axes=3)
+    out *= 2.0
+    return out
 
 
 # ---- totals ---------------------------------------------------------------------

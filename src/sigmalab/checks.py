@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import checked_target_data, target_data, total_action
+from .action import FieldData, checked_target_data, target_data, total_action
 from .fields import (
     conformal_rescale,
     dirac_flat,
@@ -117,24 +117,27 @@ def clifford_suite(rng: np.random.Generator, count: int = 1000, tol: float = 1e-
 
 
 def dirac_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
-    """Symmetry of the rank-4 operator; vanishing of the rank-2 Dirac action."""
+    """Symmetry of the rank-4 operator; vanishing of the rank-2 Dirac action.
+    Each operator is applied once per field."""
     out = []
     s = rng.standard_normal(grid.shape + (4,))
     t = rng.standard_normal(grid.shape + (4,))
     cell = grid.cell_area
+    ds, dt = dirac_flat(s, grid), dirac_flat(t, grid)
 
-    lhs = np.sum(np.einsum("xyi,xyi->xy", s, dirac_flat(t, grid))) * cell
-    rhs = np.sum(np.einsum("xyi,xyi->xy", dirac_flat(s, grid), t)) * cell
-    scale = np.sum(np.abs(s * dirac_flat(t, grid))) * cell + 1e-30
+    lhs = np.sum(np.einsum("xyi,xyi->xy", s, dt)) * cell
+    rhs = np.sum(np.einsum("xyi,xyi->xy", ds, t)) * cell
+    scale = np.sum(np.abs(s * dt)) * cell + 1e-30
     out.append(CheckResult("dirac", "flat_symmetry", abs(lhs - rhs) / scale, tol))
 
     s2 = rng.standard_normal(grid.shape + (2,))
-    act2 = np.sum(np.einsum("xyi,xyi->xy", s2, dirac_flat_sigma(s2, grid))) * cell
-    scale2 = np.sum(np.abs(s2 * dirac_flat_sigma(s2, grid))) * cell + 1e-30
+    ds2 = dirac_flat_sigma(s2, grid)
+    act2 = np.sum(np.einsum("xyi,xyi->xy", s2, ds2)) * cell
+    scale2 = np.sum(np.abs(s2 * ds2)) * cell + 1e-30
     out.append(CheckResult("dirac", "rank2_action_vanishes", abs(act2) / scale2, tol))
 
-    act4 = np.sum(np.einsum("xyi,xyi->xy", s, dirac_flat(s, grid))) * cell
-    scale4 = np.sum(np.abs(s * dirac_flat(s, grid))) * cell
+    act4 = np.sum(np.einsum("xyi,xyi->xy", s, ds)) * cell
+    scale4 = np.sum(np.abs(s * ds)) * cell
     nonzero = abs(act4) / scale4
     # reported "error" is the shortfall below the nonzero-ness threshold
     out.append(CheckResult("dirac", "rank4_action_nonzero", max(0.0, 1e-6 - nonzero), 0.0))
@@ -159,26 +162,41 @@ def projector_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
 
 
 def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12, tdata=None):
-    """Super-Weyl shift and the sign flip, term by term; checked unless given tdata."""
+    """Super-Weyl shift and the sign flip, term by term; checked unless given tdata.
+
+    The five actions share phi, so they read one d phi.  Each transformation
+    recomputes the parts it changes and shares the rest with the base action: the
+    shift keeps D_u psi and the Gauss parts of psi, the flat metric keeps the
+    Gauss parts and the chi parts, and the sign flip and the conformal rescaling
+    recompute every psi part.
+    """
     out = []
     if tdata is None:
         tdata = checked_target_data(target, phi, psi)
-    base = total_action(phi, psi, u, chi, grid, target, tdata)
+    spin = rng.standard_normal(grid.shape + (4,))
+    psi_r, chi_r = conformal_rescale(psi, chi, u)
+    chi_s, zero = chi + sigma_lift(spin), np.zeros(grid.shape)
+    # every shared part is built before the base action takes it
+    fd = FieldData(phi, psi, chi, u, grid, tdata=tdata)
+    shifted_fd = fd.sharing("dphi", "psi_c", "dirac", "gauss", chi=chi_s)
+    flat_fd = fd.sharing("dphi", "psi_c", "gauss", "dphi_gamma_chi", "q_chi2", u=zero)
+    flipped_fd = fd.sharing("dphi", psi=-psi, chi=-chi)
+    conf_fd = fd.sharing("dphi", psi=psi_r, chi=chi_r)
+
+    base = total_action(phi, psi, u, chi, grid, target, fdata=fd)
     scale = 1.0 + max(abs(v) for v in base.to_dict().values())
 
-    spin = rng.standard_normal(grid.shape + (4,))
-    shifted = total_action(phi, psi, u, chi + sigma_lift(spin), grid, target, tdata)
+    shifted = total_action(phi, psi, u, chi_s, grid, target, fdata=shifted_fd)
     err = max(abs(a - b) for a, b in zip(base.to_dict().values(), shifted.to_dict().values()))
     out.append(CheckResult("symmetry", "super_weyl_shift", err / scale, tol))
 
-    flipped = total_action(phi, -psi, u, -chi, grid, target, tdata)
+    flipped = total_action(phi, -psi, u, -chi, grid, target, fdata=flipped_fd)
     err = max(abs(a - b) for a, b in zip(base.to_dict().values(), flipped.to_dict().values()))
     out.append(CheckResult("symmetry", "sign_flip", err / scale, tol))
 
-    psi_c, chi_c = conformal_rescale(psi, chi, u)
     # not exact at finite h (the Dirac conjugation leaks O(h^2)); generous bound
-    conf = total_action(phi, psi_c, u, chi_c, grid, target, tdata)
-    flat = total_action(phi, psi, np.zeros(grid.shape), chi, grid, target, tdata)
+    conf = total_action(phi, psi_r, u, chi_r, grid, target, fdata=conf_fd)
+    flat = total_action(phi, psi, zero, chi, grid, target, fdata=flat_fd)
     out.append(
         CheckResult("symmetry", "conformal_total", abs(conf.total - flat.total) / scale, 1e-1)
     )

@@ -50,11 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
+from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, action_density, action_value, checked_target_data, field_data,
-                     gamma_chi, snr_of, sr_of, target_data)
+                     gamma_chi_planes, snr_of, snr_planes, sr_planes, target_data)
 from .fields import dirac_conformal_sym, tangency_project
-from .geometry import (Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part,
-                       tangent_part_slots)
+from .geometry import Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part
 
 __all__ = [
     "ELResidual",
@@ -88,24 +88,37 @@ class AntisymPotentials:
     t: np.ndarray       # (n1, n2, 2, K, K)
 
 
-# GAMMA[e, i, j] as an (8, 4) matrix from the flattened (e, j) to i
-_GAMMA_EJ = np.ascontiguousarray(cl.GAMMA.transpose(0, 2, 1).reshape(8, 4))
-_GAMMA_EJ.setflags(write=False)
+def _v_c(gchi: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
+    """V[e, a, ...] = sum_i (Gamma chi)[e, i] psi^a_i from the component-major Gamma chi
+    (2, 4, ...) and psi_c (K, 4, ...)."""
+    g, p = gchi.swapaxes(0, 1), psi_c.swapaxes(0, 1)                  # [i, e], [i, a]
+    return contract(g[:, :, None], p[:, None], np.empty(g.shape[1:2] + p.shape[1:]))
 
 
 def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """V[..., a, e] = sum_b <gamma_b gamma_e chi^b, psi^a>, one 2-vector per slot."""
-    return psi @ np.swapaxes(gamma_chi(chi), -1, -2)
+    v = _v_c(gamma_chi_planes(to_planes(chi, 2)), to_planes(psi, 2))
+    return np.moveaxis(v, (0, 1), (-1, -2))
 
 
 def _tproj_dnu(tdata):
-    """Tp[..., l, c, a] = (Pi dnu_l/du^c)^a."""
-    return tdata.dnu @ tdata.pi[..., None, :, :]
+    """Tp[l, c, a, ...] = (Pi dnu_l/du^c)^a, component-major."""
+    dnu = tdata.dnu_c
+    return contract(np.moveaxis(dnu, 2, 0)[:, :, :, None], tdata.pi_c[:, None, None],
+                    np.empty_like(dnu))
 
 
 def _frame_derivative(dt, tdata):
-    """S[..., l, e, b] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi."""
-    return np.moveaxis(dt, 0, -2)[..., None, :, :] @ tdata.dnu
+    """S[e, l, b, ...] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi,
+    from the component-major dt[e, c, ...] = D_e phi^c."""
+    dnu = tdata.dnu_c
+    return contract(dt.swapaxes(0, 1)[:, :, None, None], dnu.swapaxes(0, 1)[:, None],
+                    np.empty(dt.shape[:1] + dnu.shape[:1] + dnu.shape[2:]))
+
+
+def _tangent_dphi(fdata: FieldData) -> np.ndarray:
+    """D phi, the tangent part of d phi along phi, component-major (2, K, ...)."""
+    return tangent(fdata.tdata.nu_c, fdata.dphi.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 def residual_phi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
@@ -123,36 +136,50 @@ def residual_phi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     # curvature-derivative coupling (zero for round spheres); the temporaries of the
     # terms above are freed by now, as the K^3 arrays of nabla A set the peak memory
     if fdata.has_psi and not target.parallel_second_fund:
-        r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, fdata=fdata)
-    return r
+        r += (np.exp(4.0 * u) / 12.0) * snr_planes(target, fdata)
+    return to_sites(r, 1)
 
 
 def _residual_phi_without_snr(fdata: FieldData) -> np.ndarray:
-    """r_phi but its SnR term, from the fields and parts that fdata holds."""
-    tdata, psi, chi, grid = fdata.tdata, fdata.psi, fdata.chi, fdata.grid
+    """r_phi but its SnR term, component-major (K, ...), from the fields and parts
+    that fdata holds."""
+    tdata, grid = fdata.tdata, fdata.grid
+    nu = tdata.nu_c
     e2u = np.exp(2.0 * fdata.u)
     dphi = fdata.dphi
-    dt = tangent_part(tdata.nu, dphi)
-    s = _frame_derivative(dt, tdata)
+    dt = _tangent_dphi(fdata)
+    s = _frame_derivative(dt, tdata)                                # [e, l, b]
     flux, pair = dphi, dt
     if fdata.has_psi and fdata.has_chi:
         # gravitino couplings ride along with d phi
-        ev = np.moveaxis(e2u[..., None, None] * v_fields(chi, psi), -1, 0)
-        flux, pair = dphi + ev, dt + ev
-    r = div(flux, grid)
+        ev = _v_c(fdata.gamma_chi(), fdata.psi_c)
+        ev *= e2u
+        flux = dphi + ev
+        pair += ev                                                  # D phi is spent
+        del ev
+    r = to_planes(div(np.moveaxis(flux, 1, -1), grid), 1)
+    del flux
     # second fundamental form on (D phi, D phi + e^{2u} V), normal valued
-    lead, (L, K) = dphi.shape[1:-1], tdata.nu.shape[-2:]
-    pair = np.moveaxis(pair, 0, -2).reshape(lead + (2 * K, 1))
-    coeff = s.reshape(lead + (L, 2 * K)) @ pair                    # <S_l, pair>
-    r += (np.swapaxes(coeff, -1, -2) @ tdata.nu)[..., 0, :]
+    sites = r.shape[1:]
+    coeff = contract(s.swapaxes(1, 2), pair, np.empty(nu.shape[:1] + sites), axes=2)  # <S_l, pair>
+    del dt, pair
+    buf = np.empty_like(r)
+    r += contract(coeff[:, None], nu, buf)
 
     if fdata.has_psi:
         # curvature coupling from the Dirac term: <S_l, gamma psi>_i, then C(psi)
-        s_psi = s @ psi[..., None, :, :]                            # [..., l, e, j]
-        s_gpsi = (s_psi.reshape(-1, 8) @ _GAMMA_EJ).reshape(lead + (L, 4))
-        w = (s_gpsi @ np.swapaxes(psi, -1, -2)).reshape(lead + (1, L * K))   # [l, c]
-        rc = (w @ _tproj_dnu(tdata).reshape(lead + (L * K, K)))[..., 0, :]
-        r -= e2u[..., None] * rc
+        psi = fdata.psi_c
+        gpsi = np.matmul(cl.GAMMA[:, None], psi.reshape(psi.shape[:2] + (-1,))).reshape(
+            (2,) + psi.shape)                                        # (gamma_e psi^b)_i
+        s_gpsi = contract(s.swapaxes(1, 2)[:, :, :, None], gpsi[:, :, None],
+                          np.empty(nu.shape[:1] + psi.shape[1:]), axes=2)    # [l, i]
+        del gpsi
+        w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None],
+                     np.empty(nu.shape[:2] + sites))                         # [l, c]
+        del s_gpsi
+        rc = contract(w[:, :, None], _tproj_dnu(tdata), buf, axes=2)
+        rc *= e2u
+        r -= rc
     return r
 
 
@@ -169,21 +196,25 @@ def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     if fdata is None:
         fdata = field_data(phi, psi, chi, u, grid, target, tdata)
     has_psi, has_chi = fdata.has_psi, fdata.has_chi
-    out = np.zeros_like(psi)
     if not (has_psi or has_chi):
-        return out
-    e2u = np.exp(2.0 * u)[..., None, None]
-    e3u = np.exp(3.0 * u)[..., None, None]
-    e4u = np.exp(4.0 * u)[..., None, None]
-
+        return np.zeros_like(psi)
     if has_psi:
-        out += e3u * dirac_conformal_sym(psi, u, grid, forward=fdata.dirac)
-        out -= e4u * sr_of(psi, phi, target, fdata=fdata) / 3.0
+        sym = dirac_conformal_sym(psi, u, grid, forward=fdata.dirac)
+        out = np.empty(fdata.psi_c.shape)     # e^{3u} D_sym psi, written component-major
+        np.multiply(np.exp(3.0 * u)[..., None, None], sym, out=to_sites(out, 2))
+        del sym
+        sr = sr_planes(fdata.gauss)
+        sr *= np.exp(4.0 * u)
+        sr /= 3.0
+        out -= sr
+        del sr
+    else:
+        out = np.zeros(fdata.dphi_gamma_chi.shape)
     if has_chi:
-        out += e2u * fdata.dphi_gamma_chi
+        out += np.exp(2.0 * u) * fdata.dphi_gamma_chi
         if has_psi:
-            out -= e4u * fdata.q_chi2[..., None, None] * psi
-    return tangent_part_slots(fdata.tdata.nu, out)
+            out -= (np.exp(4.0 * u) * fdata.q_chi2) * fdata.psi_c
+    return to_sites(tangent(fdata.tdata.nu_c, out), 2)
 
 
 def residuals(phi, psi, chi, u, grid, target,
@@ -208,11 +239,12 @@ def potentials(phi, psi, chi, u, grid, target,
         tdata = checked_target_data(target, phi, psi)
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
-    s = _frame_derivative(tangent_part(tdata.nu, grad(phi, grid)), tdata)
+    fdata = FieldData(phi, psi, grid=grid, tdata=tdata)
+    s = np.moveaxis(_frame_derivative(_tangent_dphi(fdata), tdata), (0, 1, 2), (-2, -3, -1))
     omega = np.einsum("xylea,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
 
-    tp = _tproj_dnu(tdata)
+    tp = np.moveaxis(_tproj_dnu(tdata), (0, 1, 2), (-3, -2, -1))
     x = np.einsum("xyci,eij,xydj->xyecd", psi, cl.GAMMA, psi)
     f = np.einsum("xyecd,xyldb,xylca->xyeab", x, tp, tp)
     f = 0.5 * e2u * (f - np.swapaxes(f, -1, -2))
@@ -309,7 +341,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
             deltas = []
             for sign in (+1.0, -1.0):
                 phi_w = phi.copy()
-                psi_w = psi.copy()
+                psi_w = psi.copy(order="K")
                 moved = target.project(
                     phi[mask] + sign * hstep[mask][:, None] * direction[mask]
                 )
@@ -325,7 +357,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
             for c in range(4):
                 deltas = []
                 for sign in (+1.0, -1.0):
-                    psi_w = psi.copy()
+                    psi_w = psi.copy(order="K")
                     psi_w[mask, :, c] = psi[mask][:, :, c] + (
                         sign * sstep[mask][:, None] * direction[mask]
                     )

@@ -28,8 +28,11 @@ removed.  In the extrinsic picture the twisting term A(d phi, psi) is normal
 to N, so taking the tangential part removes it and it is never formed.
 
 The gamma matrices act as one (sites * slots, 4) @ (4, 4) product per frame
-direction, and site_inner pairs two fields with one batched @, so that an
-overflow in either raises under np.errstate (einsum would not report it).
+direction, in the site-major layout above, and site_inner pairs two fields as
+a sum of products of their component planes (_planes.pair), reading them in
+place; an overflow in either raises under np.errstate (einsum would not report
+it).  The action and the residuals hold psi component-major, (K, 4, n1, n2), and
+convert the Dirac operator's result once (README, Layout).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import clifford as cl
+from ._planes import pair
 from .errors import ConstraintError
 from .geometry import Grid, TargetManifold, grad, tangent_part_slots
 
@@ -159,7 +163,10 @@ def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid,
     """
     if forward is None:
         forward = dirac_conformal(s, u, grid)
-    return 0.5 * (forward + dirac_conformal_adjoint(s, u, grid))
+    out = dirac_conformal_adjoint(s, u, grid)
+    out += forward
+    out *= 0.5
+    return out
 
 
 def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
@@ -190,8 +197,7 @@ def field_q_project(chi: np.ndarray) -> np.ndarray:
 
 def site_inner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per-site Euclidean pairing of two (n1, n2, ...) fields over all their component axes."""
-    n = f.shape[:2]
-    return (f.reshape(n + (1, -1)) @ g.reshape(n + (-1, 1)))[..., 0, 0]
+    return pair(np.moveaxis(f, (0, 1), (-2, -1)), np.moveaxis(g, (0, 1), (-2, -1)), f.ndim - 2)
 
 
 def q_norm2_field(chi: np.ndarray) -> np.ndarray:

@@ -20,6 +20,9 @@ the Hessian and the third derivative D^3 F.  The public nabla_A is a transport
 finite difference, kept as the independent oracle for that closed form.  Along
 phi one TargetData computes nu once; Pi, the tangential parts along phi
 (tangent_part, tangent_part_slots) and the tangency check of psi all use it.
+TargetData holds its parts component-major (sites last) and the tangential
+parts are taken on component planes (_planes), so overflow raises under
+np.errstate; their site-major results are views of component-major arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._planes import contract, tangent, to_planes, to_sites
 from .errors import ConstraintError
 
 __all__ = [
@@ -178,48 +182,84 @@ _LEVEL_SET_FRAME = "the normal frame is undefined where grad F is 0 or not finit
 
 
 def tangent_part(nu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w (..., K) minus its components along the normal frame nu (..., L, K)."""
-    coeff = np.einsum("...lb,...b->...l", nu, w)
-    normal = np.einsum("...l,...la->...a", coeff, nu)
-    return np.subtract(w, normal, out=normal)
+    """w (..., K) minus its components along the normal frame nu (..., L, K).
+
+    Computed on component planes (_planes.tangent): any leading axes, overflow raises
+    under np.errstate, and the result is the site-major view of a component-major array.
+    """
+    return to_sites(tangent(to_planes(nu, 2), to_planes(w, 1)), 1)
 
 
 def tangent_part_slots(nu: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """tangent_part of every spinor slot of psi (..., K, 4), in psi's own layout."""
-    coeff = np.einsum("...lb,...bc->...lc", nu, psi)
-    normal = np.einsum("...lc,...lb->...bc", coeff, nu)
-    return np.subtract(psi, normal, out=normal)
+    return to_sites(tangent(to_planes(nu, 2), to_planes(psi, 2)), 2)
 
 
 class TargetData:
     """Per-site target data along a map field phi: the normal frame nu, computed
     once on construction, and dnu, Pi (from nu) and A on first use.  The
-    curvature contractions read A alone; no Gauss tensor is formed."""
+    curvature contractions read A alone; no Gauss tensor is formed.
+
+    Each part is held component-major (the site axes of phi last, C-contiguous):
+    nu_c (L, K, ...), dnu_c (L, K, K, ...), pi_c (K, K, ...) and asym_c (L, K, K, ...),
+    indexed as [l, a, b].  nu, dnu, pi and asym are their site-major views, in the
+    layouts documented on each; a part assigned in site-major layout is converted
+    on first read of its component-major form.
+    """
 
     def __init__(self, target: TargetManifold, phi: np.ndarray):
         self.target = target
         self.phi = phi
-        self.nu = target.normal_frame(phi)              # (..., L, K)
+        self.nu = to_sites(to_planes(target.normal_frame(phi), 2), 2)     # (..., L, K)
+
+    @cached_property
+    def nu_c(self) -> np.ndarray:
+        return to_planes(self.nu, 2)
 
     @cached_property
     def dnu(self) -> np.ndarray:
         """dnu[..., l, a, b] = d nu_l^b / d u^a."""
-        return self.target.normal_frame_derivative(self.phi)
+        return to_sites(to_planes(self.target.normal_frame_derivative(self.phi), 3), 3)
+
+    @cached_property
+    def dnu_c(self) -> np.ndarray:
+        return to_planes(self.dnu, 3)
 
     @cached_property
     def pi(self) -> np.ndarray:
         """Pi[..., a, b] = delta_ab - sum_l nu_l^a nu_l^b."""
-        return np.eye(self.nu.shape[-1]) - np.einsum("...la,...lb->...ab", self.nu, self.nu)
+        nu = self.nu_c
+        pi = contract(nu[:, :, None], nu[:, None], np.empty(nu.shape[1:2] + nu.shape[1:]))
+        np.negative(pi, out=pi)
+        for a in range(pi.shape[0]):
+            pi[a, a] += 1.0
+        return to_sites(pi, 2)
+
+    @cached_property
+    def pi_c(self) -> np.ndarray:
+        return to_planes(self.pi, 2)
 
     @cached_property
     def asym(self) -> np.ndarray:
         """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric.
 
-        -(Pi dnu_l Pi^T)_ab, as batched products on an (..., l, a, b) array.
+        -(Pi dnu_l Pi^T)_ab, two contractions of component planes.
         """
-        pi = self.pi[..., None, :, :]
-        raw = -(pi @ self.dnu @ np.swapaxes(pi, -1, -2))
-        return np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)), -3, -1)
+        pi, dnu = self.pi_c, self.dnu_c
+        pit = pi.swapaxes(0, 1)                               # pit[c] = Pi[:, c]
+        # t[l, a, d] = sum_c Pi_ac dnu_l[c, d], raw[l, a, b] = sum_d t[l, a, d] Pi_bd, then
+        # Asym_l = -(raw_l + raw_l^T) / 2
+        t = contract(pit[:, None, :, None], dnu.swapaxes(0, 1)[:, :, None], np.empty(dnu.shape))
+        raw = contract(np.moveaxis(t, 2, 0)[:, :, :, None], pit[:, None, None], np.empty_like(t))
+        del t
+        raw += raw.swapaxes(1, 2)
+        raw *= -0.5
+        return np.moveaxis(raw, (0, 1, 2), (-1, -3, -2))
+
+    @cached_property
+    def asym_c(self) -> np.ndarray:
+        """asym_c[l, a, b, ...] = Asym[..., a, b, l]."""
+        return np.ascontiguousarray(np.moveaxis(self.asym, (-1, -3, -2), (0, 1, 2)))
 
 
 class TargetManifold:

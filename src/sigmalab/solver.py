@@ -123,7 +123,8 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     and one FieldData: r_phi, r_psi and the action read its parts in that order,
     and the action takes each out as it reads it."""
     tdata = target_data(target, phi)
-    psi = tangent_part_slots(tdata.nu, psi)
+    if np.any(psi):  # the pure-map flow keeps its zeros, which are tangent
+        psi = tangent_part_slots(tdata.nu, psi)
     fdata = FieldData(phi, psi, chi, u, grid, tdata=tdata)
     r_phi = residual_phi(phi, psi, chi, u, grid, target, fdata=fdata)
     if fdata.has_psi or fdata.has_chi:

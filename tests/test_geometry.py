@@ -19,6 +19,8 @@ from sigmalab.geometry import (
     shape_operator,
     shift,
     tangent_basis,
+    tangent_part,
+    tangent_part_slots,
     wide_laplacian,
 )
 
@@ -380,3 +382,25 @@ def test_nabla_a_rejects_unusable_step(step):
     X, Y = tb[:, 0, :], tb[:, 1, :]
     with pytest.raises(ValueError, match="step"):
         nabla_A(tg, p, X, Y, X, step=step)
+
+
+@pytest.mark.parametrize("slots", [False, True], ids=["vector", "slots"])
+def test_tangent_part_reports_overflow_on_any_leading_axes(slots):
+    # w = 1e308 sqrt(3) (1, 1, 1) is finite, but nu . w = 3e308 along nu = (1, 1, 1) / sqrt(3)
+    g = Grid(4, 4)
+    phi = np.full(g.shape + (3,), 1.0 / np.sqrt(3.0))
+    nu = SphereTarget(3).normal_frame(phi)
+    w = np.full(g.shape + (3,), 1e308 * np.sqrt(3.0))
+    part = tangent_part
+    if slots:
+        w, part = np.repeat(w[..., None], 4, axis=-1), tangent_part_slots
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[::3, 1::2] = True
+    for args in ((nu, w), (nu[mask], w[mask])):   # the FD oracle passes masked site lists
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            part(*args)
+    # on finite data, the masked site list gives the masked result
+    rng = np.random.default_rng(4)
+    nu = SphereTarget(3).normal_frame(rng.standard_normal(g.shape + (3,)))
+    w = rng.standard_normal(w.shape)
+    assert np.array_equal(part(nu[mask], w[mask]), part(nu, w)[mask])

@@ -269,9 +269,10 @@ def test_frame_kernels_match_einsum(target):
     phi, psi, chi, _ = _fields(target, 13)
     td = _random_tdata(target, phi, 14)
     dt = np.random.default_rng(15).standard_normal((2,) + phi.shape)
-    s = _frame_derivative(dt, td)                          # [..., l, e, b]
-    assert _relerr(np.moveaxis(s, -2, 0), ref_frame_derivative(dt, td)) < RTOL
-    assert _relerr(_tproj_dnu(td), ref_tproj_dnu(td)) < RTOL
+    s = _frame_derivative(np.moveaxis(dt, -1, 1), td)      # [e, l, b, ...]
+    assert _relerr(np.moveaxis(s, (1, 2), (-2, -1)), ref_frame_derivative(dt, td)) < RTOL
+    tp = np.moveaxis(_tproj_dnu(td), (0, 1, 2), (-3, -2, -1))
+    assert _relerr(tp, ref_tproj_dnu(td)) < RTOL
     assert _relerr(v_fields(chi, psi), ref_v_fields(chi, psi)) < RTOL
 
 

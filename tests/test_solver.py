@@ -1,6 +1,7 @@
 """Projected gradient flow: benchmarks, determinism, constraint preservation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,3 +519,22 @@ def test_no_start_search_without_a_step_to_take(monkeypatch):
     _, report = solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(max_iterations=0))
     assert report.records[0]["step_size"] == SolverConfig().initial_step
     assert "start_trials" not in report.records[0]
+
+
+def test_joint_evaluation_transient_memory_is_bounded():
+    # coupled64's inputs: before the component-major evaluation one evaluation peaked
+    # at 9.9 psi.nbytes above its entry; the bound is that plus one psi-sized array
+    g = Grid(64, 64)
+    phi = smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=2)
+    psi = smooth_vector_spinor(g, phi, TG, seed=7, amplitude=0.1, modes=2)
+    chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=2)
+    u = smooth_scalar_field(g, seed=11, amplitude=0.3, modes=2)
+    psi, _ = solver._evaluate(phi, psi, chi, u, g, TG)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        solver._evaluate(phi, psi, chi, u, g, TG)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * psi.nbytes
