@@ -16,6 +16,10 @@ These weights make the super-Weyl shift chi -> chi + sigma(s), the sign flip
 the discrete level (the only O(h^2) leak is the conformal conjugation inside
 the Dirac term).
 
+Term III reads chi through Gamma chi = sum_b gamma_b gamma_e chi^b, which is
+exactly -2 Q chi (gamma_chi reads clifford.q_project): the action depends on
+chi only through Q chi.
+
 Curvature enters extrinsically through the second fundamental form A alone.
 The Gauss tensor
 
@@ -36,9 +40,9 @@ independent oracle for R).  Quartic derivative couplings enter through nabla A,
 
 which vanishes identically for round spheres.  nabla A is the target's closed
 form (geometry nabla_a_tensor), and snr_of evaluates it from the same M, c_l
-and A_l as matrix products,
+and A_l M as matrix products,
 
-    SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} (c_l M_ac - (M A_l M)_ac).
+    SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} (c_l M_ac - (M (A_l M))_ac).
 
 Every term reads the target along phi from one geometry.TargetData: the
 Dirac term is the conformal operator with its normal part along that frame
@@ -100,19 +104,14 @@ __all__ = [
 # gamma_a gamma_b products, indexed [a, b, i, j]
 GG = np.einsum("aik,bkj->abij", cl.GAMMA, cl.GAMMA)
 GG.setflags(write=False)
-# the same as an (8, 8) matrix from the flattened slots (b, j) of chi to (e, i), from the left
-_GAMMA_CHI = np.ascontiguousarray(GG.transpose(0, 3, 1, 2).reshape(8, 8).T)
-_GAMMA_CHI.setflags(write=False)
-
-
-def gamma_chi_planes(chi_c: np.ndarray) -> np.ndarray:
-    """gamma_chi of a component-major chi_c (2, 4, ...): one (8, 8) @ (8, sites) product."""
-    return (_GAMMA_CHI @ chi_c.reshape(8, -1)).reshape(chi_c.shape)
 
 
 def gamma_chi(chi: np.ndarray) -> np.ndarray:
-    """Gamma chi[..., e, i] = sum_b (gamma_b gamma_e chi^b)_i, shaped like chi."""
-    return to_sites(gamma_chi_planes(to_planes(chi, 2)), 2)
+    """Gamma chi[..., e, i] = sum_b (gamma_b gamma_e chi^b)_i = -2 (Q chi)[..., e, i],
+    shaped like chi."""
+    g = cl.q_project(chi)
+    g *= -2.0
+    return g
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ class FieldData:
 
     def gamma_chi(self) -> np.ndarray:
         """Gamma chi, component-major (2, 4, ...); recomputed on each call, not kept."""
-        return gamma_chi_planes(to_planes(self.chi, 2))
+        return to_planes(gamma_chi(self.chi), 2)
 
     @cached_property
     def dphi_gamma_chi(self) -> np.ndarray:
@@ -371,15 +370,9 @@ def sr_planes(g: GaussParts) -> np.ndarray:
     return out
 
 
-def sr_of(psi, phi, target, tdata: TargetData | None = None,
-          fdata: FieldData | None = None) -> np.ndarray:
-    """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent.
-
-    fdata, when given, is the FieldData of (phi, psi) and supplies the Gauss parts.
-    """
-    if fdata is None:
-        fdata = FieldData(phi, psi, target=target, tdata=tdata)
-    return to_sites(sr_planes(fdata.gauss), 2)
+def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
+    """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent."""
+    return to_sites(sr_planes(FieldData(phi, psi, target=target, tdata=tdata).gauss), 2)
 
 
 def term_curvature(psi, phi, u, grid, target) -> float:
@@ -387,30 +380,23 @@ def term_curvature(psi, phi, u, grid, target) -> float:
     return _integral(_curvature_density(psi, u, target_data(target, phi)), grid)
 
 
-def snr_of(psi, phi, target, tdata: TargetData | None = None,
-           fdata: FieldData | None = None) -> np.ndarray:
-    """Quartic contraction of the curvature derivative; zero on round spheres.
-
-    fdata, when given, is the FieldData of (phi, psi) and supplies the Gauss
-    parts, built after nabla A when it does not hold them yet.
-    """
+def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
+    """Quartic contraction of the curvature derivative; zero on round spheres."""
     if target.parallel_second_fund:
         return np.zeros_like(phi)
-    if fdata is None:
-        fdata = FieldData(phi, psi, target=target, tdata=tdata)
-    return to_sites(snr_planes(target, fdata), 1)
+    return to_sites(snr_planes(target, FieldData(phi, psi, target=target, tdata=tdata)), 1)
 
 
 def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
-    """SnR of fdata's psi on target, component-major (K, ...)."""
+    """SnR of fdata's psi on target, component-major (K, ...); the Gauss parts are
+    built after nabla A when fdata does not hold them yet."""
     natensor = target.nabla_a_tensor(fdata.phi, fdata.tdata)        # (..., e, a, c, l)
     g = fdata.gauss
-    m, a_l, c = g.m, g.a_l, g.c
-    # w[l, a, c] = c_l M_ac - (M A_l M)_ac
-    ma = contract(m.swapaxes(0, 1)[:, None, :, None], a_l.swapaxes(0, 1)[:, :, None],
-                  np.empty_like(a_l))
-    w = contract(np.moveaxis(ma, 2, 0)[:, :, :, None], m[:, None, None], np.empty_like(ma))
-    del ma
+    m = g.m                                 # before A_l M, whose building drops M
+    a_m, c = g.a_m, g.c
+    # w[l, a, c] = c_l M_ac - (M (A_l M))_ac
+    w = contract(m.swapaxes(0, 1)[:, None, :, None], a_m.swapaxes(0, 1)[:, :, None],
+                 np.empty_like(a_m))
     np.subtract(c[:, None, None] * m, w, out=w)
     # SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} w[l, a, c], read in place from nabla A's planes
     n = natensor.ndim

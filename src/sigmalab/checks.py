@@ -18,6 +18,7 @@ import numpy as np
 from . import clifford as cl
 from .action import FieldData, checked_target_data, target_data, total_action
 from .fields import (
+    TANGENCY_TOL,
     conformal_rescale,
     dirac_flat,
     dirac_flat_sigma,
@@ -25,10 +26,13 @@ from .fields import (
     q_norm2_field,
 )
 from .clifford import sigma_lift
-from .geometry import Grid, TargetData, on_manifold_violation
+from .geometry import ON_MANIFOLD_TOL, Grid, TargetData, on_manifold_violation
 
 __all__ = ["CheckResult", "clifford_suite", "dirac_suite", "projector_suite",
            "symmetry_suite", "constraint_suite", "run_all_checks"]
+
+EXACT_TOL = 1e-12   # tolerance of the identities that hold to rounding
+FIBERS = 1000       # random fibers (besides the four basis spinors) of the Clifford suite
 
 
 @dataclass(frozen=True)
@@ -52,22 +56,22 @@ class CheckResult:
         }
 
 
-def _fibers(rng: np.random.Generator, count: int):
-    """Exhaustive basis spinors plus seeded random fibers."""
+def _fibers(rng: np.random.Generator):
+    """Exhaustive basis spinors plus FIBERS seeded random fibers."""
     basis = np.eye(4)
-    rand = rng.standard_normal((count, 4))
+    rand = rng.standard_normal((FIBERS, 4))
     return np.concatenate([basis, rand], axis=0)
 
 
-def clifford_suite(rng: np.random.Generator, count: int = 1000, tol: float = 1e-12):
+def clifford_suite(rng: np.random.Generator):
     """Clifford relation, skewness, quaternion algebra, projector algebra."""
     out = []
-    s = _fibers(rng, count)
-    t = _fibers(rng, count)
-    chi = rng.standard_normal((count, 2, 4))
+    s = _fibers(rng)
+    t = _fibers(rng)
+    chi = rng.standard_normal((FIBERS, 2, 4))
 
     def rec(name, err):
-        out.append(CheckResult("clifford", name, float(err), tol))
+        out.append(CheckResult("clifford", name, float(err), EXACT_TOL))
 
     e = np.eye(2)
     err = 0.0
@@ -79,9 +83,9 @@ def clifford_suite(rng: np.random.Generator, count: int = 1000, tol: float = 1e-
             err = max(err, np.max(np.abs(lhs + 2.0 * (a == b) * s)))
     rec("clifford_relation", err)
 
-    v = rng.standard_normal((count, 2))
-    lhs = cl.spinor_inner(cl.clifford_mul(v, s[: count]), t[: count])
-    rhs = cl.spinor_inner(s[: count], cl.clifford_mul(v, t[: count]))
+    v = rng.standard_normal((FIBERS, 2))
+    lhs = cl.spinor_inner(cl.clifford_mul(v, s[:FIBERS]), t[:FIBERS])
+    rhs = cl.spinor_inner(s[:FIBERS], cl.clifford_mul(v, t[:FIBERS]))
     rec("clifford_skew_symmetry", np.max(np.abs(lhs + rhs)))
 
     err = 0.0
@@ -116,7 +120,7 @@ def clifford_suite(rng: np.random.Generator, count: int = 1000, tol: float = 1e-
     return out
 
 
-def dirac_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
+def dirac_suite(grid: Grid, rng: np.random.Generator):
     """Symmetry of the rank-4 operator; vanishing of the rank-2 Dirac action.
     Each operator is applied once per field."""
     out = []
@@ -128,13 +132,13 @@ def dirac_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
     lhs = np.sum(np.einsum("xyi,xyi->xy", s, dt)) * cell
     rhs = np.sum(np.einsum("xyi,xyi->xy", ds, t)) * cell
     scale = np.sum(np.abs(s * dt)) * cell + 1e-30
-    out.append(CheckResult("dirac", "flat_symmetry", abs(lhs - rhs) / scale, tol))
+    out.append(CheckResult("dirac", "flat_symmetry", abs(lhs - rhs) / scale, EXACT_TOL))
 
     s2 = rng.standard_normal(grid.shape + (2,))
     ds2 = dirac_flat_sigma(s2, grid)
     act2 = np.sum(np.einsum("xyi,xyi->xy", s2, ds2)) * cell
     scale2 = np.sum(np.abs(s2 * ds2)) * cell + 1e-30
-    out.append(CheckResult("dirac", "rank2_action_vanishes", abs(act2) / scale2, tol))
+    out.append(CheckResult("dirac", "rank2_action_vanishes", abs(act2) / scale2, EXACT_TOL))
 
     act4 = np.sum(np.einsum("xyi,xyi->xy", s, ds)) * cell
     scale4 = np.sum(np.abs(s * ds)) * cell
@@ -144,7 +148,7 @@ def dirac_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
     return out
 
 
-def projector_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
+def projector_suite(grid: Grid, rng: np.random.Generator):
     """Grid-wide projector algebra on random gravitino fields."""
     out = []
     chi1 = rng.standard_normal(grid.shape + (2, 4))
@@ -152,16 +156,16 @@ def projector_suite(grid: Grid, rng: np.random.Generator, tol: float = 1e-12):
     p1 = cl.p_project(chi1)
     q1 = cl.q_project(chi1)
     q2 = cl.q_project(chi2)
-    out.append(CheckResult("projector", "p_plus_q", float(np.max(np.abs(p1 + q1 - chi1))), tol))
+    out.append(CheckResult("projector", "p_plus_q", float(np.max(np.abs(p1 + q1 - chi1))), EXACT_TOL))
     cross = np.einsum("xyai,xyai->xy", p1, q2)
-    out.append(CheckResult("projector", "p_q_orthogonal", float(np.max(np.abs(cross))), tol))
+    out.append(CheckResult("projector", "p_q_orthogonal", float(np.max(np.abs(cross))), EXACT_TOL))
     qn = q_norm2_field(chi1)
     qq = np.einsum("xyai,xyai->xy", q1, q1)
-    out.append(CheckResult("projector", "qnorm_identity", float(np.max(np.abs(qn - qq))), tol))
+    out.append(CheckResult("projector", "qnorm_identity", float(np.max(np.abs(qn - qq))), EXACT_TOL))
     return out
 
 
-def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12, tdata=None):
+def symmetry_suite(phi, psi, chi, u, grid, target, rng, tdata=None):
     """Super-Weyl shift and the sign flip, term by term; checked unless given tdata.
 
     The five actions share phi, so they read one d phi.  Each transformation
@@ -188,11 +192,11 @@ def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12, tdat
 
     shifted = total_action(phi, psi, u, chi_s, grid, target, fdata=shifted_fd)
     err = max(abs(a - b) for a, b in zip(base.to_dict().values(), shifted.to_dict().values()))
-    out.append(CheckResult("symmetry", "super_weyl_shift", err / scale, tol))
+    out.append(CheckResult("symmetry", "super_weyl_shift", err / scale, EXACT_TOL))
 
     flipped = total_action(phi, -psi, u, -chi, grid, target, fdata=flipped_fd)
     err = max(abs(a - b) for a, b in zip(base.to_dict().values(), flipped.to_dict().values()))
-    out.append(CheckResult("symmetry", "sign_flip", err / scale, tol))
+    out.append(CheckResult("symmetry", "sign_flip", err / scale, EXACT_TOL))
 
     # not exact at finite h (the Dirac conjugation leaks O(h^2)); generous bound
     conf = total_action(phi, psi_r, u, chi_r, grid, target, fdata=conf_fd)
@@ -203,12 +207,12 @@ def symmetry_suite(phi, psi, chi, u, grid, target, rng, tol: float = 1e-12, tdat
     return out
 
 
-def constraint_suite(psi, tdata: TargetData, tol: float = 1e-9):
+def constraint_suite(psi, tdata: TargetData):
     """On-manifold violation of tdata's phi, and tangency violation of psi along its frame."""
     return [
         CheckResult("constraints", "on_manifold",
-                    on_manifold_violation(tdata.target, tdata.phi), tol),
-        CheckResult("constraints", "tangency", frame_violation(psi, tdata.nu), tol),
+                    on_manifold_violation(tdata.target, tdata.phi), ON_MANIFOLD_TOL),
+        CheckResult("constraints", "tangency", frame_violation(psi, tdata.nu), TANGENCY_TOL),
     ]
 
 

@@ -52,7 +52,7 @@ import numpy as np
 from . import clifford as cl
 from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, action_density, action_value, checked_target_data, field_data,
-                     gamma_chi_planes, snr_of, snr_planes, sr_planes, target_data)
+                     gamma_chi, snr_of, snr_planes, sr_planes, target_data)
 from .fields import dirac_conformal_sym, tangency_project
 from .geometry import Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part
 
@@ -97,7 +97,7 @@ def _v_c(gchi: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
 
 def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """V[..., a, e] = sum_b <gamma_b gamma_e chi^b, psi^a>, one 2-vector per slot."""
-    v = _v_c(gamma_chi_planes(to_planes(chi, 2)), to_planes(psi, 2))
+    v = _v_c(to_planes(gamma_chi(chi), 2), to_planes(psi, 2))
     return np.moveaxis(v, (0, 1), (-1, -2))
 
 
@@ -334,8 +334,8 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     sstep = step * (1.0 + np.linalg.norm(psi.reshape(n1, n2, -1), axis=-1))
 
     colors = _fd_colors(grid)
-    for c in range(int(colors.max()) + 1):
-        mask = colors == c
+    for color in range(int(colors.max()) + 1):
+        mask = colors == color
         for t in range(dim_n):
             direction = tb[:, :, t, :]
             deltas = []
@@ -354,17 +354,17 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
 
         for t in range(dim_n):
             direction = tb[:, :, t, :]
-            for c in range(4):
+            for slot in range(4):
                 deltas = []
                 for sign in (+1.0, -1.0):
                     psi_w = psi.copy(order="K")
-                    psi_w[mask, :, c] = psi[mask][:, :, c] + (
+                    psi_w[mask, :, slot] = psi[mask][:, :, slot] + (
                         sign * sstep[mask][:, None] * direction[mask]
                     )
                     dens = action_density(phi, psi_w, u, chi, grid, target, tdata0)
                     deltas.append(_cross_sum(dens - base)[mask])
                 fd = (deltas[0] - deltas[1]) / (2.0 * sstep[mask]) * grid.cell_area
-                grad_psi[mask, :, c] += fd[:, None] * direction[mask]
+                grad_psi[mask, :, slot] += fd[:, None] * direction[mask]
     return grad_phi, grad_psi
 
 

@@ -396,13 +396,16 @@ class ImplicitSurfaceTarget(TargetManifold):
 
             <(nabla_Z A)(X, Y), n> = [H(X,Y) H(Z,n) + H(Y,Z) H(X,n) + H(Z,X) H(Y,n)] / |g|^2
                                      - T(X, Y, Z) / |g|
+
+        H(Pi e_a, Pi e_b) = -|g| <A(Pi e_a, Pi e_b), n> is read from the A of
+        TargetData (its Asym) rather than rebuilt from H.
         """
         if tdata is None:
             tdata = TargetData(self, p)
         pi, n = tdata.pi, tdata.nu[..., 0, :]
         norm = np.linalg.norm(self.gradient(p), axis=-1)[..., None, None, None]
         h = self.hessian(p)
-        php = pi @ h @ pi                                    # H(Pi e_a, Pi e_b)
+        php = tdata.asym[..., 0] * -norm[..., 0]            # H(Pi e_a, Pi e_b)
         phn = (pi @ (h @ n[..., None]))[..., 0]              # H(Pi e_a, n)
         # K^3 entries per site each: these arrays set residual_phi's peak memory, so every
         # step below writes in place or drops its input before the next one is allocated

@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmalab import clifford as cl
 from sigmalab.action import (
+    gamma_chi,
     snr_of,
     sr_of,
     target_data,
@@ -119,6 +121,12 @@ def test_gravitino_term_depends_only_on_q_part():
     # a pure sigma-lift gravitino contributes nothing
     pure = np.zeros_like(chi) + sigma_lift(spin)
     assert abs(term_gravitino(phi, psi, pure, u, g)) < 1e-12
+
+
+def test_gamma_chi_is_minus_twice_q_chi():
+    # the action reads chi only through Q chi: Gamma chi = -2 Q chi, bit for bit
+    chi = np.random.default_rng(4).standard_normal((6, 8, 2, 4))
+    assert np.array_equal(gamma_chi(chi), -2.0 * cl.q_project(chi))
 
 
 # ---- term IV ------------------------------------------------------------------

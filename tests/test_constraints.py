@@ -9,7 +9,7 @@ import pytest
 
 from sigmalab import action, euler_lagrange, fields, geometry, solver
 from sigmalab.action import checked_target_data, term_dirac, total_action
-from sigmalab.cli import parse_config
+from sigmalab.cli import _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
 from sigmalab.euler_lagrange import potentials, residual_phi, residual_psi, residuals
@@ -183,15 +183,28 @@ def test_check_suites_raise_on_a_failed_constraint():
         run_all_checks(phi, psi, chi, u, g, tg)
 
 
-def _benchmark_cli_fields(tmp_path):
-    """The fields of the benchmark's CLI configuration (perfbench/workloads.py CLI_CONFIG)."""
+def _benchmark_cli_config(tmp_path):
+    """The parsed benchmark CLI configuration (perfbench/workloads.py CLI_CONFIG)."""
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
     text = next(node.value.value for node in ast.parse(source).body
                 if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLI_CONFIG"])
     (tmp_path / "cli.ini").write_text(text)
-    c = parse_config(tmp_path / "cli.ini")
+    return parse_config(tmp_path / "cli.ini")
+
+
+def _benchmark_cli_fields(tmp_path):
+    """The fields of the benchmark's CLI configuration."""
+    c = _benchmark_cli_config(tmp_path)
     return c.phi, c.psi, c.chi, c.u, c.grid, c.target
+
+
+def test_residual_command_builds_no_frame_after_parsing(monkeypatch, tmp_path):
+    # the norms take r_phi's tangent part along the frame that parsing built
+    c = _benchmark_cli_config(tmp_path)
+    frames = _count_frames(monkeypatch, c.target)
+    assert _cmd_residual(c, tmp_path) == 0
+    assert len(frames) == 0
 
 
 def test_check_suites_share_grad_and_the_gauss_parts(monkeypatch, tmp_path):

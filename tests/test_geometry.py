@@ -8,6 +8,7 @@ from sigmalab.geometry import (
     Grid,
     ImplicitSurfaceTarget,
     SphereTarget,
+    TargetData,
     curvature_operator,
     div,
     ellipsoid_target,
@@ -333,6 +334,17 @@ def test_nabla_a_tensor_symmetric_codazzi(make):
     assert np.max(np.abs(t)) > 0.1
     for perm in [(0, 2, 1, 3, 4), (0, 1, 3, 2, 4), (0, 3, 2, 1, 4)]:
         assert np.max(np.abs(t - t.transpose(perm))) < 1e-14
+
+
+@pytest.mark.parametrize("make", [lambda: ellipsoid_target([1.0, 1.3, 0.8]), quartic_target])
+def test_level_set_a_is_pi_hessian_pi_over_minus_grad_norm(make):
+    # nabla_a_tensor reads H(Pi e_a, Pi e_b) from TargetData's A
+    tg = make()
+    p = tg.project(np.random.default_rng(17).standard_normal((40, 3)))
+    tdata = TargetData(tg, p)
+    php = tdata.pi @ tg.hessian(p) @ tdata.pi
+    norm = np.linalg.norm(tg.gradient(p), axis=-1)[..., None, None]
+    assert np.max(np.abs(-norm * tdata.asym[..., 0] - php)) < 1e-13
 
 
 @pytest.mark.parametrize("semi_axes", [[1.0, 1.5], [1.0, 1.3, 0.8, 1.1]])
