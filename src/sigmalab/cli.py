@@ -295,7 +295,8 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
         for rec in report.records:
             fh.write(json.dumps(rec) + "\n")
         fh.write(json.dumps({"converged": report.converged,
-                             "iterations": report.iterations}) + "\n")
+                             "iterations": report.iterations,
+                             "stop_reason": report.stop_reason}) + "\n")
     save_field(out / "fields_phi.csv", state.phi, "map")
     save_field(out / "fields_psi.csv", state.psi, "vectorspinor")
     save_field(out / "fields_chi.csv", cfg.chi, "gravitino")

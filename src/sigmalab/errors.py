@@ -6,7 +6,12 @@ class ConstraintError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The gradient flow cannot proceed (non-finite residual or step, step underflow)."""
+    """The gradient flow cannot proceed (non-finite residual or step, step underflow,
+    stall floor); rejected counts the trial steps the failing step evaluated."""
+
+    def __init__(self, message: str, rejected: int = 0):
+        super().__init__(message)
+        self.rejected = rejected
 
 
 class ConfigError(ValueError):

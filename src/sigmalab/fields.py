@@ -144,13 +144,16 @@ def dirac_flat_sigma(s: np.ndarray, grid: Grid) -> np.ndarray:
 def dirac_conformal(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """e^{-3u/2} D_flat(e^{u/2} s); reduces to dirac_flat at u = 0."""
     w = _expand(u, s.ndim)
-    return np.exp(-1.5 * w) * dirac_flat(np.exp(0.5 * w) * s, grid)
+    # site-major whatever the memory order of s, so that D_flat's differences read it contiguously
+    scaled = np.multiply(np.exp(0.5 * w), s, out=np.empty(s.shape))
+    return np.exp(-1.5 * w) * dirac_flat(scaled, grid)
 
 
 def dirac_conformal_adjoint(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """Exact adjoint of dirac_conformal for the sum <s, t> e^{3u} h1 h2."""
     w = _expand(u, s.ndim)
-    return np.exp(-2.5 * w) * dirac_flat(np.exp(1.5 * w) * s, grid)
+    scaled = np.multiply(np.exp(1.5 * w), s, out=np.empty(s.shape))  # site-major, as above
+    return np.exp(-2.5 * w) * dirac_flat(scaled, grid)
 
 
 def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid,

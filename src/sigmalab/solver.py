@@ -6,8 +6,8 @@ sector seeks zeros of its residual with psi <- Pi(psi - dt r_psi); the Dirac
 term makes the action unbounded in psi, so "progress" there is defined by the
 residual norm, not by descent.
 
-In the pure map sector (psi = chi = 0, mode not psi-only) the step is the
-linearly implicit harmonic-map step (Alouges 1997; Bartels & Prohl 2007),
+Every sector that moves phi (mode not psi-only) takes the linearly implicit
+harmonic-map step (Alouges 1997; Bartels & Prohl 2007),
 
     phi <- project(phi + dt P_T (I - dt Lap_w)^{-1} P_T r_phi),
 
@@ -16,27 +16,40 @@ Laplacian.  On the periodic grid Lap_w has the rfft2 symbol
 -sum_a sin^2(theta_a) / h_a^2 (theta_a = 2 pi fftfreq(n_a)), so the inverse
 is one rfft2 of P_T r_phi per iterate and one division and irfft2 per trial
 dt; the constant and checkerboard null modes have symbol 0 and pass through
-unscaled.  The step has no stability limit, so before its first step solve
-searches for the working step (the bracketing phase of a line search,
-Nocedal & Wright 2006, section 3.5): with d_k = initial_step 2^k, if the
-trial at d_0 does not raise the Dirichlet energy it keeps doubling while the
-energy increment of the trial strictly decreases, at most START_DOUBLINGS
-times, and starts the flow one halving below the best d_k (at initial_step if
-the first doubling did not improve).  The criterion-8 benchmark at 32^2,
-64^2 and 128^2 then takes 23 iterations from initial_step = 1e-5, where
-starting at initial_step and growing dt by `grow` took 94.  Outside the pure
-map sector initial_step is the first trial dt, and phi <- project(phi + dt
-P_T r_phi) and psi move explicitly.
+unscaled.  psi takes its explicit step beside it (mode not phi-only) and is
+tangent-projected along the new phi.
+
+Step control is accept/reject, in one of two sectors:
+
+* The pure map sector (psi = chi = 0, mode not psi-only) accepts a trial iff
+  the Dirichlet energy does not increase.  The step has no stability limit,
+  so before its first step solve searches for the working step (the
+  bracketing phase of a line search, Nocedal & Wright 2006, section 3.5):
+  with d_k = initial_step 2^k, if the trial at d_0 does not raise the
+  Dirichlet energy it keeps doubling while the energy increment of the trial
+  strictly decreases, at most START_DOUBLINGS times, and starts the flow one
+  halving below the best d_k (at initial_step if the first doubling did not
+  improve).  Accepted steps grow dt by `grow`.  The criterion-8 benchmark at
+  32^2, 64^2 and 128^2 takes 23 iterations from initial_step = 1e-5, where
+  starting at initial_step and growing dt by `grow` took 94.
+* The other sectors accept a trial iff the combined residual L2 norm
+  decreases; initial_step is the first trial dt.  A start ramp multiplies dt
+  by START_FACTOR after each accepted step until the solve's first rejected
+  trial, then by `grow`.  A stall floor ends the flow: a step whose trial dt
+  falls below shrink^2 times the dt its previous step accepted raises
+  SolverError (the first step has no previous one).  Evaluating a trial is
+  the cost here, so the floor bounds the trials a stalled step spends.  From
+  coupled64's inputs the flow reaches tolerance 10 in 11 iterations at 16^2
+  to 128^2, where explicit phi steps growing dt by 1.1 took 50 to 150.
+
+Rejected steps shrink dt by `shrink`; a non-finite dt or dt underflow below
+1e-14 raises SolverError in every sector, and solve records either error as
+a stall.
 
 Each evaluation of an iterate builds one TargetData and one action.FieldData
 of the fields and hands both to residual_phi, residual_psi and total_action,
 in that order: grad phi, D_u psi, the gravitino coefficient, |Q chi|^2 and the
 Gauss parts are computed once and dropped after their last reader, the action.
-
-Step control is accept/reject: in the pure map sector a trial step is
-accepted iff the Dirichlet energy does not increase, otherwise iff the
-combined residual L2 norm decreases.  Accepted steps grow dt, rejected steps
-shrink it; a non-finite dt or dt underflow below 1e-14 raises SolverError.
 The gravitino and the conformal factor are parameters of the functional and
 stay fixed.
 """
@@ -57,7 +70,7 @@ from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_sl
 __all__ = ["SolverConfig", "Evaluation", "FlowState", "FlowReport", "flow_step", "solve"]
 
 DT_UNDERFLOW = 1e-14
-START_FACTOR = 2.0  # the start-step search multiplies dt by this per trial
+START_FACTOR = 2.0  # the start-step search and the start ramp multiply dt by this
 START_DOUBLINGS = 64  # and stops after this many multiplications
 
 
@@ -109,12 +122,15 @@ class FlowState:
     # evaluation of (phi, psi); flow_step computes it when None
     evaluation: Evaluation | None = None
     rejected: int = 0  # trial steps shrunk away before this one was accepted
+    accepted_step: float = 0.0  # the dt that produced this state; 0 before the first step
+    ramping: bool = True  # residual sectors: no trial of the solve rejected yet
 
 
 @dataclass
 class FlowReport:
     converged: bool
     iterations: int
+    stop_reason: str = "max_iterations"  # or converged | stalled
     records: list[dict] = field(default_factory=list)
 
 
@@ -165,7 +181,7 @@ def _is_pure_map(psi, chi, config: SolverConfig) -> bool:
 
 
 def _implicit_trial(phi, nu, resolve, dt, target: TargetManifold) -> np.ndarray:
-    """The linearly implicit step at dt; psi = 0 stays tangent along every phi."""
+    """The linearly implicit phi step at dt (psi is reprojected by its evaluation)."""
     return target.project(phi + dt * tangent_part(nu, resolve(dt)))
 
 
@@ -205,7 +221,8 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
     """One accepted step (shrinking dt until the acceptance rule passes).
 
     The returned state carries its own evaluation, so the next step starts
-    from it without recomputing the residuals.
+    from it without recomputing the residuals.  The rejected of a SolverError
+    counts the trials the failing step evaluated.
     """
     phi, psi = state.phi, state.psi
     ev = state.evaluation or _evaluate(phi, psi, chi, u, grid, target)[1]
@@ -213,25 +230,28 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         raise SolverError("non-finite residual")
 
     pure_map = _is_pure_map(psi, chi, config)
-    if pure_map:
+    if config.mode != "psi-only":
         resolve = _resolvent(ev.r_phi_t, grid)
 
     dt = state.step_size
     if not math.isfinite(dt):  # shrinking would never reach the underflow test
         raise SolverError(f"non-finite step size: dt = {dt}")
+    floor = 0.0 if pure_map else config.shrink**2 * state.accepted_step
     rejected = 0
     while True:
         if dt < DT_UNDERFLOW:
-            raise SolverError(f"step size underflow: dt = {dt:.3e}")
+            raise SolverError(f"step size underflow: dt = {dt:.3e}", rejected)
+        if dt < floor:
+            raise SolverError(f"step size {dt:.3e} below the stall floor {floor:.3e}", rejected)
         phi_new, psi_new = phi, psi
-        if pure_map:
+        if config.mode != "psi-only":
             phi_new = _implicit_trial(phi, ev.nu, resolve, dt, target)
+        if pure_map:
             accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
         else:
-            if config.mode != "psi-only":
-                phi_new = target.project(phi + dt * ev.r_phi_t)
             if config.mode != "phi-only":
                 psi_new = psi - dt * ev.r_psi
+            trial = None  # a rejected trial's arrays are freed before the next evaluation
             psi_new, trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
             accepted = trial.norms[0] < ev.norms[0]
         if accepted:
@@ -239,6 +259,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         dt *= config.shrink
         rejected += 1
 
+    ramping = state.ramping and rejected == 0 and not pure_map
     if pure_map:
         trial = _evaluate(phi_new, psi_new, chi, u, grid, target)[1]
     return FlowState(
@@ -246,9 +267,11 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         psi=psi_new,
         iteration=state.iteration + 1,
         residual_norms=trial.norms,
-        step_size=dt * config.grow,
+        step_size=dt * (START_FACTOR if ramping else config.grow),
         evaluation=trial,
         rejected=rejected,
+        accepted_step=dt,
+        ramping=ramping,
     )
 
 
@@ -259,8 +282,11 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     one): residual norms, step size, the trial steps rejected before it was
     accepted, and the full ActionBreakdown.  When a pure-map solve has a step
     to take, its first dt comes from the start-step search, and the initial
-    record also carries the number of trials the search evaluated.  Reaching
-    max_iterations yields converged=False, not an error.
+    record also carries the number of trials the search evaluated.  A
+    SolverError appends a stall record with its detail and the trials the
+    stalled step evaluated.  report.stop_reason is converged, stalled or
+    max_iterations; reaching max_iterations yields converged=False, not an
+    error.
     """
     phi = target.project(phi)
     psi, ev = _evaluate(phi, psi, chi, u, grid, target)
@@ -302,11 +328,15 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
             state = flow_step(state, chi, u, grid, target, config)
         except SolverError as exc:
             # honest stall report: no accepted step can make progress
-            report.records.append({"stalled": True, "detail": str(exc)})
+            report.records.append({"stalled": True, "detail": str(exc),
+                                   "rejected": exc.rejected})
+            report.stop_reason = "stalled"
             break
         record(state)
     else:
         report.converged = state.residual_norms[0] < config.tolerance
 
+    if report.converged:
+        report.stop_reason = "converged"
     report.iterations = state.iteration
     return state, report

@@ -598,3 +598,33 @@ def test_benchmark_cli_configuration_parses(tmp_path):
     parsed = parse_config(write_config(tmp_path / "cli.ini", text), seed_override=3)
     assert parsed.grid.shape == (64, 64) and parsed.seed == 3
     assert parsed.solver.max_iterations == 20
+
+
+def test_solve_on_the_benchmark_config_stalls_after_few_evaluations(monkeypatch, tmp_path):
+    # the benchmark's ellipsoid config at 16^2: the stall floor ends the joint flow where
+    # shrinking dt to underflow did not (the explicit flow ran all 60 iterations, 61
+    # evaluations); the final line names the stop and the stall record its trials
+    from sigmalab import solver
+
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    text = next(node.value.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLI_CONFIG"])
+    text = text.replace("n1 = 64\nn2 = 64", "n1 = 16\nn2 = 16")
+    text = text.replace("max_iterations = 20", "max_iterations = 60")
+    evaluations = []
+    evaluate = solver._evaluate
+
+    def counted(*args, **kwargs):
+        evaluations.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_evaluate", counted)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cli.ini", text)
+    assert run(["solve", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    assert len(evaluations) <= 20
+    lines = [json.loads(x) for x in (out / "flow_report.jsonl").read_text().splitlines()]
+    assert lines[0]["iteration"] == 0
+    assert lines[-1]["stop_reason"] == "stalled" and lines[-1]["converged"] is False
+    assert lines[-2]["stalled"] is True and lines[-2]["rejected"] >= 1

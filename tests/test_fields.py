@@ -19,6 +19,7 @@ from sigmalab.fields import (
     twisted_dirac,
 )
 from sigmalab import clifford as cl
+from sigmalab import fields
 from sigmalab.geometry import Grid, SphereTarget
 from sigmalab.presets import smooth_map_field, smooth_scalar_field, smooth_vector_spinor
 
@@ -79,6 +80,27 @@ def test_dirac_conformal_adjoint_pairing_exact():
     lhs2 = np.sum(np.einsum("xyi,xyi->xy", t, sym) * w)
     rhs2 = np.sum(np.einsum("xyi,xyi->xy", dirac_conformal_sym(t, u, g), s) * w)
     assert abs(lhs2 - rhs2) / (abs(lhs2) + 1.0) < 1e-13
+
+
+def test_dirac_conformal_reads_a_component_major_psi_like_its_copy(monkeypatch):
+    # the flow's psi is a site-major view of component-major planes; the flat operator
+    # gets e^{u/2} psi (e^{3u/2} psi) written site-major, with the copy's bits
+    g = Grid(12, 12)
+    planes = np.random.default_rng(5).standard_normal((3, 4) + g.shape)
+    psi = planes.transpose(2, 3, 0, 1)
+    copy = np.ascontiguousarray(psi)
+    u = smooth_scalar_field(g, seed=6, amplitude=0.4)
+    flat = fields.dirac_flat
+    layouts = []
+
+    def recorded(s, grid):
+        layouts.append(s.flags.c_contiguous)
+        return flat(s, grid)
+
+    monkeypatch.setattr(fields, "dirac_flat", recorded)
+    for op in (dirac_conformal, dirac_conformal_adjoint, dirac_conformal_sym):
+        assert np.array_equal(op(psi, u, g), op(copy, u, g))
+    assert layouts and all(layouts)
 
 
 def test_conformal_law_in_quadratic_form_refines_at_second_order():

@@ -538,3 +538,134 @@ def test_joint_evaluation_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 11 * psi.nbytes
+
+
+def _coupled64_inputs(n):
+    """coupled64's fields at n^2: smooth phi (0.4), psi and chi (0.1) and u (0.3) on S^2,
+    two modes, seeds 5/7/9/11."""
+    g = Grid(n, n)
+    phi = smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=2)
+    psi = smooth_vector_spinor(g, phi, TG, seed=7, amplitude=0.1, modes=2)
+    chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=2)
+    u = smooth_scalar_field(g, seed=11, amplitude=0.3, modes=2)
+    return g, phi, psi, chi, u
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_joint_flow_takes_coupled64_to_tolerance_in_a_few_steps(n):
+    # explicit phi steps growing dt by 1.1 from 1e-5 took 50 iterations at each size
+    g, phi, psi, chi, u = _coupled64_inputs(n)
+    state, report = solve(phi, psi, chi, u, g, TG, SolverConfig(max_iterations=1000,
+                                                               tolerance=10.0))
+    assert report.converged
+    assert report.iterations <= 12
+    assert all(rec["rejected"] == 0 for rec in report.records)
+    assert report.stop_reason == "converged"
+    assert on_manifold_violation(TG, state.phi) <= 1e-9
+    assert tangency_violation(state.psi, state.phi, TG) <= 1e-9
+
+
+def test_joint_step_doubles_until_the_first_rejection():
+    g, phi, psi, chi, u = _coupled64_inputs(16)
+    cfg = SolverConfig(max_iterations=60, tolerance=1e-8)
+    _, report = solve(phi, psi, chi, u, g, TG, cfg)
+    records = [rec for rec in report.records if "stalled" not in rec]
+    first = next(k for k, rec in enumerate(records) if rec["rejected"])
+    assert first > 2
+    for k, rec in enumerate(records[:first]):
+        assert rec["step_size"] == cfg.initial_step * 2.0**k
+    rec = records[first]
+    assert rec["step_size"] == (
+        records[first - 1]["step_size"] * cfg.shrink ** rec["rejected"] * cfg.grow)
+
+
+def test_ramp_ends_for_good_at_the_first_rejection():
+    # after a rejected trial an accepted step grows dt by grow, not by START_FACTOR
+    g, phi, psi, chi, u = _coupled64_inputs(16)
+    psi, ev = solver._evaluate(phi, psi, chi, u, g, TG)
+    cfg = SolverConfig()
+    for ramping, factor in ((True, solver.START_FACTOR), (False, cfg.grow)):
+        state = FlowState(phi=phi, psi=psi, iteration=3, residual_norms=ev.norms,
+                          step_size=1e-5, evaluation=ev, ramping=ramping)
+        new = flow_step(state, chi, u, g, TG, cfg)
+        assert new.rejected == 0
+        assert new.accepted_step == 1e-5
+        assert new.step_size == 1e-5 * factor
+        assert new.ramping is ramping
+    state = FlowState(phi=phi, psi=psi, iteration=3, residual_norms=ev.norms,
+                      step_size=1.0, evaluation=ev)
+    new = flow_step(state, chi, u, g, TG, cfg)
+    assert new.rejected >= 1 and not new.ramping
+    assert new.step_size == cfg.shrink ** new.rejected * cfg.grow
+
+
+def test_residual_sector_step_stalls_below_the_floor_of_its_previous_step():
+    g, phi, psi, chi, u = _coupled64_inputs(16)
+    psi, ev = solver._evaluate(phi, psi, chi, u, g, TG)
+    cfg = SolverConfig()
+
+    def step(accepted_step):
+        state = FlowState(phi=phi, psi=psi, iteration=1, residual_norms=ev.norms,
+                          step_size=1.0, evaluation=ev, accepted_step=accepted_step)
+        return flow_step(state, chi, u, g, TG, cfg)
+
+    # without a previous step only the underflow test applies: dt shrinks until accepted
+    first = step(0.0)
+    assert (first.rejected, first.accepted_step) == (3, 0.125)
+    # floor 0.25: the trials at 1, 0.5 and 0.25 are evaluated and rejected, 0.125 is not
+    with pytest.raises(SolverError, match="stall floor") as err:
+        step(1.0)
+    assert err.value.rejected == 3
+
+
+def test_pure_map_step_has_no_stall_floor():
+    g = Grid(16, 16)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = TG.project(perturbed_equator_map(g, amplitude=0.05, seed=3))
+    state = FlowState(phi=phi0, psi=psi0, iteration=1, residual_norms=(1.0, 1.0),
+                      step_size=100.0, accepted_step=100.0)
+    new = flow_step(state, chi0, u0, g, TG, SolverConfig())
+    assert new.rejected > 2
+    assert new.step_size == 100.0 * 0.5**new.rejected * 1.1
+
+
+def test_report_names_why_the_solve_stopped():
+    g, phi, psi, chi, u = _coupled64_inputs(16)
+    _, report = solve(phi, psi, chi, u, g, TG, SolverConfig(max_iterations=3, tolerance=1e-8))
+    assert (report.converged, report.stop_reason) == (False, "max_iterations")
+    _, report = solve(phi, psi, chi, u, g, TG, SolverConfig(max_iterations=60, tolerance=1e-8))
+    assert (report.converged, report.stop_reason) == (False, "stalled")
+    stall = report.records[-1]
+    assert stall["stalled"] is True and stall["rejected"] >= 1
+    assert "stall floor" in stall["detail"]
+    # convergence at the last allowed iteration is convergence
+    _, report = solve(phi, psi, chi, u, g, TG, SolverConfig(max_iterations=11, tolerance=10.0))
+    assert (report.iterations, report.converged, report.stop_reason) == (11, True, "converged")
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_rejected_trials_do_not_raise_the_step_peak(n):
+    # a rejected trial's evaluation is freed before the next trial is evaluated; holding
+    # it put the peak of a rejecting step 1.5-1.8 psi.nbytes above that of a step with none
+    g, phi, psi, chi, u = _coupled64_inputs(n)
+    psi, ev = solver._evaluate(phi, psi, chi, u, g, TG)
+    cfg = SolverConfig(initial_step=1.0)
+
+    def traced_step(dt):
+        state = FlowState(phi=phi, psi=psi, iteration=0, residual_norms=ev.norms,
+                          step_size=dt, evaluation=ev)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            new = flow_step(state, chi, u, g, TG, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        return new.rejected, peak
+
+    flow_step(FlowState(phi=phi, psi=psi, iteration=0, residual_norms=ev.norms,
+                        step_size=1e-5, evaluation=ev), chi, u, g, TG, cfg)  # warm caches
+    rejected_none, peak_none = traced_step(1e-5)
+    rejected, peak = traced_step(cfg.initial_step)
+    assert rejected_none == 0 and rejected >= 2
+    assert peak - peak_none <= 0.5 * psi.nbytes
