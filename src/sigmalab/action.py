@@ -51,13 +51,14 @@ frame; a caller that passes tdata instead vouches for both constraints.
 
 The intermediates that the action shares with both residuals at one
 (phi, psi, chi, u) live in one FieldData beside that TargetData, each built on
-first use: d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts
-(M, A_l, c_l and A_l M).  A joint evaluation hands one FieldData to
-residual_phi, residual_psi and total_action, in that order; total_action is the
-last reader and takes each part out as it reads it, so none outlives its
-density.  A caller that passes fdata vouches for the constraints as with tdata;
-one that passes neither gets the parts computed afresh, so every standalone
-value is unchanged.
+first use: d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M,
+c_l and A_l M (A_l is the TargetData's).  A part's last reader takes it
+(FieldData.take), so none outlives its use: A_l M takes M, after building c_l
+from it, and total_action, the last reader of a joint evaluation (residual_phi,
+residual_psi, then total_action on one FieldData), takes each part it reads.
+A caller that passes fdata vouches for the constraints as with tdata; one that
+passes neither gets the parts computed afresh, so every standalone value is
+unchanged.
 
 The parts and the contractions are component-major (see _planes): psi as
 (K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
@@ -85,7 +86,6 @@ __all__ = [
     "TargetData",
     "target_data",
     "checked_target_data",
-    "GaussParts",
     "FieldData",
     "field_data",
     "gamma_chi",
@@ -100,11 +100,6 @@ __all__ = [
     "action_density",
     "action_value",
 ]
-
-# gamma_a gamma_b products, indexed [a, b, i, j]
-GG = np.einsum("aik,bkj->abij", cl.GAMMA, cl.GAMMA)
-GG.setflags(write=False)
-
 
 def gamma_chi(chi: np.ndarray) -> np.ndarray:
     """Gamma chi[..., e, i] = sum_b (gamma_b gamma_e chi^b)_i = -2 (Q chi)[..., e, i],
@@ -141,46 +136,17 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
     return tdata
 
 
-class GaussParts:
-    """The Gauss parts of psi along tdata, component-major (sites last): M[a, c] =
-    <psi^a, psi^c> (K, K, ...), A_l = tdata.asym_c (L, K, K, ...) and c_l = sum_bd
-    A_l[b, d] M[b, d] (L, ...), read by sr_of, snr_of and the curvature density;
-    A_l M (L, K, K, ...) on first use."""
-
-    def __init__(self, psi: np.ndarray, tdata: TargetData):
-        self.psi_c = to_planes(psi, 2)
-        self.a_l = tdata.asym_c
-        L, K, sites = self.a_l.shape[0], self.a_l.shape[1], self.a_l.shape[3:]
-        flat = self.a_l.reshape((L, K * K) + sites).swapaxes(0, 1)
-        self.c = contract(flat, self.m.reshape((K * K,) + sites), np.empty((L,) + sites))
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        p = self.psi_c.swapaxes(0, 1)                       # p[i] = (psi^a_i)_a
-        return contract(p[:, :, None], p[:, None], np.empty(p.shape[1:2] + p.shape[1:]))
-
-    @cached_property
-    def a_m(self) -> np.ndarray:
-        """A_l M, the transpose of M A_l.  M is dropped once A_l M is built (reading it
-        again recomputes it): SR and the curvature density read c_l and A_l M alone."""
-        a_l, m = self.a_l, self.m
-        a_m, tmp = np.empty_like(a_l), np.empty(a_l.shape[:1] + a_l.shape[2:])
-        for a in range(a_l.shape[1]):   # row by row, so that the temporary is one row
-            contract(np.moveaxis(a_l[:, a], 1, 0)[:, :, None], m[:, None], a_m[:, a], tmp=tmp)
-        del self.__dict__["m"]
-        return a_m
-
-
 class FieldData:
     """The intermediates one evaluation of both residuals and the action shares
     at (phi, psi, chi, u), each built on first use: psi_c (K, 4, ...), d phi
     (2, K, ...), D_u psi, the gravitino coefficient d phi . Gamma chi of psi
-    (K, 4, ...), |Q chi|^2 and the Gauss parts of psi.  All but D_u psi, which
-    keeps the flat Dirac operator's site-major layout, are component-major; the
-    fields themselves stay as given.  tdata is the TargetData of phi, built from
-    target on first use when not given; the other arguments are needed only by
-    the parts that read them.  take(name) hands a part to its last reader and
-    drops it; sharing hands parts to a FieldData of partly different fields."""
+    (K, 4, ...), |Q chi|^2 and the Gauss parts of psi along tdata: M (K, K, ...),
+    c_l (L, ...) and A_l M (L, K, K, ...), with A_l = tdata.asym_c (L, K, K, ...).
+    All but D_u psi, which keeps the flat Dirac operator's site-major layout, are
+    component-major; the fields themselves stay as given.  tdata is the TargetData
+    of phi, built from target on first use when not given; the other arguments are
+    needed only by the parts that read them.  take(name) hands a part to its last
+    reader and drops it."""
 
     def __init__(self, phi, psi, chi=None, u=None, grid: Grid | None = None, *,
                  target: TargetManifold | None = None, tdata: TargetData | None = None):
@@ -234,28 +200,29 @@ class FieldData:
         return q_norm2_field(self.chi)
 
     @cached_property
-    def gauss(self) -> GaussParts:
-        return GaussParts(to_sites(self.psi_c, 2), self.tdata)
+    def m(self) -> np.ndarray:
+        """M[a, c] = <psi^a, psi^c>."""
+        p = self.psi_c.swapaxes(0, 1)                       # p[i] = (psi^a_i)_a
+        return contract(p[:, :, None], p[:, None], np.empty(p.shape[1:2] + p.shape[1:]))
 
-    # the fields each shareable part reads, besides phi and its TargetData
-    _READS = {"psi_c": {"psi"}, "dphi": set(), "dirac": {"psi", "u"},
-              "dphi_gamma_chi": {"chi"}, "q_chi2": {"chi"}, "gauss": {"psi"}}
+    @cached_property
+    def c(self) -> np.ndarray:
+        """c_l = sum_bd A_l[b, d] M[b, d]."""
+        a_l = self.tdata.asym_c
+        L, K, sites = a_l.shape[0], a_l.shape[1], a_l.shape[3:]
+        flat = a_l.reshape((L, K * K) + sites).swapaxes(0, 1)
+        return contract(flat, self.m.reshape((K * K,) + sites), np.empty((L,) + sites))
 
-    def sharing(self, *parts: str, **fields) -> FieldData:
-        """A FieldData on the same phi and TargetData with the given fields (psi, chi or
-        u) replaced, holding the named parts of this one, built here first if need be;
-        each must read none of the replaced fields.  Both then read the same arrays, and
-        taking a part from one leaves it in the other."""
-        kept = {"psi": self.psi, "chi": self.chi, "u": self.u}
-        if not fields.keys() <= kept.keys():
-            raise ValueError(f"only psi, chi and u can be replaced, got {sorted(fields)}")
-        kept.update(fields)
-        new = FieldData(self.phi, kept["psi"], kept["chi"], kept["u"], self.grid, tdata=self.tdata)
-        for name in parts:
-            if self._READS[name] & fields.keys():
-                raise ValueError(f"{name} reads a replaced field")
-            new.__dict__[name] = getattr(self, name)
-        return new
+    @cached_property
+    def a_m(self) -> np.ndarray:
+        """A_l M, the transpose of M A_l.  It takes M, after building c_l from it: SR and
+        the curvature density read c_l and A_l M alone."""
+        self.c                          # c_l reads M, which A_l M takes
+        a_l, m = self.tdata.asym_c, self.take("m")
+        a_m, tmp = np.empty_like(a_l), np.empty(a_l.shape[:1] + a_l.shape[2:])
+        for a in range(a_l.shape[1]):   # row by row, so that the temporary is one row
+            contract(np.moveaxis(a_l[:, a], 1, 0)[:, :, None], m[:, None], a_m[:, a], tmp=tmp)
+        return a_m
 
     def take(self, name: str):
         """The part name, computed if need be and no longer kept (reading it again recomputes it)."""
@@ -298,31 +265,23 @@ def _qchi_density(fd: FieldData) -> np.ndarray | None:
     return -(fd.take("q_chi2") * pair(fd.psi_c, fd.psi_c, 2) * np.exp(4.0 * fd.u))
 
 
-def _curvature_density(psi, u, tdata, gauss: GaussParts | None = None) -> np.ndarray | None:
-    if not np.any(psi):
+def _curvature_density(fd: FieldData) -> np.ndarray | None:
+    if not fd.has_psi:
         return None
-    if gauss is None:
-        gauss = GaussParts(psi, tdata)
-    c, am = gauss.c, gauss.a_m
+    am = fd.take("a_m")                 # before c_l, which A_l M builds
+    c = fd.take("c")
     r = contract(c, c, np.empty(c.shape[1:]))
     r -= contract(am, am.swapaxes(1, 2), np.empty(c.shape[1:]), axes=3)
-    return -r * np.exp(4.0 * u) / 6.0
+    return -r * np.exp(4.0 * fd.u) / 6.0
 
 
-def _densities(phi, psi, u, chi, grid, target, tdata=None,
-               fdata: FieldData | None = None) -> tuple:
-    """Densities of the summands I..V, in order; None where a term vanishes.
-
-    The parts come from fdata, or from a fresh FieldData when it is None.
-    """
-    fd = fdata if fdata is not None else FieldData(phi, psi, chi, u, grid, target=target,
-                                                   tdata=tdata)
+def _densities(fd: FieldData) -> tuple:
+    """Densities of the summands I..V of fd's fields, in order; None where a term vanishes."""
     ii, iii, iv = _dirac_density(fd), _gravitino_density(fd), _qchi_density(fd)
     # d phi after the gravitino coefficient, which is built from it when fd does not hold
     # it yet, and before the Gauss parts, which a fresh fd builds last
     i = _dirichlet_density(fd.take("dphi"))
-    v = _curvature_density(psi, u, fd.tdata, fd.take("gauss")) if fd.has_psi else None
-    return i, ii, iii, iv, v
+    return i, ii, iii, iv, _curvature_density(fd)
 
 
 def _integral(density: np.ndarray | None, grid: Grid) -> float:
@@ -354,16 +313,16 @@ def term_qchi(chi, psi, u, grid) -> float:
     return _integral(_qchi_density(FieldData(None, psi, chi, u)), grid)
 
 
-def sr_planes(g: GaussParts) -> np.ndarray:
-    """SR(psi) = sum_l (c_l A_l - A_l M A_l) psi from the Gauss parts, shaped like g.psi_c."""
-    a_l, a_m = g.a_l, g.a_m
+def sr_planes(fd: FieldData) -> np.ndarray:
+    """SR(psi) = sum_l (c_l A_l - A_l M A_l) psi from fd's Gauss parts, shaped like fd.psi_c."""
+    a_l, a_m = fd.tdata.asym_c, fd.a_m
     buf = np.empty(a_l.shape[1:])
     ama = contract(a_m.swapaxes(1, 2)[:, :, :, None], a_l[:, :, None],    # sum_l A_l M A_l
                    np.empty_like(buf), axes=2, tmp=buf)
-    w = contract(g.c[:, None, None], a_l, buf)
+    w = contract(fd.c[:, None, None], a_l, buf)
     w -= ama
     del ama
-    psi = g.psi_c
+    psi = fd.psi_c
     out, tmp = np.empty_like(psi), np.empty(psi.shape[1:])
     for a in range(psi.shape[0]):       # row by row, so that the temporary is one row
         contract(w[a], psi, out[a], tmp=tmp)
@@ -372,12 +331,12 @@ def sr_planes(g: GaussParts) -> np.ndarray:
 
 def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent."""
-    return to_sites(sr_planes(FieldData(phi, psi, target=target, tdata=tdata).gauss), 2)
+    return to_sites(sr_planes(FieldData(phi, psi, target=target, tdata=tdata)), 2)
 
 
 def term_curvature(psi, phi, u, grid, target) -> float:
     """-(1/6) sum <SR(psi), psi> e^{4u} h1 h2."""
-    return _integral(_curvature_density(psi, u, target_data(target, phi)), grid)
+    return _integral(_curvature_density(FieldData(phi, psi, u=u, target=target)), grid)
 
 
 def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
@@ -391,9 +350,8 @@ def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
     """SnR of fdata's psi on target, component-major (K, ...); the Gauss parts are
     built after nabla A when fdata does not hold them yet."""
     natensor = target.nabla_a_tensor(fdata.phi, fdata.tdata)        # (..., e, a, c, l)
-    g = fdata.gauss
-    m = g.m                                 # before A_l M, whose building drops M
-    a_m, c = g.a_m, g.c
+    m = fdata.m                             # before A_l M, which takes M
+    a_m, c = fdata.a_m, fdata.c
     # w[l, a, c] = c_l M_ac - (M (A_l M))_ac
     w = contract(m.swapaxes(0, 1)[:, None, :, None], a_m.swapaxes(0, 1)[:, :, None],
                  np.empty_like(a_m))
@@ -416,8 +374,7 @@ def total_action(phi, psi, u, chi, grid, target, tdata: TargetData | None = None
     action reads its parts last and takes them out."""
     if fdata is None:
         fdata = field_data(phi, psi, chi, u, grid, target, tdata)
-    densities = _densities(phi, psi, u, chi, grid, target, fdata=fdata)
-    t1, t2, t3, t4, t5 = (_integral(d, grid) for d in densities)
+    t1, t2, t3, t4, t5 = (_integral(d, grid) for d in _densities(fdata))
     total = ((t1 + t2) + t3 + t4) + t5
     return ActionBreakdown(t1, t2, t3, t4, t5, total)
 
@@ -429,7 +386,7 @@ def action_density(phi, psi, u, chi, grid, target,
     Every site's density depends on the fields only within one stencil step,
     which the finite-difference oracle exploits for local delta evaluation.
     """
-    dens, *rest = _densities(phi, psi, u, chi, grid, target, tdata)
+    dens, *rest = _densities(FieldData(phi, psi, chi, u, grid, target=target, tdata=tdata))
     for d in rest:
         if d is not None:
             dens = dens + d

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import FieldData, checked_target_data, target_data, total_action
+from .action import checked_target_data, target_data, total_action
 from .fields import (
     TANGENCY_TOL,
     conformal_rescale,
@@ -168,11 +168,7 @@ def projector_suite(grid: Grid, rng: np.random.Generator):
 def symmetry_suite(phi, psi, chi, u, grid, target, rng, tdata=None):
     """Super-Weyl shift and the sign flip, term by term; checked unless given tdata.
 
-    The five actions share phi, so they read one d phi.  Each transformation
-    recomputes the parts it changes and shares the rest with the base action: the
-    shift keeps D_u psi and the Gauss parts of psi, the flat metric keeps the
-    Gauss parts and the chi parts, and the sign flip and the conformal rescaling
-    recompute every psi part.
+    The five actions share phi, so they read one TargetData.
     """
     out = []
     if tdata is None:
@@ -180,27 +176,21 @@ def symmetry_suite(phi, psi, chi, u, grid, target, rng, tdata=None):
     spin = rng.standard_normal(grid.shape + (4,))
     psi_r, chi_r = conformal_rescale(psi, chi, u)
     chi_s, zero = chi + sigma_lift(spin), np.zeros(grid.shape)
-    # every shared part is built before the base action takes it
-    fd = FieldData(phi, psi, chi, u, grid, tdata=tdata)
-    shifted_fd = fd.sharing("dphi", "psi_c", "dirac", "gauss", chi=chi_s)
-    flat_fd = fd.sharing("dphi", "psi_c", "gauss", "dphi_gamma_chi", "q_chi2", u=zero)
-    flipped_fd = fd.sharing("dphi", psi=-psi, chi=-chi)
-    conf_fd = fd.sharing("dphi", psi=psi_r, chi=chi_r)
 
-    base = total_action(phi, psi, u, chi, grid, target, fdata=fd)
+    base = total_action(phi, psi, u, chi, grid, target, tdata=tdata)
     scale = 1.0 + max(abs(v) for v in base.to_dict().values())
 
-    shifted = total_action(phi, psi, u, chi_s, grid, target, fdata=shifted_fd)
+    shifted = total_action(phi, psi, u, chi_s, grid, target, tdata=tdata)
     err = max(abs(a - b) for a, b in zip(base.to_dict().values(), shifted.to_dict().values()))
     out.append(CheckResult("symmetry", "super_weyl_shift", err / scale, EXACT_TOL))
 
-    flipped = total_action(phi, -psi, u, -chi, grid, target, fdata=flipped_fd)
+    flipped = total_action(phi, -psi, u, -chi, grid, target, tdata=tdata)
     err = max(abs(a - b) for a, b in zip(base.to_dict().values(), flipped.to_dict().values()))
     out.append(CheckResult("symmetry", "sign_flip", err / scale, EXACT_TOL))
 
     # not exact at finite h (the Dirac conjugation leaks O(h^2)); generous bound
-    conf = total_action(phi, psi_r, u, chi_r, grid, target, fdata=conf_fd)
-    flat = total_action(phi, psi, zero, chi, grid, target, fdata=flat_fd)
+    conf = total_action(phi, psi_r, u, chi_r, grid, target, tdata=tdata)
+    flat = total_action(phi, psi, zero, chi, grid, target, tdata=tdata)
     out.append(
         CheckResult("symmetry", "conformal_total", abs(conf.total - flat.total) / scale, 1e-1)
     )

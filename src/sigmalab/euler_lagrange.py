@@ -27,10 +27,11 @@ vector-spinor is reprojected when the base point moves, i.e.
 parallel-transported to first order).
 
 Both residuals read the intermediates they share with each other and with the
-action (d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts of
-psi) from one action.FieldData: the flow builds one per evaluation and hands
-it to residual_phi, residual_psi and total_action in that order, so each part
-is computed once.  Called without fdata, a residual builds its own.
+action (d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M,
+c_l and A_l M of psi) from one action.FieldData: the flow builds one per
+evaluation and hands it to residual_phi, residual_psi and total_action in that
+order, so each part is computed once.  Called without fdata, a residual builds
+its own.
 
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
@@ -203,7 +204,7 @@ def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
         out = np.empty(fdata.psi_c.shape)     # e^{3u} D_sym psi, written component-major
         np.multiply(np.exp(3.0 * u)[..., None, None], sym, out=to_sites(out, 2))
         del sym
-        sr = sr_planes(fdata.gauss)
+        sr = sr_planes(fdata)
         sr *= np.exp(4.0 * u)
         sr /= 3.0
         out -= sr

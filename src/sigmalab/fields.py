@@ -55,8 +55,6 @@ __all__ = [
     "dirac_conformal_adjoint",
     "dirac_conformal_sym",
     "twisted_dirac",
-    "field_p_project",
-    "field_q_project",
     "site_inner",
     "q_norm2_field",
     "conformal_rescale",
@@ -186,16 +184,6 @@ def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
 
 
 # ---- pointwise projectors and rescalings ---------------------------------------
-
-
-def field_p_project(chi: np.ndarray) -> np.ndarray:
-    """Site-wise spin-1/2 projector on a gravitino field."""
-    return cl.p_project(chi)
-
-
-def field_q_project(chi: np.ndarray) -> np.ndarray:
-    """Site-wise spin-3/2 projector on a gravitino field."""
-    return cl.q_project(chi)
 
 
 def site_inner(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -49,7 +49,8 @@ a stall.
 Each evaluation of an iterate builds one TargetData and one action.FieldData
 of the fields and hands both to residual_phi, residual_psi and total_action,
 in that order: grad phi, D_u psi, the gravitino coefficient, |Q chi|^2 and the
-Gauss parts are computed once and dropped after their last reader, the action.
+Gauss parts M, c_l and A_l M are computed once and dropped after their last
+reader (M by A_l M, the rest by the action).
 The gravitino and the conformal factor are parameters of the functional and
 stay fixed.
 """

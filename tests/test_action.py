@@ -1,11 +1,14 @@
 """The five action terms, the curvature contractions, and the exact symmetries."""
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmalab import clifford as cl
 from sigmalab.action import (
+    FieldData,
     gamma_chi,
     snr_of,
     sr_of,
@@ -291,6 +294,34 @@ def test_snr_matrix_products_match_five_index_sum():
     scale = np.max(np.abs(oracle))
     assert scale > 0.0
     assert np.max(np.abs(out.reshape(-1, 3) - oracle)) / scale < 1e-12
+
+
+def test_reading_c_after_a_m_builds_m_once(monkeypatch):
+    # A_l M takes M, so it builds c_l from M first: c_l read after it is the kept one
+    te = ellipsoid_target([1.0, 1.2, 0.9])
+    g = Grid(6, 6)
+    phi = smooth_map_field(g, te, seed=20, amplitude=0.2)
+    psi = smooth_vector_spinor(g, phi, te, seed=21, amplitude=0.7)
+    builds = []
+    build = FieldData.__dict__["m"].func
+
+    @functools.cached_property
+    def m(self):
+        builds.append(1)
+        return build(self)
+
+    m.__set_name__(FieldData, "m")
+    monkeypatch.setattr(FieldData, "m", m)
+    fd = FieldData(phi, psi, target=te)
+    a_m, c = fd.a_m, fd.c
+    assert len(builds) == 1
+    assert "m" not in fd.__dict__
+    a_l = fd.tdata.asym_c
+    ref_m = np.einsum("xyai,xyci->acxy", psi, psi)
+    ref_c = np.einsum("lbdxy,bdxy->lxy", a_l, ref_m)
+    ref_a_m = np.einsum("labxy,bcxy->lacxy", a_l, ref_m)
+    assert np.max(np.abs(c - ref_c)) <= 1e-13 * np.max(np.abs(ref_c))
+    assert np.max(np.abs(a_m - ref_a_m)) <= 1e-13 * np.max(np.abs(ref_a_m))
 
 
 # ---- totals and symmetries ------------------------------------------------------

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalab import action, euler_lagrange, fields, geometry, solver
 from sigmalab.action import checked_target_data, term_dirac, total_action
 from sigmalab.cli import _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
@@ -193,61 +192,9 @@ def _benchmark_cli_config(tmp_path):
     return parse_config(tmp_path / "cli.ini")
 
 
-def _benchmark_cli_fields(tmp_path):
-    """The fields of the benchmark's CLI configuration."""
-    c = _benchmark_cli_config(tmp_path)
-    return c.phi, c.psi, c.chi, c.u, c.grid, c.target
-
-
 def test_residual_command_builds_no_frame_after_parsing(monkeypatch, tmp_path):
     # the norms take r_phi's tangent part along the frame that parsing built
     c = _benchmark_cli_config(tmp_path)
     frames = _count_frames(monkeypatch, c.target)
     assert _cmd_residual(c, tmp_path) == 0
     assert len(frames) == 0
-
-
-def test_check_suites_share_grad_and_the_gauss_parts(monkeypatch, tmp_path):
-    # dirac_suite applies each operator once per field (3 grads); the symmetry suite takes
-    # one grad of phi and four of D_u psi (base and shift share theirs), and its base, shift
-    # and flat-metric actions read one set of Gauss parts: 17 grads and 5 builds before
-    fields_ = _benchmark_cli_fields(tmp_path)
-    counts = {"grad": 0, "gauss": 0}
-    grad_fn = geometry.grad
-
-    def counted_grad(*args, **kwargs):
-        counts["grad"] += 1
-        return grad_fn(*args, **kwargs)
-
-    for module in (geometry, fields, action, euler_lagrange, solver):
-        if getattr(module, "grad", None) is grad_fn:
-            monkeypatch.setattr(module, "grad", counted_grad)
-
-    class CountedGaussParts(action.GaussParts):
-        def __init__(self, *args, **kwargs):
-            counts["gauss"] += 1
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(action, "GaussParts", CountedGaussParts)
-    results = run_all_checks(*fields_)
-    assert all(r.passed for r in results)
-    assert counts == {"grad": 8, "gauss": 3}
-
-
-def test_shared_parts_give_the_unshared_actions():
-    tg = ellipsoid_target([1.0, 1.3, 0.8])
-    g, phi, psi, chi, u = _fields(tg)
-    tdata = checked_target_data(tg, phi, psi)
-    fd = action.FieldData(phi, psi, chi, u, g, tdata=tdata)
-    zero = np.zeros(g.shape)
-    flat_fd = fd.sharing("dphi", "psi_c", "gauss", "dphi_gamma_chi", "q_chi2", u=zero)
-    flipped_fd = fd.sharing("dphi", psi=-psi, chi=-chi)
-    assert total_action(phi, psi, u, chi, g, tg, fdata=fd) == total_action(phi, psi, u, chi, g, tg)
-    assert (total_action(phi, psi, zero, chi, g, tg, fdata=flat_fd)
-            == total_action(phi, psi, zero, chi, g, tg))
-    assert (total_action(phi, -psi, u, -chi, g, tg, fdata=flipped_fd)
-            == total_action(phi, -psi, u, -chi, g, tg))
-    with pytest.raises(ValueError, match="dirac reads a replaced field"):
-        fd.sharing("dirac", u=zero)
-    with pytest.raises(ValueError, match="only psi, chi and u"):
-        fd.sharing("dphi", phi=phi)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sigmalab import clifford as cl
-from sigmalab.action import GG, _curvature_density, _densities, gamma_chi, snr_of, sr_of
+from sigmalab.action import FieldData, _curvature_density, _densities, gamma_chi, snr_of, sr_of
 from sigmalab.euler_lagrange import (
     _frame_derivative,
     _tproj_dnu,
@@ -34,6 +34,9 @@ from sigmalab.geometry import (
 
 RTOL = 1e-13
 GRID = Grid(6, 8)
+
+# gamma_a gamma_b products, indexed [a, b, i, j]
+GG = np.einsum("aik,bkj->abij", cl.GAMMA, cl.GAMMA)
 
 
 class PlaneSphere(TargetManifold):
@@ -231,7 +234,7 @@ def test_curvature_density_is_the_sr_pairing(target):
     phi, psi, _, u = _fields(target, 20)
     td = TargetData(target, phi)
     ref = -site_inner(sr_of(psi, phi, target, td), psi) * np.exp(4.0 * u) / 6.0
-    assert _relerr(_curvature_density(psi, u, td), ref) < RTOL
+    assert _relerr(_curvature_density(FieldData(phi, psi, u=u, tdata=td)), ref) < RTOL
 
 
 class _RandomNablaA(PlaneSphere):
@@ -280,7 +283,7 @@ def test_frame_kernels_match_einsum(target):
 def test_densities_match_einsum(target):
     phi, psi, chi, u = _fields(target, 16)
     td = _random_tdata(target, phi, 17)
-    densities = _densities(phi, psi, u, chi, GRID, target, td)[1:]
+    densities = _densities(FieldData(phi, psi, chi, u, GRID, tdata=td))[1:]
     for new, ref in zip(densities, ref_densities(phi, psi, u, chi, td)):
         assert _relerr(new, ref) < RTOL
 

@@ -1,5 +1,6 @@
 """Projected gradient flow: benchmarks, determinism, constraint preservation."""
 
+import functools
 import json
 import tracemalloc
 
@@ -367,8 +368,8 @@ def test_flow_evaluation_equals_the_standalone_residuals_and_action_on_the_ellip
 
 
 def _count_shared_parts(monkeypatch) -> dict:
-    """Count grad (under every name that binds it) and the Gauss parts built."""
-    counts = {"grad": 0, "gauss": 0}
+    """Count grad (under every name that binds it) and the Gauss part M built."""
+    counts = {"grad": 0, "m": 0}
     grad_fn = geometry.grad
 
     def counted_grad(*args, **kwargs):
@@ -379,19 +380,22 @@ def _count_shared_parts(monkeypatch) -> dict:
         if getattr(module, "grad", None) is grad_fn:
             monkeypatch.setattr(module, "grad", counted_grad)
 
-    class CountedGaussParts(action.GaussParts):
-        def __init__(self, *args, **kwargs):
-            counts["gauss"] += 1
-            super().__init__(*args, **kwargs)
+    build = action.FieldData.__dict__["m"].func
 
-    monkeypatch.setattr(action, "GaussParts", CountedGaussParts)
+    @functools.cached_property
+    def m(self):
+        counts["m"] += 1
+        return build(self)
+
+    m.__set_name__(action.FieldData, "m")
+    monkeypatch.setattr(action.FieldData, "m", m)
     return counts
 
 
 @pytest.mark.parametrize("target", ["sphere", "ellipsoid"])
 def test_joint_evaluation_shares_grad_and_the_gauss_parts(monkeypatch, target):
-    # one grad of phi plus the two of D_u psi and its adjoint; one set of Gauss parts
-    # for SR, R and (on the ellipsoid) SnR
+    # one grad of phi plus the two of D_u psi and its adjoint; one M for the Gauss
+    # parts of SR, R and (on the ellipsoid) SnR
     g = Grid(16, 16)
     te, phi, psi, chi, u = _ellipsoid_fields(g)
     if target == "sphere":
@@ -400,7 +404,7 @@ def test_joint_evaluation_shares_grad_and_the_gauss_parts(monkeypatch, target):
     counts = _count_shared_parts(monkeypatch)
     solver._evaluate(phi, psi, chi, u, g, te)
     assert counts["grad"] <= 3
-    assert counts["gauss"] == 1
+    assert counts["m"] == 1
 
 
 def test_pure_map_evaluation_takes_one_grad(monkeypatch):
@@ -408,7 +412,7 @@ def test_pure_map_evaluation_takes_one_grad(monkeypatch):
     psi0, chi0, u0 = _zeros(g)
     counts = _count_shared_parts(monkeypatch)
     solver._evaluate(perturbed_equator_map(g, amplitude=0.05, seed=3), psi0, chi0, u0, g, TG)
-    assert counts == {"grad": 1, "gauss": 0}
+    assert counts == {"grad": 1, "m": 0}
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 20), (33, 17)])
