@@ -8,7 +8,7 @@ path.  Artifact filenames are fixed:
     check    -> check_report.json
     residual -> residuals.json (+ fields_rphi.csv, fields_rpsi.csv)
     solve    -> flow_report.jsonl, fields_phi.csv, fields_psi.csv, fields_chi.csv
-    morrey   -> decay_profile.csv
+    morrey   -> decay_profile.csv, morrey_summary.json
 
 Identical configuration and seed produce bit-identical artifacts.  Errors are
 reported as machine-readable JSON on stderr with a nonzero exit status.
@@ -76,17 +76,6 @@ def _seeded(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
-def _get(section, key, default=None, cast=str):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing configuration key {key!r}")
-        return cast(default)
-    try:
-        return cast(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -99,34 +88,51 @@ def _float_list(text: str) -> list[float]:
 
 
 def _constant_map(section, grid: Grid, target: TargetManifold) -> np.ndarray:
-    point = np.array(_get(section, "point", cast=_float_list))
+    point = np.array(_need(section, "point"))
     if point.shape != (target.ambient_dim,):
         raise ConfigError(f"constant map point needs {target.ambient_dim} components")
     return np.broadcast_to(target.project(point), grid.shape + point.shape)
 
 
-# the keys each section accepts, over all of its kinds; configparser copies the
-# keys of [DEFAULT] into every section, so they are checked there too
-_SECTION_KEYS = {
-    "grid": {"n1", "n2"},
-    "target": {"kind", "ambient_dim", "radius", "semi_axes"},
-    "run": {"seed"},
-    "metric": {"kind", "path", "value", "amplitude"},
-    "phi": {"kind", "path", "amplitude", "point"},
-    "psi": {"kind", "path", "amplitude"},
-    "gravitino": {"kind", "path", "amplitude"},
-    "solver": {"max_iterations", "tolerance", "initial_step", "shrink", "grow", "mode"},
-    "morrey": {"resolution", "p", "lambda", "radii", "center", "field", "width", "exponent"},
+# the keys each section accepts, over all of its kinds, and the type every given
+# value is parsed with, whichever kind reads it; configparser copies the keys of
+# [DEFAULT] into every section, so they are checked there too
+_KEYS = {
+    "grid": {"n1": int, "n2": int},
+    "target": {"kind": str, "ambient_dim": int, "radius": _finite, "semi_axes": _float_list},
+    "run": {"seed": int},
+    "metric": {"kind": str, "path": str, "value": _finite, "amplitude": _finite},
+    "phi": {"kind": str, "path": str, "amplitude": _finite, "point": _float_list},
+    "psi": {"kind": str, "path": str, "amplitude": _finite},
+    "gravitino": {"kind": str, "path": str, "amplitude": _finite},
+    "solver": {"max_iterations": int, "tolerance": _finite, "initial_step": _finite,
+               "shrink": _finite, "grow": _finite, "mode": str},
+    "morrey": {"resolution": int, "p": _finite, "lambda": _finite, "radii": _float_list,
+               "center": _float_list, "field": str, "width": _finite, "exponent": _finite},
 }
 
 
-def _check_keys(ini: configparser.ConfigParser):
+def _read_sections(ini: configparser.ConfigParser) -> dict[str, dict]:
+    """{section: {key: typed value}} for every section of _KEYS; absent ones are empty."""
+    sections = {name: {} for name in _KEYS}
     for name in ini.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _KEYS:
             raise ConfigError(f"unknown configuration section [{name}]")
-        unknown = sorted(set(ini[name]) - _SECTION_KEYS[name])
+        unknown = sorted(set(ini[name]) - set(_KEYS[name]))
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
+        for key, text in ini[name].items():
+            try:
+                sections[name][key] = _KEYS[name][key](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
+    return sections
+
+
+def _need(section: dict, key: str):
+    if key not in section:
+        raise ConfigError(f"missing configuration key {key!r}")
+    return section[key]
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
@@ -144,10 +150,7 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
     ini.read(path)
-    _check_keys(ini)
-
-    def section(name):
-        return ini[name] if name in ini else {}
+    sections = _read_sections(ini)
 
     def build(name, default, builders, field=None, key="kind"):
         """builders[kind](section) for the kind that ``key`` names in [name].
@@ -156,10 +159,10 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
         the section's ``path`` and checks it against the grid and K (the field
         sections are read after the target, so K is known by then).
         """
-        sec = section(name)
-        kind = _get(sec, key, default)
+        sec = sections[name]
+        kind = sec.get(key, default)
         if field is not None and kind == "file":
-            file = path.parent / _get(sec, "path")
+            file = path.parent / _need(sec, "path")
             if not file.exists():
                 raise ConfigError(f"referenced field file does not exist: {file}")
             array, file_kind = load_field(file)
@@ -176,74 +179,60 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
             raise ConfigError(f"unknown {label} kind {kind!r}")
         return builders[kind](sec)
 
-    grid = Grid(_get(section("grid"), "n1", cast=int), _get(section("grid"), "n2", cast=int))
+    grid = Grid(_need(sections["grid"], "n1"), _need(sections["grid"], "n2"))
     target = build("target", "sphere", {
-        "sphere": lambda s: SphereTarget(ambient_dim=_get(s, "ambient_dim", "3", int),
-                                         radius=_get(s, "radius", "1.0", _finite)),
-        "ellipsoid": lambda s: ellipsoid_target(
-            _get(s, "semi_axes", "1.0,1.0,1.0", _float_list)),
+        "sphere": lambda s: SphereTarget(ambient_dim=s.get("ambient_dim", 3),
+                                         radius=s.get("radius", 1.0)),
+        "ellipsoid": lambda s: ellipsoid_target(s.get("semi_axes", [1.0, 1.0, 1.0])),
     })
     K = target.ambient_dim
 
-    seed = _get(section("run"), "seed", "0", int) if seed_override is None else seed_override
+    seed = sections["run"].get("seed", 0) if seed_override is None else seed_override
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
     u = build("metric", "zero", {
         "zero": lambda s: np.zeros(grid.shape),
-        "constant": lambda s: np.full(grid.shape, _get(s, "value", None, _finite)),
-        "smooth": lambda s: smooth_scalar_field(grid, seed + 11,
-                                                _get(s, "amplitude", "0.3", _finite)),
+        "constant": lambda s: np.full(grid.shape, _need(s, "value")),
+        "smooth": lambda s: smooth_scalar_field(grid, seed + 11, s.get("amplitude", 0.3)),
     }, field="scalar")
     # phi from every source is projected onto N (ConstraintError where that fails)
     phi = target.project(build("phi", "equator", {
         "equator": lambda s: equator_map(grid, K),
         "perturbed-equator": lambda s: perturbed_equator_map(
-            grid, _get(s, "amplitude", "0.05", _finite), seed + 21, K),
-        "smooth": lambda s: smooth_map_field(grid, target, seed + 21,
-                                             _get(s, "amplitude", "0.4", _finite)),
+            grid, s.get("amplitude", 0.05), seed + 21, K),
+        "smooth": lambda s: smooth_map_field(grid, target, seed + 21, s.get("amplitude", 0.4)),
         "constant": lambda s: _constant_map(s, grid, target),
     }, field="map"))
     psi = build("psi", "zero", {
         "zero": lambda s: np.zeros(grid.shape + (K, 4)),
         "smooth": lambda s: smooth_vector_spinor(grid, phi, target, seed + 31,
-                                                 _get(s, "amplitude", "0.5", _finite)),
+                                                 s.get("amplitude", 0.5)),
         "random": lambda s: random_vector_spinor(grid, phi, target, _seeded(seed, 31),
-                                                 _get(s, "amplitude", "1.0", _finite)),
+                                                 s.get("amplitude", 1.0)),
     }, field="vectorspinor")
     chi = build("gravitino", "zero", {
         "zero": lambda s: np.zeros(grid.shape + (2, 4)),
-        "smooth": lambda s: smooth_gravitino(grid, seed + 41,
-                                             _get(s, "amplitude", "0.5", _finite)),
-        "random": lambda s: random_gravitino(grid, _seeded(seed, 41),
-                                             _get(s, "amplitude", "1.0", _finite)),
+        "smooth": lambda s: smooth_gravitino(grid, seed + 41, s.get("amplitude", 0.5)),
+        "random": lambda s: random_gravitino(grid, _seeded(seed, 41), s.get("amplitude", 1.0)),
     }, field="gravitino")
 
-    osec = section("solver")
-    solver = SolverConfig(
-        max_iterations=_get(osec, "max_iterations", "10000", int),
-        tolerance=_get(osec, "tolerance", "1e-6", _finite),
-        initial_step=_get(osec, "initial_step", "1e-5", _finite),
-        shrink=_get(osec, "shrink", "0.5", _finite),
-        grow=_get(osec, "grow", "1.1", _finite),
-        mode=_get(osec, "mode", "joint"),
-    )
+    solver = SolverConfig(**sections["solver"])
 
-    qsec = section("morrey")
-    dgrid = DiscGrid(_get(qsec, "resolution", "32", int))
+    qsec = sections["morrey"]
+    dgrid = DiscGrid(qsec.get("resolution", 32))
     morrey = {
         "grid": dgrid,
-        "params": MorreyParams(p=_get(qsec, "p", "4.0", _finite),
-                               lam=_get(qsec, "lambda", "2.0", _finite)),
-        "radii": check_radii(_get(qsec, "radii", "0.125,0.25,0.5,1.0", _float_list)),
-        "center": _get(qsec, "center", "0.0,0.0", _float_list),
+        "params": MorreyParams(p=qsec.get("p", 4.0), lam=qsec.get("lambda", 2.0)),
+        "radii": check_radii(qsec.get("radii", [0.125, 0.25, 0.5, 1.0])),
+        "center": qsec.get("center", [0.0, 0.0]),
     }
     if len(morrey["center"]) != 2:
         raise ConfigError("morrey center needs 2 components")
-    width = _get(qsec, "width", "0.4", _finite)
+    width = qsec.get("width", 0.4)
     if width <= 0.0:
         raise ConfigError(f"morrey width must be positive, got {width}")
-    exponent = _get(qsec, "exponent", "-0.5", _finite)
+    exponent = qsec.get("exponent", -0.5)
     r = np.hypot(*dgrid.centers())
     morrey["values"] = build("morrey", "gaussian", {
         "gaussian": lambda s: np.exp(-(r / width) ** 2),

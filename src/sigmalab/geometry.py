@@ -41,7 +41,6 @@ __all__ = [
     "shift",
     "grad",
     "div",
-    "laplacian",
     "wide_laplacian",
     "wide_laplacian_symbol",
     "tangent_part",
@@ -139,13 +138,6 @@ def div(vec: np.ndarray, grid: Grid) -> np.ndarray:
     d0 = _centered(vec[0], 0, grid.h1, np.empty_like(vec[0]))
     d0 += _centered(vec[1], 1, grid.h2, np.empty_like(vec[1]))
     return d0
-
-
-def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Compact 5-point Laplacian (anisotropic for rectangular cells)."""
-    out = (shift(field, 0, +1) - 2.0 * field + shift(field, 0, -1)) / grid.h1**2
-    out += (shift(field, 1, +1) - 2.0 * field + shift(field, 1, -1)) / grid.h2**2
-    return out
 
 
 def wide_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:

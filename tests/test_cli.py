@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -628,3 +629,49 @@ def test_solve_on_the_benchmark_config_stalls_after_few_evaluations(monkeypatch,
     assert lines[0]["iteration"] == 0
     assert lines[-1]["stop_reason"] == "stalled" and lines[-1]["converged"] is False
     assert lines[-2]["stalled"] is True and lines[-2]["rejected"] >= 1
+
+
+# (section, key, value) for every number or list key that the section's default kind
+# does not read
+_DEFAULT_KINDS = {"target": "sphere", "metric": "zero", "phi": "equator", "psi": "zero",
+                  "gravitino": "zero"}
+_UNREAD_KEY_VALUES = [
+    ("target", "semi_axes", "abc"), ("target", "semi_axes", "1,nan,1"),
+    ("metric", "value", "abc"), ("metric", "value", "nan"),
+    ("metric", "amplitude", "abc"), ("metric", "amplitude", "nan"),
+    ("phi", "amplitude", "abc"), ("phi", "amplitude", "nan"), ("phi", "amplitude", "50%"),
+    ("phi", "point", "abc"), ("phi", "point", "0,nan,1"),
+    ("psi", "amplitude", "abc"), ("psi", "amplitude", "nan"),
+    ("gravitino", "amplitude", "abc"), ("gravitino", "amplitude", "nan"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _UNREAD_KEY_VALUES)
+def test_malformed_key_the_default_kind_does_not_read_exits_2(tmp_path, capsys, section,
+                                                              key, value):
+    text = (f"[grid]\nn1 = 8\nn2 = 8\n\n"
+            f"[{section}]\nkind = {_DEFAULT_KINDS[section]}\n{key} = {value}\n")
+    cfg = write_config(tmp_path / "run.ini", text)
+    for command in ["eval", "residual", "check", "solve", "morrey"]:
+        out = tmp_path / f"out-{command}"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not out.exists()
+
+
+def test_readme_complete_configuration_names_every_accepted_key():
+    from sigmalab.cli import _KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A complete configuration", 1)[1].split("```ini\n", 1)[1]
+    documented, section = {}, None
+    for line in block.split("```", 1)[0].splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line)
+        if header:
+            section = documented.setdefault(header.group(1), set())
+        key = re.match(r";? *(\w+) = ", line)
+        if key:
+            section.add(key.group(1))
+    assert documented == {name: set(keys) for name, keys in _KEYS.items()}

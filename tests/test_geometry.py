@@ -13,7 +13,6 @@ from sigmalab.geometry import (
     div,
     ellipsoid_target,
     grad,
-    laplacian,
     nabla_A,
     on_manifold_violation,
     second_fund_form,
@@ -82,16 +81,6 @@ def test_div_grad_is_wide_stencil():
     direct = (shift(f, 0, 2) - 2 * f + shift(f, 0, -2)) / (2 * g.h1) ** 2
     direct = direct + (shift(f, 1, 2) - 2 * f + shift(f, 1, -2)) / (2 * g.h2) ** 2
     assert np.max(np.abs(wide_laplacian(f, g) - direct)) < 1e-12
-
-
-def test_laplacian_closed_forms():
-    g = Grid(16, 16)
-    assert np.all(laplacian(np.full(g.shape, 3.0), g) == 0.0)
-    x, _ = g.coords()
-    f = np.cos(2 * np.pi * x)
-    lam = -(2.0 / g.h1**2) * (1.0 - np.cos(2 * np.pi * g.h1))
-    assert np.max(np.abs(laplacian(f, g) - lam * f)) < 1e-11
-    assert abs(np.sum(laplacian(np.random.default_rng(4).standard_normal(g.shape), g))) < 1e-10
 
 
 def sphere_points(n=200, seed=0, dim=3):
