@@ -32,8 +32,8 @@ matrix and c_l = sum_bd A_bd,l M_bd, the two contractions are
     SR(psi) = sum_l (c_l A_l - A_l M A_l) psi,
     R(psi)  = sum_l (c_l^2 - <A_l M, M A_l>),
 
-so the curvature density needs no SR (geometry.curvature_operator is the
-independent oracle for R).  Quartic derivative couplings enter through nabla A,
+so the curvature density needs no SR (tests/oracles.py holds curvature_operator,
+the independent oracle for R).  Quartic derivative couplings enter through nabla A,
 
     SnR(psi)^e = 2 (<(nabla_e A)_{ac}, A_{bd}> - <(nabla_e A)_{ad}, A_{bc}>)
                  <psi^a, psi^c> <psi^b, psi^d>,
@@ -89,16 +89,9 @@ __all__ = [
     "FieldData",
     "field_data",
     "gamma_chi",
-    "term_dirichlet",
-    "term_dirac",
-    "term_gravitino",
-    "term_qchi",
-    "term_curvature",
-    "sr_of",
     "snr_of",
     "total_action",
     "action_density",
-    "action_value",
 ]
 
 def gamma_chi(chi: np.ndarray) -> np.ndarray:
@@ -144,20 +137,13 @@ class FieldData:
     c_l (L, ...) and A_l M (L, K, K, ...), with A_l = tdata.asym_c (L, K, K, ...).
     All but D_u psi, which keeps the flat Dirac operator's site-major layout, are
     component-major; the fields themselves stay as given.  tdata is the TargetData
-    of phi, built from target on first use when not given; the other arguments are
-    needed only by the parts that read them.  take(name) hands a part to its last
-    reader and drops it."""
+    of phi; the other arguments are needed only by the parts that read them.
+    take(name) hands a part to its last reader and drops it."""
 
     def __init__(self, phi, psi, chi=None, u=None, grid: Grid | None = None, *,
-                 target: TargetManifold | None = None, tdata: TargetData | None = None):
+                 tdata: TargetData):
         self.phi, self.psi, self.chi, self.u, self.grid = phi, psi, chi, u, grid
-        self.target = target
-        if tdata is not None:
-            self.tdata = tdata
-
-    @cached_property
-    def tdata(self) -> TargetData:
-        return target_data(self.target, self.phi)
+        self.tdata = tdata
 
     @cached_property
     def has_psi(self) -> bool:
@@ -288,29 +274,7 @@ def _integral(density: np.ndarray | None, grid: Grid) -> float:
     return 0.0 if density is None else float(np.sum(density) * grid.cell_area)
 
 
-# ---- individual terms ----------------------------------------------------------
-
-
-def term_dirichlet(phi: np.ndarray, u: np.ndarray, grid: Grid) -> float:
-    """Map kinetic term; conformally invariant in 2d, so u never enters."""
-    return _integral(_dirichlet_density(FieldData(phi, None, grid=grid).dphi), grid)
-
-
-def term_dirac(psi, phi, u, grid, target) -> float:
-    """sum <psi, D psi> e^{3u} h1 h2 with the twisted conformal operator."""
-    tdata = target_data(target, phi)
-    require_tangent(psi, tdata.nu)
-    return _integral(_dirac_density(FieldData(phi, psi, u=u, grid=grid, tdata=tdata)), grid)
-
-
-def term_gravitino(phi, psi, chi, u, grid) -> float:
-    """Linear gravitino-spinor coupling; depends on chi only through Q chi."""
-    return _integral(_gravitino_density(FieldData(phi, psi, chi, u, grid)), grid)
-
-
-def term_qchi(chi, psi, u, grid) -> float:
-    """-|Q chi|^2 |psi|^2 weighted by e^{4u}; never positive."""
-    return _integral(_qchi_density(FieldData(None, psi, chi, u)), grid)
+# ---- curvature contractions ----------------------------------------------------
 
 
 def sr_planes(fd: FieldData) -> np.ndarray:
@@ -329,21 +293,13 @@ def sr_planes(fd: FieldData) -> np.ndarray:
     return out
 
 
-def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
-    """Cubic curvature contraction SR(psi) = sum_l (c_l A_l - A_l M A_l) psi, tangent."""
-    return to_sites(sr_planes(FieldData(phi, psi, target=target, tdata=tdata)), 2)
-
-
-def term_curvature(psi, phi, u, grid, target) -> float:
-    """-(1/6) sum <SR(psi), psi> e^{4u} h1 h2."""
-    return _integral(_curvature_density(FieldData(phi, psi, u=u, target=target)), grid)
-
-
 def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     """Quartic contraction of the curvature derivative; zero on round spheres."""
     if target.parallel_second_fund:
         return np.zeros_like(phi)
-    return to_sites(snr_planes(target, FieldData(phi, psi, target=target, tdata=tdata)), 1)
+    if tdata is None:
+        tdata = target_data(target, phi)
+    return to_sites(snr_planes(target, FieldData(phi, psi, tdata=tdata)), 1)
 
 
 def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
@@ -386,13 +342,11 @@ def action_density(phi, psi, u, chi, grid, target,
     Every site's density depends on the fields only within one stencil step,
     which the finite-difference oracle exploits for local delta evaluation.
     """
-    dens, *rest = _densities(FieldData(phi, psi, chi, u, grid, target=target, tdata=tdata))
+    if tdata is None:
+        tdata = target_data(target, phi)
+    dens, *rest = _densities(FieldData(phi, psi, chi, u, grid, tdata=tdata))
     for d in rest:
         if d is not None:
             dens = dens + d
     return dens
 
-
-def action_value(phi, psi, u, chi, grid, target, tdata: TargetData | None = None) -> float:
-    """Lean total for the finite-difference oracle; no constraint checks."""
-    return _integral(action_density(phi, psi, u, chi, grid, target, tdata), grid)

@@ -181,8 +181,7 @@ def _parse_config(path: Path, seed_override: int | None) -> RunConfig:
 
     grid = Grid(_need(sections["grid"], "n1"), _need(sections["grid"], "n2"))
     target = build("target", "sphere", {
-        "sphere": lambda s: SphereTarget(ambient_dim=s.get("ambient_dim", 3),
-                                         radius=s.get("radius", 1.0)),
+        "sphere": lambda s: SphereTarget(**{k: s[k] for k in ("ambient_dim", "radius") if k in s}),
         "ellipsoid": lambda s: ellipsoid_target(s.get("semi_axes", [1.0, 1.0, 1.0])),
     })
     K = target.ambient_dim

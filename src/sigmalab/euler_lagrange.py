@@ -52,8 +52,8 @@ import numpy as np
 
 from . import clifford as cl
 from ._planes import contract, tangent, to_planes, to_sites
-from .action import (FieldData, action_density, action_value, checked_target_data, field_data,
-                     gamma_chi, snr_of, snr_planes, sr_planes, target_data)
+from .action import (FieldData, action_density, checked_target_data, field_data, gamma_chi,
+                     snr_of, snr_planes, sr_planes, target_data)
 from .fields import dirac_conformal_sym, tangency_project
 from .geometry import Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part
 
@@ -366,50 +366,6 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
                     deltas.append(_cross_sum(dens - base)[mask])
                 fd = (deltas[0] - deltas[1]) / (2.0 * sstep[mask]) * grid.cell_area
                 grad_psi[mask, :, slot] += fd[:, None] * direction[mask]
-    return grad_phi, grad_psi
-
-
-def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
-    """Reference site-by-site loop (full action re-evaluation per probe)."""
-    n1, n2, K = phi.shape
-    tb = tangent_basis(target, phi)
-    dim_n = tb.shape[2]
-    grad_phi = np.zeros_like(phi)
-    grad_psi = np.zeros_like(psi)
-
-    phi_w = phi.copy()
-    psi_w = psi.copy()
-    tdata0 = target_data(target, phi)
-
-    for i in range(n1):
-        for j in range(n2):
-            p0 = phi_w[i, j].copy()
-            s0 = psi_w[i, j].copy()
-            hstep = step * (1.0 + float(np.linalg.norm(p0)))
-            for t in range(dim_n):
-                direction = tb[i, j, t]
-                vals = []
-                for sign in (+1.0, -1.0):
-                    pnew = target.project(p0 + sign * hstep * direction)
-                    phi_w[i, j] = pnew
-                    psi_w[i, j] = tangency_project(s0, pnew, target)
-                    vals.append(action_value(phi_w, psi_w, u, chi, grid, target))
-                grad_phi[i, j] += ((vals[0] - vals[1]) / (2.0 * hstep)) * direction
-                phi_w[i, j] = p0
-                psi_w[i, j] = s0
-
-            sstep = step * (1.0 + float(np.linalg.norm(s0)))
-            for t in range(dim_n):
-                direction = tb[i, j, t]
-                for c in range(4):
-                    vals = []
-                    for sign in (+1.0, -1.0):
-                        psi_w[i, j, :, c] = s0[:, c] + sign * sstep * direction
-                        vals.append(
-                            action_value(phi_w, psi_w, u, chi, grid, target, tdata=tdata0)
-                        )
-                        psi_w[i, j, :, c] = s0[:, c]
-                    grad_psi[i, j, :, c] += ((vals[0] - vals[1]) / (2.0 * sstep)) * direction
     return grad_phi, grad_psi
 
 

@@ -46,7 +46,6 @@ from .geometry import Grid, TargetManifold, grad, tangent_part_slots
 
 __all__ = [
     "frame_violation",
-    "tangency_violation",
     "require_tangent",
     "tangency_project",
     "dirac_flat",
@@ -89,11 +88,6 @@ def frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
         scale = 1.0 + np.sqrt(norm2)
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
     return float(np.max(np.abs(coeff) / scale[..., None, None]))
-
-
-def tangency_violation(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -> float:
-    """The violation require_tangent checks, on the normal frame of phi."""
-    return frame_violation(psi, target.normal_frame(phi))
 
 
 def require_tangent(psi: np.ndarray, nu: np.ndarray):

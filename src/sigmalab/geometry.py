@@ -16,8 +16,10 @@ data derived from them,
 Derivative tensors use the index order dnu[..., l, a, b] = d nu_l^b / d u^a,
 in closed form for every target (level sets from the Hessian of F).  So is
 nabla A (nabla_a_tensor): zero on round spheres, and on level sets built from
-the Hessian and the third derivative D^3 F.  The public nabla_A is a transport
-finite difference, kept as the independent oracle for that closed form.  Along
+the Hessian and the third derivative D^3 F.  The package reads A through
+TargetData and never forms P or R; tests/oracles.py evaluates A, P, R and a
+transport finite difference of nabla A pointwise from these formulas, as
+independent oracles.  Along
 phi one TargetData computes nu once; Pi, the tangential parts along phi
 (tangent_part, tangent_part_slots) and the tangency check of psi all use it.
 TargetData holds its parts component-major (sites last) and the tangential
@@ -38,10 +40,8 @@ from .errors import ConstraintError
 
 __all__ = [
     "Grid",
-    "shift",
     "grad",
     "div",
-    "wide_laplacian",
     "wide_laplacian_symbol",
     "tangent_part",
     "tangent_part_slots",
@@ -53,10 +53,6 @@ __all__ = [
     "on_manifold_violation",
     "require_on_manifold",
     "tangent_basis",
-    "second_fund_form",
-    "shape_operator",
-    "curvature_operator",
-    "nabla_A",
 ]
 
 ON_MANIFOLD_TOL = 1e-9
@@ -104,11 +100,6 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
 
-def shift(f: np.ndarray, axis: int, by: int) -> np.ndarray:
-    """Periodic shift: result at site i equals f at site i + by along axis."""
-    return np.roll(f, -by, axis=axis)
-
-
 def _centered(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     """(f[i + 1] - f[i - 1]) / (2 h) along axis, periodic, written into out.
 
@@ -140,17 +131,9 @@ def div(vec: np.ndarray, grid: Grid) -> np.ndarray:
     return d0
 
 
-def wide_laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """div(grad(field)): the wide 5-point stencil with spacing 2h.
-
-    This is the exact gradient stencil of the discrete Dirichlet energy built
-    from centered first differences.
-    """
-    return div(grad(field, grid), grid)
-
-
 def wide_laplacian_symbol(grid: Grid) -> np.ndarray:
-    """-wide_laplacian in the rfft2 basis of the grid axes, shaped (n1, n2 // 2 + 1).
+    """-div grad, the wide 5-point stencil with spacing 2h, in the rfft2 basis of the
+    grid axes, shaped (n1, n2 // 2 + 1).
 
     sum_a sin^2(theta_a) / h_a^2 with theta_a = 2 pi fftfreq(n_a): each centered
     difference has the symbol i sin(theta_a) / h_a.  It vanishes on the null
@@ -469,65 +452,3 @@ def tangent_basis(target: TargetManifold, p: np.ndarray) -> np.ndarray:
     # eigenvalues ascend; tangent directions carry eigenvalue 1
     return np.swapaxes(vecs[..., -dim:], -1, -2)
 
-
-def second_fund_form(target, p, X, Y) -> np.ndarray:
-    """A(X, Y), a normal-space vector; symmetric and bilinear in (X, Y)."""
-    require_on_manifold(target, p)
-    tdata = TargetData(target, p)
-    coeff = -np.einsum("...a,...b,...lab->...l", X, Y, tdata.dnu)
-    return np.einsum("...l,...la->...a", coeff, tdata.nu)
-
-
-def shape_operator(target, p, xi, Z) -> np.ndarray:
-    """P(xi; Z) = -(d_Z nu-extension of xi)^tangent; dual to A."""
-    require_on_manifold(target, p)
-    tdata = TargetData(target, p)
-    xi_l = np.einsum("...la,...a->...l", tdata.nu, xi)
-    dz = np.einsum("...a,...lab->...lb", Z, tdata.dnu)
-    raw = -np.einsum("...l,...lb->...b", xi_l, dz)
-    return tangent_part(tdata.nu, raw)
-
-
-def curvature_operator(target, p, X, Y, Z) -> np.ndarray:
-    """R(X, Y) Z = P(A(Y, Z); X) - P(A(X, Z); Y)  (Gauss equation)."""
-    ayz = second_fund_form(target, p, Y, Z)
-    axz = second_fund_form(target, p, X, Z)
-    return shape_operator(target, p, ayz, X) - shape_operator(target, p, axz, Y)
-
-
-def nabla_A(target, p, X, Y, Z, step: float | None = None) -> np.ndarray:
-    """(nabla_Z A)(X, Y) by the transport finite difference (the oracle for
-    nabla_a_tensor); identically zero for round spheres.  step must be positive."""
-    if step is not None and not (step > 0.0 and np.isfinite(step)):
-        raise ValueError(f"nabla_A step must be positive and finite, got {step}")
-    require_on_manifold(target, p)
-    if target.parallel_second_fund:
-        return np.zeros(np.broadcast(X, Y).shape)
-    tdata = TargetData(target, p)
-    coeff = _nabla_a_fd(tdata, np.stack(np.broadcast_arrays(X, Y), axis=-1), Z, step)
-    return np.einsum("...l,...la->...a", coeff[..., 0, 1, :], tdata.nu)
-
-
-def _nabla_a_fd(tdata, basis, z, step):
-    """Transport finite difference for the covariant derivative of A.
-
-    Returns coeff[..., a, b, l] = <(nabla_z A)(b_a, b_b), nu_l(p)> for the
-    tangent columns b_a of basis (..., K, n), with tdata the TargetData at p.
-    The columns are reprojected onto the tangent spaces at p +- eps z (equal
-    to parallel transport to first order), A is evaluated there from one
-    TargetData each, and the centered difference is read off in the normal
-    frame at p.  The default step is eps = 1e-4 (1 + |p|).
-    """
-    target, p = tdata.target, tdata.phi
-    eps = step if step is not None else 1e-4 * (1.0 + np.linalg.norm(p, axis=-1))
-    eps = np.asarray(eps)[..., None]
-
-    def a_at(q):
-        tq = TargetData(target, target.project(q))
-        bq = np.einsum("...ac,...cb->...ab", tq.pi, basis)
-        coeff = -np.einsum("...ca,...db,...lcd->...abl", bq, bq, tq.dnu)
-        return np.einsum("...abl,...lv->...abv", coeff, tq.nu)
-
-    diff = a_at(p + eps * z) - a_at(p - eps * z)
-    coeff = np.einsum("...lv,...abv->...abl", tdata.nu, diff)
-    return coeff / (2.0 * eps[..., None, None])

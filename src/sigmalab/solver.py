@@ -156,7 +156,7 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
 
 
 def _resolvent(rhs: np.ndarray, grid: Grid):
-    """dt -> (I - dt wide_laplacian)^{-1} rhs for a (n1, n2, K) field.
+    """dt -> (I - dt div grad)^{-1} rhs for a (n1, n2, K) field.
 
     rhs is transformed once; each dt costs one division and one irfft2.
     """

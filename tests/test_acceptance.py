@@ -6,12 +6,8 @@ import time
 import numpy as np
 
 from sigmalab import clifford as cl
-from sigmalab.action import (
-    target_data,
-    term_curvature,
-    term_dirichlet,
-    total_action,
-)
+from oracles import curvature_operator
+from sigmalab.action import target_data, total_action
 from sigmalab.clifford import sigma_lift
 from sigmalab.euler_lagrange import (
     action_gradient_fd,
@@ -27,7 +23,7 @@ from sigmalab.fields import (
     tangency_project,
 )
 from sigmalab.analysis import DiscGrid, MorreyParams, morrey_norm, riesz_i1
-from sigmalab.geometry import Grid, SphereTarget, curvature_operator
+from sigmalab.geometry import Grid, SphereTarget
 from sigmalab.presets import (
     perturbed_equator_map,
     smooth_gravitino,
@@ -206,7 +202,8 @@ def test_criterion_5_gauss_equation_oracle():
                         * np.einsum("si,si->s", psi_flat[:, b], psi_flat[:, d])
                     )
     oracle = float(-np.sum(r_quad) * g.cell_area / 6.0)
-    direct = term_curvature(psi, phi, u0, g, TG)
+    chi0 = np.zeros(g.shape + (2, 4))
+    direct = total_action(phi, psi, u0, chi0, g, TG, tdata=tdata).V_curvature
     err_term = abs(direct - oracle) / (1.0 + abs(oracle))
 
     passed = err_gauss <= 1e-10 and err_term <= 1e-10
@@ -277,7 +274,7 @@ def test_criterion_8_harmonic_benchmark():
     u0 = np.zeros(g.shape)
     cfg = SolverConfig(max_iterations=100_000, tolerance=1e-6, initial_step=1e-5)
     state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
-    energy = term_dirichlet(state.phi, u0, g)
+    energy = total_action(state.phi, psi0, u0, chi0, g, TG).I_dirichlet
     exact = (np.sin(2 * np.pi * g.h1) / g.h1) ** 2
     rel_e = abs(energy - exact) / exact
     passed = (

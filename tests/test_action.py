@@ -7,29 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmalab import clifford as cl
-from sigmalab.action import (
-    FieldData,
-    gamma_chi,
-    snr_of,
-    sr_of,
-    target_data,
-    term_curvature,
-    term_dirac,
-    term_dirichlet,
-    term_gravitino,
-    term_qchi,
-    total_action,
-)
+from oracles import curvature_operator, nabla_A, second_fund_form, sr_of
+from sigmalab.action import FieldData, gamma_chi, snr_of, target_data, total_action
 from sigmalab.clifford import sigma_lift
 from sigmalab.fields import conformal_rescale, tangency_project
-from sigmalab.geometry import (
-    Grid,
-    SphereTarget,
-    curvature_operator,
-    ellipsoid_target,
-    nabla_A,
-    second_fund_form,
-)
+from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target
 from sigmalab.presets import (
     equator_map,
     smooth_gravitino,
@@ -64,14 +46,16 @@ def zeros_for(g, K=3):
 def test_dirichlet_constant_map_is_zero():
     g = Grid(8, 8)
     phi = np.broadcast_to(np.array([0.0, 0.0, 1.0]), g.shape + (3,)).copy()
-    assert term_dirichlet(phi, np.zeros(g.shape), g) == 0.0
+    psi0, chi0, u0 = zeros_for(g)
+    assert total_action(phi, psi0, u0, chi0, g, TG).I_dirichlet == 0.0
 
 
 def test_dirichlet_equator_closed_form_and_convergence():
     values = []
     for n in (16, 32, 64):
         g = Grid(n, n)
-        e = term_dirichlet(equator_map(g), np.zeros(g.shape), g)
+        psi0, chi0, u0 = zeros_for(g)
+        e = total_action(equator_map(g), psi0, u0, chi0, g, TG).I_dirichlet
         exact_discrete = (np.sin(2 * np.pi * g.h1) / g.h1) ** 2
         assert abs(e - exact_discrete) < 1e-10
         values.append(e)
@@ -82,23 +66,24 @@ def test_dirichlet_equator_closed_form_and_convergence():
 
 
 def test_dirichlet_invariant_under_constant_rescaling():
-    g, phi, psi, chi, _ = _fields(8)
+    g, phi, psi, chi, u = _fields(8)
     u_const = np.full(g.shape, 0.8)
-    assert term_dirichlet(phi, u_const, g) == term_dirichlet(phi, np.zeros(g.shape), g)
+    assert (total_action(phi, psi, u_const, chi, g, TG).I_dirichlet
+            == total_action(phi, psi, u, chi, g, TG).I_dirichlet)
 
 
 # ---- term II ------------------------------------------------------------------
 
 
 def test_dirac_term_zero_spinor():
-    g, phi, _, _, u = _fields(8)
+    g, phi, _, chi, u = _fields(8)
     psi0 = np.zeros(g.shape + (3, 4))
-    assert term_dirac(psi0, phi, u, g, TG) == 0.0
+    assert total_action(phi, psi0, u, chi, g, TG).II_dirac == 0.0
 
 
 def test_dirac_term_seeded_regression_value():
-    g, phi, psi, _, u = _fields(16)
-    val = term_dirac(psi, phi, u, g, TG)
+    g, phi, psi, chi, u = _fields(16)
+    val = total_action(phi, psi, u, chi, g, TG).II_dirac
     assert val != 0.0
     assert abs(val - 0.8307908050533621) < 1e-12
 
@@ -108,22 +93,23 @@ def test_dirac_term_seeded_regression_value():
 
 def test_gravitino_term_zeros():
     g, phi, psi, chi, u = _fields(8)
-    assert term_gravitino(phi, psi, np.zeros_like(chi), u, g) == 0.0
+    assert total_action(phi, psi, u, np.zeros_like(chi), g, TG).III_gravitino == 0.0
     point = TG.project(np.array([1.0, 0.2, -0.1]))
     phi_const = np.broadcast_to(point, g.shape + (3,)).copy()
     psi_const = tangency_project(psi, phi_const, TG)
-    assert abs(term_gravitino(phi_const, psi_const, chi, u, g)) < 1e-12
+    assert abs(total_action(phi_const, psi_const, u, chi, g, TG).III_gravitino) < 1e-12
 
 
 def test_gravitino_term_depends_only_on_q_part():
     g, phi, psi, chi, u = _fields(8)
     spin = np.random.default_rng(3).standard_normal(g.shape + (4,))
     shifted = chi + sigma_lift(spin)
-    base = term_gravitino(phi, psi, chi, u, g)
-    assert abs(term_gravitino(phi, psi, shifted, u, g) - base) < 1e-12 * (1 + abs(base))
+    base = total_action(phi, psi, u, chi, g, TG).III_gravitino
+    shifted_term = total_action(phi, psi, u, shifted, g, TG).III_gravitino
+    assert abs(shifted_term - base) < 1e-12 * (1 + abs(base))
     # a pure sigma-lift gravitino contributes nothing
     pure = np.zeros_like(chi) + sigma_lift(spin)
-    assert abs(term_gravitino(phi, psi, pure, u, g)) < 1e-12
+    assert abs(total_action(phi, psi, u, pure, g, TG).III_gravitino) < 1e-12
 
 
 def test_gamma_chi_is_minus_twice_q_chi():
@@ -137,12 +123,12 @@ def test_gamma_chi_is_minus_twice_q_chi():
 
 def test_qchi_term_sign_and_zeros():
     g, phi, psi, chi, u = _fields(8)
-    assert term_qchi(chi, np.zeros_like(psi), u, g) == 0.0
-    assert term_qchi(np.zeros_like(chi), psi, u, g) == 0.0
-    assert term_qchi(chi, psi, u, g) <= 0.0
+    assert total_action(phi, np.zeros_like(psi), u, chi, g, TG).IV_qchi == 0.0
+    assert total_action(phi, psi, u, np.zeros_like(chi), g, TG).IV_qchi == 0.0
+    assert total_action(phi, psi, u, chi, g, TG).IV_qchi <= 0.0
     spin = np.random.default_rng(4).standard_normal(g.shape + (4,))
     pure = np.zeros_like(chi) + sigma_lift(spin)
-    assert term_qchi(pure, psi, u, g) == 0.0
+    assert total_action(phi, psi, u, pure, g, TG).IV_qchi == 0.0
 
 
 # ---- curvature contractions ----------------------------------------------------
@@ -177,7 +163,7 @@ def test_sr_sphere_closed_form():
 
 
 def test_sr_pairing_equals_brute_force_contraction():
-    g, phi, psi, _, u = _fields(8)
+    g, phi, psi, chi, u = _fields(8)
     tdata = target_data(TG, phi)
     flat_p = phi.reshape(-1, 3)
     pi = tdata.pi.reshape(-1, 3, 3)
@@ -203,15 +189,16 @@ def test_sr_pairing_equals_brute_force_contraction():
     assert np.max(np.abs(direct - r_psi)) < 1e-10 * (1.0 + np.max(np.abs(r_psi)))
 
     oracle_term = float(-np.sum(r_psi) * g.cell_area / 6.0)
-    assert abs(term_curvature(psi, phi, u, g, TG) - oracle_term) < 1e-10
+    assert abs(total_action(phi, psi, u, chi, g, TG, tdata=tdata).V_curvature
+               - oracle_term) < 1e-10
 
 
 def test_curvature_term_quartic_scaling():
-    g, phi, psi, _, u = _fields(8)
-    v1 = term_curvature(psi, phi, u, g, TG)
-    v2 = term_curvature(2.0 * psi, phi, u, g, TG)
+    g, phi, psi, chi, u = _fields(8)
+    v1 = total_action(phi, psi, u, chi, g, TG).V_curvature
+    v2 = total_action(phi, 2.0 * psi, u, chi, g, TG).V_curvature
     assert abs(v2 - 16.0 * v1) < 1e-9 * abs(v1)
-    assert term_curvature(np.zeros_like(psi), phi, u, g, TG) == 0.0
+    assert total_action(phi, np.zeros_like(psi), u, chi, g, TG).V_curvature == 0.0
 
 
 def test_snr_zero_on_sphere_and_zero_spinor():
@@ -312,7 +299,7 @@ def test_reading_c_after_a_m_builds_m_once(monkeypatch):
 
     m.__set_name__(FieldData, "m")
     monkeypatch.setattr(FieldData, "m", m)
-    fd = FieldData(phi, psi, target=te)
+    fd = FieldData(phi, psi, tdata=target_data(te, phi))
     a_m, c = fd.a_m, fd.c
     assert len(builds) == 1
     assert "m" not in fd.__dict__
@@ -410,13 +397,9 @@ def test_conformal_invariance_second_order():
 def test_degree_counting_scalings():
     g, phi, psi, chi, u = _fields(8)
     lam, mu = 1.7, 0.6
-    t2, t3, t4, t5 = (
-        term_dirac(psi, phi, u, g, TG),
-        term_gravitino(phi, psi, chi, u, g),
-        term_qchi(chi, psi, u, g),
-        term_curvature(psi, phi, u, g, TG),
-    )
-    assert abs(term_dirac(lam * psi, phi, u, g, TG) - lam**2 * t2) < 1e-10
-    assert abs(term_gravitino(phi, lam * psi, mu * chi, u, g) - lam * mu * t3) < 1e-10
-    assert abs(term_qchi(mu * chi, lam * psi, u, g) - lam**2 * mu**2 * t4) < 1e-10
-    assert abs(term_curvature(lam * psi, phi, u, g, TG) - lam**4 * t5) < 1e-9
+    b = total_action(phi, psi, u, chi, g, TG)
+    s = total_action(phi, lam * psi, u, mu * chi, g, TG)
+    assert abs(s.II_dirac - lam**2 * b.II_dirac) < 1e-10
+    assert abs(s.III_gravitino - lam * mu * b.III_gravitino) < 1e-10
+    assert abs(s.IV_qchi - lam**2 * mu**2 * b.IV_qchi) < 1e-10
+    assert abs(s.V_curvature - lam**4 * b.V_curvature) < 1e-9

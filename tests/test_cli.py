@@ -74,6 +74,17 @@ def test_eval_constant_map_all_zero(tmp_path):
     assert all(v == 0.0 for v in breakdown.values())
 
 
+def test_eval_equator_on_a_sphere_of_radius_2_in_r4(tmp_path):
+    # the equator of the sphere of radius r: I = r^2 (sin(2 pi h) / h)^2 = 4 * 32 at 8^2
+    text = config_text().replace("ambient_dim = 3", "ambient_dim = 4\nradius = 2.0")
+    cfg = write_config(tmp_path / "run.ini", text)
+    assert parse_config(cfg).target.radius == 2.0
+    out = tmp_path / "out"
+    assert run(["eval", "--config", cfg, "--out", str(out)]) == 0
+    breakdown = json.loads((out / "breakdown.json").read_text())
+    assert abs(breakdown["I_dirichlet"] - 128.0) <= 1e-12
+
+
 def test_check_command_passes_on_seeded_fields(tmp_path):
     cfg = write_config(
         tmp_path / "run.ini",

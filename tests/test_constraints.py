@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalab.action import checked_target_data, term_dirac, total_action
+from sigmalab.action import checked_target_data, total_action
 from sigmalab.cli import _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
@@ -69,7 +69,7 @@ def test_term_dirac_checks_tangency():
     psi = psi.copy()
     psi[0, 0, :, 0] += phi[0, 0]
     with pytest.raises(ConstraintError, match=NOT_TANGENT):
-        term_dirac(psi, phi, u, g, tg)
+        total_action(phi, psi, u, chi, g, tg).II_dirac
 
 
 @pytest.mark.parametrize("size", [1.0, 1e80, 1e160, 1e300])

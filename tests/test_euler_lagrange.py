@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import _action_gradient_fd_sitewise, sr_of
 from sigmalab import euler_lagrange
+from sigmalab.action import total_action
+from sigmalab.clifford import sigma_lift
 from sigmalab.euler_lagrange import (
-    _action_gradient_fd_sitewise,
     _fd_colors,
     action_gradient_fd,
     assemble_map_residual,
@@ -16,7 +18,7 @@ from sigmalab.euler_lagrange import (
     residuals,
     v_fields,
 )
-from sigmalab.fields import tangency_project, tangency_violation, twisted_dirac
+from sigmalab.fields import frame_violation, tangency_project, twisted_dirac
 from sigmalab.geometry import Grid, SphereTarget, div, ellipsoid_target, grad
 from sigmalab.presets import (
     equator_map,
@@ -81,11 +83,9 @@ def test_residual_psi_reductions():
     r = residual_psi(phi_c, psi_single, chi0, u, g, TG)
     tw = twisted_dirac(psi_single, phi_c, u, g, TG)
     assert np.max(np.abs(r - tw)) < 1e-12
-    assert tangency_violation(r, phi_c, TG) < 1e-12
+    assert frame_violation(r, TG.normal_frame(phi_c)) < 1e-12
 
     # generic psi keeps the cubic curvature coupling even at constant phi
-    from sigmalab.action import sr_of
-
     psi_c = tangency_project(psi, phi_c, TG)
     r2 = residual_psi(phi_c, psi_c, chi0, u, g, TG)
     tw2 = twisted_dirac(psi_c, phi_c, u, g, TG)
@@ -329,3 +329,36 @@ def test_phi_residual_spinor_part_is_second_order():
         fd /= -2.0 * g.cell_area
         errs.append(np.max(np.abs(fd - TG.tangent_project(phi, r))) / np.max(np.abs(fd)))
     assert np.log2(errs[0] / errs[1]) >= 1.8
+
+
+def _exact_coupled_critical_point(n):
+    # phi the equator, psi = e^{-u} (d_x phi) (x) s with s constant, chi a pure sigma lift
+    # (Q chi = 0) and u constant: a critical point with every field nonzero
+    g = Grid(n, n)
+    phi = equator_map(g)
+    r = np.random.default_rng(27)
+    s = r.standard_normal(4)
+    s *= 0.3 / np.linalg.norm(s)
+    u = np.full(g.shape, 0.2)
+    psi = np.exp(-u)[..., None, None] * grad(phi, g)[0][..., None] * s
+    chi = sigma_lift(r.standard_normal(g.shape + (4,)))
+    return g, phi, psi, chi, u
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_exact_coupled_critical_point_residuals_vanish(n):
+    g, phi, psi, chi, u = _exact_coupled_critical_point(n)
+    res = residuals(phi, psi, chi, u, g, TG)
+    assert np.max(np.abs(res.r_phi)) <= 1e-11
+    assert np.max(np.abs(res.r_psi)) <= 1e-11
+    # the action is the Dirichlet energy of the equator alone
+    exact = (np.sin(2 * np.pi * g.h1) / g.h1) ** 2
+    assert abs(total_action(phi, psi, u, chi, g, TG).total - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_exact_coupled_critical_point_fd_gradient_vanishes(n):
+    g, phi, psi, chi, u = _exact_coupled_critical_point(n)
+    gp, gs = action_gradient_fd(phi, psi, u, chi, g, TG)
+    assert np.max(np.abs(gp)) <= 1e-10
+    assert np.max(np.abs(gs)) <= 1e-10

@@ -11,9 +11,9 @@ from sigmalab.fields import (
     dirac_conformal_sym,
     dirac_flat,
     dirac_flat_sigma,
+    frame_violation,
     q_norm2_field,
     tangency_project,
-    tangency_violation,
     twisted_dirac,
 )
 from sigmalab import clifford as cl
@@ -133,12 +133,12 @@ def _setup(n=8, a_psi=0.5):
 
 def test_tangency_project_properties():
     g, tg, phi, psi = _setup()
-    assert tangency_violation(psi, phi, tg) < 1e-12
+    assert frame_violation(psi, tg.normal_frame(phi)) < 1e-12
     again = tangency_project(psi, phi, tg)
     assert np.max(np.abs(again - psi)) < 1e-13
     raw = np.random.default_rng(12).standard_normal(g.shape + (3, 4))
     proj = tangency_project(raw, phi, tg)
-    assert tangency_violation(proj, phi, tg) < 1e-12
+    assert frame_violation(proj, tg.normal_frame(phi)) < 1e-12
     assert np.max(np.abs(tangency_project(proj, phi, tg) - proj)) < 1e-13
 
 
@@ -162,7 +162,7 @@ def test_twisted_dirac_zero_and_linearity():
     out2 = twisted_dirac(2.5 * psi, phi, u0, g, tg)
     out1 = twisted_dirac(psi, phi, u0, g, tg)
     assert np.max(np.abs(out2 - 2.5 * out1)) < 1e-12
-    assert tangency_violation(out1, phi, tg) < 1e-12
+    assert frame_violation(out1, tg.normal_frame(phi)) < 1e-12
 
 
 def test_twisted_dirac_symmetric_on_flat_metric():

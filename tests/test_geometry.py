@@ -3,25 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import curvature_operator, nabla_A, second_fund_form, shape_operator
 from sigmalab.errors import ConstraintError
 from sigmalab.geometry import (
     Grid,
     ImplicitSurfaceTarget,
     SphereTarget,
     TargetData,
-    curvature_operator,
     div,
     ellipsoid_target,
     grad,
-    nabla_A,
     on_manifold_violation,
-    second_fund_form,
-    shape_operator,
-    shift,
     tangent_basis,
     tangent_part,
     tangent_part_slots,
-    wide_laplacian,
 )
 
 
@@ -78,9 +73,9 @@ def test_div_of_constant_and_total():
 def test_div_grad_is_wide_stencil():
     g = Grid(8, 8)
     f = np.random.default_rng(3).standard_normal(g.shape)
-    direct = (shift(f, 0, 2) - 2 * f + shift(f, 0, -2)) / (2 * g.h1) ** 2
-    direct = direct + (shift(f, 1, 2) - 2 * f + shift(f, 1, -2)) / (2 * g.h2) ** 2
-    assert np.max(np.abs(wide_laplacian(f, g) - direct)) < 1e-12
+    direct = (np.roll(f, -2, 0) - 2 * f + np.roll(f, 2, 0)) / (2 * g.h1) ** 2
+    direct = direct + (np.roll(f, -2, 1) - 2 * f + np.roll(f, 2, 1)) / (2 * g.h2) ** 2
+    assert np.max(np.abs(div(grad(f, g), g) - direct)) < 1e-12
 
 
 def sphere_points(n=200, seed=0, dim=3):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sigmalab import clifford as cl
-from sigmalab.action import FieldData, _curvature_density, _densities, gamma_chi, snr_of, sr_of
+from oracles import sr_of
+from sigmalab.action import FieldData, _curvature_density, _densities, gamma_chi, snr_of
 from sigmalab.euler_lagrange import (
     _frame_derivative,
     _tproj_dnu,

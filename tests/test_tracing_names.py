@@ -1,11 +1,15 @@
-"""The benchmark's tracer wraps functions by name; every name must resolve."""
+"""Names that other code looks up must resolve: the functions and target methods the
+benchmark's tracer wraps by name, and every name in a sigmalab module's __all__
+(a stale export breaks ``from sigmalab.x import *``)."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import sigmalab
 from sigmalab.geometry import SphereTarget, ellipsoid_target
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -29,3 +33,11 @@ def test_traced_functions_resolve():
 def test_traced_target_methods_resolve(target):
     for meth in _tracing().TRACED_TARGET_METHODS:
         assert callable(getattr(target, meth))
+
+
+@pytest.mark.parametrize("module", ["sigmalab"] + sorted(
+    f"sigmalab.{m.name}" for m in pkgutil.iter_modules(sigmalab.__path__)))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
