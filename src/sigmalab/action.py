@@ -39,8 +39,8 @@ the independent oracle for R).  Quartic derivative couplings enter through nabla
                  <psi^a, psi^c> <psi^b, psi^d>,
 
 which vanishes identically for round spheres.  nabla A is the target's closed
-form (geometry nabla_a_tensor), and snr_of evaluates it from the same M, c_l
-and A_l M as matrix products,
+form along phi's TargetData (geometry nabla_a_tensor), and snr_of evaluates it
+from the same M, c_l and A_l M as matrix products,
 
     SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} (c_l M_ac - (M (A_l M))_ac).
 
@@ -293,19 +293,17 @@ def sr_planes(fd: FieldData) -> np.ndarray:
     return out
 
 
-def snr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
-    """Quartic contraction of the curvature derivative; zero on round spheres."""
-    if target.parallel_second_fund:
-        return np.zeros_like(phi)
-    if tdata is None:
-        tdata = target_data(target, phi)
-    return to_sites(snr_planes(target, FieldData(phi, psi, tdata=tdata)), 1)
+def snr_of(psi, tdata: TargetData) -> np.ndarray:
+    """Quartic contraction of the curvature derivative along tdata; zero on round spheres."""
+    if tdata.target.parallel_second_fund:
+        return np.zeros_like(tdata.phi)
+    return to_sites(snr_planes(tdata.target, FieldData(tdata.phi, psi, tdata=tdata)), 1)
 
 
 def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
     """SnR of fdata's psi on target, component-major (K, ...); the Gauss parts are
     built after nabla A when fdata does not hold them yet."""
-    natensor = target.nabla_a_tensor(fdata.phi, fdata.tdata)        # (..., e, a, c, l)
+    natensor = target.nabla_a_tensor(fdata.tdata)                   # (..., e, a, c, l)
     m = fdata.m                             # before A_l M, which takes M
     a_m, c = fdata.a_m, fdata.c
     # w[l, a, c] = c_l M_ac - (M (A_l M))_ac

@@ -5,8 +5,9 @@ and seeded random data and reports the worst deviation against its tolerance.
 Used by the command-line ``check`` command and by the acceptance tests.  The
 symmetry suite checks the constraints once: its five actions share phi and only
 negate or rescale psi, which stays tangent, so all read one TargetData.
-run_all_checks builds that TargetData once and measures the constraint suite's
-two violations on it, then hands it to the symmetry suite where they hold.
+run_all_checks builds no frame: it measures the constraint suite's two
+violations on the TargetData of phi it is handed (the command line hands it the
+one parse_config built), then hands that to the symmetry suite where they hold.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .action import checked_target_data, target_data, total_action
+from .action import checked_target_data, total_action
 from .fields import (
     TANGENCY_TOL,
     conformal_rescale,
@@ -206,9 +207,8 @@ def constraint_suite(psi, tdata: TargetData):
     ]
 
 
-def run_all_checks(phi, psi, chi, u, grid, target, seed: int = 0):
+def run_all_checks(psi, chi, u, grid, tdata: TargetData, seed: int = 0):
     rng = np.random.default_rng(seed)
-    tdata = target_data(target, phi)
     constraints = constraint_suite(psi, tdata)
     # where a constraint fails, the symmetry suite checks again and raises ConstraintError
     checked = tdata if all(r.passed for r in constraints) else None
@@ -216,6 +216,6 @@ def run_all_checks(phi, psi, chi, u, grid, target, seed: int = 0):
     results += clifford_suite(rng)
     results += dirac_suite(grid, rng)
     results += projector_suite(grid, rng)
-    results += symmetry_suite(phi, psi, chi, u, grid, target, rng, tdata=checked)
+    results += symmetry_suite(tdata.phi, psi, chi, u, grid, tdata.target, rng, tdata=checked)
     results += constraints
     return results

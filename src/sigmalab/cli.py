@@ -37,10 +37,9 @@ from .analysis import (
 )
 from .checks import run_all_checks
 from .errors import ConfigError, ConstraintError, SolverError
-from .euler_lagrange import residuals, tangent_residual_norms
+from .euler_lagrange import residual_norms, residuals
 from .fieldio import load_field, save_field, site_shape
-from .geometry import (Grid, SphereTarget, TargetData, TargetManifold, ellipsoid_target,
-                       tangent_part)
+from .geometry import Grid, SphereTarget, TargetData, TargetManifold, ellipsoid_target
 from .presets import (
     equator_map,
     perturbed_equator_map,
@@ -257,8 +256,7 @@ def _cmd_eval(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
-    results = run_all_checks(cfg.phi, cfg.psi, cfg.chi, cfg.u, cfg.grid, cfg.target,
-                             seed=cfg.seed)
+    results = run_all_checks(cfg.psi, cfg.chi, cfg.u, cfg.grid, cfg.tdata, seed=cfg.seed)
     payload = {
         "all_passed": all(r.passed for r in results),
         "results": [r.to_dict() for r in results],
@@ -269,8 +267,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_residual(cfg: RunConfig, out: Path) -> int:
     res = residuals(cfg.phi, cfg.psi, cfg.chi, cfg.u, cfg.grid, cfg.target, tdata=cfg.tdata)
-    norms = tangent_residual_norms(tangent_part(cfg.tdata.nu, res.r_phi), res.r_psi, cfg.grid)
-    _dump_json(out / "residuals.json", norms)
+    _dump_json(out / "residuals.json", residual_norms(res, cfg.grid, cfg.tdata))
     save_field(out / "fields_rphi.csv", res.r_phi, "map")
     save_field(out / "fields_rpsi.csv", res.r_psi, "vectorspinor")
     return 0

@@ -55,7 +55,7 @@ from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, action_density, checked_target_data, field_data, gamma_chi,
                      snr_of, snr_planes, sr_planes, target_data)
 from .fields import dirac_conformal_sym, tangency_project
-from .geometry import Grid, TargetData, TargetManifold, div, grad, tangent_basis, tangent_part
+from .geometry import Grid, TargetData, div, grad, tangent_basis, tangent_part
 
 __all__ = [
     "ELResidual",
@@ -268,7 +268,7 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     ev = np.moveaxis(np.exp(2.0 * u)[..., None, None] * v_fields(chi, psi), -1, 0)
     r = div(dphi + ev, grid)
     r -= np.einsum("xyeab,exyb->xya", coeff, dt)
-    r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, phi, target, tdata)
+    r += (np.exp(4.0 * u)[..., None] / 12.0) * snr_of(psi, tdata)
     return r
 
 
@@ -310,9 +310,10 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     phi is perturbed within the tangent space of N (the perturbed point is
     reprojected onto N and the vector-spinor at that site is reprojected onto
     the new tangent space, i.e. parallel-transported to first order); psi is
-    perturbed along a tangent basis in every spinor slot.  Returns
-    (grad_phi, grad_psi) in ambient coordinates, i.e. the tangent-projected
-    coordinate gradients.  Validation only.
+    perturbed along a tangent basis in every spinor slot.  phi's TargetData is
+    built once: the tangent bases, the base density and every psi probe read it.
+    Returns (grad_phi, grad_psi) in ambient coordinates, i.e. the
+    tangent-projected coordinate gradients.  Validation only.
 
     The sites of one colour class (_fd_colors) are perturbed simultaneously:
     the action density only reaches one stencil step, so the per-site action
@@ -324,55 +325,47 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         raise ValueError("finite-difference step must be positive")
 
     n1, n2, K = phi.shape
-    tb = tangent_basis(target, phi)           # (n1, n2, dimN, K)
-    dim_n = tb.shape[2]
+    tdata0 = target_data(target, phi)
+    tb = tangent_basis(tdata0)                # (n1, n2, dimN, K)
     grad_phi = np.zeros_like(phi)
     grad_psi = np.zeros_like(psi)
-
-    tdata0 = target_data(target, phi)
     base = action_density(phi, psi, u, chi, grid, target, tdata0)
     hstep = step * (1.0 + np.linalg.norm(phi, axis=-1))          # (n1, n2)
     sstep = step * (1.0 + np.linalg.norm(psi.reshape(n1, n2, -1), axis=-1))
 
+    def central(mask, h, probe):
+        """Central difference of the action at mask's sites (h the per-site step) between
+        probe(+1) and probe(-1), each (phi, psi, phi's TargetData or None to build it)."""
+        plus, minus = (_cross_sum(action_density(p, s, u, chi, grid, target, td) - base)[mask]
+                       for p, s, td in map(probe, (1.0, -1.0)))
+        return (plus - minus) / (2.0 * h[mask]) * grid.cell_area
+
+    def move_phi(mask, direction, sign):
+        phi_w, psi_w = phi.copy(), psi.copy(order="K")
+        phi_w[mask] = target.project(phi[mask] + sign * hstep[mask][:, None] * direction)
+        psi_w[mask] = tangency_project(psi[mask], phi_w[mask], target)
+        return phi_w, psi_w, None
+
+    def move_psi(mask, direction, slot, sign):
+        psi_w = psi.copy(order="K")
+        psi_w[mask, :, slot] = psi[mask][:, :, slot] + sign * sstep[mask][:, None] * direction
+        return phi, psi_w, tdata0
+
     colors = _fd_colors(grid)
     for color in range(int(colors.max()) + 1):
         mask = colors == color
-        for t in range(dim_n):
-            direction = tb[:, :, t, :]
-            deltas = []
-            for sign in (+1.0, -1.0):
-                phi_w = phi.copy()
-                psi_w = psi.copy(order="K")
-                moved = target.project(
-                    phi[mask] + sign * hstep[mask][:, None] * direction[mask]
-                )
-                phi_w[mask] = moved
-                psi_w[mask] = tangency_project(psi[mask], moved, target)
-                dens = action_density(phi_w, psi_w, u, chi, grid, target)
-                deltas.append(_cross_sum(dens - base)[mask])
-            fd = (deltas[0] - deltas[1]) / (2.0 * hstep[mask]) * grid.cell_area
-            grad_phi[mask] += fd[:, None] * direction[mask]
-
-        for t in range(dim_n):
-            direction = tb[:, :, t, :]
+        for t in range(tb.shape[2]):
+            d = tb[:, :, t, :][mask]
+            grad_phi[mask] += central(mask, hstep, lambda s: move_phi(mask, d, s))[:, None] * d
             for slot in range(4):
-                deltas = []
-                for sign in (+1.0, -1.0):
-                    psi_w = psi.copy(order="K")
-                    psi_w[mask, :, slot] = psi[mask][:, :, slot] + (
-                        sign * sstep[mask][:, None] * direction[mask]
-                    )
-                    dens = action_density(phi, psi_w, u, chi, grid, target, tdata0)
-                    deltas.append(_cross_sum(dens - base)[mask])
-                fd = (deltas[0] - deltas[1]) / (2.0 * sstep[mask]) * grid.cell_area
-                grad_psi[mask, :, slot] += fd[:, None] * direction[mask]
+                fd = central(mask, sstep, lambda s: move_psi(mask, d, slot, s))
+                grad_psi[mask, :, slot] += fd[:, None] * d
     return grad_phi, grad_psi
 
 
-def residual_norms(res: ELResidual, grid: Grid, target: TargetManifold,
-                   phi: np.ndarray) -> dict:
-    """(L2, Linf) pairs of the tangent parts, for the diagnostics report."""
-    return tangent_residual_norms(target.tangent_project(phi, res.r_phi), res.r_psi, grid)
+def residual_norms(res: ELResidual, grid: Grid, tdata: TargetData) -> dict:
+    """(L2, Linf) pairs of the tangent parts along tdata's phi, for the diagnostics report."""
+    return tangent_residual_norms(tangent_part(tdata.nu, res.r_phi), res.r_psi, grid)
 
 
 def tangent_residual_norms(rp: np.ndarray, r_psi: np.ndarray, grid: Grid) -> dict:

@@ -19,9 +19,9 @@ nabla A (nabla_a_tensor): zero on round spheres, and on level sets built from
 the Hessian and the third derivative D^3 F.  The package reads A through
 TargetData and never forms P or R; tests/oracles.py evaluates A, P, R and a
 transport finite difference of nabla A pointwise from these formulas, as
-independent oracles.  Along
-phi one TargetData computes nu once; Pi, the tangential parts along phi
-(tangent_part, tangent_part_slots) and the tangency check of psi all use it.
+independent oracles.  Along phi one TargetData computes nu once; Pi, the
+tangential parts along phi (tangent_part, tangent_part_slots), the tangency
+check of psi, nabla A and the tangent bases all take it, not (target, phi).
 TargetData holds its parts component-major (sites last) and the tangential
 parts are taken on component planes (_planes), so overflow raises under
 np.errstate; their site-major results are views of component-major arrays.
@@ -266,18 +266,12 @@ class TargetManifold:
     def tangent_projector(self, p: np.ndarray) -> np.ndarray:
         return TargetData(self, p).pi
 
-    def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return tangent_part(self.normal_frame(p), w)
-
-    def nabla_a_tensor(self, p: np.ndarray, tdata: TargetData | None = None) -> np.ndarray:
-        """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l(p)>.
-
-        tdata, when given, is the TargetData of p, and its frame is used.
-        """
+    def nabla_a_tensor(self, tdata: TargetData) -> np.ndarray:
+        """nablaA[..., e, a, b, l] = <(nabla_{Pi e_e} A)(Pi e_a, Pi e_b), nu_l> along phi."""
         if not self.parallel_second_fund:
             raise NotImplementedError
         K = self.ambient_dim
-        return np.zeros(p.shape[:-1] + (K, K, K, self.codim))
+        return np.zeros(tdata.phi.shape[:-1] + (K, K, K, self.codim))
 
 
 class SphereTarget(TargetManifold):
@@ -365,19 +359,17 @@ class ImplicitSurfaceTarget(TargetManifold):
         dnu = h / norm[..., None] - np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
         return dnu[..., None, :, :]
 
-    def nabla_a_tensor(self, p: np.ndarray, tdata: TargetData | None = None) -> np.ndarray:
-        """nabla A in closed form.  With X, Y, Z tangent, g = grad F, n = g/|g|,
-        H = D^2 F and T = D^3 F (Codazzi: symmetric in X, Y, Z):
+    def nabla_a_tensor(self, tdata: TargetData) -> np.ndarray:
+        """nabla A in closed form along tdata's phi.  With X, Y, Z tangent, g = grad F,
+        n = g/|g|, H = D^2 F and T = D^3 F (Codazzi: symmetric in X, Y, Z):
 
             <(nabla_Z A)(X, Y), n> = [H(X,Y) H(Z,n) + H(Y,Z) H(X,n) + H(Z,X) H(Y,n)] / |g|^2
                                      - T(X, Y, Z) / |g|
 
-        H(Pi e_a, Pi e_b) = -|g| <A(Pi e_a, Pi e_b), n> is read from the A of
-        TargetData (its Asym) rather than rebuilt from H.
+        H(Pi e_a, Pi e_b) = -|g| <A(Pi e_a, Pi e_b), n> is read from tdata's A (its
+        Asym) rather than rebuilt from H, and n and Pi from its frame.
         """
-        if tdata is None:
-            tdata = TargetData(self, p)
-        pi, n = tdata.pi, tdata.nu[..., 0, :]
+        p, pi, n = tdata.phi, tdata.pi, tdata.nu[..., 0, :]
         norm = np.linalg.norm(self.gradient(p), axis=-1)[..., None, None, None]
         h = self.hessian(p)
         php = tdata.asym[..., 0] * -norm[..., 0]            # H(Pi e_a, Pi e_b)
@@ -444,11 +436,11 @@ def require_on_manifold(target: TargetManifold, p: np.ndarray):
                               f"> {ON_MANIFOLD_TOL:.1e}")
 
 
-def tangent_basis(target: TargetManifold, p: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent bases, shaped (..., dim_N, K) (rows are vectors)."""
-    pi = target.tangent_projector(p)
-    vals, vecs = np.linalg.eigh(pi)
-    dim = target.ambient_dim - target.codim
+def tangent_basis(tdata: TargetData) -> np.ndarray:
+    """Orthonormal tangent bases of N along tdata's phi, from the eigenvectors of its
+    Pi, shaped (..., dim_N, K) (rows are vectors)."""
+    vals, vecs = np.linalg.eigh(tdata.pi)
+    dim = tdata.target.ambient_dim - tdata.target.codim
     # eigenvalues ascend; tangent directions carry eigenvalue 1
     return np.swapaxes(vecs[..., -dim:], -1, -2)
 

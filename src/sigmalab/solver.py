@@ -104,7 +104,8 @@ class SolverConfig:
 class Evaluation:
     """Residuals of one iterate (the tangent part of r_phi, and r_psi), their
     combined (L2, Linf) norms, the action breakdown and the normal frame nu;
-    all from one TargetData, of which only nu outlives the step."""
+    all from the iterate's one TargetData, of which it keeps only nu, the frame
+    that the trial steps project along."""
 
     r_phi_t: np.ndarray
     r_psi: np.ndarray
@@ -115,16 +116,21 @@ class Evaluation:
 
 @dataclass
 class FlowState:
+    """An iterate (phi, psi), its Evaluation and the step control's state."""
+
     phi: np.ndarray
     psi: np.ndarray
     iteration: int
-    residual_norms: tuple[float, float]  # combined (L2, Linf)
     step_size: float
-    # evaluation of (phi, psi); flow_step computes it when None
-    evaluation: Evaluation | None = None
+    evaluation: Evaluation  # flow_step steps from it and never evaluates (phi, psi) again
     rejected: int = 0  # trial steps shrunk away before this one was accepted
     accepted_step: float = 0.0  # the dt that produced this state; 0 before the first step
     ramping: bool = True  # residual sectors: no trial of the solve rejected yet
+
+    @property
+    def residual_norms(self) -> tuple[float, float]:
+        """The combined (L2, Linf) residual norms of the evaluation."""
+        return self.evaluation.norms
 
 
 @dataclass
@@ -226,7 +232,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
     counts the trials the failing step evaluated.
     """
     phi, psi = state.phi, state.psi
-    ev = state.evaluation or _evaluate(phi, psi, chi, u, grid, target)[1]
+    ev = state.evaluation
     if not (np.all(np.isfinite(ev.r_phi_t)) and np.all(np.isfinite(ev.r_psi))):
         raise SolverError("non-finite residual")
 
@@ -267,7 +273,6 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         phi=phi_new,
         psi=psi_new,
         iteration=state.iteration + 1,
-        residual_norms=trial.norms,
         step_size=dt * (START_FACTOR if ramping else config.grow),
         evaluation=trial,
         rejected=rejected,
@@ -299,7 +304,6 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
         phi=phi,
         psi=psi,
         iteration=0,
-        residual_norms=ev.norms,
         step_size=step_size,
         evaluation=ev,
     )

@@ -101,7 +101,7 @@ def _nabla_a_fd(tdata, basis, z, step):
 def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
     """Reference site-by-site loop (full action re-evaluation per probe)."""
     n1, n2, K = phi.shape
-    tb = tangent_basis(target, phi)
+    tb = tangent_basis(target_data(target, phi))
     dim_n = tb.shape[2]
     grad_phi = np.zeros_like(phi)
     grad_psi = np.zeros_like(psi)

@@ -23,7 +23,7 @@ from sigmalab.fields import (
     tangency_project,
 )
 from sigmalab.analysis import DiscGrid, MorreyParams, morrey_norm, riesz_i1
-from sigmalab.geometry import Grid, SphereTarget
+from sigmalab.geometry import Grid, SphereTarget, tangent_part
 from sigmalab.presets import (
     perturbed_equator_map,
     smooth_gravitino,
@@ -172,9 +172,9 @@ def test_criterion_5_gauss_equation_oracle():
     t0 = time.perf_counter()
     r = np.random.default_rng(105)
     p = TG.project(r.standard_normal((1000, 3)))
-    X = TG.tangent_project(p, r.standard_normal(p.shape))
-    Y = TG.tangent_project(p, r.standard_normal(p.shape))
-    Z = TG.tangent_project(p, r.standard_normal(p.shape))
+    X = tangent_part(TG.normal_frame(p), r.standard_normal(p.shape))
+    Y = tangent_part(TG.normal_frame(p), r.standard_normal(p.shape))
+    Z = tangent_part(TG.normal_frame(p), r.standard_normal(p.shape))
     out = curvature_operator(TG, p, X, Y, Z)
     expected = (np.einsum("ka,ka->k", Y, Z)[:, None] * X
                 - np.einsum("ka,ka->k", X, Z)[:, None] * Y)

@@ -203,10 +203,10 @@ def test_curvature_term_quartic_scaling():
 
 def test_snr_zero_on_sphere_and_zero_spinor():
     g, phi, psi, _, _ = _fields(8)
-    assert np.all(snr_of(psi, phi, TG) == 0.0)
+    assert np.all(snr_of(psi, target_data(TG, phi)) == 0.0)
     te = ellipsoid_target([1.0, 1.2, 0.9])
     phie = smooth_map_field(g, te, seed=20, amplitude=0.2)
-    assert np.all(snr_of(np.zeros_like(psi), phie, te) == 0.0)
+    assert np.all(snr_of(np.zeros_like(psi), target_data(te, phie)) == 0.0)
 
 
 def test_snr_matches_brute_force_on_ellipsoid():
@@ -214,7 +214,7 @@ def test_snr_matches_brute_force_on_ellipsoid():
     g = Grid(6, 6)
     phi = smooth_map_field(g, te, seed=20, amplitude=0.2)
     psi = smooth_vector_spinor(g, phi, te, seed=21, amplitude=0.7)
-    out = snr_of(psi, phi, te)
+    out = snr_of(psi, target_data(te, phi))
 
     flat_p = phi.reshape(-1, 3)
     pi = te.tangent_projector(flat_p)
@@ -254,7 +254,7 @@ def test_snr_matrix_products_match_five_index_sum():
     g = Grid(6, 6)
     phi = smooth_map_field(g, te, seed=20, amplitude=0.2)
     psi = smooth_vector_spinor(g, phi, te, seed=21, amplitude=0.7)
-    out = snr_of(psi, phi, te)
+    out = snr_of(psi, target_data(te, phi))
 
     flat_p = phi.reshape(-1, 3)
     pi = te.tangent_projector(flat_p)
@@ -264,7 +264,7 @@ def test_snr_matrix_products_match_five_index_sum():
     for a in range(K):
         for b in range(K):
             a_vec[:, a, b] = second_fund_form(te, flat_p, pi[:, :, a], pi[:, :, b])
-    na_vec = np.einsum("seabl,slv->seabv", te.nabla_a_tensor(flat_p), nu)
+    na_vec = np.einsum("seabl,slv->seabv", te.nabla_a_tensor(target_data(te, flat_p)), nu)
     psi_flat = psi.reshape(-1, 3, 4)
     inner = np.einsum("sai,sbi->sab", psi_flat, psi_flat)
     oracle = np.zeros((flat_p.shape[0], 3))

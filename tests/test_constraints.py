@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sigmalab.action import checked_target_data, total_action
-from sigmalab.cli import _cmd_residual, parse_config
+from sigmalab.cli import _COMMANDS, _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
 from sigmalab.euler_lagrange import potentials, residual_phi, residual_psi, residuals
@@ -146,7 +146,7 @@ def test_check_suites_build_one_gauss_tensor(monkeypatch):
     monkeypatch.setattr(TargetData, "asym", asym)
     tg = SphereTarget(3)
     g, phi, psi, chi, u = _fields(tg)
-    results = run_all_checks(phi, psi, chi, u, g, tg)
+    results = run_all_checks(psi, chi, u, g, TargetData(tg, phi))
     assert all(r.passed for r in results)
     assert len(calls) == 1
 
@@ -167,7 +167,7 @@ def test_check_suites_measure_the_constraints_on_one_frame(monkeypatch):
     projections = []
     project = tg.project
     monkeypatch.setattr(tg, "project", lambda p: projections.append(1) or project(p))
-    results = run_all_checks(phi, psi, chi, u, g, tg)
+    results = run_all_checks(psi, chi, u, g, TargetData(tg, phi))
     assert all(r.passed for r in results)
     assert len(frames) == 1
     assert len(projections) == 1
@@ -179,7 +179,7 @@ def test_check_suites_raise_on_a_failed_constraint():
     psi = psi.copy()
     psi[1, 4, :, 2] += phi[1, 4]
     with pytest.raises(ConstraintError, match=NOT_TANGENT):
-        run_all_checks(phi, psi, chi, u, g, tg)
+        run_all_checks(psi, chi, u, g, TargetData(tg, phi))
 
 
 def _benchmark_cli_config(tmp_path):
@@ -197,4 +197,16 @@ def test_residual_command_builds_no_frame_after_parsing(monkeypatch, tmp_path):
     c = _benchmark_cli_config(tmp_path)
     frames = _count_frames(monkeypatch, c.target)
     assert _cmd_residual(c, tmp_path) == 0
+    assert len(frames) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "check", "morrey"])
+def test_commands_build_no_frame_after_parsing(monkeypatch, tmp_path, command):
+    """eval and check read the TargetData that parse_config built and checked, as residual
+    does (test above), and morrey reads none.  solve is left out: it re-projects phi and
+    builds one frame per evaluation, and perfbench calls it positionally, so it is not
+    handed one."""
+    c = _benchmark_cli_config(tmp_path)
+    frames = _count_frames(monkeypatch, c.target)
+    assert _COMMANDS[command](c, tmp_path) == 0
     assert len(frames) == 0

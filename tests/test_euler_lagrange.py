@@ -19,7 +19,8 @@ from sigmalab.euler_lagrange import (
     v_fields,
 )
 from sigmalab.fields import frame_violation, tangency_project, twisted_dirac
-from sigmalab.geometry import Grid, SphereTarget, div, ellipsoid_target, grad
+from sigmalab.geometry import (Grid, SphereTarget, TargetData, div, ellipsoid_target, grad,
+                               tangent_part)
 from sigmalab.presets import (
     equator_map,
     smooth_gravitino,
@@ -149,9 +150,9 @@ def test_residual_phi_closed_form_on_non_harmonic_map():
     r = residual_phi(phi, np.zeros(g.shape + (3, 4)), np.zeros(g.shape + (2, 4)),
                      np.zeros(g.shape), g, TG)
     dphi = grad(phi, g)
-    d = TG.tangent_project(phi, dphi)
+    d = tangent_part(TG.normal_frame(phi), dphi)
     expected = div(dphi, g) + np.sum(d * d, axis=(0, -1))[..., None] * phi
-    assert np.max(np.abs(TG.tangent_project(phi, r))) > 0.1  # not a critical point
+    assert np.max(np.abs(tangent_part(TG.normal_frame(phi), r))) > 0.1  # not a critical point
     assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -229,6 +230,23 @@ def test_fd_oracle_density_calls_at_32(monkeypatch):
     assert len(calls) == 1 + 8 * (2 * 2 + 2 * 2 * 4) == 161
 
 
+def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
+    """The tangent bases, the base density and every psi probe read one TargetData of
+    phi; each phi probe builds the frames of its own moved map."""
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    g = Grid(8, 8)
+    phi = te.project(smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1))
+    psi = smooth_vector_spinor(g, phi, te, seed=7, amplitude=0.1, modes=1)
+    chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=1)
+    of_phi = []
+    frame = te.normal_frame
+    monkeypatch.setattr(te, "normal_frame",
+                        lambda p: of_phi.append(np.array_equal(p, phi)) or frame(p))
+    action_gradient_fd(phi, psi, smooth_scalar_field(g, seed=11, amplitude=0.3), chi, g, te)
+    assert sum(of_phi) == 1
+    assert len(of_phi) > 1
+
+
 @pytest.mark.parametrize("n1, n2", [(10, 10), (5, 6)])
 def test_colored_fd_matches_sitewise_reference_off_powers_of_two(n1, n2):
     g = Grid(n1, n2)
@@ -288,7 +306,7 @@ def test_phi_residual_fd_second_order_with_conformal_factor():
 def test_residual_norms_structure():
     g, phi, psi, chi, u = _fields()
     res = residuals(phi, psi, chi, u, g, TG)
-    n = residual_norms(res, g, TG, phi)
+    n = residual_norms(res, g, TargetData(TG, phi))
     for key in ("phi", "psi", "combined"):
         assert set(n[key]) == {"l2", "linf"}
         assert n[key]["l2"] >= 0.0
@@ -327,7 +345,7 @@ def test_phi_residual_spinor_part_is_second_order():
         fd = action_gradient_fd(phi, psi, u, chi, g, TG)[0] - action_gradient_fd(
             phi, psi0, u, chi, g, TG)[0]
         fd /= -2.0 * g.cell_area
-        errs.append(np.max(np.abs(fd - TG.tangent_project(phi, r))) / np.max(np.abs(fd)))
+        errs.append(np.max(np.abs(fd - tangent_part(TG.normal_frame(phi), r))) / np.max(np.abs(fd)))
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
 
@@ -362,3 +380,21 @@ def test_exact_coupled_critical_point_fd_gradient_vanishes(n):
     gp, gs = action_gradient_fd(phi, psi, u, chi, g, TG)
     assert np.max(np.abs(gp)) <= 1e-10
     assert np.max(np.abs(gs)) <= 1e-10
+
+
+def test_smooth_conformal_factor_tells_the_couplings_apart():
+    # the critical point above with u = smooth_scalar_field(g, 11, 0.3) and psi rescaled to
+    # e^{-u} (d_x phi) (x) s: C(psi), SR(psi) and Q chi still vanish pointwise, so r_phi
+    # vanishes, while r_psi is the O(h^2) leak of the conformal conjugation inside the
+    # discrete Dirac operator (L2 4.7e-2, 1.4e-2 and 3.6e-3 at 16^2, 32^2 and 64^2, orders
+    # 1.78 and 1.95).  A conformal exponent of -1.4 for -3/2 in dirac_conformal leaves
+    # r_psi an O(1) error: order 0.41 from 32^2 to 64^2
+    l2 = []
+    for n in (16, 32, 64):
+        g, phi, psi, chi, u = _exact_coupled_critical_point(n)
+        u_smooth = smooth_scalar_field(g, 11, 0.3)
+        psi = np.exp(u - u_smooth)[..., None, None] * psi
+        res = residuals(phi, psi, chi, u_smooth, g, TG)
+        assert np.max(np.abs(res.r_phi)) <= 1e-11
+        l2.append(np.sqrt(np.sum(res.r_psi * res.r_psi) * g.cell_area))
+    assert np.log2(l2[1] / l2[2]) >= 1.8

@@ -93,13 +93,13 @@ def test_sphere_frame_orthonormal_and_projector():
     assert np.max(np.abs(pi - np.swapaxes(pi, -1, -2))) < 1e-14
     assert np.max(np.abs(np.einsum("...ab,...bc->...ac", pi, pi) - pi)) < 1e-13
     w = np.random.default_rng(1).standard_normal(p.shape)
-    tw = tg.tangent_project(p, w)
+    tw = tangent_part(tg.normal_frame(p), w)
     assert np.max(np.abs(np.einsum("...la,...a->...l", nu, tw))) < 1e-13
 
 
 def test_second_fund_form_sphere_closed_form():
     tg, p = sphere_points()
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
     a = second_fund_form(tg, p, X, Y)
     expected = -np.einsum("ka,ka->k", X, Y)[:, None] * p
@@ -111,9 +111,9 @@ def test_second_fund_form_sphere_closed_form():
 
 def test_shape_operator_sphere_and_duality():
     tg, p = sphere_points()
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
-    z = tg.tangent_project(p, np.random.default_rng(5).standard_normal(p.shape))
+    z = tangent_part(tg.normal_frame(p), np.random.default_rng(5).standard_normal(p.shape))
     assert np.max(np.abs(shape_operator(tg, p, p, z) + z)) < 1e-12
     assert np.max(np.abs(shape_operator(tg, p, np.zeros_like(p), z))) == 0.0
     xi = second_fund_form(tg, p, X, Y)
@@ -125,9 +125,9 @@ def test_shape_operator_sphere_and_duality():
 def test_curvature_operator_sphere():
     tg, p = sphere_points(500, seed=7)
     r = np.random.default_rng(8)
-    X = tg.tangent_project(p, r.standard_normal(p.shape))
-    Y = tg.tangent_project(p, r.standard_normal(p.shape))
-    Z = tg.tangent_project(p, r.standard_normal(p.shape))
+    X = tangent_part(tg.normal_frame(p), r.standard_normal(p.shape))
+    Y = tangent_part(tg.normal_frame(p), r.standard_normal(p.shape))
+    Z = tangent_part(tg.normal_frame(p), r.standard_normal(p.shape))
     out = curvature_operator(tg, p, X, Y, Z)
     expected = (
         np.einsum("ka,ka->k", Y, Z)[:, None] * X
@@ -146,7 +146,7 @@ def test_curvature_operator_sphere():
 def test_curvature_scales_with_sphere_radius():
     tg = SphereTarget(3, radius=2.0)
     p = tg.project(np.random.default_rng(13).standard_normal((50, 3)))
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
     Z = 0.4 * X + 0.8 * Y
     out = curvature_operator(tg, p, X, Y, Z)
@@ -159,7 +159,7 @@ def test_curvature_scales_with_sphere_radius():
 
 def test_nabla_a_zero_on_sphere():
     tg, p = sphere_points()
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
     assert np.all(nabla_A(tg, p, X, Y, X) == 0.0)
 
@@ -175,7 +175,7 @@ def test_ellipsoid_frame_and_symmetry():
     assert on_manifold_violation(tg, p) < 1e-9
     nu = tg.normal_frame(p)
     assert np.max(np.abs(np.einsum("...la,...ma->...lm", nu, nu) - 1.0)) < 1e-12
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
     a1 = second_fund_form(tg, p, X, Y)
     a2 = second_fund_form(tg, p, Y, X)
@@ -188,9 +188,9 @@ def test_ellipsoid_frame_and_symmetry():
 
 def test_nabla_a_symmetry_and_richardson_on_ellipsoid():
     tg, p = ellipsoid_points(20)
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
-    Z = tg.tangent_project(p, np.random.default_rng(12).standard_normal(p.shape))
+    Z = tangent_part(tg.normal_frame(p), np.random.default_rng(12).standard_normal(p.shape))
     na_xy = nabla_A(tg, p, X, Y, Z, step=1e-4)
     na_yx = nabla_A(tg, p, Y, X, Z, step=1e-4)
     assert np.max(np.abs(na_xy - na_yx)) < 1e-8
@@ -264,7 +264,7 @@ def test_nabla_a_tensor_frames_per_call(monkeypatch):
     calls = []
     frame = te.normal_frame
     monkeypatch.setattr(te, "normal_frame", lambda q: calls.append(1) or frame(q))
-    te.nabla_a_tensor(p)
+    te.nabla_a_tensor(TargetData(te, p))
     assert 0 < len(calls) <= 7
 
 
@@ -300,7 +300,7 @@ def nabla_a_fd_tensor(tg, p, step=None):
 def test_nabla_a_tensor_equals_fd_to_second_order(make):
     tg = make()
     p = tg.project(np.random.default_rng(14).standard_normal((40, 3)))
-    closed = tg.nabla_a_tensor(p)
+    closed = tg.nabla_a_tensor(TargetData(tg, p))
     assert closed.shape == (40, 3, 3, 3, 1)
     errors = []
     for step in (2e-3, 1e-3, 5e-4):
@@ -314,7 +314,8 @@ def test_nabla_a_tensor_equals_fd_to_second_order(make):
 @pytest.mark.parametrize("make", [lambda: ellipsoid_target([1.0, 1.3, 0.8]), quartic_target])
 def test_nabla_a_tensor_symmetric_codazzi(make):
     tg = make()
-    t = tg.nabla_a_tensor(tg.project(np.random.default_rng(15).standard_normal((60, 3))))
+    p = tg.project(np.random.default_rng(15).standard_normal((60, 3)))
+    t = tg.nabla_a_tensor(TargetData(tg, p))
     assert np.max(np.abs(t)) > 0.1
     for perm in [(0, 2, 1, 3, 4), (0, 1, 3, 2, 4), (0, 3, 2, 1, 4)]:
         assert np.max(np.abs(t - t.transpose(perm))) < 1e-14
@@ -336,7 +337,8 @@ def test_nabla_a_tensor_matches_fd_in_other_dimensions(semi_axes):
     tg = ellipsoid_target(semi_axes)
     p = tg.project(np.random.default_rng(16).standard_normal((30, len(semi_axes))))
     fd = nabla_a_fd_tensor(tg, p)
-    assert np.max(np.abs(tg.nabla_a_tensor(p)[..., 0] - fd)) / np.max(np.abs(fd)) < 1e-5
+    closed = tg.nabla_a_tensor(TargetData(tg, p))
+    assert np.max(np.abs(closed[..., 0] - fd)) / np.max(np.abs(fd)) < 1e-5
 
 
 def test_nabla_a_tensor_one_frame_per_call(monkeypatch):
@@ -345,7 +347,7 @@ def test_nabla_a_tensor_one_frame_per_call(monkeypatch):
     calls = []
     frame = te.normal_frame
     monkeypatch.setattr(te, "normal_frame", lambda q: calls.append(1) or frame(q))
-    te.nabla_a_tensor(p)
+    te.nabla_a_tensor(TargetData(te, p))
     assert len(calls) == 1
 
 
@@ -359,7 +361,7 @@ def test_quadric_nabla_a_tensor_equals_an_explicit_zero_third_derivative(semi_ax
                                third=lambda p: np.zeros(p.shape[:-1] + (K, K, K)))
     assert te.third is None
     p = te.project(np.random.default_rng(17).standard_normal((16, 16, K)))
-    closed, zero = te.nabla_a_tensor(p), tz.nabla_a_tensor(p)
+    closed, zero = te.nabla_a_tensor(TargetData(te, p)), tz.nabla_a_tensor(TargetData(tz, p))
     assert closed.shape == zero.shape == (16, 16, K, K, K, 1)
     assert closed.tobytes() == zero.tobytes()
 
@@ -368,13 +370,13 @@ def test_nabla_a_tensor_needs_a_closed_form():
     from sigmalab.geometry import TargetManifold
 
     with pytest.raises(NotImplementedError):
-        TargetManifold().nabla_a_tensor(np.zeros((2, 3)))
+        TargetManifold().nabla_a_tensor(TargetData(SphereTarget(3), np.ones((2, 3))))
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
 def test_nabla_a_rejects_unusable_step(step):
     tg, p = ellipsoid_points(5)
-    tb = tangent_basis(tg, p)
+    tb = tangent_basis(TargetData(tg, p))
     X, Y = tb[:, 0, :], tb[:, 1, :]
     with pytest.raises(ValueError, match="step"):
         nabla_A(tg, p, X, Y, X, step=step)

@@ -14,10 +14,12 @@ from sigmalab.fields import frame_violation
 from sigmalab.geometry import (
     Grid,
     SphereTarget,
+    TargetData,
     div,
     ellipsoid_target,
     grad,
     on_manifold_violation,
+    tangent_part,
 )
 from sigmalab.presets import (
     perturbed_equator_map,
@@ -117,7 +119,7 @@ def test_flow_modes_touch_expected_sectors():
     u0 = np.zeros(g.shape)
     state = FlowState(
         phi=phi0, psi=psi0, iteration=0,
-        residual_norms=(1.0, 1.0), step_size=1e-3,
+        step_size=1e-3, evaluation=solver._evaluate(phi0, psi0, chi, u0, g, TG)[1],
     )
     new = flow_step(state, chi, u0, g, TG, SolverConfig(mode="psi-only"))
     assert np.array_equal(new.phi, phi0)
@@ -133,8 +135,8 @@ def test_dt_underflow_signaled():
     # trial step can strictly decrease it and dt must underflow
     point = TG.project(np.array([1.0, 0.0, 0.0]))
     phi_c = np.broadcast_to(point, g.shape + (3,)).copy()
-    state = FlowState(phi=phi_c, psi=psi0, iteration=0,
-                      residual_norms=(0.0, 0.0), step_size=1e-5)
+    state = FlowState(phi=phi_c, psi=psi0, iteration=0, step_size=1e-5,
+                      evaluation=solver._evaluate(phi_c, psi0, chi0 + 1e-3, u0, g, TG)[1])
     with pytest.raises(SolverError):
         flow_step(state, chi0 + 1e-3, u0, g, TG, SolverConfig(mode="psi-only"))
 
@@ -143,8 +145,8 @@ def test_non_finite_step_size_signaled():
     g = Grid(8, 8)
     psi0, chi0, u0 = _zeros(g)
     phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
-    state = FlowState(phi=phi0, psi=psi0, iteration=0,
-                      residual_norms=(1.0, 1.0), step_size=float("inf"))
+    state = FlowState(phi=phi0, psi=psi0, iteration=0, step_size=float("inf"),
+                      evaluation=solver._evaluate(phi0, psi0, chi0, u0, g, TG)[1])
     with pytest.raises(SolverError, match="non-finite step"):
         flow_step(state, chi0, u0, g, TG, SolverConfig())
 
@@ -213,7 +215,7 @@ def test_joint_flow_on_ellipsoid_keeps_constraints_and_descends():
 def test_residual_norms_take_tangent_part_on_ellipsoid():
     g, chi0, u0, state, _ = _ellipsoid_joint_solve()
     res = residuals(state.phi, state.psi, chi0, u0, g, ET)
-    norms = residual_norms(res, g, ET, state.phi)["phi"]
+    norms = residual_norms(res, g, TargetData(ET, state.phi))["phi"]
     rp = np.einsum("xyab,xyb->xya", ET.tangent_projector(state.phi), res.r_phi)
     l2 = np.sqrt(np.sum(rp * rp) * g.cell_area)
     linf = np.max(np.abs(rp))
@@ -276,8 +278,8 @@ def test_recorded_norms_equal_residual_norms(coupled):
         chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
     cfg = SolverConfig(max_iterations=3, tolerance=1e-14)
     state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
-    norms = residual_norms(residuals(state.phi, state.psi, chi0, u0, g, TG), g, TG,
-                           state.phi)["combined"]
+    norms = residual_norms(residuals(state.phi, state.psi, chi0, u0, g, TG), g,
+                           TargetData(TG, state.phi))["combined"]
     assert report.records[-1]["residual_l2"] == norms["l2"]
     assert report.records[-1]["residual_linf"] == norms["linf"]
 
@@ -362,7 +364,7 @@ def test_flow_evaluation_equals_the_standalone_residuals_and_action_on_the_ellip
     state, _ = solve(phi0, psi0, chi0, u0, g, te, SolverConfig(max_iterations=2, tolerance=1e-14))
     ev = state.evaluation
     r_phi = residual_phi(state.phi, state.psi, chi0, u0, g, te)
-    assert np.array_equal(ev.r_phi_t, te.tangent_project(state.phi, r_phi))
+    assert np.array_equal(ev.r_phi_t, tangent_part(te.normal_frame(state.phi), r_phi))
     assert np.array_equal(ev.r_psi, residual_psi(state.phi, state.psi, chi0, u0, g, te))
     assert ev.action == total_action(state.phi, state.psi, u0, chi0, g, te)
 
@@ -456,8 +458,8 @@ def test_start_search_stops_when_the_first_trial_raises_the_energy():
     assert report.records[0]["start_trials"] == 1
     assert report.records[0]["step_size"] == cfg.initial_step
     # the shrink loop runs as it does from any first trial dt
-    state = FlowState(phi=phi0, psi=psi0, iteration=0, residual_norms=(1.0, 1.0),
-                      step_size=cfg.initial_step)
+    state = FlowState(phi=phi0, psi=psi0, iteration=0, step_size=cfg.initial_step,
+                      evaluation=solver._evaluate(phi0, psi0, chi0, u0, g, TG)[1])
     for rec in report.records[1:]:
         state = flow_step(state, chi0, u0, g, TG, cfg)
         assert rec["rejected"] == state.rejected
@@ -589,15 +591,14 @@ def test_ramp_ends_for_good_at_the_first_rejection():
     psi, ev = solver._evaluate(phi, psi, chi, u, g, TG)
     cfg = SolverConfig()
     for ramping, factor in ((True, solver.START_FACTOR), (False, cfg.grow)):
-        state = FlowState(phi=phi, psi=psi, iteration=3, residual_norms=ev.norms,
+        state = FlowState(phi=phi, psi=psi, iteration=3,
                           step_size=1e-5, evaluation=ev, ramping=ramping)
         new = flow_step(state, chi, u, g, TG, cfg)
         assert new.rejected == 0
         assert new.accepted_step == 1e-5
         assert new.step_size == 1e-5 * factor
         assert new.ramping is ramping
-    state = FlowState(phi=phi, psi=psi, iteration=3, residual_norms=ev.norms,
-                      step_size=1.0, evaluation=ev)
+    state = FlowState(phi=phi, psi=psi, iteration=3, step_size=1.0, evaluation=ev)
     new = flow_step(state, chi, u, g, TG, cfg)
     assert new.rejected >= 1 and not new.ramping
     assert new.step_size == cfg.shrink ** new.rejected * cfg.grow
@@ -609,7 +610,7 @@ def test_residual_sector_step_stalls_below_the_floor_of_its_previous_step():
     cfg = SolverConfig()
 
     def step(accepted_step):
-        state = FlowState(phi=phi, psi=psi, iteration=1, residual_norms=ev.norms,
+        state = FlowState(phi=phi, psi=psi, iteration=1,
                           step_size=1.0, evaluation=ev, accepted_step=accepted_step)
         return flow_step(state, chi, u, g, TG, cfg)
 
@@ -626,8 +627,8 @@ def test_pure_map_step_has_no_stall_floor():
     g = Grid(16, 16)
     psi0, chi0, u0 = _zeros(g)
     phi0 = TG.project(perturbed_equator_map(g, amplitude=0.05, seed=3))
-    state = FlowState(phi=phi0, psi=psi0, iteration=1, residual_norms=(1.0, 1.0),
-                      step_size=100.0, accepted_step=100.0)
+    state = FlowState(phi=phi0, psi=psi0, iteration=1, step_size=100.0, accepted_step=100.0,
+                      evaluation=solver._evaluate(phi0, psi0, chi0, u0, g, TG)[1])
     new = flow_step(state, chi0, u0, g, TG, SolverConfig())
     assert new.rejected > 2
     assert new.step_size == 100.0 * 0.5**new.rejected * 1.1
@@ -656,8 +657,7 @@ def test_rejected_trials_do_not_raise_the_step_peak(n):
     cfg = SolverConfig(initial_step=1.0)
 
     def traced_step(dt):
-        state = FlowState(phi=phi, psi=psi, iteration=0, residual_norms=ev.norms,
-                          step_size=dt, evaluation=ev)
+        state = FlowState(phi=phi, psi=psi, iteration=0, step_size=dt, evaluation=ev)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -667,7 +667,7 @@ def test_rejected_trials_do_not_raise_the_step_peak(n):
             tracemalloc.stop()
         return new.rejected, peak
 
-    flow_step(FlowState(phi=phi, psi=psi, iteration=0, residual_norms=ev.norms,
+    flow_step(FlowState(phi=phi, psi=psi, iteration=0,
                         step_size=1e-5, evaluation=ev), chi, u, g, TG, cfg)  # warm caches
     rejected_none, peak_none = traced_step(1e-5)
     rejected, peak = traced_step(cfg.initial_step)
