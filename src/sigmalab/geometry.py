@@ -25,6 +25,9 @@ check of psi, nabla A and the tangent bases all take it, not (target, phi).
 TargetData holds its parts component-major (sites last) and the tangential
 parts are taken on component planes (_planes), so overflow raises under
 np.errstate; their site-major results are views of component-major arrays.
+The targets build dnu on component planes too and return its site-major view,
+so TargetData converts it without a copy; their per-site norms (_checked_norm)
+sum the squares plane by plane.
 """
 
 from __future__ import annotations
@@ -145,8 +148,18 @@ def wide_laplacian_symbol(grid: Grid) -> np.ndarray:
 
 
 def _checked_norm(v: np.ndarray, message: str) -> np.ndarray:
-    """|v| along the last axis (kept); ConstraintError where it is 0 or not finite."""
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    """|v| along the last axis (kept); ConstraintError where it is 0 or not finite.
+
+    v is (..., K) with K >= 2, a single point (K,) included.  The squares are summed
+    plane by plane from the left, one ufunc call per component, so overflow raises
+    under np.errstate.  NumPy sums an axis shorter than 8 from the left as well, so
+    for K <= 7 this is bit for bit np.linalg.norm(v, axis=-1, keepdims=True).
+    """
+    sq = np.multiply(v, v, dtype=np.float64)
+    norm = np.add(sq[..., :1], sq[..., 1:2])
+    for k in range(2, v.shape[-1]):
+        norm += sq[..., k:k + 1]
+    np.sqrt(norm, out=norm)
     if not np.all((norm > 0.0) & (norm < np.inf)):
         raise ConstraintError(message)
     return norm
@@ -258,7 +271,12 @@ class TargetManifold:
         raise NotImplementedError
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
-        """dnu[..., l, a, b] = d nu_l^b / d u^a of the extended frame."""
+        """dnu[..., l, a, b] = d nu_l^b / d u^a of the extended frame.
+
+        Both targets build it component-major, (L, K, K, ...) C-contiguous, and
+        return its site-major view, so that TargetData.dnu_c converts it without a
+        copy; any other site-major array is converted once.
+        """
         raise NotImplementedError
 
     # ---- derived quantities -------------------------------------------------
@@ -296,11 +314,15 @@ class SphereTarget(TargetManifold):
         return (p / _checked_norm(p, _SPHERE_FRAME))[..., None, :]
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
-        norm = _checked_norm(p, _SPHERE_FRAME)
-        ph = p / norm
-        eye = np.eye(self.ambient_dim)
-        dnu = (eye - ph[..., :, None] * ph[..., None, :]) / norm[..., None]
-        return dnu[..., None, :, :]
+        # (delta_ab - ph_a ph_b) / |p| with ph = p / |p|, on component planes
+        norm = _checked_norm(p, _SPHERE_FRAME)[..., 0]
+        ph = np.divide(np.moveaxis(p, -1, 0), norm, order="C")
+        K = self.ambient_dim
+        dnu = np.empty((1, K, K) + norm.shape)
+        np.multiply(ph[:, None], ph[None], out=dnu[0])
+        np.subtract(np.eye(K).reshape((K, K) + (1,) * norm.ndim), dnu[0], out=dnu[0])
+        dnu /= norm
+        return to_sites(dnu, 3)
 
 
 class ImplicitSurfaceTarget(TargetManifold):
@@ -352,12 +374,17 @@ class ImplicitSurfaceTarget(TargetManifold):
 
     def normal_frame_derivative(self, p: np.ndarray) -> np.ndarray:
         g = self.gradient(p)
-        norm = _checked_norm(g, _LEVEL_SET_FRAME)
-        # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3
-        h = self.hessian(p)
-        hg = np.einsum("...ab,...b->...a", h, g)
-        dnu = h / norm[..., None] - np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
-        return dnu[..., None, :, :]
+        norm = _checked_norm(g, _LEVEL_SET_FRAME)[..., 0]
+        # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3, on
+        # component planes; H is read in place (a broadcast view for quadrics)
+        h, g = np.moveaxis(self.hessian(p), (-2, -1), (0, 1)), to_planes(g, 1)
+        hg = contract(h.swapaxes(0, 1), g[:, None], np.empty(g.shape))   # (Hg)_a
+        dnu = np.empty((1,) + h.shape)
+        np.divide(h, norm, out=dnu[0])
+        ggh = hg[:, None] * g[None]                                       # (Hg)_a g_b
+        ggh /= norm**3
+        dnu[0] -= ggh
+        return to_sites(dnu, 3)
 
     def nabla_a_tensor(self, tdata: TargetData) -> np.ndarray:
         """nabla A in closed form along tdata's phi.  With X, Y, Z tangent, g = grad F,
@@ -370,7 +397,7 @@ class ImplicitSurfaceTarget(TargetManifold):
         Asym) rather than rebuilt from H, and n and Pi from its frame.
         """
         p, pi, n = tdata.phi, tdata.pi, tdata.nu[..., 0, :]
-        norm = np.linalg.norm(self.gradient(p), axis=-1)[..., None, None, None]
+        norm = _checked_norm(self.gradient(p), _LEVEL_SET_FRAME)[..., None, None]
         h = self.hessian(p)
         php = tdata.asym[..., 0] * -norm[..., 0]            # H(Pi e_a, Pi e_b)
         phn = (pi @ (h @ n[..., None]))[..., 0]              # H(Pi e_a, n)

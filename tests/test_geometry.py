@@ -10,6 +10,7 @@ from sigmalab.geometry import (
     ImplicitSurfaceTarget,
     SphereTarget,
     TargetData,
+    _checked_norm,
     div,
     ellipsoid_target,
     grad,
@@ -402,3 +403,63 @@ def test_tangent_part_reports_overflow_on_any_leading_axes(slots):
     nu = SphereTarget(3).normal_frame(rng.standard_normal(g.shape + (3,)))
     w = rng.standard_normal(w.shape)
     assert np.array_equal(part(nu[mask], w[mask]), part(nu, w)[mask])
+
+
+@pytest.mark.parametrize("sites", [(), (5,), (6, 8)], ids=["point", "list", "grid"])
+@pytest.mark.parametrize("K", range(2, 8))
+def test_checked_norm_is_linalg_norm_bit_for_bit(K, sites):
+    v = np.random.default_rng(K).standard_normal(sites + (K,)) * 10.0 ** np.arange(K)
+    norm = _checked_norm(v, "unused")
+    expected = np.linalg.norm(v, axis=-1, keepdims=True)
+    assert norm.shape == expected.shape
+    assert norm.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_checked_norm_rejects_zero_and_non_finite(bad):
+    v = np.random.default_rng(1).standard_normal((6, 8, 3))
+    v[2, 5] = 0.0 if bad == 0.0 else [1.0, bad, 2.0]
+    for x in (v, v[2, 5]):
+        with pytest.raises(ConstraintError, match="the message"):
+            _checked_norm(x, "the message")
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _checked_norm(np.array([1e300, 2.0, 0.0]), "the message")
+
+
+def _sphere_dnu_site_major(tg, p):
+    # (I - p^ p^T) / |p| by broadcasting over the sites
+    norm = np.linalg.norm(p, axis=-1, keepdims=True)
+    ph = p / norm
+    dnu = (np.eye(tg.ambient_dim) - ph[..., :, None] * ph[..., None, :]) / norm[..., None]
+    return dnu[..., None, :, :]
+
+
+def _level_set_dnu_site_major(tg, p):
+    # H / |g| - (Hg) g^T / |g|^3 by einsum over the sites
+    g = tg.gradient(p)
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    h = tg.hessian(p)
+    hg = np.einsum("...ab,...b->...a", h, g)
+    dnu = h / norm[..., None] - np.einsum("...a,...b->...ab", hg, g) / norm[..., None] ** 3
+    return dnu[..., None, :, :]
+
+
+@pytest.mark.parametrize("make, closed_form", [
+    (lambda: SphereTarget(3), _sphere_dnu_site_major),
+    (lambda: SphereTarget(4, radius=2.0), _sphere_dnu_site_major),
+    (lambda: ellipsoid_target([1.0, 1.3, 0.8]), _level_set_dnu_site_major),
+], ids=["S2", "S3-radius-2", "ellipsoid"])
+def test_normal_frame_derivative_is_the_site_major_closed_form_bit_for_bit(make, closed_form):
+    tg = make()
+    K = tg.ambient_dim
+    raw = np.random.default_rng(3).standard_normal((6, 8, K))
+    for p in (tg.project(raw), 1.2 * tg.project(raw), raw, tg.project(raw)[2, 5]):
+        dnu, expected = tg.normal_frame_derivative(p), closed_form(tg, p)
+        assert dnu.shape == expected.shape == p.shape[:-1] + (1, K, K)
+        assert np.ascontiguousarray(dnu).tobytes() == expected.tobytes()
+    # built component-major: TargetData reads the same array as dnu and dnu_c
+    td = TargetData(tg, tg.project(raw))
+    base = td.dnu.base
+    assert base.flags.c_contiguous and base.shape == (1, K, K, 6, 8)
+    assert np.shares_memory(td.dnu, td.dnu_c)
+    assert td.dnu_c.flags.c_contiguous and td.dnu_c.shape == (1, K, K, 6, 8)

@@ -13,8 +13,10 @@ harness measures two checkouts.
 Kernels: TargetData's parts (construction with the normal frame, then dnu, Pi
 and A, each on a fresh TargetData whose earlier parts are built), residual_phi,
 residual_psi, action_density and total_action (each handed a TargetData with
-every part built, so each times its own work), and tangent_part and
-tangent_part_slots on C-contiguous site-major inputs.
+every part built, so each times its own work), tangent_part and
+tangent_part_slots on C-contiguous site-major inputs, and project of phi scaled
+by 1.01.  The "ellipsoid ..." rows time the normal frame, dnu and project on the
+ellipsoid (1.0, 1.3, 0.8), with phi the same smooth map projected onto it.
 """
 
 from __future__ import annotations
@@ -54,13 +56,15 @@ def table(sizes, seconds: float) -> dict:
     out = {}
     for n in sizes:
         g, tg = geometry.Grid(n, n), geometry.SphereTarget(3)
+        te = geometry.ellipsoid_target((1.0, 1.3, 0.8))
         phi = presets.smooth_map_field(g, tg, seed=5, amplitude=0.4, modes=2)
+        phi_e = presets.smooth_map_field(g, te, seed=5, amplitude=0.4, modes=2)
         psi = presets.smooth_vector_spinor(g, phi, tg, seed=7, amplitude=0.1, modes=2)
         chi = presets.smooth_gravitino(g, seed=9, amplitude=0.1, modes=2)
         u = presets.smooth_scalar_field(g, seed=11, amplitude=0.3, modes=2)
 
-        def tdata(*parts):
-            td = geometry.TargetData(tg, phi)
+        def tdata(*parts, target=tg, p=phi):
+            td = geometry.TargetData(target, p)
             for name in parts:
                 getattr(td, name)
             return td
@@ -68,6 +72,7 @@ def table(sizes, seconds: float) -> dict:
         full = tdata("dnu", "pi", "asym")
         nu = np.ascontiguousarray(tg.normal_frame(phi))
         w, w_slots = np.ascontiguousarray(2.0 * phi), np.ascontiguousarray(psi)
+        off, off_e = 1.01 * phi, 1.01 * phi_e
         none = lambda: None  # noqa: E731
         rows = {
             "TargetData.nu": (lambda _: geometry.TargetData(tg, phi), none),
@@ -84,6 +89,10 @@ def table(sizes, seconds: float) -> dict:
                 phi, psi, u, chi, g, tg, tdata=full), none),
             "tangent_part": (lambda _: geometry.tangent_part(nu, w), none),
             "tangent_part_slots": (lambda _: geometry.tangent_part_slots(nu, w_slots), none),
+            "project": (lambda _: tg.project(off), none),
+            "ellipsoid TargetData.nu": (lambda _: geometry.TargetData(te, phi_e), none),
+            "ellipsoid TargetData.dnu": (lambda td: td.dnu, lambda: tdata(target=te, p=phi_e)),
+            "ellipsoid project": (lambda _: te.project(off_e), none),
         }
         out[str(n)] = {name: _time(fn, prepare, seconds) for name, (fn, prepare) in rows.items()}
     return out
