@@ -46,8 +46,7 @@ from the same M, c_l and A_l M as matrix products,
 
 Every term reads the target along phi from one geometry.TargetData: the
 Dirac term is the conformal operator with its normal part along that frame
-removed.  checked_target_data checks phi on N and psi tangent along that same
-frame; a caller that passes tdata instead vouches for both constraints.
+removed.
 
 The intermediates that the action shares with both residuals at one
 (phi, psi, chi, u) live in one FieldData beside that TargetData, each built on
@@ -56,9 +55,8 @@ c_l and A_l M (A_l is the TargetData's).  A part's last reader takes it
 (FieldData.take), so none outlives its use: A_l M takes M, after building c_l
 from it, and total_action, the last reader of a joint evaluation (residual_phi,
 residual_psi, then total_action on one FieldData), takes each part it reads.
-A caller that passes fdata vouches for the constraints as with tdata; one that
-passes neither gets the parts computed afresh, so every standalone value is
-unchanged.
+Every evaluation takes its FieldData from field_data, which states when the
+constraints are checked.
 
 The parts and the contractions are component-major (see _planes): psi as
 (K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
@@ -217,8 +215,14 @@ class FieldData:
         return value
 
 
-def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None) -> FieldData:
-    """FieldData of the fields on tdata, or on checked_target_data(target, phi, psi)."""
+def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
+               fdata: FieldData | None = None) -> FieldData:
+    """The FieldData every evaluation reads: fdata when given, else that of the fields on
+    tdata, else on checked_target_data(target, phi, psi).  So the constraints are checked
+    exactly when neither tdata nor fdata is handed in, and a caller that hands one vouches
+    for them.  A handed fdata is the whole input: the other arguments are not read."""
+    if fdata is not None:
+        return fdata
     if tdata is None:
         tdata = checked_target_data(target, phi, psi)
     return FieldData(phi, psi, chi, u, grid, tdata=tdata)
@@ -297,13 +301,13 @@ def snr_of(psi, tdata: TargetData) -> np.ndarray:
     """Quartic contraction of the curvature derivative along tdata; zero on round spheres."""
     if tdata.target.parallel_second_fund:
         return np.zeros_like(tdata.phi)
-    return to_sites(snr_planes(tdata.target, FieldData(tdata.phi, psi, tdata=tdata)), 1)
+    return to_sites(snr_planes(FieldData(tdata.phi, psi, tdata=tdata)), 1)
 
 
-def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
-    """SnR of fdata's psi on target, component-major (K, ...); the Gauss parts are
-    built after nabla A when fdata does not hold them yet."""
-    natensor = target.nabla_a_tensor(fdata.tdata)                   # (..., e, a, c, l)
+def snr_planes(fdata: FieldData) -> np.ndarray:
+    """SnR of fdata's psi, component-major (K, ...); the Gauss parts are built after
+    nabla A when fdata does not hold them yet."""
+    natensor = fdata.tdata.target.nabla_a_tensor(fdata.tdata)       # (..., e, a, c, l)
     m = fdata.m                             # before A_l M, which takes M
     a_m, c = fdata.a_m, fdata.c
     # w[l, a, c] = c_l M_ac - (M (A_l M))_ac
@@ -323,12 +327,10 @@ def snr_planes(target: TargetManifold, fdata: FieldData) -> np.ndarray:
 
 def total_action(phi, psi, u, chi, grid, target, tdata: TargetData | None = None,
                  fdata: FieldData | None = None) -> ActionBreakdown:
-    """All five terms and their total, summed in a fixed order; checked unless given
-    tdata or fdata.  fdata, when given, is the FieldData of these fields; the
-    action reads its parts last and takes them out."""
-    if fdata is None:
-        fdata = field_data(phi, psi, chi, u, grid, target, tdata)
-    t1, t2, t3, t4, t5 = (_integral(d, grid) for d in _densities(fdata))
+    """All five terms and their total, summed in a fixed order.  The action reads the
+    parts of its FieldData last and takes them out."""
+    fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
+    t1, t2, t3, t4, t5 = (_integral(d, fdata.grid) for d in _densities(fdata))
     total = ((t1 + t2) + t3 + t4) + t5
     return ActionBreakdown(t1, t2, t3, t4, t5, total)
 
@@ -340,9 +342,7 @@ def action_density(phi, psi, u, chi, grid, target,
     Every site's density depends on the fields only within one stencil step,
     which the finite-difference oracle exploits for local delta evaluation.
     """
-    if tdata is None:
-        tdata = target_data(target, phi)
-    dens, *rest = _densities(FieldData(phi, psi, chi, u, grid, tdata=tdata))
+    dens, *rest = _densities(field_data(phi, psi, chi, u, grid, target, tdata))
     for d in rest:
         if d is not None:
             dens = dens + d

@@ -2,12 +2,9 @@
 
 Each suite evaluates a family of exact discrete identities on basis fibers
 and seeded random data and reports the worst deviation against its tolerance.
-Used by the command-line ``check`` command and by the acceptance tests.  The
-symmetry suite checks the constraints once: its five actions share phi and only
-negate or rescale psi, which stays tangent, so all read one TargetData.
-run_all_checks builds no frame: it measures the constraint suite's two
-violations on the TargetData of phi it is handed (the command line hands it the
-one parse_config built), then hands that to the symmetry suite where they hold.
+Used by the command-line ``check`` command and by the acceptance tests.
+run_all_checks builds no frame: every suite reads the TargetData of phi it is
+handed (the command line hands it the one parse_config built).
 """
 
 from __future__ import annotations
@@ -166,14 +163,13 @@ def projector_suite(grid: Grid, rng: np.random.Generator):
     return out
 
 
-def symmetry_suite(phi, psi, chi, u, grid, target, rng, tdata=None):
-    """Super-Weyl shift and the sign flip, term by term; checked unless given tdata.
+def symmetry_suite(psi, chi, u, grid, tdata: TargetData, rng):
+    """Super-Weyl shift and the sign flip, term by term, at phi's TargetData tdata.
 
-    The five actions share phi, so they read one TargetData.
+    The five actions share phi and only negate or rescale psi, so they read tdata.
     """
     out = []
-    if tdata is None:
-        tdata = checked_target_data(target, phi, psi)
+    phi, target = tdata.phi, tdata.target
     spin = rng.standard_normal(grid.shape + (4,))
     psi_r, chi_r = conformal_rescale(psi, chi, u)
     chi_s, zero = chi + sigma_lift(spin), np.zeros(grid.shape)
@@ -210,12 +206,12 @@ def constraint_suite(psi, tdata: TargetData):
 def run_all_checks(psi, chi, u, grid, tdata: TargetData, seed: int = 0):
     rng = np.random.default_rng(seed)
     constraints = constraint_suite(psi, tdata)
-    # where a constraint fails, the symmetry suite checks again and raises ConstraintError
-    checked = tdata if all(r.passed for r in constraints) else None
+    if not all(r.passed for r in constraints):
+        checked_target_data(tdata.target, tdata.phi, psi)   # raises the ConstraintError
     results = []
     results += clifford_suite(rng)
     results += dirac_suite(grid, rng)
     results += projector_suite(grid, rng)
-    results += symmetry_suite(tdata.phi, psi, chi, u, grid, tdata.target, rng, tdata=checked)
+    results += symmetry_suite(psi, chi, u, grid, tdata, rng)
     results += constraints
     return results

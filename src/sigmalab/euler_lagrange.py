@@ -30,8 +30,7 @@ Both residuals read the intermediates they share with each other and with the
 action (d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M,
 c_l and A_l M of psi) from one action.FieldData: the flow builds one per
 evaluation and hands it to residual_phi, residual_psi and total_action in that
-order, so each part is computed once.  Called without fdata, a residual builds
-its own.
+order, so each part is computed once.
 
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
@@ -129,15 +128,13 @@ def residual_phi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     r_phi = div(d phi + e^{2u} V) + sum_l <S_l, D phi + e^{2u} V> nu_l
             - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative.
     For psi = chi = 0 on a unit sphere this is div grad phi + |D phi|^2 phi.
-    Checked unless given tdata or fdata, the FieldData of these fields.
     """
-    if fdata is None:
-        fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
     r = _residual_phi_without_snr(fdata)
     # curvature-derivative coupling (zero for round spheres); the temporaries of the
     # terms above are freed by now, as the K^3 arrays of nabla A set the peak memory
-    if fdata.has_psi and not target.parallel_second_fund:
-        r += (np.exp(4.0 * u) / 12.0) * snr_planes(target, fdata)
+    if fdata.has_psi and not fdata.tdata.target.parallel_second_fund:
+        r += (np.exp(4.0 * fdata.u) / 12.0) * snr_planes(fdata)
     return to_sites(r, 1)
 
 
@@ -191,11 +188,10 @@ def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     With chi = 0 it is the Dirac-harmonic spinor equation (twisted Dirac
     operator minus the cubic curvature coupling); the cubic survives even at
     constant phi and drops only where SR(psi) vanishes.  At u = 0 the
-    slot-wise operator is the flat one.  Checked unless given tdata or fdata,
-    the FieldData of these fields.
+    slot-wise operator is the flat one.
     """
-    if fdata is None:
-        fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
+    psi, u, grid = fdata.psi, fdata.u, fdata.grid
     has_psi, has_chi = fdata.has_psi, fdata.has_chi
     if not (has_psi or has_chi):
         return np.zeros_like(psi)
@@ -220,7 +216,7 @@ def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
 
 def residuals(phi, psi, chi, u, grid, target,
               tdata: TargetData | None = None) -> ELResidual:
-    """Both residuals from one FieldData; like each of them, checked unless given tdata."""
+    """Both residuals from one FieldData."""
     fdata = field_data(phi, psi, chi, u, grid, target, tdata)
     return ELResidual(
         r_phi=residual_phi(phi, psi, chi, u, grid, target, fdata=fdata),
@@ -236,11 +232,10 @@ def potentials(phi, psi, chi, u, grid, target,
     from the spinor antisymmetrization, weighted e^{2u}) the curvature
     coupling, and T (weighted e^{2u}) the V-field coupling.
     """
-    if tdata is None:
-        tdata = checked_target_data(target, phi, psi)
+    fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    tdata = fdata.tdata
     e2u = np.exp(2.0 * u)[..., None, None, None]
 
-    fdata = FieldData(phi, psi, grid=grid, tdata=tdata)
     s = np.moveaxis(_frame_derivative(_tangent_dphi(fdata), tdata), (0, 1, 2), (-2, -3, -1))
     omega = np.einsum("xylea,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
@@ -259,7 +254,7 @@ def potentials(phi, psi, chi, u, grid, target,
 def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
     """Rebuild r_phi from the rewritten equation; equal to residual_phi to
     machine precision (cross-implementation check)."""
-    tdata = target_data(target, phi)
+    tdata = checked_target_data(target, phi, psi)
     pots = potentials(phi, psi, chi, u, grid, target, tdata=tdata)
     dphi = grad(phi, grid)
     dt = tangent_part(tdata.nu, dphi)
@@ -335,7 +330,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
 
     def central(mask, h, probe):
         """Central difference of the action at mask's sites (h the per-site step) between
-        probe(+1) and probe(-1), each (phi, psi, phi's TargetData or None to build it)."""
+        probe(+1) and probe(-1), each (phi, psi, phi's TargetData)."""
         plus, minus = (_cross_sum(action_density(p, s, u, chi, grid, target, td) - base)[mask]
                        for p, s, td in map(probe, (1.0, -1.0)))
         return (plus - minus) / (2.0 * h[mask]) * grid.cell_area
@@ -344,7 +339,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         phi_w, psi_w = phi.copy(), psi.copy(order="K")
         phi_w[mask] = target.project(phi[mask] + sign * hstep[mask][:, None] * direction)
         psi_w[mask] = tangency_project(psi[mask], phi_w[mask], target)
-        return phi_w, psi_w, None
+        return phi_w, psi_w, target_data(target, phi_w)
 
     def move_psi(mask, direction, slot, sign):
         psi_w = psi.copy(order="K")

@@ -42,7 +42,7 @@ import numpy as np
 from . import clifford as cl
 from ._planes import pair
 from .errors import ConstraintError
-from .geometry import Grid, TargetManifold, grad, tangent_part_slots
+from .geometry import Grid, TargetManifold, grad, require_on_manifold, tangent_part_slots
 
 __all__ = [
     "frame_violation",
@@ -73,19 +73,15 @@ def _expand(u: np.ndarray, ndim: int) -> np.ndarray:
 def frame_violation(psi: np.ndarray, nu: np.ndarray) -> float:
     """max over sites/slots of |sum_b psi^b nu_l^b| / (1 + |psi|) for the frame nu.
 
-    einsum does not report overflow, so where |psi|^2 overflows the ratio is
-    taken again on psi divided per site by a power of two s that brings its
-    entries below 2, as |nu . psi/s| / (1/s + |psi/s|): scaling by a power of
-    two is exact, and a psi too large to square still shows its normal part.
+    einsum does not report overflow, so the ratio is taken on psi divided per
+    site by the power of two s that brings its entries below 2 (s = 1 where they
+    are), as |nu . psi/s| / (1/s + |psi/s|): scaling by a power of two is exact,
+    and a psi too large to square still shows its normal part.
     """
-    norm2 = np.einsum("...bc,...bc->...", psi, psi)
-    if not float(np.max(norm2)) < np.inf:
-        big = np.maximum(np.max(psi, axis=(-2, -1)), -np.min(psi, axis=(-2, -1)))
-        s = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1, 0))
-        psi = psi / s[..., None, None]
-        scale = 1.0 / s + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
-    else:
-        scale = 1.0 + np.sqrt(norm2)
+    big = np.maximum(np.max(psi, axis=(-2, -1)), -np.min(psi, axis=(-2, -1)))
+    s = np.ldexp(1.0, np.maximum(np.frexp(big)[1] - 1, 0))
+    psi = psi / s[..., None, None]
+    scale = 1.0 / s + np.sqrt(np.einsum("...bc,...bc->...", psi, psi))
     coeff = np.einsum("...lb,...bc->...lc", nu, psi)
     return float(np.max(np.abs(coeff) / scale[..., None, None]))
 
@@ -170,8 +166,9 @@ def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
 
     The conformal operator on each of the K spinor slots followed by the
     tangential part along phi, so the output satisfies the tangency
-    constraint.  psi is checked tangent against the same normal frame of phi.
+    constraint.
     """
+    require_on_manifold(target, phi)
     nu = target.normal_frame(phi)
     require_tangent(psi, nu)
     return tangent_part_slots(nu, dirac_conformal(psi, u, grid))

@@ -30,8 +30,7 @@ Step control is accept/reject, in one of two sectors:
   strictly decreases, at most START_DOUBLINGS times, and starts the flow one
   halving below the best d_k (at initial_step if the first doubling did not
   improve).  Accepted steps grow dt by `grow`.  The criterion-8 benchmark at
-  32^2, 64^2 and 128^2 takes 23 iterations from initial_step = 1e-5, where
-  starting at initial_step and growing dt by `grow` took 94.
+  32^2, 64^2 and 128^2 takes 23 iterations from initial_step = 1e-5.
 * The other sectors accept a trial iff the combined residual L2 norm
   decreases; initial_step is the first trial dt.  A start ramp multiplies dt
   by START_FACTOR after each accepted step until the solve's first rejected
@@ -40,7 +39,7 @@ Step control is accept/reject, in one of two sectors:
   SolverError (the first step has no previous one).  Evaluating a trial is
   the cost here, so the floor bounds the trials a stalled step spends.  From
   coupled64's inputs the flow reaches tolerance 10 in 11 iterations at 16^2
-  to 128^2, where explicit phi steps growing dt by 1.1 took 50 to 150.
+  to 128^2.
 
 Rejected steps shrink dt by `shrink`; a non-finite dt or dt underflow below
 1e-14 raises SolverError in every sector, and solve records either error as
@@ -62,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import ActionBreakdown, FieldData, target_data, total_action
+from .action import ActionBreakdown, field_data, target_data, total_action
 from .errors import ConstraintError, SolverError
 from .euler_lagrange import residual_phi, residual_psi, tangent_residual_norms
 from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
@@ -148,7 +147,7 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     tdata = target_data(target, phi)
     if np.any(psi):  # the pure-map flow keeps its zeros, which are tangent
         psi = tangent_part_slots(tdata.nu, psi)
-    fdata = FieldData(phi, psi, chi, u, grid, tdata=tdata)
+    fdata = field_data(phi, psi, chi, u, grid, target, tdata)
     r_phi = residual_phi(phi, psi, chi, u, grid, target, fdata=fdata)
     if fdata.has_psi or fdata.has_chi:
         r_psi = residual_psi(phi, psi, chi, u, grid, target, fdata=fdata)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalab.action import checked_target_data, total_action
+from sigmalab.action import action_density, checked_target_data, field_data, total_action
 from sigmalab.cli import _COMMANDS, _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
-from sigmalab.euler_lagrange import potentials, residual_phi, residual_psi, residuals
+from sigmalab.euler_lagrange import (assemble_map_residual, potentials, residual_phi,
+                                     residual_psi, residuals)
 from sigmalab.fields import frame_violation, require_tangent, twisted_dirac
 from sigmalab.geometry import Grid, SphereTarget, TargetData, ellipsoid_target
 from sigmalab.presets import (
@@ -36,10 +37,13 @@ def _fields(target, n=8):
 
 CHECKED = {
     "total_action": lambda phi, psi, chi, u, g, tg: total_action(phi, psi, u, chi, g, tg),
+    "action_density": lambda phi, psi, chi, u, g, tg: action_density(phi, psi, u, chi, g, tg),
     "residual_phi": residual_phi,
     "residual_psi": residual_psi,
     "residuals": residuals,
     "potentials": potentials,
+    "assemble_map_residual": assemble_map_residual,
+    "twisted_dirac": lambda phi, psi, chi, u, g, tg: twisted_dirac(psi, phi, u, g, tg),
 }
 
 
@@ -61,6 +65,19 @@ def test_non_tangent_psi_raises(name):
     psi[1, 4, :, 2] += phi[1, 4]
     with pytest.raises(ConstraintError, match=NOT_TANGENT):
         CHECKED[name](phi, psi, chi, u, g, tg)
+
+
+def test_a_handed_field_data_is_the_whole_input():
+    # given its FieldData, an evaluation reads u, psi, the grid and the target from it
+    tg = ellipsoid_target([1.0, 1.3, 0.8])
+    g, phi, psi, chi, u = _fields(tg)
+    whole = lambda: field_data(phi, psi, chi, u, g, tg)  # noqa: E731
+    r_phi = residual_phi(phi, psi, chi, None, None, None, fdata=whole())
+    r_psi = residual_psi(phi, psi, chi, None, None, None, fdata=whole())
+    action = total_action(phi, psi, None, chi, None, None, fdata=whole())
+    assert np.array_equal(r_phi, residual_phi(phi, psi, chi, u, g, tg))
+    assert np.array_equal(r_psi, residual_psi(phi, psi, chi, u, g, tg))
+    assert action == total_action(phi, psi, u, chi, g, tg)
 
 
 def test_term_dirac_checks_tangency():
