@@ -56,7 +56,12 @@ c_l and A_l M (A_l is the TargetData's).  A part's last reader takes it
 from it, and total_action, the last reader of a joint evaluation (residual_phi,
 residual_psi, then total_action on one FieldData), takes each part it reads.
 Every evaluation takes its FieldData from field_data, which states when the
-constraints are checked.
+constraints are checked.  The FD oracle's psi probes read two more FieldData:
+with_psi shares the parts that do not read psi with a FieldData of another psi,
+and at_sites gathers the fields and those parts at chosen sites, where the
+summands III, IV and V (pointwise_densities), which read psi only at their own
+site, evaluate; the Dirac summand II (dirac_density) reads psi one stencil step
+away and runs on the grid.
 
 The parts and the contractions are component-major (see _planes): psi as
 (K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
@@ -87,6 +92,9 @@ __all__ = [
     "FieldData",
     "field_data",
     "gamma_chi",
+    "dirac_density",
+    "pointwise_densities",
+    "summed",
     "snr_of",
     "total_action",
     "action_density",
@@ -125,6 +133,10 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
     tdata = target_data(target, phi)
     require_tangent(psi, tdata.nu)
     return tdata
+
+
+# the parts of a FieldData that do not read psi, which FieldData.with_psi shares
+_PSI_FREE = ("dphi", "dphi_gamma_chi", "q_chi2", "has_chi")
 
 
 class FieldData:
@@ -208,6 +220,37 @@ class FieldData:
             contract(np.moveaxis(a_l[:, a], 1, 0)[:, :, None], m[:, None], a_m[:, a], tmp=tmp)
         return a_m
 
+    def with_psi(self, psi) -> FieldData:
+        """The FieldData of psi beside self's phi, chi and u on self's TargetData.  It shares
+        self's parts that do not read psi (d phi, d phi . Gamma chi, |Q chi|^2 and has_chi),
+        built here if need be and made read-only, so that an in-place write raises; take
+        drops only the new FieldData's reference."""
+        fd = FieldData(self.phi, psi, self.chi, self.u, self.grid, tdata=self.tdata)
+        for name in _PSI_FREE:
+            value = getattr(self, name)
+            if name != "has_chi":
+                value.flags.writeable = False
+            fd.__dict__[name] = value
+        return fd
+
+    def at_sites(self, sites: np.ndarray) -> FieldData:
+        """self's phi, chi and u at the flat grid-site indices sites (repeats allowed), on
+        one TargetData of phi there, with self's parts that do not read psi gathered there:
+        a FieldData with no psi and no grid, whose with_psi takes a psi at those sites
+        (site-major, sites first).  Only the pointwise summands read it (pointwise_densities)."""
+        def first(x):                   # site-major: the site axes first
+            return x.reshape((-1,) + x.shape[2:])[sites]
+
+        phi = first(self.phi)
+        fd = FieldData(phi, None, first(self.chi), first(self.u),
+                       tdata=target_data(self.tdata.target, phi))
+        for name in _PSI_FREE:
+            value = getattr(self, name)
+            if name != "has_chi":       # component-major: the site axes last
+                value = value.reshape(value.shape[:-2] + (-1,))[..., sites]
+            fd.__dict__[name] = value
+        return fd
+
     def take(self, name: str):
         """The part name, computed if need be and no longer kept (reading it again recomputes it)."""
         value = getattr(self, name)
@@ -236,7 +279,8 @@ def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
     return pair(dphi, dphi, 2)
 
 
-def _dirac_density(fd: FieldData) -> np.ndarray | None:
+def dirac_density(fd: FieldData) -> np.ndarray | None:
+    """Summand II, the one that reads psi one stencil step away: on the grid only."""
     if not fd.has_psi:
         return None
     tw = tangent(fd.tdata.nu_c, to_planes(fd.take("dirac"), 2))
@@ -265,13 +309,28 @@ def _curvature_density(fd: FieldData) -> np.ndarray | None:
     return -r * np.exp(4.0 * fd.u) / 6.0
 
 
+def pointwise_densities(fd: FieldData) -> tuple:
+    """Summands III, IV and V, which read psi only at their own site, so that fd may
+    hold its fields at any sites (FieldData.at_sites); None where a term vanishes."""
+    return _gravitino_density(fd), _qchi_density(fd), _curvature_density(fd)
+
+
 def _densities(fd: FieldData) -> tuple:
     """Densities of the summands I..V of fd's fields, in order; None where a term vanishes."""
-    ii, iii, iv = _dirac_density(fd), _gravitino_density(fd), _qchi_density(fd)
+    ii, iii, iv = dirac_density(fd), _gravitino_density(fd), _qchi_density(fd)
     # d phi after the gravitino coefficient, which is built from it when fd does not hold
     # it yet, and before the Gauss parts, which a fresh fd builds last
     i = _dirichlet_density(fd.take("dphi"))
     return i, ii, iii, iv, _curvature_density(fd)
+
+
+def summed(densities) -> np.ndarray | None:
+    """The sum of the densities that do not vanish, added in order; None if all vanish."""
+    total = None
+    for d in densities:
+        if d is not None:
+            total = d if total is None else total + d
+    return total
 
 
 def _integral(density: np.ndarray | None, grid: Grid) -> float:
@@ -342,9 +401,5 @@ def action_density(phi, psi, u, chi, grid, target,
     Every site's density depends on the fields only within one stencil step,
     which the finite-difference oracle exploits for local delta evaluation.
     """
-    dens, *rest = _densities(field_data(phi, psi, chi, u, grid, target, tdata))
-    for d in rest:
-        if d is not None:
-            dens = dens + d
-    return dens
+    return summed(_densities(field_data(phi, psi, chi, u, grid, target, tdata)))
 

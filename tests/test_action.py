@@ -3,12 +3,14 @@
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmalab import clifford as cl
 from oracles import curvature_operator, nabla_A, second_fund_form, sr_of
-from sigmalab.action import FieldData, gamma_chi, snr_of, target_data, total_action
+from sigmalab.action import (FieldData, _densities, gamma_chi, pointwise_densities, snr_of,
+                             target_data, total_action)
 from sigmalab.clifford import sigma_lift
 from sigmalab.fields import conformal_rescale, tangency_project
 from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target
@@ -309,6 +311,52 @@ def test_reading_c_after_a_m_builds_m_once(monkeypatch):
     ref_a_m = np.einsum("labxy,bcxy->lacxy", a_l, ref_m)
     assert np.max(np.abs(c - ref_c)) <= 1e-13 * np.max(np.abs(ref_c))
     assert np.max(np.abs(a_m - ref_a_m)) <= 1e-13 * np.max(np.abs(ref_a_m))
+
+
+# ---- shared parts and gathered sites -----------------------------------------------
+
+
+def _ellipsoid_fields(n=8):
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    g = Grid(n, n)
+    phi = smooth_map_field(g, te, seed=10, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, te, seed=11, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=16, amplitude=0.3)
+    return te, g, phi, psi, chi, u
+
+
+def test_with_psi_shares_the_psi_free_parts_read_only():
+    te, g, phi, psi, chi, u = _ellipsoid_fields()
+    psi2 = smooth_vector_spinor(g, phi, te, seed=13, amplitude=0.3)
+    base = FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi))
+    shared = base.with_psi(psi2)
+    for name in ("dphi", "dphi_gamma_chi", "q_chi2"):
+        part = shared.__dict__[name]
+        assert part is base.__dict__[name]
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] += 1.0
+    fresh = FieldData(phi, psi2, chi, u, g, tdata=target_data(te, phi))
+    for a, b in zip(_densities(shared), _densities(fresh), strict=True):
+        assert a is not None and np.array_equal(a, b)
+    # take dropped the parts from shared alone
+    assert not {"dphi", "dphi_gamma_chi", "q_chi2"} & shared.__dict__.keys()
+    assert {"dphi", "dphi_gamma_chi", "q_chi2"} <= base.__dict__.keys()
+
+
+@pytest.mark.parametrize("ellipsoid", [False, True])
+def test_pointwise_densities_at_gathered_sites_are_the_grid_ones(ellipsoid):
+    te, g, phi, psi, chi, u = _ellipsoid_fields()
+    if not ellipsoid:
+        te, phi = TG, TG.project(phi)
+        psi = tangency_project(psi, phi, TG)
+    on_grid = pointwise_densities(FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi)))
+    sites = np.array([5, 0, 63, 5, 17, 40, 0])          # any order, repeats allowed
+    local = FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi)).at_sites(sites)
+    gathered = pointwise_densities(local.with_psi(psi.reshape(-1, 3, 4)[sites]))
+    for a, b in zip(gathered, on_grid, strict=True):
+        assert a.shape == sites.shape
+        assert np.array_equal(a, b.reshape(-1)[sites])
 
 
 # ---- totals and symmetries ------------------------------------------------------

@@ -217,22 +217,29 @@ def test_fd_color_counts(n1, n2, count):
 
 
 def test_fd_oracle_density_calls_at_32(monkeypatch):
-    # one base density, then per class 2 x 2 phi probes and 2 x 2 x 4 psi probes
+    # per class (8) and tangent direction (2): the 2 phi probes evaluate the whole density,
+    # the 4 slots x 2 signs of psi probes the Dirac density each, and one evaluation of the
+    # pointwise summands serves those 8 at the class's 128 sites, one grid's worth
     g = Grid(32, 32)
     phi = smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1)
     psi = smooth_vector_spinor(g, phi, TG, seed=7, amplitude=0.1, modes=1)
     chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=1)
-    calls = []
-    density = euler_lagrange.action_density
-    monkeypatch.setattr(euler_lagrange, "action_density",
-                        lambda *a, **k: calls.append(1) or density(*a, **k))
+    calls = {"action_density": [], "dirac_density": [], "pointwise_densities": []}
+    for name, log in calls.items():
+        fn = getattr(euler_lagrange, name)
+        monkeypatch.setattr(euler_lagrange, name,
+                            lambda *a, _fn=fn, _log=log, **k: _log.append(a) or _fn(*a, **k))
     action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
-    assert len(calls) == 1 + 8 * (2 * 2 + 2 * 2 * 4) == 161
+    assert len(calls["action_density"]) == 8 * 2 * 2 == 32
+    assert len(calls["dirac_density"]) == 8 * 2 * 4 * 2 == 128
+    assert len(calls["pointwise_densities"]) == 8 * 2 == 16
+    assert {fd.psi.shape for (fd,) in calls["pointwise_densities"]} == {(8 * 128, 3, 4)}
 
 
 def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
-    """The tangent bases, the base density and every psi probe read one TargetData of
-    phi; each phi probe builds the frames of its own moved map."""
+    """The tangent bases and every psi probe's Dirac density read one TargetData of phi;
+    each phi probe builds the frames of its own moved map, and each class the frames of
+    phi at its stacked sites for the pointwise summands."""
     te = ellipsoid_target([1.0, 1.3, 0.8])
     g = Grid(8, 8)
     phi = te.project(smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1))
@@ -245,6 +252,30 @@ def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
     action_gradient_fd(phi, psi, smooth_scalar_field(g, seed=11, amplitude=0.3), chi, g, te)
     assert sum(of_phi) == 1
     assert len(of_phi) > 1
+
+
+@pytest.mark.parametrize("n", [8, 4])
+def test_colored_fd_matches_sitewise_reference_on_ellipsoid(n):
+    # a non-umbilic target with u and chi nonzero; 4^2 has one class per site
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    g = Grid(n, n)
+    phi = smooth_map_field(g, te, seed=10, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, te, seed=11, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=15, amplitude=0.25)
+    gp1, gs1 = action_gradient_fd(phi, psi, u, chi, g, te)
+    gp2, gs2 = _action_gradient_fd_sitewise(phi, psi, u, chi, g, te, 1e-5)
+    assert np.max(np.abs(gp2)) > 0.0 and np.max(np.abs(gs2)) > 0.0
+    assert np.max(np.abs(gp1 - gp2)) / np.max(np.abs(gp2)) < 1e-7
+    assert np.max(np.abs(gs1 - gs2)) / np.max(np.abs(gs2)) < 1e-7
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+def test_fd_oracle_rejects_a_step_that_is_not_positive_and_finite(step, monkeypatch):
+    g, phi, psi, chi, u = _fields(n=8)
+    monkeypatch.setattr(euler_lagrange, "target_data", None)      # no probe may run
+    with pytest.raises(ValueError, match="step"):
+        action_gradient_fd(phi, psi, u, chi, g, TG, step=step)
 
 
 @pytest.mark.parametrize("n1, n2", [(10, 10), (5, 6)])

@@ -16,7 +16,9 @@ residual_psi, action_density and total_action (each handed a TargetData with
 every part built, so each times its own work), tangent_part and
 tangent_part_slots on C-contiguous site-major inputs, and project of phi scaled
 by 1.01.  The "ellipsoid ..." rows time the normal frame, dnu and project on the
-ellipsoid (1.0, 1.3, 0.8), with phi the same smooth map projected onto it.
+ellipsoid (1.0, 1.3, 0.8), with phi the same smooth map projected onto it.  The
+action_gradient_fd row times one call of the FD oracle on the S^2 fields, at the
+sizes up to 64 only (one call takes about 0.2 s at 64^2).
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def table(sizes, seconds: float) -> dict:
             "ellipsoid TargetData.dnu": (lambda td: td.dnu, lambda: tdata(target=te, p=phi_e)),
             "ellipsoid project": (lambda _: te.project(off_e), none),
         }
+        if n <= 64:
+            rows["action_gradient_fd"] = (lambda _: euler_lagrange.action_gradient_fd(
+                phi, psi, u, chi, g, tg), none)
         out[str(n)] = {name: _time(fn, prepare, seconds) for name, (fn, prepare) in rows.items()}
     return out
 
