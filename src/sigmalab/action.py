@@ -44,9 +44,9 @@ from the same M, c_l and A_l M as matrix products,
 
     SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} (c_l M_ac - (M (A_l M))_ac).
 
-Every term reads the target along phi from one geometry.TargetData: the
-Dirac term is the conformal operator with its normal part along that frame
-removed.
+The action reads the target along phi from one geometry.TargetData only through
+A (summand V) and the constraint check: psi is tangent, so the Dirac term pairs
+it with D_u psi itself, as it would with the twisted operator Pi D_u psi.
 
 The intermediates that the action shares with both residuals at one
 (phi, psi, chi, u) live in one FieldData beside that TargetData, each built on
@@ -80,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from . import clifford as cl
-from ._planes import contract, pair, tangent, to_planes, to_sites
+from ._planes import contract, pair, to_planes, to_sites
 from .fields import dirac_conformal, q_norm2_field, require_tangent
 from .geometry import Grid, TargetData, TargetManifold, grad, require_on_manifold
 
@@ -174,8 +174,8 @@ class FieldData:
 
     @cached_property
     def dirac(self) -> np.ndarray:
-        """D_u psi, slot-wise (not yet tangent), site-major like psi: the flat Dirac
-        operator's own layout."""
+        """D_u psi, slot-wise and not tangent (r_psi projects it; the Dirac density pairs
+        it with tangent psi), site-major like psi: the flat Dirac operator's own layout."""
         return dirac_conformal(self.psi, self.u, self.grid)
 
     def gamma_chi(self) -> np.ndarray:
@@ -280,11 +280,10 @@ def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
 
 
 def dirac_density(fd: FieldData) -> np.ndarray | None:
-    """Summand II, the one that reads psi one stencil step away: on the grid only."""
+    """Summand II, e^{3u} <psi, D_u psi>, which reads psi one stencil step away: grid only."""
     if not fd.has_psi:
         return None
-    tw = tangent(fd.tdata.nu_c, to_planes(fd.take("dirac"), 2))
-    return pair(fd.psi_c, tw, 2) * np.exp(3.0 * fd.u)
+    return pair(fd.psi_c, to_planes(fd.take("dirac"), 2), 2) * np.exp(3.0 * fd.u)
 
 
 def _gravitino_density(fd: FieldData) -> np.ndarray | None:

@@ -27,10 +27,11 @@ Step control is accept/reject, in one of two sectors:
   bracketing phase of a line search, Nocedal & Wright 2006, section 3.5):
   with d_k = initial_step 2^k, if the trial at d_0 does not raise the
   Dirichlet energy it keeps doubling while the energy increment of the trial
-  strictly decreases, at most START_DOUBLINGS times, and starts the flow one
-  halving below the best d_k (at initial_step if the first doubling did not
-  improve).  Accepted steps grow dt by `grow`.  The criterion-8 benchmark at
-  32^2, 64^2 and 128^2 takes 23 iterations from initial_step = 1e-5.
+  strictly decreases, or halving while it does if the first doubling does
+  not improve, at most START_DOUBLINGS times, and starts the flow one halving
+  below the best d_k.  Accepted steps grow dt by `grow`.  The criterion-8
+  benchmark at 32^2, 64^2 and 128^2 takes 23 iterations from
+  initial_step = 1e-5, and 22/26/26 from 1e-1.
 * The other sectors accept a trial iff the combined residual L2 norm
   decreases; initial_step is the first trial dt.  A start ramp multiplies dt
   by START_FACTOR after each accepted step until the solve's first rejected
@@ -41,9 +42,10 @@ Step control is accept/reject, in one of two sectors:
   coupled64's inputs the flow reaches tolerance 10 in 11 iterations at 16^2
   to 128^2.
 
-Rejected steps shrink dt by `shrink`; a non-finite dt or dt underflow below
-1e-14 raises SolverError in every sector, and solve records either error as
-a stall.
+Rejected steps shrink dt by `shrink`; a trial that cannot be projected or
+overflows (ConstraintError, FloatingPointError) is a rejected one.  A
+non-finite dt or dt underflow below 1e-14 raises SolverError in every sector,
+and solve records either error as a stall.
 
 Each evaluation of an iterate builds one TargetData and one action.FieldData
 of the fields and hands both to residual_phi, residual_psi and total_action,
@@ -71,7 +73,7 @@ __all__ = ["SolverConfig", "Evaluation", "FlowState", "FlowReport", "flow_step",
 
 DT_UNDERFLOW = 1e-14
 START_FACTOR = 2.0  # the start-step search and the start ramp multiply dt by this
-START_DOUBLINGS = 64  # and stops after this many multiplications
+START_DOUBLINGS = 64  # the search doubles (or halves) at most this many times
 
 
 @dataclass
@@ -196,30 +198,35 @@ def _start_step(phi, ev: Evaluation, grid: Grid, target: TargetManifold,
     """The first trial dt of a pure-map solve and the number of trials evaluated.
 
     Doubles dt from initial_step while the Dirichlet increment of the trial
-    strictly decreases (START_DOUBLINGS at most) and returns one halving below
-    the best dt.  A first trial that raises the energy ends the search at
-    initial_step, where the shrink loop of flow_step takes over; a doubled
-    trial that cannot be projected ends it like one that does not improve.
-    Only one trial field is alive at a time.
+    strictly decreases, or halves it while it does if the first doubling does
+    not improve (START_DOUBLINGS steps at most either way), and returns one
+    halving below the best dt.  A first trial that raises the energy, or that
+    cannot be projected, ends the search at initial_step, where the shrink loop
+    of flow_step takes over; a later trial that cannot be projected ends it
+    like one that does not improve.  Only one trial field is alive at a time.
     """
     resolve = _resolvent(ev.r_phi_t, grid)
 
-    def increment(dt):
-        return _dirichlet_increment(_implicit_trial(phi, ev.nu, resolve, dt, target), phi, grid)
+    def increment(k):
+        try:
+            trial = _implicit_trial(phi, ev.nu, resolve, initial_step * START_FACTOR**k, target)
+        except (ConstraintError, FloatingPointError):
+            return math.inf
+        return _dirichlet_increment(trial, phi, grid)
 
-    best, k_best, trials = increment(initial_step), 0, 1
+    best, k_best, trials = increment(0), 0, 1
     if best > 0.0:
         return initial_step, trials
-    for k in range(1, START_DOUBLINGS + 1):
-        trials += 1
-        try:
-            inc = increment(initial_step * START_FACTOR**k)
-        except (ConstraintError, FloatingPointError):
+    for direction in (1, -1):  # halve only when the first doubling does not improve
+        for j in range(1, START_DOUBLINGS + 1):
+            trials += 1
+            inc = increment(direction * j)
+            if not inc < best:
+                break
+            best, k_best = inc, direction * j
+        if k_best != 0:
             break
-        if not inc < best:
-            break
-        best, k_best = inc, k
-    return initial_step * START_FACTOR ** max(k_best - 1, 0), trials
+    return initial_step * START_FACTOR ** (k_best - 1), trials
 
 
 def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
@@ -250,16 +257,19 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
         if dt < floor:
             raise SolverError(f"step size {dt:.3e} below the stall floor {floor:.3e}", rejected)
         phi_new, psi_new = phi, psi
-        if config.mode != "psi-only":
-            phi_new = _implicit_trial(phi, ev.nu, resolve, dt, target)
-        if pure_map:
-            accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
-        else:
-            if config.mode != "phi-only":
-                psi_new = psi - dt * ev.r_psi
-            trial = None  # a rejected trial's arrays are freed before the next evaluation
-            psi_new, trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
-            accepted = trial.norms[0] < ev.norms[0]
+        trial = None  # a rejected trial's arrays are freed before the next evaluation
+        try:
+            if config.mode != "psi-only":
+                phi_new = _implicit_trial(phi, ev.nu, resolve, dt, target)
+            if pure_map:
+                accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
+            else:
+                if config.mode != "phi-only":
+                    psi_new = psi - dt * ev.r_psi
+                psi_new, trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
+                accepted = trial.norms[0] < ev.norms[0]
+        except (ConstraintError, FloatingPointError):  # a trial that fails is a rejected one
+            accepted = False
         if accepted:
             break
         dt *= config.shrink

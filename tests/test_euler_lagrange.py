@@ -237,9 +237,9 @@ def test_fd_oracle_density_calls_at_32(monkeypatch):
 
 
 def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
-    """The tangent bases and every psi probe's Dirac density read one TargetData of phi;
-    each phi probe builds the frames of its own moved map, and each class the frames of
-    phi at its stacked sites for the pointwise summands."""
+    """The tangent bases read one TargetData of phi (the psi probes' Dirac densities read
+    no frame); each phi probe builds the frames of its own moved map, and each class the
+    frames of phi at its stacked sites for the pointwise summands."""
     te = ellipsoid_target([1.0, 1.3, 0.8])
     g = Grid(8, 8)
     phi = te.project(smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1))

@@ -12,7 +12,8 @@ import pytest
 
 from sigmalab import clifford as cl
 from oracles import sr_of
-from sigmalab.action import FieldData, _curvature_density, _densities, gamma_chi, snr_of
+from sigmalab.action import (FieldData, _curvature_density, _densities, dirac_density,
+                             field_data, gamma_chi, snr_of)
 from sigmalab.euler_lagrange import (
     _frame_derivative,
     _tproj_dnu,
@@ -20,7 +21,8 @@ from sigmalab.euler_lagrange import (
     residual_psi,
     v_fields,
 )
-from sigmalab.fields import dirac_flat, dirac_flat_sigma, q_norm2_field, site_inner
+from sigmalab.fields import (dirac_flat, dirac_flat_sigma, q_norm2_field, site_inner,
+                             twisted_dirac)
 from sigmalab.geometry import (
     Grid,
     SphereTarget,
@@ -149,11 +151,12 @@ def ref_tproj_dnu(td):
 
 
 def ref_densities(phi, psi, u, chi, td):
+    # II is e^{3u} <psi, D_u psi>, which pairs like the twisted operator only at tangent psi
     dphi = grad(phi, GRID)
-    tw = tangent_part_slots(td.nu, np.exp(-1.5 * u[..., None, None]) * ref_clifford_derivative(
-        cl.GAMMA, np.exp(0.5 * u[..., None, None]) * psi))
+    du = np.exp(-1.5 * u[..., None, None]) * ref_clifford_derivative(
+        cl.GAMMA, np.exp(0.5 * u[..., None, None]) * psi)
     return (
-        np.einsum("xyai,xyai->xy", psi, tw) * np.exp(3.0 * u),
+        np.einsum("xyai,xyai->xy", psi, du) * np.exp(3.0 * u),
         2.0 * np.einsum("xybi,xyki,bxyk->xy", ref_gamma_chi(chi), psi, dphi) * np.exp(2.0 * u),
         -ref_q_norm2(chi) * np.einsum("xyai,xyai->xy", psi, psi) * np.exp(4.0 * u),
         -np.einsum("xyai,xyai->xy", ref_sr(psi, td.asym), psi) * np.exp(4.0 * u) / 6.0,
@@ -287,6 +290,18 @@ def test_densities_match_einsum(target):
     densities = _densities(FieldData(phi, psi, chi, u, GRID, tdata=td))[1:]
     for new, ref in zip(densities, ref_densities(phi, psi, u, chi, td)):
         assert _relerr(new, ref) < RTOL
+
+
+@pytest.mark.parametrize("target", [SphereTarget(3), ellipsoid_target([1.0, 1.3, 0.8]),
+                                    PlaneSphere()], ids=["sphere", "ellipsoid", "plane-sphere"])
+def test_dirac_density_pairs_tangent_psi_with_the_twisted_operator(target):
+    # the density pairs psi with D_u psi unprojected; at tangent psi that is its pairing
+    # with the twisted operator Pi D_u psi
+    phi, psi, chi, u = _fields(target, 21)
+    psi = tangent_part_slots(target.normal_frame(phi), psi)
+    density = dirac_density(field_data(phi, psi, chi, u, GRID, target))
+    ref = np.exp(3.0 * u) * site_inner(psi, twisted_dirac(psi, phi, u, GRID, target))
+    assert _relerr(density, ref) < RTOL
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=IDS)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sigmalab.action import total_action
-from sigmalab.errors import ConstraintError, SolverError
+from sigmalab.errors import SolverError
 from sigmalab.euler_lagrange import residual_norms, residual_phi, residual_psi, residuals
 from sigmalab.fields import frame_violation
 from sigmalab.geometry import (
@@ -151,12 +151,26 @@ def test_non_finite_step_size_signaled():
         flow_step(state, chi0, u0, g, TG, SolverConfig())
 
 
-def test_overflowing_step_fails_in_the_projection():
-    g = Grid(8, 8)
-    psi0, chi0, u0 = _zeros(g)
-    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
-    with np.errstate(over="ignore"), pytest.raises(ConstraintError, match="cannot project"):
-        solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(initial_step=1e300))
+@pytest.mark.parametrize("errstate", [dict(over="raise", invalid="raise", divide="raise"),
+                                      dict(all="ignore")], ids=["raise", "ignore"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["pure-map", "joint"])
+def test_overflowing_trial_is_a_rejected_trial(coupled, errstate):
+    # the resolvent passes the constant and checkerboard modes unscaled, so a trial at
+    # dt = 1e300 overflows: a FloatingPointError under the command line's errstate, else
+    # a phi that cannot be projected.  Either is a rejected trial, and dt shrinks.
+    if coupled:
+        g, phi0, psi0, chi0, u0 = _coupled64_inputs(8)
+    else:
+        g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(8)
+    cfg = SolverConfig(max_iterations=20, tolerance=10.0 if coupled else 1e-6,
+                       initial_step=1e300)
+    with np.errstate(**errstate):
+        state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    if not coupled:  # the first start-step trial fails like one that raises the energy
+        assert report.records[0]["start_trials"] == 1
+        assert report.records[0]["step_size"] == cfg.initial_step
+    assert report.records[1]["rejected"] >= 1
+    assert on_manifold_violation(TG, state.phi) <= 1e-9
 
 
 def test_solve_ends_without_crash_when_stalled():
@@ -444,9 +458,49 @@ def test_start_search_takes_criterion_8_to_its_working_step(n):
     assert all(rec["rejected"] == 0 for rec in report.records)
     assert 1 < report.records[0]["start_trials"] <= solver.START_DOUBLINGS + 1
     assert report.records[0]["step_size"] > cfg.initial_step
+    # below the working step the search only doubles, and its records stay as they were
+    assert report.iterations == 23
+    assert report.records[0]["start_trials"] == 14
     e = total_action(state.phi, state.psi, u0, chi0, g, TG).I_dirichlet
     e_exact = (np.sin(2 * np.pi * g.h1) / g.h1) ** 2
     assert abs(e - e_exact) / e_exact < 1e-2
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_start_search_halves_from_above_the_working_step(n):
+    # from 1e-1 the first doubling does not improve; without the halving branch the flow
+    # started at 1e-1 and took 25/38/43 iterations (4/5/6 rejected trials) at these sizes
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(n)
+    cfg = SolverConfig(max_iterations=100_000, tolerance=1e-6, initial_step=1e-1)
+    _, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
+    assert report.converged
+    assert report.iterations <= 27
+    assert report.records[0]["step_size"] < cfg.initial_step
+
+
+@pytest.mark.parametrize("increments, halvings", [
+    ([-1.0, -0.5, -2.0, -3.0, -2.5], 3),             # two halvings improve
+    ([-1.0, -0.5, -0.5], 1),                         # none does: one halving below d_0
+    ([-1.0, -1.0] + [-2.0 - k for k in range(solver.START_DOUBLINGS)],
+     solver.START_DOUBLINGS + 1),                    # every halving does, up to the cap
+], ids=["two", "none", "cap"])
+def test_start_search_halves_while_the_increment_decreases(monkeypatch, increments, halvings):
+    # the increments of the trials in the order the search evaluates them: d_0, d_1, then
+    # d_-1, d_-2, ... once the doubling does not improve on d_0
+    values, dts = iter(increments), []
+    trial = solver._implicit_trial
+
+    def recorded_trial(phi, nu, resolve, dt, target):
+        dts.append(dt)
+        return trial(phi, nu, resolve, dt, target)
+
+    monkeypatch.setattr(solver, "_implicit_trial", recorded_trial)
+    monkeypatch.setattr(solver, "_dirichlet_increment", lambda a, b, grid: next(values))
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
+    ev = solver._evaluate(phi0, psi0, chi0, u0, g, TG)[1]
+    step = 1e-1
+    assert solver._start_step(phi0, ev, g, TG, step) == (step * 2.0**-halvings, len(increments))
+    assert dts == [step, 2.0 * step] + [step * 2.0**-j for j in range(1, len(increments) - 1)]
 
 
 def test_start_search_stops_when_the_first_trial_raises_the_energy():
