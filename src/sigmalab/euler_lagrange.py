@@ -8,10 +8,11 @@ the normal frame differentiated along D phi) it is in divergence form:
 
     r_phi^a = div^h( grad phi^a + e^{2u} V^a ) + sum_l <S_l, D phi + e^{2u} V> nu_l^a
             - e^{2u} C(psi)^a + (1/12) e^{4u} SnR(psi)^a,
-    C(psi)^a = sum_{l,c,i} psi^c_i <S_l, gamma psi>_i (Pi dnu_l/du^c)^a,
+    C(psi)^a = (Pi sum_{l,c,i} psi^c_i <S_l, gamma psi>_i dnu_l/du^c)^a,
 
-and for the vector-spinor (tangent-projected at the end, which also removes
-the normal twisting term A(d phi, psi) of the Dirac operator):
+with Pi applied once, as the projection along nu (no residual forms Pi as a
+matrix), and for the vector-spinor (tangent-projected at the end, which also
+removes the normal twisting term A(d phi, psi) of the Dirac operator):
 
     r_psi^a = e^{3u} (D_sym psi)^a
             + e^{2u} d^h_b phi^a gamma_e gamma_b chi^e
@@ -104,13 +105,6 @@ def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.moveaxis(v, (0, 1), (-1, -2))
 
 
-def _tproj_dnu(tdata):
-    """Tp[l, c, a, ...] = (Pi dnu_l/du^c)^a, component-major."""
-    dnu = tdata.dnu_c
-    return contract(np.moveaxis(dnu, 2, 0)[:, :, :, None], tdata.pi_c[:, None, None],
-                    np.empty_like(dnu))
-
-
 def _frame_derivative(dt, tdata):
     """S[e, l, b, ...] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi,
     from the component-major dt[e, c, ...] = D_e phi^c."""
@@ -178,7 +172,7 @@ def _residual_phi_without_snr(fdata: FieldData) -> np.ndarray:
         w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None],
                      np.empty(nu.shape[:2] + sites))                         # [l, c]
         del s_gpsi
-        rc = contract(w[:, :, None], _tproj_dnu(tdata), buf, axes=2)
+        rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, buf, axes=2))
         rc *= e2u
         r -= rc
     return r
@@ -233,7 +227,9 @@ def potentials(phi, psi, chi, u, grid, target,
 
     omega carries the second-fundamental-form trace, F (with the factor 1/2
     from the spinor antisymmetrization, weighted e^{2u}) the curvature
-    coupling, and T (weighted e^{2u}) the V-field coupling.
+    coupling, and T (weighted e^{2u}) the V-field coupling.  F reads its own Pi dnu,
+    an einsum on tdata.pi, so that the rewriting does not share the projection
+    residual_phi applies.
     """
     fdata = field_data(phi, psi, chi, u, grid, target, tdata)
     tdata = fdata.tdata
@@ -243,7 +239,7 @@ def potentials(phi, psi, chi, u, grid, target,
     omega = np.einsum("xylea,xylb->xyeab", s, tdata.nu)
     omega -= np.swapaxes(omega, -1, -2)
 
-    tp = np.moveaxis(_tproj_dnu(tdata), (0, 1, 2), (-3, -2, -1))
+    tp = np.einsum("xylcf,xyfa->xylca", tdata.dnu, tdata.pi)
     x = np.einsum("xyci,eij,xydj->xyecd", psi, cl.GAMMA, psi)
     f = np.einsum("xyecd,xyldb,xylca->xyeab", x, tp, tp)
     f = 0.5 * e2u * (f - np.swapaxes(f, -1, -2))

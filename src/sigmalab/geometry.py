@@ -19,9 +19,12 @@ nabla A (nabla_a_tensor): zero on round spheres, and on level sets built from
 the Hessian and the third derivative D^3 F.  The package reads A through
 TargetData and never forms P or R; tests/oracles.py evaluates A, P, R and a
 transport finite difference of nabla A pointwise from these formulas, as
-independent oracles.  Along phi one TargetData computes nu once; Pi, the
-tangential parts along phi (tangent_part, tangent_part_slots), the tangency
-check of psi, nabla A and the tangent bases all take it, not (target, phi).
+independent oracles.  Along phi one TargetData computes nu once; the
+tangential parts along phi (tangent_part, tangent_part_slots), A, the
+tangency check of psi, nabla A and the tangent bases all take it, not
+(target, phi).  Pi is applied as the projection along nu, w - sum_l <nu_l, w>
+nu_l; only the tangent bases, tangent_projector and euler_lagrange.potentials
+read it as a matrix.
 TargetData holds its parts component-major (sites last) and the tangential
 parts are taken on component planes (_planes), so overflow raises under
 np.errstate; their site-major results are views of component-major arrays.
@@ -185,14 +188,15 @@ def tangent_part_slots(nu: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 class TargetData:
     """Per-site target data along a map field phi: the normal frame nu, computed
-    once on construction, and dnu, Pi (from nu) and A on first use.  The
-    curvature contractions read A alone; no Gauss tensor is formed.
+    once on construction, and dnu and A on first use.  The curvature
+    contractions read A alone; no Gauss tensor is formed.  Pi, the matrix of the
+    projection along nu, is built on first use too, but no evaluation reads it.
 
     Each part is held component-major (the site axes of phi last, C-contiguous):
-    nu_c (L, K, ...), dnu_c (L, K, K, ...), pi_c (K, K, ...) and asym_c (L, K, K, ...),
-    indexed as [l, a, b].  nu, dnu, pi and asym are their site-major views, in the
-    layouts documented on each; a part assigned in site-major layout is converted
-    on first read of its component-major form.
+    nu_c (L, K, ...), dnu_c (L, K, K, ...) and asym_c (L, K, K, ...), indexed as
+    [l, a, b].  nu, dnu and asym are their site-major views, in the layouts
+    documented on each, and so is pi; a part assigned in site-major layout is
+    converted on first read of its component-major form.
     """
 
     def __init__(self, target: TargetManifold, phi: np.ndarray):
@@ -224,21 +228,16 @@ class TargetData:
         return to_sites(pi, 2)
 
     @cached_property
-    def pi_c(self) -> np.ndarray:
-        return to_planes(self.pi, 2)
-
-    @cached_property
     def asym(self) -> np.ndarray:
         """Asym[..., a, b, l] = <A(Pi e_a, Pi e_b), nu_l>, exactly symmetric.
 
-        -(Pi dnu_l Pi^T)_ab, two contractions of component planes.
+        -(Pi dnu_l Pi^T)_ab: the tangent part of each index of dnu_l in turn.
         """
-        pi, dnu = self.pi_c, self.dnu_c
-        pit = pi.swapaxes(0, 1)                               # pit[c] = Pi[:, c]
-        # t[l, a, d] = sum_c Pi_ac dnu_l[c, d], raw[l, a, b] = sum_d t[l, a, d] Pi_bd, then
-        # Asym_l = -(raw_l + raw_l^T) / 2
-        t = contract(pit[:, None, :, None], dnu.swapaxes(0, 1)[:, :, None], np.empty(dnu.shape))
-        raw = contract(np.moveaxis(t, 2, 0)[:, :, :, None], pit[:, None, None], np.empty_like(t))
+        nu, dnu = self.nu_c, self.dnu_c
+        # t[b, l, a] = (dnu_l Pi^T)_ab, raw[a, b, l] = (Pi dnu_l Pi^T)_ab, held [l, a, b]
+        # in memory like dnu; then Asym_l = -(raw_l + raw_l^T) / 2
+        t = tangent(nu, np.moveaxis(dnu, 2, 0))
+        raw = np.moveaxis(tangent(nu, np.moveaxis(t, 2, 0)), 2, 0)
         del t
         raw += raw.swapaxes(1, 2)
         raw *= -0.5
@@ -394,13 +393,14 @@ class ImplicitSurfaceTarget(TargetManifold):
                                      - T(X, Y, Z) / |g|
 
         H(Pi e_a, Pi e_b) = -|g| <A(Pi e_a, Pi e_b), n> is read from tdata's A (its
-        Asym) rather than rebuilt from H, and n and Pi from its frame.
+        Asym) rather than rebuilt from H, and n from its frame; Pi is the projection
+        along that frame (tangent_part, and _planes.tangent on each slot of T).
         """
-        p, pi, n = tdata.phi, tdata.pi, tdata.nu[..., 0, :]
+        p, n = tdata.phi, tdata.nu[..., 0, :]
         norm = _checked_norm(self.gradient(p), _LEVEL_SET_FRAME)[..., None, None]
         h = self.hessian(p)
         php = tdata.asym[..., 0] * -norm[..., 0]            # H(Pi e_a, Pi e_b)
-        phn = (pi @ (h @ n[..., None]))[..., 0]              # H(Pi e_a, n)
+        phn = tangent_part(tdata.nu, (h @ n[..., None])[..., 0])   # H(Pi e_a, n)
         # K^3 entries per site each: these arrays set residual_phi's peak memory, so every
         # step below writes in place or drops its input before the next one is allocated
         x = php[..., :, :, None] * phn[..., None, None, :]   # x[a, b, e] = H(a,b) H(e,n)
@@ -411,14 +411,12 @@ class ImplicitSurfaceTarget(TargetManifold):
         hh /= norm**2
         if self.third is None:
             return hh[..., None]
-        # Pi on each slot of T: one (K^2, K) @ Pi on the last slot, then rotate the slots
-        K, lead = self.ambient_dim, p.shape[:-1]
-        t = self.third(p)
+        # Pi on each slot of T, component-major: the tangent part of the first slot, then
+        # rotate the slots
+        t = to_planes(self.third(p), 3)
         for _ in range(3):
-            flat = t.reshape(lead + (K * K, K))
-            del t
-            t = np.moveaxis((flat @ pi).reshape(lead + (K, K, K)), -1, -3)
-            del flat
+            t = np.moveaxis(tangent(tdata.nu_c, t), 0, 2)
+        t = to_sites(t, 3)
         t /= norm
         hh -= t
         return hh[..., None]

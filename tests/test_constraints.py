@@ -1,4 +1,5 @@
-"""Constraint checks: which functions check, with what message, from how many frames."""
+"""Constraint checks: which functions check, with what message, from how many frames,
+and which parts of the frame's TargetData an evaluation builds."""
 
 import ast
 import functools
@@ -11,8 +12,8 @@ from sigmalab.action import action_density, checked_target_data, field_data, tot
 from sigmalab.cli import _COMMANDS, _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
-from sigmalab.euler_lagrange import (assemble_map_residual, potentials, residual_phi,
-                                     residual_psi, residuals)
+from sigmalab.euler_lagrange import (action_gradient_fd, assemble_map_residual, potentials,
+                                     residual_phi, residual_psi, residuals)
 from sigmalab.fields import frame_violation, require_tangent, twisted_dirac
 from sigmalab.geometry import Grid, SphereTarget, TargetData, ellipsoid_target
 from sigmalab.presets import (
@@ -21,6 +22,7 @@ from sigmalab.presets import (
     smooth_scalar_field,
     smooth_vector_spinor,
 )
+from sigmalab.solver import SolverConfig, solve
 
 OFF_MANIFOLD = "point off the target manifold"
 NOT_TANGENT = "vector-spinor not tangent along phi"
@@ -166,6 +168,60 @@ def test_check_suites_build_one_gauss_tensor(monkeypatch):
     results = run_all_checks(psi, chi, u, g, TargetData(tg, phi))
     assert all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def _count_projector_builds(monkeypatch) -> list:
+    """One entry per TargetData.pi built, through a counting cached_property."""
+    calls = []
+    build = TargetData.__dict__["pi"].func
+
+    @functools.cached_property
+    def pi(self):
+        calls.append(1)
+        return build(self)
+
+    pi.__set_name__(TargetData, "pi")
+    monkeypatch.setattr(TargetData, "pi", pi)
+    return calls
+
+
+@pytest.mark.parametrize("target, config", [
+    (SphereTarget(3), SolverConfig(max_iterations=30, tolerance=10.0)),
+    (ellipsoid_target([1.0, 1.3, 0.8]), SolverConfig(max_iterations=5)),
+], ids=["sphere-coupled", "ellipsoid-5"])
+def test_joint_solves_build_no_projector_matrix(monkeypatch, target, config):
+    # A, C(psi) and nabla A apply Pi as the projection along nu: no evaluation of a
+    # joint solve builds the K x K matrix
+    g = Grid(16, 16)
+    phi = smooth_map_field(g, target, seed=5, amplitude=0.4, modes=2)
+    psi = smooth_vector_spinor(g, phi, target, seed=7, amplitude=0.1, modes=2)
+    chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=2)
+    u = smooth_scalar_field(g, seed=11, amplitude=0.3, modes=2)
+    calls = _count_projector_builds(monkeypatch)
+    _, report = solve(phi, psi, chi, u, g, target, config)
+    assert report.iterations > 0
+    assert len(calls) == 0
+
+
+def test_evaluations_build_no_projector_matrix_on_the_ellipsoid(monkeypatch):
+    tg = ellipsoid_target([1.0, 1.3, 0.8])
+    g, phi, psi, chi, u = _fields(tg)
+    calls = _count_projector_builds(monkeypatch)
+    total_action(phi, psi, u, chi, g, tg)
+    residuals(phi, psi, chi, u, g, tg)
+    assert all(r.passed for r in run_all_checks(psi, chi, u, g, TargetData(tg, phi)))
+    assert len(calls) == 0
+
+
+def test_fd_oracle_builds_one_projector_matrix_per_call(monkeypatch):
+    # the tangent basis of phi reads Pi's eigenvectors; the probes' evaluations do not
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    calls = _count_projector_builds(monkeypatch)
+    action_gradient_fd(phi, psi, u, chi, g, tg)
+    assert len(calls) == 1
+    action_gradient_fd(phi, psi, u, chi, g, tg)
+    assert len(calls) == 2
 
 
 def test_residuals_read_one_frame_on_the_ellipsoid(monkeypatch):

@@ -1,9 +1,11 @@
 """Every matrix-product contraction against its einsum definition, index by index.
 
-The inputs are random and neither tangent nor symmetric: TargetData's frame,
-frame derivative and projector (and, where a test says so, A) are replaced
-by random arrays, so that exchanging two axes of any contraction
-changes its value.  The grid is not square, and a codimension-2 target
+The inputs are random and neither tangent nor symmetric: TargetData's frame
+and frame derivative (and, where a test says so, A) are replaced by random
+arrays, so that exchanging two axes of any contraction changes its value.
+Pi is I - sum_l nu_l nu_l^T of the random frame, its own definition: the
+kernels apply it as the projection along nu (_planes.tangent), which is that
+matrix for any frame, orthonormal or not.  The grid is not square, and a codimension-2 target
 (K = 4, L = 2) exercises the frame index l.
 """
 
@@ -16,7 +18,6 @@ from sigmalab.action import (FieldData, _curvature_density, _densities, dirac_de
                              field_data, gamma_chi, snr_of)
 from sigmalab.euler_lagrange import (
     _frame_derivative,
-    _tproj_dnu,
     residual_phi,
     residual_psi,
     v_fields,
@@ -90,13 +91,14 @@ def _fields(target, seed):
 
 
 def _random_tdata(target, phi, seed):
-    """TargetData of phi with nu, dnu and Pi replaced by random arrays."""
+    """TargetData of phi with nu and dnu replaced by random arrays, and Pi by
+    I - sum_l nu_l nu_l^T of that nu."""
     rng = np.random.default_rng(seed)
     td = TargetData(target, phi)
     lead, (L, K) = phi.shape[:-1], td.nu.shape[-2:]
     td.nu = rng.standard_normal(lead + (L, K))
     td.dnu = rng.standard_normal(lead + (L, K, K))
-    td.pi = rng.standard_normal(lead + (K, K))
+    td.pi = np.eye(K) - np.einsum("...la,...lb->...ab", td.nu, td.nu)
     return td
 
 
@@ -278,8 +280,6 @@ def test_frame_kernels_match_einsum(target):
     dt = np.random.default_rng(15).standard_normal((2,) + phi.shape)
     s = _frame_derivative(np.moveaxis(dt, -1, 1), td)      # [e, l, b, ...]
     assert _relerr(np.moveaxis(s, (1, 2), (-2, -1)), ref_frame_derivative(dt, td)) < RTOL
-    tp = np.moveaxis(_tproj_dnu(td), (0, 1, 2), (-3, -2, -1))
-    assert _relerr(tp, ref_tproj_dnu(td)) < RTOL
     assert _relerr(v_fields(chi, psi), ref_v_fields(chi, psi)) < RTOL
 
 

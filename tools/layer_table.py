@@ -10,12 +10,14 @@ use) with one BLAS thread, and the JSON records the machine.  --src is the
 sigmalab source tree to import (default: this checkout's src/), so that one
 harness measures two checkouts.
 
-Kernels: TargetData's parts (construction with the normal frame, then dnu, Pi
-and A, each on a fresh TargetData whose earlier parts are built), residual_phi,
+Kernels: TargetData's parts (construction with the normal frame, then dnu and
+A, each on a fresh TargetData whose earlier parts are built; no evaluation
+builds the projector matrix Pi, so it has no row), residual_phi,
 residual_psi, action_density and total_action (each handed a TargetData with
 every part built, so each times its own work), tangent_part and
 tangent_part_slots on C-contiguous site-major inputs, and project of phi scaled
-by 1.01.  The "ellipsoid ..." rows time the normal frame, dnu and project on the
+by 1.01.  The "ellipsoid ..." rows time the normal frame, dnu, A, nabla A
+(nabla_a_tensor, handed a TargetData with dnu and A built) and project on the
 ellipsoid (1.0, 1.3, 0.8), with phi the same smooth map projected onto it.  The
 action_gradient_fd row times one call of the FD oracle on the S^2 fields, at the
 sizes up to 64 only (one call takes about 0.2 s at 64^2).
@@ -71,7 +73,7 @@ def table(sizes, seconds: float) -> dict:
                 getattr(td, name)
             return td
 
-        full = tdata("dnu", "pi", "asym")
+        full = tdata("dnu", "asym")
         nu = np.ascontiguousarray(tg.normal_frame(phi))
         w, w_slots = np.ascontiguousarray(2.0 * phi), np.ascontiguousarray(psi)
         off, off_e = 1.01 * phi, 1.01 * phi_e
@@ -79,8 +81,7 @@ def table(sizes, seconds: float) -> dict:
         rows = {
             "TargetData.nu": (lambda _: geometry.TargetData(tg, phi), none),
             "TargetData.dnu": (lambda td: td.dnu, tdata),
-            "TargetData.pi": (lambda td: td.pi, tdata),
-            "TargetData.asym": (lambda td: td.asym, lambda: tdata("dnu", "pi")),
+            "TargetData.asym": (lambda td: td.asym, lambda: tdata("dnu")),
             "residual_phi": (lambda _: euler_lagrange.residual_phi(
                 phi, psi, chi, u, g, tg, tdata=full), none),
             "residual_psi": (lambda _: euler_lagrange.residual_psi(
@@ -94,6 +95,10 @@ def table(sizes, seconds: float) -> dict:
             "project": (lambda _: tg.project(off), none),
             "ellipsoid TargetData.nu": (lambda _: geometry.TargetData(te, phi_e), none),
             "ellipsoid TargetData.dnu": (lambda td: td.dnu, lambda: tdata(target=te, p=phi_e)),
+            "ellipsoid TargetData.asym": (lambda td: td.asym,
+                                          lambda: tdata("dnu", target=te, p=phi_e)),
+            "ellipsoid nabla_a_tensor": (te.nabla_a_tensor,
+                                         lambda: tdata("dnu", "asym", target=te, p=phi_e)),
             "ellipsoid project": (lambda _: te.project(off_e), none),
         }
         if n <= 64:
