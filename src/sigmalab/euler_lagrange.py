@@ -11,8 +11,15 @@ the normal frame differentiated along D phi) it is in divergence form:
     C(psi)^a = (Pi sum_{l,c,i} psi^c_i <S_l, gamma psi>_i dnu_l/du^c)^a,
 
 with Pi applied once, as the projection along nu (no residual forms Pi as a
-matrix), and for the vector-spinor (tangent-projected at the end, which also
-removes the normal twisting term A(d phi, psi) of the Dirac operator):
+matrix).  residual_phi adds the four parts in this order.  The second, the
+normal term, is normal valued: the tangent projection annihilates it, and in
+the continuum it cancels the normal part of div(d phi + e^{2u} V), so the
+normal component of r_phi is an O(h^2) artifact.  The flow reads only the
+tangent part of r_phi, and _tangent_residual_phi takes it without the normal
+term, as the projection along nu of the source div(d phi + e^{2u} V) -
+e^{2u} C(psi) plus the SnR term: it forms S only where C(psi) reads it.  For
+the vector-spinor (tangent-projected at the end, which also removes the
+normal twisting term A(d phi, psi) of the Dirac operator):
 
     r_psi^a = e^{3u} (D_sym psi)^a
             + e^{2u} d^h_b phi^a gamma_e gamma_b chi^e
@@ -32,8 +39,8 @@ summands III, IV and V at the probed sites alone.
 Both residuals read the intermediates they share with each other and with the
 action (d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M,
 c_l and A_l M of psi) from one action.FieldData: the flow builds one per
-evaluation and hands it to residual_phi, residual_psi and total_action in that
-order, so each part is computed once.
+evaluation and hands it to _tangent_residual_phi, residual_psi and
+total_action in that order, so each part is computed once.
 
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
@@ -123,59 +130,89 @@ def residual_phi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     """Map-equation residual; vanishes to discretization order at critical points.
 
     r_phi = div(d phi + e^{2u} V) + sum_l <S_l, D phi + e^{2u} V> nu_l
-            - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative.
-    For psi = chi = 0 on a unit sphere this is div grad phi + |D phi|^2 phi.
+            - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative,
+    the four parts added in this order.  For psi = chi = 0 on a unit sphere this is
+    div grad phi + |D phi|^2 phi.
     """
     fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
-    r = _residual_phi_without_snr(fdata)
-    # curvature-derivative coupling (zero for round spheres); the temporaries of the
-    # terms above are freed by now, as the K^3 arrays of nabla A set the peak memory
-    if fdata.has_psi and not fdata.tdata.target.parallel_second_fund:
-        r += (np.exp(4.0 * fdata.u) / 12.0) * snr_planes(fdata)
+    ev = _gravitino_flux(fdata)
+    r = _flux_divergence(fdata, ev)
+    dt = _tangent_dphi(fdata)
+    s = _frame_derivative(dt, fdata.tdata)                          # [e, l, b]
+    r += _normal_term(fdata, s, dt, ev)
+    del dt, ev
+    if fdata.has_psi:
+        r -= _dirac_coupling(fdata, s)
+    del s
+    # the temporaries of the terms above are freed by now, as the K^3 arrays of
+    # nabla A set the peak memory
+    _add_snr_term(fdata, r)
     return to_sites(r, 1)
 
 
-def _residual_phi_without_snr(fdata: FieldData) -> np.ndarray:
-    """r_phi but its SnR term, component-major (K, ...), from the fields and parts
-    that fdata holds."""
-    tdata, grid = fdata.tdata, fdata.grid
-    nu = tdata.nu_c
-    e2u = np.exp(2.0 * fdata.u)
-    dphi = fdata.dphi
-    dt = _tangent_dphi(fdata)
-    s = _frame_derivative(dt, tdata)                                # [e, l, b]
-    flux, pair = dphi, dt
-    if fdata.has_psi and fdata.has_chi:
-        # gravitino couplings ride along with d phi
-        ev = _v_c(fdata.gamma_chi(), fdata.psi_c)
-        ev *= e2u
-        flux = dphi + ev
-        pair += ev                                                  # D phi is spent
-        del ev
-    r = to_planes(div(np.moveaxis(flux, 1, -1), grid), 1)
-    del flux
-    # second fundamental form on (D phi, D phi + e^{2u} V), normal valued
-    sites = r.shape[1:]
-    coeff = contract(s.swapaxes(1, 2), pair, np.empty(nu.shape[:1] + sites), axes=2)  # <S_l, pair>
-    del dt, pair
-    buf = np.empty_like(r)
-    r += contract(coeff[:, None], nu, buf)
-
+def _tangent_residual_phi(fdata: FieldData) -> np.ndarray:
+    """The tangent part of r_phi along fdata's phi, site-major: the projection along nu
+    of div(d phi + e^{2u} V) - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi).  The normal term
+    of r_phi is left out, as the projection annihilates it, so the frame derivative S
+    (and with it dnu) is formed only where C(psi) reads it, at psi nonzero."""
+    r = _flux_divergence(fdata, _gravitino_flux(fdata))
     if fdata.has_psi:
-        # curvature coupling from the Dirac term: <S_l, gamma psi>_i, then C(psi)
-        psi = fdata.psi_c
-        gpsi = np.matmul(cl.GAMMA[:, None], psi.reshape(psi.shape[:2] + (-1,))).reshape(
-            (2,) + psi.shape)                                        # (gamma_e psi^b)_i
-        s_gpsi = contract(s.swapaxes(1, 2)[:, :, :, None], gpsi[:, :, None],
-                          np.empty(nu.shape[:1] + psi.shape[1:]), axes=2)    # [l, i]
-        del gpsi
-        w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None],
-                     np.empty(nu.shape[:2] + sites))                         # [l, c]
-        del s_gpsi
-        rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, buf, axes=2))
-        rc *= e2u
-        r -= rc
-    return r
+        r -= _dirac_coupling(fdata, _frame_derivative(_tangent_dphi(fdata), fdata.tdata))
+    _add_snr_term(fdata, r)
+    return to_sites(tangent(fdata.tdata.nu_c, r), 1)
+
+
+def _gravitino_flux(fdata: FieldData) -> np.ndarray | None:
+    """e^{2u} V, the gravitino coupling that rides along with d phi, component-major
+    (2, K, ...); None unless psi and chi are both nonzero."""
+    if not (fdata.has_psi and fdata.has_chi):
+        return None
+    ev = _v_c(fdata.gamma_chi(), fdata.psi_c)
+    ev *= np.exp(2.0 * fdata.u)
+    return ev
+
+
+def _flux_divergence(fdata: FieldData, ev: np.ndarray | None) -> np.ndarray:
+    """div(d phi + e^{2u} V), component-major (K, ...), with ev = _gravitino_flux(fdata)."""
+    flux = fdata.dphi if ev is None else fdata.dphi + ev
+    return to_planes(div(np.moveaxis(flux, 1, -1), fdata.grid), 1)
+
+
+def _normal_term(fdata: FieldData, s: np.ndarray, dt: np.ndarray,
+                 ev: np.ndarray | None) -> np.ndarray:
+    """sum_l <S_l, D phi + e^{2u} V> nu_l, the second fundamental form on (D phi,
+    D phi + e^{2u} V), normal valued, component-major (K, ...).  dt = D phi is spent."""
+    nu = fdata.tdata.nu_c
+    pair = dt if ev is None else np.add(dt, ev, out=dt)
+    coeff = contract(s.swapaxes(1, 2), pair, np.empty(nu.shape[:1] + dt.shape[2:]),
+                     axes=2)                                        # <S_l, pair>
+    return contract(coeff[:, None], nu, np.empty(nu.shape[1:]))
+
+
+def _dirac_coupling(fdata: FieldData, s: np.ndarray) -> np.ndarray:
+    """e^{2u} C(psi), the curvature coupling from the Dirac term, component-major
+    (K, ...): <S_l, gamma psi>_i, then the tangent part of sum_{l,c} w[l, c] dnu_l/du^c."""
+    tdata = fdata.tdata
+    nu, psi = tdata.nu_c, fdata.psi_c
+    gpsi = np.matmul(cl.GAMMA[:, None], psi.reshape(psi.shape[:2] + (-1,))).reshape(
+        (2,) + psi.shape)                                           # (gamma_e psi^b)_i
+    s_gpsi = contract(s.swapaxes(1, 2)[:, :, :, None], gpsi[:, :, None],
+                      np.empty(nu.shape[:1] + psi.shape[1:]), axes=2)       # [l, i]
+    del gpsi
+    w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None],
+                 np.empty(nu.shape[:2] + psi.shape[2:]))                    # [l, c]
+    del s_gpsi
+    rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, np.empty(nu.shape[1:]), axes=2))
+    rc *= np.exp(2.0 * fdata.u)
+    return rc
+
+
+def _add_snr_term(fdata: FieldData, r: np.ndarray) -> None:
+    """r += (1/12) e^{4u} SnR(psi) on component planes (K, ...), except where the term
+    vanishes: at psi = 0, and on targets whose second fundamental form is parallel,
+    as on round spheres."""
+    if fdata.has_psi and not fdata.tdata.target.parallel_second_fund:
+        r += (np.exp(4.0 * fdata.u) / 12.0) * snr_planes(fdata)
 
 
 def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,

@@ -48,10 +48,13 @@ non-finite dt or dt underflow below 1e-14 raises SolverError in every sector,
 and solve records either error as a stall.
 
 Each evaluation of an iterate builds one TargetData and one action.FieldData
-of the fields and hands both to residual_phi, residual_psi and total_action,
-in that order: grad phi, D_u psi, the gravitino coefficient, |Q chi|^2 and the
+of the fields and hands both to the tangent map residual
+(euler_lagrange._tangent_residual_phi), residual_psi and total_action, in
+that order: grad phi, D_u psi, the gravitino coefficient, |Q chi|^2 and the
 Gauss parts M, c_l and A_l M are computed once and dropped after their last
-reader (M by A_l M, the rest by the action).
+reader (M by A_l M, the rest by the action).  The flow reads only P_T r_phi,
+so the normal term of r_phi, which P_T annihilates, is never formed, and a
+pure-map evaluation builds no frame derivative dnu.
 The gravitino and the conformal factor are parameters of the functional and
 stay fixed.
 """
@@ -65,7 +68,7 @@ import numpy as np
 
 from .action import ActionBreakdown, field_data, target_data, total_action
 from .errors import ConstraintError, SolverError
-from .euler_lagrange import residual_phi, residual_psi, tangent_residual_norms
+from .euler_lagrange import _tangent_residual_phi, residual_psi, tangent_residual_norms
 from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
                        wide_laplacian_symbol)
 
@@ -103,10 +106,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Residuals of one iterate (the tangent part of r_phi, and r_psi), their
-    combined (L2, Linf) norms, the action breakdown and the normal frame nu;
-    all from the iterate's one TargetData, of which it keeps only nu, the frame
-    that the trial steps project along."""
+    """Residuals of one iterate (the tangent part of r_phi, taken without its
+    normal term, and r_psi), their combined (L2, Linf) norms, the action
+    breakdown and the normal frame nu; all from the iterate's one TargetData, of
+    which it keeps only nu, the frame that the trial steps project along."""
 
     r_phi_t: np.ndarray
     r_psi: np.ndarray
@@ -144,20 +147,21 @@ class FlowReport:
 
 def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     """psi tangent-projected along phi, and the evaluation at it, from one TargetData
-    and one FieldData: r_phi, r_psi and the action read its parts in that order,
-    and the action takes each out as it reads it."""
+    and one FieldData: the tangent part of r_phi (_tangent_residual_phi, which
+    forms no normal term, and no frame derivative at psi = 0), r_psi and the
+    action read its parts in that order, and the action takes each out as it
+    reads it."""
     tdata = target_data(target, phi)
     if np.any(psi):  # the pure-map flow keeps its zeros, which are tangent
         psi = tangent_part_slots(tdata.nu, psi)
     fdata = field_data(phi, psi, chi, u, grid, target, tdata)
-    r_phi = residual_phi(phi, psi, chi, u, grid, target, fdata=fdata)
+    r_phi_t = _tangent_residual_phi(fdata)
     if fdata.has_psi or fdata.has_chi:
         r_psi = residual_psi(phi, psi, chi, u, grid, target, fdata=fdata)
     else:  # r_psi vanishes identically at psi = chi = 0: a read-only zero view, no array
         r_psi = np.broadcast_to(0.0, psi.shape)
     action = total_action(phi, psi, u, chi, grid, target, fdata=fdata)
     del fdata  # with any part the action did not read
-    r_phi_t = tangent_part(tdata.nu, r_phi)
     combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
     return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
 

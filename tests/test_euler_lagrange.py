@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import _action_gradient_fd_sitewise, sr_of
+from test_kernels import PlaneSphere
 from sigmalab import euler_lagrange
-from sigmalab.action import total_action
+from sigmalab.action import field_data, total_action
 from sigmalab.clifford import sigma_lift
 from sigmalab.euler_lagrange import (
     _fd_colors,
@@ -20,7 +21,7 @@ from sigmalab.euler_lagrange import (
 )
 from sigmalab.fields import frame_violation, tangency_project, twisted_dirac
 from sigmalab.geometry import (Grid, SphereTarget, TargetData, div, ellipsoid_target, grad,
-                               tangent_part)
+                               tangent_part, tangent_part_slots)
 from sigmalab.presets import (
     equator_map,
     smooth_gravitino,
@@ -154,6 +155,37 @@ def test_residual_phi_closed_form_on_non_harmonic_map():
     expected = div(dphi, g) + np.sum(d * d, axis=(0, -1))[..., None] * phi
     assert np.max(np.abs(tangent_part(TG.normal_frame(phi), r))) > 0.1  # not a critical point
     assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _tangent_residual_case(case):
+    """(grid, target, phi, psi, chi, u) with chi and u nonzero; psi is zero only for
+    sphere-pure.  The ellipsoid runs SnR; the plane sphere is codimension 2."""
+    g = Grid(16, 12)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.5, modes=2)
+    u = smooth_scalar_field(g, seed=14, amplitude=0.3)
+    if case == "plane-sphere":
+        target = PlaneSphere()
+        rng = np.random.default_rng(15)
+        phi = target.project(rng.standard_normal(g.shape + (4,)))
+        psi = tangent_part_slots(target.normal_frame(phi), rng.standard_normal(g.shape + (4, 4)))
+        return g, target, phi, psi, chi, u
+    target = ellipsoid_target([1.0, 1.3, 0.8]) if case == "ellipsoid" else TG
+    phi = smooth_map_field(g, target, seed=10, amplitude=0.4, modes=2)
+    psi = smooth_vector_spinor(g, phi, target, seed=11, amplitude=0.5, modes=2)
+    if case == "sphere-pure":
+        psi = np.zeros_like(psi)
+    return g, target, phi, psi, chi, u
+
+
+@pytest.mark.parametrize("case", ["sphere-pure", "sphere-coupled", "ellipsoid", "plane-sphere"])
+def test_flow_tangent_residual_is_the_tangent_part_of_r_phi(case):
+    # the flow leaves out the normal term of r_phi, which the projection annihilates
+    g, target, phi, psi, chi, u = _tangent_residual_case(case)
+    tdata = TargetData(target, phi)
+    rt = euler_lagrange._tangent_residual_phi(field_data(phi, psi, chi, u, g, target, tdata))
+    ref = tangent_part(tdata.nu, residual_phi(phi, psi, chi, u, g, target))
+    assert np.max(np.abs(rt)) > 0.0
+    assert np.max(np.abs(rt - ref)) <= 1e-14 * np.max(np.abs(rt))
 
 
 def test_fd_gradient_zero_at_critical_point():

@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigmalab.action import total_action
+from sigmalab.action import field_data, total_action
 from sigmalab.errors import SolverError
-from sigmalab.euler_lagrange import residual_norms, residual_phi, residual_psi, residuals
+from sigmalab.euler_lagrange import (residual_norms, residual_psi, residuals,
+                                     tangent_residual_norms)
 from sigmalab.fields import frame_violation
 from sigmalab.geometry import (
     Grid,
@@ -19,7 +20,6 @@ from sigmalab.geometry import (
     ellipsoid_target,
     grad,
     on_manifold_violation,
-    tangent_part,
 )
 from sigmalab.presets import (
     perturbed_equator_map,
@@ -292,8 +292,11 @@ def test_recorded_norms_equal_residual_norms(coupled):
         chi0 = smooth_gravitino(g, seed=10, amplitude=0.05, modes=1)
     cfg = SolverConfig(max_iterations=3, tolerance=1e-14)
     state, report = solve(phi0, psi0, chi0, u0, g, TG, cfg)
-    norms = residual_norms(residuals(state.phi, state.psi, chi0, u0, g, TG), g,
-                           TargetData(TG, state.phi))["combined"]
+    # the flow's r_phi tangent part and r_psi, recomputed on the last state's FieldData
+    fdata = field_data(state.phi, state.psi, chi0, u0, g, TG, TargetData(TG, state.phi))
+    r_phi_t = euler_lagrange._tangent_residual_phi(fdata)
+    r_psi = residual_psi(state.phi, state.psi, chi0, u0, g, TG, fdata=fdata)
+    norms = tangent_residual_norms(r_phi_t, r_psi, g)["combined"]
     assert report.records[-1]["residual_l2"] == norms["l2"]
     assert report.records[-1]["residual_linf"] == norms["linf"]
 
@@ -377,8 +380,8 @@ def test_flow_evaluation_equals_the_standalone_residuals_and_action_on_the_ellip
     te, phi0, psi0, chi0, u0 = _ellipsoid_fields(g)
     state, _ = solve(phi0, psi0, chi0, u0, g, te, SolverConfig(max_iterations=2, tolerance=1e-14))
     ev = state.evaluation
-    r_phi = residual_phi(state.phi, state.psi, chi0, u0, g, te)
-    assert np.array_equal(ev.r_phi_t, tangent_part(te.normal_frame(state.phi), r_phi))
+    fdata = field_data(state.phi, state.psi, chi0, u0, g, te, TargetData(te, state.phi))
+    assert np.array_equal(ev.r_phi_t, euler_lagrange._tangent_residual_phi(fdata))
     assert np.array_equal(ev.r_psi, residual_psi(state.phi, state.psi, chi0, u0, g, te))
     assert ev.action == total_action(state.phi, state.psi, u0, chi0, g, te)
 
@@ -421,6 +424,45 @@ def test_joint_evaluation_shares_grad_and_the_gauss_parts(monkeypatch, target):
     solver._evaluate(phi, psi, chi, u, g, te)
     assert counts["grad"] <= 3
     assert counts["m"] == 1
+
+
+def _count_frame_derivative_builds(monkeypatch) -> list:
+    """One entry per TargetData.dnu built, through a counting cached_property."""
+    calls = []
+    build = TargetData.__dict__["dnu"].func
+
+    @functools.cached_property
+    def dnu(self):
+        calls.append(1)
+        return build(self)
+
+    dnu.__set_name__(TargetData, "dnu")
+    monkeypatch.setattr(TargetData, "dnu", dnu)
+    return calls
+
+
+def test_pure_map_evaluation_builds_no_frame_derivative(monkeypatch):
+    # the flow reads the tangent part of r_phi, which leaves out the normal term: only
+    # C(psi) reads the frame derivative, and a pure map has none
+    calls = _count_frame_derivative_builds(monkeypatch)
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
+    solver._evaluate(phi0, psi0, chi0, u0, g, TG)
+    assert len(calls) == 0
+    _, report = solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(tolerance=1e-6))
+    assert report.converged
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("target", ["sphere", "ellipsoid"])
+def test_joint_evaluation_builds_one_frame_derivative(monkeypatch, target):
+    g = Grid(16, 16)
+    te, phi, psi, chi, u = _ellipsoid_fields(g)
+    if target == "sphere":
+        te, phi = TG, smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+        psi = smooth_vector_spinor(g, phi, TG, seed=9, amplitude=0.05, modes=1)
+    calls = _count_frame_derivative_builds(monkeypatch)
+    solver._evaluate(phi, psi, chi, u, g, te)
+    assert len(calls) == 1
 
 
 def test_pure_map_evaluation_takes_one_grad(monkeypatch):
