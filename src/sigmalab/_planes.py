@@ -31,19 +31,20 @@ def to_sites(x: np.ndarray, ncomp: int) -> np.ndarray:
     return x.transpose(tuple(range(ncomp, n)) + tuple(range(ncomp)))
 
 
-def contract(x: np.ndarray, y: np.ndarray, out: np.ndarray, axes: int = 1,
-             tmp: np.ndarray | None = None) -> np.ndarray:
+def contract(x: np.ndarray, y: np.ndarray, out: np.ndarray, axes: int = 1) -> np.ndarray:
     """out = sum_k x[k] * y[k], with k over the leading `axes` axes of x and y.
 
     The per-site products of component-major fields: each term is one elementwise
     product of whole site planes (x[k] and y[k] broadcast to out's shape), written
-    into tmp (out's shape; allocated on first need unless given) and added into out
-    in index order.  Unlike einsum and batched @ over the sites, this makes no call
-    per site and reports overflow under np.errstate.
+    into one temporary of out's shape, which lives for the call, and added into out
+    in index order, so each element's sum has a fixed order whatever the
+    broadcast.  Unlike einsum and batched @ over the sites, this makes no call per
+    site and reports overflow under np.errstate.
     """
     keys = iter(range(x.shape[0]) if axes == 1 else product(*map(range, x.shape[:axes])))
     k = next(keys)
     np.multiply(x[k], y[k], out=out)
+    tmp = None
     for k in keys:
         if tmp is None:
             tmp = np.empty_like(out)

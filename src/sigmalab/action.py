@@ -49,13 +49,11 @@ A (summand V) and the constraint check: psi is tangent, so the Dirac term pairs
 it with D_u psi itself, as it would with the twisted operator Pi D_u psi.
 
 The intermediates that the action shares with both residuals at one
-(phi, psi, chi, u) live in one FieldData beside that TargetData, each built on
-first use: d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M,
-c_l and A_l M (A_l is the TargetData's).  A part's last reader takes it
-(FieldData.take), so none outlives its use: A_l M takes M, after building c_l
-from it, and total_action, the last reader of a joint evaluation (residual_phi,
-residual_psi, then total_action on one FieldData), takes each part it reads.
-Every evaluation takes its FieldData from field_data, which states when the
+(phi, psi, chi, u) live in one FieldData beside that TargetData: d phi, D_u psi,
+Gamma chi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M, c_l and A_l M
+(A_l is the TargetData's).  A part is built on first use and lives as long as
+its FieldData, so its readers may come in any order.  Every
+evaluation takes its FieldData from field_data, which states when the
 constraints are checked.  The FD oracle's psi probes read two more FieldData:
 with_psi shares the parts that do not read psi with a FieldData of another psi,
 and at_sites gathers the fields and those parts at chosen sites, where the
@@ -141,14 +139,14 @@ _PSI_FREE = ("dphi", "dphi_gamma_chi", "q_chi2", "has_chi")
 
 class FieldData:
     """The intermediates one evaluation of both residuals and the action shares
-    at (phi, psi, chi, u), each built on first use: psi_c (K, 4, ...), d phi
-    (2, K, ...), D_u psi, the gravitino coefficient d phi . Gamma chi of psi
-    (K, 4, ...), |Q chi|^2 and the Gauss parts of psi along tdata: M (K, K, ...),
-    c_l (L, ...) and A_l M (L, K, K, ...), with A_l = tdata.asym_c (L, K, K, ...).
+    at (phi, psi, chi, u): psi_c (K, 4, ...), d phi (2, K, ...), D_u psi, Gamma chi
+    (2, 4, ...), the gravitino coefficient d phi . Gamma chi of psi (K, 4, ...),
+    |Q chi|^2 and the Gauss parts of psi along tdata: M (K, K, ...), c_l (L, ...)
+    and A_l M (L, K, K, ...), with A_l = tdata.asym_c (L, K, K, ...).
     All but D_u psi, which keeps the flat Dirac operator's site-major layout, are
     component-major; the fields themselves stay as given.  tdata is the TargetData
-    of phi; the other arguments are needed only by the parts that read them.
-    take(name) hands a part to its last reader and drops it."""
+    of phi; the other arguments are needed only by the parts that read them.  A
+    part is built on first use and lives as long as its FieldData."""
 
     def __init__(self, phi, psi, chi=None, u=None, grid: Grid | None = None, *,
                  tdata: TargetData):
@@ -178,18 +176,16 @@ class FieldData:
         it with tangent psi), site-major like psi: the flat Dirac operator's own layout."""
         return dirac_conformal(self.psi, self.u, self.grid)
 
+    @cached_property
     def gamma_chi(self) -> np.ndarray:
-        """Gamma chi, component-major (2, 4, ...); recomputed on each call, not kept."""
+        """Gamma chi, component-major (2, 4, ...)."""
         return to_planes(gamma_chi(self.chi), 2)
 
     @cached_property
     def dphi_gamma_chi(self) -> np.ndarray:
         """sum_b d_b phi^k (Gamma chi)[b], the coefficient of psi^k, shaped like psi_c."""
-        d, g = self.dphi, self.gamma_chi()
-        out, tmp = np.empty(d.shape[1:2] + g.shape[1:]), np.empty(g.shape[1:])
-        for k in range(d.shape[1]):     # row by row, so that the temporary is one row
-            contract(d[:, k], g, out[k], tmp=tmp)
-        return out
+        d, g = self.dphi, self.gamma_chi
+        return contract(d[:, :, None], g[:, None], np.empty(d.shape[1:2] + g.shape[1:]))
 
     @cached_property
     def q_chi2(self) -> np.ndarray:
@@ -211,20 +207,16 @@ class FieldData:
 
     @cached_property
     def a_m(self) -> np.ndarray:
-        """A_l M, the transpose of M A_l.  It takes M, after building c_l from it: SR and
-        the curvature density read c_l and A_l M alone."""
-        self.c                          # c_l reads M, which A_l M takes
-        a_l, m = self.tdata.asym_c, self.take("m")
-        a_m, tmp = np.empty_like(a_l), np.empty(a_l.shape[:1] + a_l.shape[2:])
-        for a in range(a_l.shape[1]):   # row by row, so that the temporary is one row
-            contract(np.moveaxis(a_l[:, a], 1, 0)[:, :, None], m[:, None], a_m[:, a], tmp=tmp)
-        return a_m
+        """A_l M, the transpose of M A_l."""
+        a_l = self.tdata.asym_c
+        return contract(np.moveaxis(a_l, 2, 0)[:, :, :, None], self.m[:, None, None],
+                        np.empty_like(a_l))
 
     def with_psi(self, psi) -> FieldData:
         """The FieldData of psi beside self's phi, chi and u on self's TargetData.  It shares
         self's parts that do not read psi (d phi, d phi . Gamma chi, |Q chi|^2 and has_chi),
-        built here if need be and made read-only, so that an in-place write raises; take
-        drops only the new FieldData's reference."""
+        built here if need be and made read-only, so that an in-place write raises.  Each
+        shared part lives as long as the longer-lived of the two FieldData."""
         fd = FieldData(self.phi, psi, self.chi, self.u, self.grid, tdata=self.tdata)
         for name in _PSI_FREE:
             value = getattr(self, name)
@@ -251,12 +243,6 @@ class FieldData:
             fd.__dict__[name] = value
         return fd
 
-    def take(self, name: str):
-        """The part name, computed if need be and no longer kept (reading it again recomputes it)."""
-        value = getattr(self, name)
-        del self.__dict__[name]
-        return value
-
 
 def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
                fdata: FieldData | None = None) -> FieldData:
@@ -272,7 +258,6 @@ def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
 
 
 # ---- per-site densities (sum * cell_area = term; None where a term vanishes) ----
-# Each reads its parts from a FieldData and takes them: the action reads them last.
 
 
 def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
@@ -283,26 +268,25 @@ def dirac_density(fd: FieldData) -> np.ndarray | None:
     """Summand II, e^{3u} <psi, D_u psi>, which reads psi one stencil step away: grid only."""
     if not fd.has_psi:
         return None
-    return pair(fd.psi_c, to_planes(fd.take("dirac"), 2), 2) * np.exp(3.0 * fd.u)
+    return pair(fd.psi_c, to_planes(fd.dirac, 2), 2) * np.exp(3.0 * fd.u)
 
 
 def _gravitino_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return 2.0 * pair(fd.psi_c, fd.take("dphi_gamma_chi"), 2) * np.exp(2.0 * fd.u)
+    return 2.0 * pair(fd.psi_c, fd.dphi_gamma_chi, 2) * np.exp(2.0 * fd.u)
 
 
 def _qchi_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return -(fd.take("q_chi2") * pair(fd.psi_c, fd.psi_c, 2) * np.exp(4.0 * fd.u))
+    return -(fd.q_chi2 * pair(fd.psi_c, fd.psi_c, 2) * np.exp(4.0 * fd.u))
 
 
 def _curvature_density(fd: FieldData) -> np.ndarray | None:
     if not fd.has_psi:
         return None
-    am = fd.take("a_m")                 # before c_l, which A_l M builds
-    c = fd.take("c")
+    am, c = fd.a_m, fd.c
     r = contract(c, c, np.empty(c.shape[1:]))
     r -= contract(am, am.swapaxes(1, 2), np.empty(c.shape[1:]), axes=3)
     return -r * np.exp(4.0 * fd.u) / 6.0
@@ -316,11 +300,7 @@ def pointwise_densities(fd: FieldData) -> tuple:
 
 def _densities(fd: FieldData) -> tuple:
     """Densities of the summands I..V of fd's fields, in order; None where a term vanishes."""
-    ii, iii, iv = dirac_density(fd), _gravitino_density(fd), _qchi_density(fd)
-    # d phi after the gravitino coefficient, which is built from it when fd does not hold
-    # it yet, and before the Gauss parts, which a fresh fd builds last
-    i = _dirichlet_density(fd.take("dphi"))
-    return i, ii, iii, iv, _curvature_density(fd)
+    return (_dirichlet_density(fd.dphi), dirac_density(fd), *pointwise_densities(fd))
 
 
 def summed(densities) -> np.ndarray | None:
@@ -342,17 +322,13 @@ def _integral(density: np.ndarray | None, grid: Grid) -> float:
 def sr_planes(fd: FieldData) -> np.ndarray:
     """SR(psi) = sum_l (c_l A_l - A_l M A_l) psi from fd's Gauss parts, shaped like fd.psi_c."""
     a_l, a_m = fd.tdata.asym_c, fd.a_m
-    buf = np.empty(a_l.shape[1:])
     ama = contract(a_m.swapaxes(1, 2)[:, :, :, None], a_l[:, :, None],    # sum_l A_l M A_l
-                   np.empty_like(buf), axes=2, tmp=buf)
-    w = contract(fd.c[:, None, None], a_l, buf)
+                   np.empty(a_l.shape[1:]), axes=2)
+    w = contract(fd.c[:, None, None], a_l, np.empty(a_l.shape[1:]))
     w -= ama
     del ama
     psi = fd.psi_c
-    out, tmp = np.empty_like(psi), np.empty(psi.shape[1:])
-    for a in range(psi.shape[0]):       # row by row, so that the temporary is one row
-        contract(w[a], psi, out[a], tmp=tmp)
-    return out
+    return contract(w.swapaxes(0, 1)[:, :, None], psi[:, None], np.empty_like(psi))
 
 
 def snr_of(psi, tdata: TargetData) -> np.ndarray:
@@ -363,11 +339,9 @@ def snr_of(psi, tdata: TargetData) -> np.ndarray:
 
 
 def snr_planes(fdata: FieldData) -> np.ndarray:
-    """SnR of fdata's psi, component-major (K, ...); the Gauss parts are built after
-    nabla A when fdata does not hold them yet."""
+    """SnR of fdata's psi, component-major (K, ...)."""
     natensor = fdata.tdata.target.nabla_a_tensor(fdata.tdata)       # (..., e, a, c, l)
-    m = fdata.m                             # before A_l M, which takes M
-    a_m, c = fdata.a_m, fdata.c
+    m, a_m, c = fdata.m, fdata.a_m, fdata.c
     # w[l, a, c] = c_l M_ac - (M (A_l M))_ac
     w = contract(m.swapaxes(0, 1)[:, None, :, None], a_m.swapaxes(0, 1)[:, :, None],
                  np.empty_like(a_m))
@@ -385,8 +359,7 @@ def snr_planes(fdata: FieldData) -> np.ndarray:
 
 def total_action(phi, psi, u, chi, grid, target, tdata: TargetData | None = None,
                  fdata: FieldData | None = None) -> ActionBreakdown:
-    """All five terms and their total, summed in a fixed order.  The action reads the
-    parts of its FieldData last and takes them out."""
+    """All five terms and their total, summed in a fixed order."""
     fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
     t1, t2, t3, t4, t5 = (_integral(d, fdata.grid) for d in _densities(fdata))
     total = ((t1 + t2) + t3 + t4) + t5

@@ -11,15 +11,15 @@ the normal frame differentiated along D phi) it is in divergence form:
     C(psi)^a = (Pi sum_{l,c,i} psi^c_i <S_l, gamma psi>_i dnu_l/du^c)^a,
 
 with Pi applied once, as the projection along nu (no residual forms Pi as a
-matrix).  residual_phi adds the four parts in this order.  The second, the
-normal term, is normal valued: the tangent projection annihilates it, and in
-the continuum it cancels the normal part of div(d phi + e^{2u} V), so the
-normal component of r_phi is an O(h^2) artifact.  The flow reads only the
-tangent part of r_phi, and _tangent_residual_phi takes it without the normal
-term, as the projection along nu of the source div(d phi + e^{2u} V) -
-e^{2u} C(psi) plus the SnR term: it forms S only where C(psi) reads it.  For
-the vector-spinor (tangent-projected at the end, which also removes the
-normal twisting term A(d phi, psi) of the Dirac operator):
+matrix).  The second part, the normal term, is normal valued: the tangent
+projection annihilates it, and in the continuum it cancels the normal part of
+div(d phi + e^{2u} V), so the normal component of r_phi is an O(h^2)
+artifact.  The other three parts are the map source (_map_source), added in
+their order; residual_phi adds the normal term to it last.  The flow reads
+only the tangent part of r_phi, and _tangent_residual_phi takes it as the
+projection along nu of the source alone: it forms S only where C(psi) reads
+it.  For the vector-spinor (tangent-projected at the end, which also removes
+the normal twisting term A(d phi, psi) of the Dirac operator):
 
     r_psi^a = e^{3u} (D_sym psi)^a
             + e^{2u} d^h_b phi^a gamma_e gamma_b chi^e
@@ -37,10 +37,10 @@ summands that read psi: the Dirac summand on the grid, and the pointwise
 summands III, IV and V at the probed sites alone.
 
 Both residuals read the intermediates they share with each other and with the
-action (d phi, D_u psi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M,
-c_l and A_l M of psi) from one action.FieldData: the flow builds one per
-evaluation and hands it to _tangent_residual_phi, residual_psi and
-total_action in that order, so each part is computed once.
+action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2 and the Gauss
+parts M, c_l and A_l M of psi) from one action.FieldData: the flow builds one
+per evaluation and hands it to _tangent_residual_phi, residual_psi and
+total_action, so each part is computed once.
 
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
@@ -130,36 +130,45 @@ def residual_phi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     """Map-equation residual; vanishes to discretization order at critical points.
 
     r_phi = div(d phi + e^{2u} V) + sum_l <S_l, D phi + e^{2u} V> nu_l
-            - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative,
-    the four parts added in this order.  For psi = chi = 0 on a unit sphere this is
-    div grad phi + |D phi|^2 phi.
+            - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi),  S = _frame_derivative:
+    the map source (_map_source) plus the normal term.  For psi = chi = 0 on a unit
+    sphere this is div grad phi + |D phi|^2 phi.
     """
     fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
     ev = _gravitino_flux(fdata)
-    r = _flux_divergence(fdata, ev)
     dt = _tangent_dphi(fdata)
     s = _frame_derivative(dt, fdata.tdata)                          # [e, l, b]
+    r = _map_source(fdata, ev, s)
     r += _normal_term(fdata, s, dt, ev)
-    del dt, ev
-    if fdata.has_psi:
-        r -= _dirac_coupling(fdata, s)
-    del s
-    # the temporaries of the terms above are freed by now, as the K^3 arrays of
-    # nabla A set the peak memory
-    _add_snr_term(fdata, r)
     return to_sites(r, 1)
 
 
 def _tangent_residual_phi(fdata: FieldData) -> np.ndarray:
     """The tangent part of r_phi along fdata's phi, site-major: the projection along nu
-    of div(d phi + e^{2u} V) - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi).  The normal term
-    of r_phi is left out, as the projection annihilates it, so the frame derivative S
-    (and with it dnu) is formed only where C(psi) reads it, at psi nonzero."""
-    r = _flux_divergence(fdata, _gravitino_flux(fdata))
+    of the map source.  The normal term of r_phi is left out, as the projection
+    annihilates it, so the frame derivative S (and with it dnu) is formed only where
+    C(psi) reads it, at psi nonzero."""
+    return to_sites(tangent(fdata.tdata.nu_c, _map_source(fdata, _gravitino_flux(fdata))), 1)
+
+
+def _map_source(fdata: FieldData, ev: np.ndarray | None,
+                s: np.ndarray | None = None) -> np.ndarray:
+    """div(d phi + e^{2u} V) - e^{2u} C(psi) + (1/12) e^{4u} SnR(psi), added in this
+    order, component-major (K, ...), with ev = _gravitino_flux(fdata) and s the frame
+    derivative (built here if C(psi) reads it and s is not given).  SnR is left out
+    where it vanishes: at psi = 0, and on targets whose second fundamental form is
+    parallel, as on round spheres."""
+    flux = fdata.dphi if ev is None else fdata.dphi + ev
+    r = to_planes(div(np.moveaxis(flux, 1, -1), fdata.grid), 1)
+    del flux
     if fdata.has_psi:
-        r -= _dirac_coupling(fdata, _frame_derivative(_tangent_dphi(fdata), fdata.tdata))
-    _add_snr_term(fdata, r)
-    return to_sites(tangent(fdata.tdata.nu_c, r), 1)
+        if s is None:
+            s = _frame_derivative(_tangent_dphi(fdata), fdata.tdata)
+        r -= _dirac_coupling(fdata, s)
+        del s
+        if not fdata.tdata.target.parallel_second_fund:
+            r += (np.exp(4.0 * fdata.u) / 12.0) * snr_planes(fdata)
+    return r
 
 
 def _gravitino_flux(fdata: FieldData) -> np.ndarray | None:
@@ -167,15 +176,9 @@ def _gravitino_flux(fdata: FieldData) -> np.ndarray | None:
     (2, K, ...); None unless psi and chi are both nonzero."""
     if not (fdata.has_psi and fdata.has_chi):
         return None
-    ev = _v_c(fdata.gamma_chi(), fdata.psi_c)
+    ev = _v_c(fdata.gamma_chi, fdata.psi_c)
     ev *= np.exp(2.0 * fdata.u)
     return ev
-
-
-def _flux_divergence(fdata: FieldData, ev: np.ndarray | None) -> np.ndarray:
-    """div(d phi + e^{2u} V), component-major (K, ...), with ev = _gravitino_flux(fdata)."""
-    flux = fdata.dphi if ev is None else fdata.dphi + ev
-    return to_planes(div(np.moveaxis(flux, 1, -1), fdata.grid), 1)
 
 
 def _normal_term(fdata: FieldData, s: np.ndarray, dt: np.ndarray,
@@ -205,14 +208,6 @@ def _dirac_coupling(fdata: FieldData, s: np.ndarray) -> np.ndarray:
     rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, np.empty(nu.shape[1:]), axes=2))
     rc *= np.exp(2.0 * fdata.u)
     return rc
-
-
-def _add_snr_term(fdata: FieldData, r: np.ndarray) -> None:
-    """r += (1/12) e^{4u} SnR(psi) on component planes (K, ...), except where the term
-    vanishes: at psi = 0, and on targets whose second fundamental form is parallel,
-    as on round spheres."""
-    if fdata.has_psi and not fdata.tdata.target.parallel_second_fund:
-        r += (np.exp(4.0 * fdata.u) / 12.0) * snr_planes(fdata)
 
 
 def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,

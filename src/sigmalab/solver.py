@@ -49,10 +49,10 @@ and solve records either error as a stall.
 
 Each evaluation of an iterate builds one TargetData and one action.FieldData
 of the fields and hands both to the tangent map residual
-(euler_lagrange._tangent_residual_phi), residual_psi and total_action, in
-that order: grad phi, D_u psi, the gravitino coefficient, |Q chi|^2 and the
-Gauss parts M, c_l and A_l M are computed once and dropped after their last
-reader (M by A_l M, the rest by the action).  The flow reads only P_T r_phi,
+(euler_lagrange._tangent_residual_phi), residual_psi and total_action: grad
+phi, D_u psi, Gamma chi, the gravitino coefficient, |Q chi|^2 and the Gauss
+parts M, c_l and A_l M are computed once, as a part is built on first use and
+lives as long as its FieldData.  The flow reads only P_T r_phi,
 so the normal term of r_phi, which P_T annihilates, is never formed, and a
 pure-map evaluation builds no frame derivative dnu.
 The gravitino and the conformal factor are parameters of the functional and
@@ -147,10 +147,9 @@ class FlowReport:
 
 def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     """psi tangent-projected along phi, and the evaluation at it, from one TargetData
-    and one FieldData: the tangent part of r_phi (_tangent_residual_phi, which
-    forms no normal term, and no frame derivative at psi = 0), r_psi and the
-    action read its parts in that order, and the action takes each out as it
-    reads it."""
+    and one FieldData, whose parts the tangent part of r_phi (_tangent_residual_phi,
+    which forms no normal term, and no frame derivative at psi = 0), r_psi and the
+    action share."""
     tdata = target_data(target, phi)
     if np.any(psi):  # the pure-map flow keeps its zeros, which are tangent
         psi = tangent_part_slots(tdata.nu, psi)
@@ -161,7 +160,7 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     else:  # r_psi vanishes identically at psi = chi = 0: a read-only zero view, no array
         r_psi = np.broadcast_to(0.0, psi.shape)
     action = total_action(phi, psi, u, chi, grid, target, fdata=fdata)
-    del fdata  # with any part the action did not read
+    del fdata  # with its parts
     combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
     return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
 

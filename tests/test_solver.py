@@ -453,6 +453,48 @@ def test_pure_map_evaluation_builds_no_frame_derivative(monkeypatch):
     assert len(calls) == 0
 
 
+def _count_part_builds(monkeypatch, names) -> dict:
+    """Count the builds of the FieldData parts names, through counting cached_propertys,
+    and the calls of action.gamma_chi."""
+    counts = dict.fromkeys(names, 0) | {"gamma_chi": 0}
+    for name in names:
+        build = action.FieldData.__dict__[name].func
+
+        def counted(self, build=build, name=name):
+            counts[name] += 1
+            return build(self)
+
+        part = functools.cached_property(counted)
+        part.__set_name__(action.FieldData, name)
+        monkeypatch.setattr(action.FieldData, name, part)
+    gamma_chi = action.gamma_chi
+
+    def counted_gamma_chi(chi):
+        counts["gamma_chi"] += 1
+        return gamma_chi(chi)
+
+    monkeypatch.setattr(action, "gamma_chi", counted_gamma_chi)
+    return counts
+
+
+@pytest.mark.parametrize("target", ["sphere", "ellipsoid"])
+def test_field_data_keeps_its_parts_across_the_evaluation_reads(monkeypatch, target):
+    # the flow's three reads, then the action again: each part is built once, and the
+    # second action reads the same parts
+    g = Grid(16, 16)
+    te, phi, psi, chi, u = _ellipsoid_fields(g)
+    if target == "sphere":
+        te, phi = TG, smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
+        psi = smooth_vector_spinor(g, phi, TG, seed=9, amplitude=0.05, modes=1)
+    counts = _count_part_builds(monkeypatch, ("dphi", "dirac", "m"))
+    fdata = field_data(phi, psi, chi, u, g, te, TargetData(te, phi))
+    euler_lagrange._tangent_residual_phi(fdata)
+    residual_psi(phi, psi, chi, u, g, te, fdata=fdata)
+    first = total_action(phi, psi, u, chi, g, te, fdata=fdata)
+    assert total_action(phi, psi, u, chi, g, te, fdata=fdata) == first
+    assert counts == {"dphi": 1, "dirac": 1, "m": 1, "gamma_chi": 1}
+
+
 @pytest.mark.parametrize("target", ["sphere", "ellipsoid"])
 def test_joint_evaluation_builds_one_frame_derivative(monkeypatch, target):
     g = Grid(16, 16)
