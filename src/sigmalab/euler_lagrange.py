@@ -347,22 +347,23 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     sites are at least 3 apart, so no density in one perturbed site's cross
     reads another perturbed site.
 
-    phi's TargetData and FieldData are built once.  A phi probe evaluates the
-    whole density, on its own map's TargetData.  A psi probe re-evaluates only
-    the summands that read psi.  The Dirac summand II (action.dirac_density)
-    reads psi one step away and runs on the grid, on a FieldData that shares
-    the psi-free parts of phi's one FieldData (FieldData.with_psi).  III + IV +
-    V (action.pointwise_densities) read psi only at their own site, so they
-    change only at the probed sites: per class and tangent direction they run
-    once, on the 4 slots x 2 signs of probed psi stacked at the class's m sites
-    (FieldData.at_sites), 8 m sites in all (one grid's worth on 2^k grids from
-    8^2, 8/5 of one at 10^2).
+    phi's TargetData and FieldData are built once, after checking phi on N and
+    psi tangent along phi's frame (ConstraintError otherwise).  A phi probe
+    evaluates the whole density, on its own map's TargetData.  A psi probe
+    re-evaluates only the summands that read psi.  The Dirac summand II
+    (action.dirac_density) reads psi one step away and runs on the grid, on a
+    FieldData that shares the psi-free parts of phi's one FieldData
+    (FieldData.with_psi).  III + IV + V (action.pointwise_densities) read psi
+    only at their own site, so they change only at the probed sites: per class
+    and tangent direction they run once, on the 4 slots x 2 signs of probed psi
+    stacked at the class's m sites (FieldData.at_sites), 8 m sites in all (one
+    grid's worth on 2^k grids from 8^2, 8/5 of one at 10^2).
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError("finite-difference step must be positive and finite")
 
     n1, n2, K = phi.shape
-    tdata0 = target_data(target, phi)
+    tdata0 = checked_target_data(target, phi, psi)
     tb = tangent_basis(tdata0)                # (n1, n2, dimN, K)
     fdata0 = field_data(phi, psi, chi, u, grid, target, tdata0)
     grad_phi = np.zeros_like(phi)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigmalab
+from sigmalab import checks
+from sigmalab.action import total_action
 from sigmalab.cli import parse_config, run
 from sigmalab.fieldio import load_field, save_field
 
@@ -85,6 +88,9 @@ def test_eval_equator_on_a_sphere_of_radius_2_in_r4(tmp_path):
     assert abs(breakdown["I_dirichlet"] - 128.0) <= 1e-12
 
 
+CHECK_ROWS = ("on_manifold", "tangency", "super_weyl_shift", "sign_flip", "conformal_total")
+
+
 def test_check_command_passes_on_seeded_fields(tmp_path):
     cfg = write_config(
         tmp_path / "run.ini",
@@ -94,8 +100,31 @@ def test_check_command_passes_on_seeded_fields(tmp_path):
     assert run(["check", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
     report = json.loads((out / "check_report.json").read_text())
     assert report["all_passed"]
-    names = {r["name"] for r in report["results"]}
-    assert {"clifford_relation", "super_weyl_shift", "sign_flip"} <= names
+    assert {r["suite"] for r in report["results"]} == {"constraints", "symmetry"}
+    assert sorted(r["name"] for r in report["results"]) == sorted(CHECK_ROWS)
+
+
+def test_check_command_fails_on_an_action_that_breaks_its_symmetries(monkeypatch, tmp_path):
+    # the gravitino term gains eps * sum(chi): the super-Weyl shift and the sign flip
+    # change sum(chi), so both rows fail and check exits 1 (a random chi, as a smooth
+    # one sums to zero over the periodic grid and the sign flip would not see it)
+    def broken(phi, psi, u, chi, *args, **kwargs):
+        b = total_action(phi, psi, u, chi, *args, **kwargs)
+        extra = 1e-6 * float(np.sum(chi))
+        return dataclasses.replace(b, III_gravitino=b.III_gravitino + extra,
+                                   total=b.total + extra)
+
+    monkeypatch.setattr(checks, "total_action", broken)
+    cfg = write_config(
+        tmp_path / "run.ini",
+        config_text(phi_kind="smooth", psi_kind="smooth", chi_kind="random"),
+    )
+    out = tmp_path / "out"
+    assert run(["check", "--config", cfg, "--out", str(out), "--seed", "7"]) == 1
+    report = json.loads((out / "check_report.json").read_text())
+    failed = {r["name"] for r in report["results"] if not r["passed"]}
+    assert {"super_weyl_shift", "sign_flip"} <= failed
+    assert report["all_passed"] is False
 
 
 def test_residual_command_writes_norms_and_fields(tmp_path):
@@ -122,6 +151,26 @@ def test_solve_command_artifacts_and_determinism(tmp_path):
     assert json.loads(lines[0])["iteration"] == 0
     final = json.loads(lines[-1])
     assert final["converged"] is True
+
+
+@pytest.mark.parametrize("command, names", [
+    ("eval", ("breakdown.json",)),
+    ("check", ("check_report.json",)),
+    ("residual", ("residuals.json", "fields_rphi.csv", "fields_rpsi.csv")),
+    ("morrey", ("decay_profile.csv", "morrey_summary.json")),
+])
+def test_command_artifacts_are_deterministic(tmp_path, command, names):
+    # solve's determinism is asserted above
+    cfg = write_config(
+        tmp_path / "run.ini",
+        config_text(phi_kind="smooth", psi_kind="smooth", chi_kind="smooth")
+        + "\n[morrey]\nresolution = 24\n",
+    )
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run([command, "--config", cfg, "--out", str(out1), "--seed", "3"]) == 0
+    assert run([command, "--config", cfg, "--out", str(out2), "--seed", "3"]) == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_morrey_command(tmp_path):

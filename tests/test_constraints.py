@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sigmalab import euler_lagrange
 from sigmalab.action import action_density, checked_target_data, field_data, total_action
 from sigmalab.cli import _COMMANDS, _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
@@ -67,6 +68,35 @@ def test_non_tangent_psi_raises(name):
     psi[1, 4, :, 2] += phi[1, 4]
     with pytest.raises(ConstraintError, match=NOT_TANGENT):
         CHECKED[name](phi, psi, chi, u, g, tg)
+
+
+def _off_manifold(phi, psi):
+    phi = phi.copy()
+    phi[2, 3] *= 1.5
+    return phi, psi
+
+
+def _non_tangent(phi, psi):
+    psi = psi.copy()
+    psi[1, 4, :, 2] += phi[1, 4]
+    return phi, psi
+
+
+@pytest.mark.parametrize("corrupt, message", [(_off_manifold, OFF_MANIFOLD),
+                                              (_non_tangent, NOT_TANGENT)],
+                         ids=["off_manifold_phi", "non_tangent_psi"])
+def test_the_fd_oracle_checks_its_constraints_before_any_probe(monkeypatch, corrupt, message):
+    # the oracle takes neither tdata nor fdata, so it checks phi and psi like every
+    # other function that takes neither (README: the one door)
+    def probe(*args, **kwargs):
+        raise AssertionError("a probe ran on unchecked fields")
+
+    monkeypatch.setattr(euler_lagrange, "action_density", probe)
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    phi, psi = corrupt(phi, psi)
+    with pytest.raises(ConstraintError, match=message):
+        action_gradient_fd(phi, psi, u, chi, g, tg)
 
 
 def test_a_handed_field_data_is_the_whole_input():
