@@ -6,8 +6,10 @@ other way round, (K, 4, n1, n2), C-contiguous, so that each component is one
 contiguous plane over the sites.  A per-site matrix or vector product is then
 a short sum of elementwise products of whole planes (contract): a few ufunc
 calls over all sites at once instead of one small product per site, and unlike
-einsum they report overflow under np.errstate.  to_sites is the inverse view;
-a site-major view of a component-major array converts back for free.
+einsum they report overflow under np.errstate.  contract allocates each result
+from its terms, C-contiguous in their broadcast shape and dtype, so no caller
+sizes an output.  to_sites is the inverse view; a site-major view of a
+component-major array converts back for free.
 """
 
 from __future__ import annotations
@@ -31,19 +33,19 @@ def to_sites(x: np.ndarray, ncomp: int) -> np.ndarray:
     return x.transpose(tuple(range(ncomp, n)) + tuple(range(ncomp)))
 
 
-def contract(x: np.ndarray, y: np.ndarray, out: np.ndarray, axes: int = 1) -> np.ndarray:
-    """out = sum_k x[k] * y[k], with k over the leading `axes` axes of x and y.
+def contract(x: np.ndarray, y: np.ndarray, axes: int = 1) -> np.ndarray:
+    """sum_k x[k] * y[k], with k over the leading `axes` axes of x and y, as a new array.
 
     The per-site products of component-major fields: each term is one elementwise
-    product of whole site planes (x[k] and y[k] broadcast to out's shape), written
-    into one temporary of out's shape, which lives for the call, and added into out
-    in index order, so each element's sum has a fixed order whatever the
-    broadcast.  Unlike einsum and batched @ over the sites, this makes no call per
-    site and reports overflow under np.errstate.
+    product of whole site planes.  The first product allocates the result, C-contiguous
+    in the terms' broadcast shape and dtype; the later ones go through one temporary of
+    that shape and are added into it in index order, so each element's sum has a fixed
+    order whatever the broadcast.  Unlike einsum and batched @ over the sites, this
+    makes no call per site and reports overflow under np.errstate.
     """
     keys = iter(range(x.shape[0]) if axes == 1 else product(*map(range, x.shape[:axes])))
     k = next(keys)
-    np.multiply(x[k], y[k], out=out)
+    out = np.multiply(x[k], y[k], order="C")
     tmp = None
     for k in keys:
         if tmp is None:
@@ -52,18 +54,11 @@ def contract(x: np.ndarray, y: np.ndarray, out: np.ndarray, axes: int = 1) -> np
     return out
 
 
-def pair(f_c: np.ndarray, g_c: np.ndarray, ncomp: int) -> np.ndarray:
-    """Per-site Euclidean pairing of two component-major fields over their leading ncomp
-    (component) axes; strided views of such fields are read in place."""
-    return contract(f_c, g_c, np.empty(f_c.shape[ncomp:]), axes=ncomp)
-
-
 def tangent(nu_c: np.ndarray, w_c: np.ndarray) -> np.ndarray:
     """w_c (K, ..., sites) less its components along the frame nu_c (L, K, sites), both
-    component-major; the axes between K and the sites of w_c ride along."""
-    L = nu_c.shape[0]
+    component-major; the axes between K and the sites of w_c ride along.  The result is
+    C-contiguous in w_c's axes."""
     nu_b = nu_c.reshape(nu_c.shape[:2] + (1,) * (w_c.ndim - nu_c.ndim + 1) + nu_c.shape[2:])
-    coeff = contract(nu_b.swapaxes(0, 1), w_c[:, None],             # [l, ...] = <nu_l, w>
-                     np.empty((L,) + w_c.shape[1:], dtype=w_c.dtype))
-    normal = contract(nu_b, coeff[:, None], np.empty_like(w_c))     # sum_l coeff_l nu_l
+    coeff = contract(nu_b.swapaxes(0, 1), w_c[:, None])     # [l, ...] = <nu_l, w>
+    normal = contract(nu_b, coeff[:, None])                 # sum_l coeff_l nu_l
     return np.subtract(w_c, normal, out=normal)

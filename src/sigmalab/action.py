@@ -78,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from . import clifford as cl
-from ._planes import contract, pair, to_planes, to_sites
+from ._planes import contract, to_planes, to_sites
 from .fields import dirac_conformal, q_norm2_field, require_tangent
 from .geometry import Grid, TargetData, TargetManifold, grad, require_on_manifold
 
@@ -185,7 +185,7 @@ class FieldData:
     def dphi_gamma_chi(self) -> np.ndarray:
         """sum_b d_b phi^k (Gamma chi)[b], the coefficient of psi^k, shaped like psi_c."""
         d, g = self.dphi, self.gamma_chi
-        return contract(d[:, :, None], g[:, None], np.empty(d.shape[1:2] + g.shape[1:]))
+        return contract(d[:, :, None], g[:, None])
 
     @cached_property
     def q_chi2(self) -> np.ndarray:
@@ -195,22 +195,18 @@ class FieldData:
     def m(self) -> np.ndarray:
         """M[a, c] = <psi^a, psi^c>."""
         p = self.psi_c.swapaxes(0, 1)                       # p[i] = (psi^a_i)_a
-        return contract(p[:, :, None], p[:, None], np.empty(p.shape[1:2] + p.shape[1:]))
+        return contract(p[:, :, None], p[:, None])
 
     @cached_property
     def c(self) -> np.ndarray:
         """c_l = sum_bd A_l[b, d] M[b, d]."""
-        a_l = self.tdata.asym_c
-        L, K, sites = a_l.shape[0], a_l.shape[1], a_l.shape[3:]
-        flat = a_l.reshape((L, K * K) + sites).swapaxes(0, 1)
-        return contract(flat, self.m.reshape((K * K,) + sites), np.empty((L,) + sites))
+        return contract(np.moveaxis(self.tdata.asym_c, 0, 2), self.m, axes=2)
 
     @cached_property
     def a_m(self) -> np.ndarray:
         """A_l M, the transpose of M A_l."""
         a_l = self.tdata.asym_c
-        return contract(np.moveaxis(a_l, 2, 0)[:, :, :, None], self.m[:, None, None],
-                        np.empty_like(a_l))
+        return contract(np.moveaxis(a_l, 2, 0)[:, :, :, None], self.m[:, None, None])
 
     def with_psi(self, psi) -> FieldData:
         """The FieldData of psi beside self's phi, chi and u on self's TargetData.  It shares
@@ -261,34 +257,34 @@ def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
 
 
 def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
-    return pair(dphi, dphi, 2)
+    return contract(dphi, dphi, axes=2)
 
 
 def dirac_density(fd: FieldData) -> np.ndarray | None:
     """Summand II, e^{3u} <psi, D_u psi>, which reads psi one stencil step away: grid only."""
     if not fd.has_psi:
         return None
-    return pair(fd.psi_c, to_planes(fd.dirac, 2), 2) * np.exp(3.0 * fd.u)
+    return contract(fd.psi_c, to_planes(fd.dirac, 2), axes=2) * np.exp(3.0 * fd.u)
 
 
 def _gravitino_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return 2.0 * pair(fd.psi_c, fd.dphi_gamma_chi, 2) * np.exp(2.0 * fd.u)
+    return 2.0 * contract(fd.psi_c, fd.dphi_gamma_chi, axes=2) * np.exp(2.0 * fd.u)
 
 
 def _qchi_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return -(fd.q_chi2 * pair(fd.psi_c, fd.psi_c, 2) * np.exp(4.0 * fd.u))
+    return -(fd.q_chi2 * contract(fd.psi_c, fd.psi_c, axes=2) * np.exp(4.0 * fd.u))
 
 
 def _curvature_density(fd: FieldData) -> np.ndarray | None:
     if not fd.has_psi:
         return None
     am, c = fd.a_m, fd.c
-    r = contract(c, c, np.empty(c.shape[1:]))
-    r -= contract(am, am.swapaxes(1, 2), np.empty(c.shape[1:]), axes=3)
+    r = contract(c, c)
+    r -= contract(am, am.swapaxes(1, 2), axes=3)
     return -r * np.exp(4.0 * fd.u) / 6.0
 
 
@@ -322,13 +318,12 @@ def _integral(density: np.ndarray | None, grid: Grid) -> float:
 def sr_planes(fd: FieldData) -> np.ndarray:
     """SR(psi) = sum_l (c_l A_l - A_l M A_l) psi from fd's Gauss parts, shaped like fd.psi_c."""
     a_l, a_m = fd.tdata.asym_c, fd.a_m
-    ama = contract(a_m.swapaxes(1, 2)[:, :, :, None], a_l[:, :, None],    # sum_l A_l M A_l
-                   np.empty(a_l.shape[1:]), axes=2)
-    w = contract(fd.c[:, None, None], a_l, np.empty(a_l.shape[1:]))
+    ama = contract(a_m.swapaxes(1, 2)[:, :, :, None], a_l[:, :, None], axes=2)  # sum_l A_l M A_l
+    w = contract(fd.c[:, None, None], a_l)
     w -= ama
     del ama
     psi = fd.psi_c
-    return contract(w.swapaxes(0, 1)[:, :, None], psi[:, None], np.empty_like(psi))
+    return contract(w.swapaxes(0, 1)[:, :, None], psi[:, None])
 
 
 def snr_of(psi, tdata: TargetData) -> np.ndarray:
@@ -343,13 +338,12 @@ def snr_planes(fdata: FieldData) -> np.ndarray:
     natensor = fdata.tdata.target.nabla_a_tensor(fdata.tdata)       # (..., e, a, c, l)
     m, a_m, c = fdata.m, fdata.a_m, fdata.c
     # w[l, a, c] = c_l M_ac - (M (A_l M))_ac
-    w = contract(m.swapaxes(0, 1)[:, None, :, None], a_m.swapaxes(0, 1)[:, :, None],
-                 np.empty_like(a_m))
+    w = contract(m.swapaxes(0, 1)[:, None, :, None], a_m.swapaxes(0, 1)[:, :, None])
     np.subtract(c[:, None, None] * m, w, out=w)
     # SnR^e = 2 sum_{a,c,l} (nabla_e A)_{ac,l} w[l, a, c], read in place from nabla A's planes
     n = natensor.ndim
     nat = np.moveaxis(natensor, (n - 4, n - 3, n - 2, n - 1), (3, 0, 1, 2))   # [a, c, l, e, ...]
-    out = contract(nat, np.moveaxis(w, 0, 2), np.empty(nat.shape[3:]), axes=3)
+    out = contract(nat, np.moveaxis(w, 0, 2), axes=3)
     out *= 2.0
     return out
 

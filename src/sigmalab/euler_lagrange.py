@@ -103,7 +103,7 @@ def _v_c(gchi: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
     """V[e, a, ...] = sum_i (Gamma chi)[e, i] psi^a_i from the component-major Gamma chi
     (2, 4, ...) and psi_c (K, 4, ...)."""
     g, p = gchi.swapaxes(0, 1), psi_c.swapaxes(0, 1)                  # [i, e], [i, a]
-    return contract(g[:, :, None], p[:, None], np.empty(g.shape[1:2] + p.shape[1:]))
+    return contract(g[:, :, None], p[:, None])
 
 
 def v_fields(chi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -116,12 +116,12 @@ def _frame_derivative(dt, tdata):
     """S[e, l, b, ...] = sum_c D_e phi^c dnu_l^b/du^c, the frame derivative along D phi,
     from the component-major dt[e, c, ...] = D_e phi^c."""
     dnu = tdata.dnu_c
-    return contract(dt.swapaxes(0, 1)[:, :, None, None], dnu.swapaxes(0, 1)[:, None],
-                    np.empty(dt.shape[:1] + dnu.shape[:1] + dnu.shape[2:]))
+    return contract(dt.swapaxes(0, 1)[:, :, None, None], dnu.swapaxes(0, 1)[:, None])
 
 
 def _tangent_dphi(fdata: FieldData) -> np.ndarray:
-    """D phi, the tangent part of d phi along phi, component-major (2, K, ...)."""
+    """D phi, the tangent part of d phi along phi, component-major (2, K, ...): a view of
+    the C-contiguous (K, 2, ...) tangent part."""
     return tangent(fdata.tdata.nu_c, fdata.dphi.swapaxes(0, 1)).swapaxes(0, 1)
 
 
@@ -187,9 +187,8 @@ def _normal_term(fdata: FieldData, s: np.ndarray, dt: np.ndarray,
     D phi + e^{2u} V), normal valued, component-major (K, ...).  dt = D phi is spent."""
     nu = fdata.tdata.nu_c
     pair = dt if ev is None else np.add(dt, ev, out=dt)
-    coeff = contract(s.swapaxes(1, 2), pair, np.empty(nu.shape[:1] + dt.shape[2:]),
-                     axes=2)                                        # <S_l, pair>
-    return contract(coeff[:, None], nu, np.empty(nu.shape[1:]))
+    coeff = contract(s.swapaxes(1, 2), pair, axes=2)                # <S_l, pair>
+    return contract(coeff[:, None], nu)
 
 
 def _dirac_coupling(fdata: FieldData, s: np.ndarray) -> np.ndarray:
@@ -199,13 +198,11 @@ def _dirac_coupling(fdata: FieldData, s: np.ndarray) -> np.ndarray:
     nu, psi = tdata.nu_c, fdata.psi_c
     gpsi = np.matmul(cl.GAMMA[:, None], psi.reshape(psi.shape[:2] + (-1,))).reshape(
         (2,) + psi.shape)                                           # (gamma_e psi^b)_i
-    s_gpsi = contract(s.swapaxes(1, 2)[:, :, :, None], gpsi[:, :, None],
-                      np.empty(nu.shape[:1] + psi.shape[1:]), axes=2)       # [l, i]
+    s_gpsi = contract(s.swapaxes(1, 2)[:, :, :, None], gpsi[:, :, None], axes=2)  # [l, i]
     del gpsi
-    w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None],
-                 np.empty(nu.shape[:2] + psi.shape[2:]))                    # [l, c]
+    w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None])  # [l, c]
     del s_gpsi
-    rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, np.empty(nu.shape[1:]), axes=2))
+    rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, axes=2))
     rc *= np.exp(2.0 * fdata.u)
     return rc
 

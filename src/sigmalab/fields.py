@@ -29,7 +29,7 @@ to N, so taking the tangential part removes it and it is never formed.
 
 The gamma matrices act as one (sites * slots, 4) @ (4, 4) product per frame
 direction, in the site-major layout above, and site_inner pairs two fields as
-a sum of products of their component planes (_planes.pair), reading them in
+a sum of products of their component planes (_planes.contract), reading them in
 place; an overflow in either raises under np.errstate (einsum would not report
 it).  The action and the residuals hold psi component-major, (K, 4, n1, n2), and
 convert the Dirac operator's result once (README, Layout).
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import clifford as cl
-from ._planes import pair
+from ._planes import contract
 from .errors import ConstraintError
 from .geometry import Grid, TargetManifold, grad, require_on_manifold, tangent_part_slots
 
@@ -179,7 +179,8 @@ def twisted_dirac(psi: np.ndarray, phi: np.ndarray, u: np.ndarray, grid: Grid,
 
 def site_inner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per-site Euclidean pairing of two (n1, n2, ...) fields over all their component axes."""
-    return pair(np.moveaxis(f, (0, 1), (-2, -1)), np.moveaxis(g, (0, 1), (-2, -1)), f.ndim - 2)
+    return contract(np.moveaxis(f, (0, 1), (-2, -1)), np.moveaxis(g, (0, 1), (-2, -1)),
+                    axes=f.ndim - 2)
 
 
 def q_norm2_field(chi: np.ndarray) -> np.ndarray:

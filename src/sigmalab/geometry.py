@@ -221,7 +221,7 @@ class TargetData:
     def pi(self) -> np.ndarray:
         """Pi[..., a, b] = delta_ab - sum_l nu_l^a nu_l^b."""
         nu = self.nu_c
-        pi = contract(nu[:, :, None], nu[:, None], np.empty(nu.shape[1:2] + nu.shape[1:]))
+        pi = contract(nu[:, :, None], nu[:, None])
         np.negative(pi, out=pi)
         for a in range(pi.shape[0]):
             pi[a, a] += 1.0
@@ -377,7 +377,7 @@ class ImplicitSurfaceTarget(TargetManifold):
         # nu = g/|g| with g = grad F:  d_a nu^b = H_ab/|g| - g_b (Hg)_a / |g|^3, on
         # component planes; H is read in place (a broadcast view for quadrics)
         h, g = np.moveaxis(self.hessian(p), (-2, -1), (0, 1)), to_planes(g, 1)
-        hg = contract(h.swapaxes(0, 1), g[:, None], np.empty(g.shape))   # (Hg)_a
+        hg = contract(h.swapaxes(0, 1), g[:, None])                      # (Hg)_a
         dnu = np.empty((1,) + h.shape)
         np.divide(h, norm, out=dnu[0])
         ggh = hg[:, None] * g[None]                                       # (Hg)_a g_b

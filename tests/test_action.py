@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmalab import clifford as cl
+from sigmalab._planes import to_planes
 from oracles import curvature_operator, nabla_A, second_fund_form, sr_of
 from sigmalab.action import (FieldData, _densities, gamma_chi, pointwise_densities, snr_of,
                              target_data, total_action)
 from sigmalab.clifford import sigma_lift
+from sigmalab.euler_lagrange import residual_phi, residual_psi
 from sigmalab.fields import conformal_rescale, tangency_project
 from sigmalab.geometry import Grid, SphereTarget, ellipsoid_target
 from sigmalab.presets import (
@@ -354,6 +356,31 @@ def test_pointwise_densities_at_gathered_sites_are_the_grid_ones(ellipsoid):
     for a, b in zip(gathered, on_grid, strict=True):
         assert a.shape == sites.shape
         assert np.array_equal(a, b.reshape(-1)[sites])
+
+
+@pytest.mark.parametrize("target", [TG, ellipsoid_target([1.0, 1.3, 0.8])],
+                         ids=["sphere", "ellipsoid"])
+def test_component_major_parts_are_c_contiguous_and_converted_without_copies(target):
+    # README, Layout: the parts of one evaluation are component-major, sites last and
+    # C-contiguous, and the site-major results and A are views of such arrays
+    g = Grid(8, 8)
+    phi = smooth_map_field(g, target, seed=30, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, target, seed=31, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=32, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=33, amplitude=0.2)
+    fd = FieldData(phi, psi, chi, u, g, tdata=target_data(target, phi))
+    K, L, sites = 3, 1, g.shape
+    shapes = {"psi_c": (K, 4), "dphi": (2, K), "gamma_chi": (2, 4),
+              "dphi_gamma_chi": (K, 4), "m": (K, K), "c": (L,), "a_m": (L, K, K)}
+    for name, comps in shapes.items():
+        part = getattr(fd, name)
+        assert part.shape == comps + sites, name
+        assert part.flags.c_contiguous, name
+    assert np.shares_memory(fd.tdata.asym_c, fd.tdata.asym)
+    r_phi = residual_phi(phi, psi, chi, u, g, target)
+    r_psi = residual_psi(phi, psi, chi, u, g, target)
+    assert np.shares_memory(to_planes(r_phi, 1), r_phi)
+    assert np.shares_memory(to_planes(r_psi, 2), r_psi)
 
 
 # ---- totals and symmetries ------------------------------------------------------

@@ -6,13 +6,17 @@ arrays, so that exchanging two axes of any contraction changes its value.
 Pi is I - sum_l nu_l nu_l^T of the random frame, its own definition: the
 kernels apply it as the projection along nu (_planes.tangent), which is that
 matrix for any frame, orthonormal or not.  The grid is not square, and a codimension-2 target
-(K = 4, L = 2) exercises the frame index l.
+(K = 4, L = 2) exercises the frame index l.  _planes.contract itself is checked bit for
+bit against the sum of its terms added in index order.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sigmalab import clifford as cl
+from sigmalab._planes import contract
 from oracles import sr_of
 from sigmalab.action import (FieldData, _curvature_density, _densities, dirac_density,
                              field_data, gamma_chi, snr_of)
@@ -185,6 +189,81 @@ def ref_residual_psi(phi, psi, chi, u, td):
     out += np.exp(2.0 * w) * np.einsum("bxya,xybi->xyai", grad(phi, GRID), ref_gamma_chi(chi))
     out -= np.exp(4.0 * w) * ref_q_norm2(chi)[..., None, None] * psi
     return tangent_part_slots(td.nu, out)
+
+
+# ---- the plane algebra ------------------------------------------------------------
+
+
+def _sum_in_index_order(x, y, axes):
+    """sum_k x[k] * y[k] over the leading `axes` axes, added left to right, k row-major."""
+    total = None
+    for k in np.ndindex(x.shape[:axes]):
+        term = x[k] * y[k]
+        total = term if total is None else total + term
+    return total
+
+
+def test_contract_allocates_the_terms_broadcast_shape_c_contiguous():
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((6, 3, 5, 1)).transpose(1, 2, 3, 0)     # (3, 5, 1, 6), strided
+    y = rng.standard_normal((3, 1, 4, 6))
+    out = contract(x, y)
+    assert out.shape == (5, 4, 6)
+    assert out.flags.c_contiguous
+    assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_contract_result_dtype_follows_the_inputs(dtype):
+    rng = np.random.default_rng(41)
+    x, y = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+    if dtype == np.complex128:
+        x += 1j * rng.standard_normal(x.shape)
+        y -= 2j * rng.standard_normal(y.shape)
+    out = contract(x, y)
+    assert out.dtype == dtype
+    assert np.array_equal(out, _sum_in_index_order(x, y, 1))
+    if dtype == np.complex128:
+        assert np.all(out.imag != 0.0)
+
+
+@pytest.mark.parametrize("axes", [1, 2, 3])
+def test_contract_sums_the_terms_in_index_order(axes):
+    rng = np.random.default_rng(42 + axes)
+    x = rng.standard_normal((3, 2, 4, 1, 5, 6)[:axes] + (1, 5, 6))
+    y = rng.standard_normal((3, 2, 4, 1, 5, 6)[:axes] + (7, 1, 6))
+    out = contract(x, y, axes=axes)
+    assert out.tobytes() == _sum_in_index_order(x, y, axes).tobytes()
+
+
+@pytest.mark.parametrize("where", ["first-term", "later-term", "sum"])
+def test_contract_reports_overflow(where):
+    x = np.ones((3, 4))
+    y = np.ones((3, 4))
+    if where == "sum":
+        x[:, 1] = 1e308
+    else:
+        x[0 if where == "first-term" else 2, 1] = 1e200
+        y[0 if where == "first-term" else 2, 1] = 1e200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        contract(x, y)
+
+
+def test_contract_reads_strided_operands_in_place():
+    # the operands are every other entry of larger arrays: a copy of either would be
+    # 64 times the result, which with its one temporary takes twice the result
+    rng = np.random.default_rng(45)
+    big_x, big_y = rng.standard_normal((2, 8, 8, 32, 16))
+    x, y = big_x[:, :, ::2, ::2], np.moveaxis(big_y, 0, 1)[:, :, ::2, ::2]
+    assert not (x.flags.c_contiguous or y.flags.c_contiguous)
+    tracemalloc.start()
+    try:
+        out = contract(x, y, axes=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 4096
+    assert out.tobytes() == _sum_in_index_order(x, y, 2).tobytes()
 
 
 # ---- fields and clifford -----------------------------------------------------------
