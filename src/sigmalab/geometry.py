@@ -234,8 +234,8 @@ class TargetData:
         -(Pi dnu_l Pi^T)_ab: the tangent part of each index of dnu_l in turn.
         """
         nu, dnu = self.nu_c, self.dnu_c
-        # t[b, l, a] = (dnu_l Pi^T)_ab, raw[a, b, l] = (Pi dnu_l Pi^T)_ab, held [l, a, b]
-        # in memory like dnu; then Asym_l = -(raw_l + raw_l^T) / 2
+        # t[b, l, a] = (dnu_l Pi^T)_ab, raw[l, a, b] = (Pi dnu_l Pi^T)_ab, held [a, b, l]
+        # in memory as tangent returns it; then Asym_l = -(raw_l + raw_l^T) / 2
         t = tangent(nu, np.moveaxis(dnu, 2, 0))
         raw = np.moveaxis(tangent(nu, np.moveaxis(t, 2, 0)), 2, 0)
         del t

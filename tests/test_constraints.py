@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalab import checks, euler_lagrange
+from sigmalab import euler_lagrange
 from sigmalab.action import action_density, checked_target_data, field_data, total_action
 from sigmalab.cli import _COMMANDS, _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
 from sigmalab.euler_lagrange import (action_gradient_fd, assemble_map_residual, potentials,
                                      residual_phi, residual_psi, residuals)
-from sigmalab.fields import conformal_rescale, frame_violation, require_tangent, twisted_dirac
+from sigmalab.fields import frame_violation, require_tangent, twisted_dirac
 from sigmalab.geometry import Grid, SphereTarget, TargetData, ellipsoid_target
 from sigmalab.presets import (
     smooth_gravitino,
@@ -283,32 +283,6 @@ def test_check_suites_raise_on_a_failed_constraint():
     psi[1, 4, :, 2] += phi[1, 4]
     with pytest.raises(ConstraintError, match=NOT_TANGENT):
         run_all_checks(psi, chi, u, g, TargetData(tg, phi))
-
-
-@pytest.mark.parametrize("flat", [True, False], ids=["u-zero", "u-smooth"])
-def test_conformal_row_evaluates_only_where_u_is_nonzero(monkeypatch, flat):
-    # at u = 0 the conformal change is the identity: its two actions would repeat the
-    # base action, so the row reports 0.0 without them; the row reads as it did with them
-    tg = SphereTarget(3)
-    g, phi, psi, chi, u = _fields(tg)
-    if flat:
-        u = np.zeros(g.shape)
-    tdata = TargetData(tg, phi)
-    base = total_action(phi, psi, u, chi, g, tg, tdata=tdata)
-    scale = 1.0 + max(abs(v) for v in base.to_dict().values())
-    psi_r, chi_r = conformal_rescale(psi, chi, u)
-    conf = total_action(phi, psi_r, u, chi_r, g, tg, tdata=tdata)
-    zero_u = total_action(phi, psi, np.zeros(g.shape), chi, g, tg, tdata=tdata)
-    expected = abs(conf.total - zero_u.total) / scale
-    calls = []
-    monkeypatch.setattr(checks, "total_action",
-                        lambda *a, **k: calls.append(1) or total_action(*a, **k))
-    results = run_all_checks(psi, chi, u, g, tdata)
-    row = next(r for r in results if r.name == "conformal_total")
-    assert len(calls) == (3 if flat else 5)
-    assert row.error == expected
-    assert (row.error == 0.0) == flat
-    assert all(r.passed for r in results)
 
 
 def _benchmark_cli_config(tmp_path):
