@@ -54,12 +54,22 @@ Gamma chi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M, c_l and A_l M
 (A_l is the TargetData's).  A part is built on first use and lives as long as
 its FieldData, so its readers may come in any order.  Every
 evaluation takes its FieldData from field_data, which states when the
-constraints are checked.  The FD oracle's psi probes read two more FieldData:
-with_psi shares the parts that do not read psi with a FieldData of another psi,
-and at_sites gathers the fields and those parts at chosen sites, where the
-summands III, IV and V (pointwise_densities), which read psi only at their own
-site, evaluate; the Dirac summand II (dirac_density) reads psi one stencil step
-away and runs on the grid.
+constraints are checked.  The FD oracle's probes read FieldData that share
+parts with phi's one, and each evaluates only the summands its move changes, on
+the sites they read:
+
+* with_psi shares the parts that do not read psi with a FieldData of another
+  psi, and at_sites gathers the fields and those parts at chosen sites, where
+  the summands III, IV and V (pointwise_densities), which read psi only at
+  their own site, evaluate;
+* with_map shares the parts that read chi alone with a FieldData of another
+  map and psi, on the grid for the summands I and III (dphi_densities), which
+  read phi one stencil step away through d phi, or at chosen sites for IV and
+  V (local_densities), which read every field only at their own site;
+* the Dirac summand II reads psi one stencil step away: dirac_density
+  evaluates it on the grid, and dirac_change its change between two psi by
+  polarization, from the D_u of their difference.  Both read the one form
+  e^{3u} <f, D_u g> (_dirac_form).
 
 The parts and the contractions are component-major (see _planes): psi as
 (K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
@@ -91,6 +101,9 @@ __all__ = [
     "field_data",
     "gamma_chi",
     "dirac_density",
+    "dirac_change",
+    "dphi_densities",
+    "local_densities",
     "pointwise_densities",
     "summed",
     "snr_of",
@@ -133,8 +146,10 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
     return tdata
 
 
-# the parts of a FieldData that do not read psi, which FieldData.with_psi shares
+# the parts of a FieldData that do not read psi, which FieldData.with_psi and at_sites share,
+# and those that read chi alone, which FieldData.with_map shares
 _PSI_FREE = ("dphi", "dphi_gamma_chi", "q_chi2", "has_chi")
+_CHI_ONLY = ("gamma_chi", "q_chi2", "has_chi")
 
 
 class FieldData:
@@ -208,36 +223,53 @@ class FieldData:
         a_l = self.tdata.asym_c
         return contract(np.moveaxis(a_l, 2, 0)[:, :, :, None], self.m[:, None, None])
 
-    def with_psi(self, psi) -> FieldData:
-        """The FieldData of psi beside self's phi, chi and u on self's TargetData.  It shares
-        self's parts that do not read psi (d phi, d phi . Gamma chi, |Q chi|^2 and has_chi),
-        built here if need be and made read-only, so that an in-place write raises.  Each
-        shared part lives as long as the longer-lived of the two FieldData."""
-        fd = FieldData(self.phi, psi, self.chi, self.u, self.grid, tdata=self.tdata)
-        for name in _PSI_FREE:
+    def _sharing(self, fd: FieldData, names, sites: np.ndarray | None = None) -> FieldData:
+        """fd holding self's parts names, built here if need be: gathered at the flat
+        grid-site indices sites when given, else shared and made read-only, so that an
+        in-place write raises.  A shared part lives as long as the longer-lived of the two."""
+        for name in names:
             value = getattr(self, name)
             if name != "has_chi":
-                value.flags.writeable = False
+                if sites is None:
+                    value.flags.writeable = False
+                else:                   # component-major: the site axes last
+                    value = value.reshape(value.shape[:-2] + (-1,))[..., sites]
             fd.__dict__[name] = value
         return fd
+
+    def with_psi(self, psi) -> FieldData:
+        """The FieldData of psi beside self's phi, chi and u on self's TargetData, sharing
+        self's parts that do not read psi (d phi, d phi . Gamma chi, |Q chi|^2 and has_chi)."""
+        fd = FieldData(self.phi, psi, self.chi, self.u, self.grid, tdata=self.tdata)
+        return self._sharing(fd, _PSI_FREE)
+
+    def with_map(self, phi, psi, tdata: TargetData | None = None,
+                 sites: np.ndarray | None = None) -> FieldData:
+        """The FieldData of another map phi and a psi beside self's chi and u, on tdata, the
+        TargetData of phi (None where no summand that reads it runs), sharing self's parts
+        that read chi alone (Gamma chi, |Q chi|^2 and has_chi).  With sites, flat grid-site
+        indices (repeats allowed), phi and psi are given at those sites (site-major, sites
+        first) and chi, u and those parts are gathered there: a FieldData with no grid, for
+        the summands that read every field only at its own site (local_densities)."""
+        chi, u, grid = self.chi, self.u, self.grid
+        if sites is not None:
+            chi, u, grid = _at(chi, sites), _at(u, sites), None
+        return self._sharing(FieldData(phi, psi, chi, u, grid, tdata=tdata), _CHI_ONLY, sites)
 
     def at_sites(self, sites: np.ndarray) -> FieldData:
         """self's phi, chi and u at the flat grid-site indices sites (repeats allowed), on
         one TargetData of phi there, with self's parts that do not read psi gathered there:
         a FieldData with no psi and no grid, whose with_psi takes a psi at those sites
         (site-major, sites first).  Only the pointwise summands read it (pointwise_densities)."""
-        def first(x):                   # site-major: the site axes first
-            return x.reshape((-1,) + x.shape[2:])[sites]
-
-        phi = first(self.phi)
-        fd = FieldData(phi, None, first(self.chi), first(self.u),
+        phi = _at(self.phi, sites)
+        fd = FieldData(phi, None, _at(self.chi, sites), _at(self.u, sites),
                        tdata=target_data(self.tdata.target, phi))
-        for name in _PSI_FREE:
-            value = getattr(self, name)
-            if name != "has_chi":       # component-major: the site axes last
-                value = value.reshape(value.shape[:-2] + (-1,))[..., sites]
-            fd.__dict__[name] = value
-        return fd
+        return self._sharing(fd, _PSI_FREE, sites)
+
+
+def _at(x: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """A site-major field (the site axes first) at the flat grid-site indices sites."""
+    return x.reshape((-1,) + x.shape[2:])[sites]
 
 
 def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
@@ -260,11 +292,28 @@ def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
     return contract(dphi, dphi, axes=2)
 
 
+def _dirac_form(u: np.ndarray, pairs) -> np.ndarray:
+    """e^{3u} sum <f, D_u g> per site over pairs of f, component-major (K, 4, ...), and D_u g,
+    site-major: the form of summand II, which dirac_density and dirac_change read."""
+    out = summed(contract(f, to_planes(dg, 2), axes=2) for f, dg in pairs)
+    out *= np.exp(3.0 * u)
+    return out
+
+
 def dirac_density(fd: FieldData) -> np.ndarray | None:
     """Summand II, e^{3u} <psi, D_u psi>, which reads psi one stencil step away: grid only."""
     if not fd.has_psi:
         return None
-    return contract(fd.psi_c, to_planes(fd.dirac, 2), axes=2) * np.exp(3.0 * fd.u)
+    return _dirac_form(fd.u, [(fd.psi_c, fd.dirac)])
+
+
+def dirac_change(fd: FieldData, delta: np.ndarray, d_delta: np.ndarray) -> np.ndarray:
+    """II(psi + a) - II(psi + b) per site, on fd's grid and psi, from delta = a - b and
+    d_delta = D_u delta (site-major): by polarization e^{3u} (<delta, D_u psi> + <psi,
+    D_u delta>), which holds where <a, D_u a> and <b, D_u b> vanish at every site.  They do
+    when a and b are supported on sites at least 3 apart: D_u a reads a site's
+    neighbours, never the site itself."""
+    return _dirac_form(fd.u, [(to_planes(delta, 2), fd.dirac), (fd.psi_c, d_delta)])
 
 
 def _gravitino_density(fd: FieldData) -> np.ndarray | None:
@@ -288,10 +337,22 @@ def _curvature_density(fd: FieldData) -> np.ndarray | None:
     return -r * np.exp(4.0 * fd.u) / 6.0
 
 
+def dphi_densities(fd: FieldData) -> tuple:
+    """Summands I and III, which read phi one stencil step away, through d phi: grid only;
+    None where a term vanishes."""
+    return _dirichlet_density(fd.dphi), _gravitino_density(fd)
+
+
+def local_densities(fd: FieldData) -> tuple:
+    """Summands IV and V, which read every field only at their own site, so that fd may
+    hold its fields at any sites (FieldData.with_map); None where a term vanishes."""
+    return _qchi_density(fd), _curvature_density(fd)
+
+
 def pointwise_densities(fd: FieldData) -> tuple:
     """Summands III, IV and V, which read psi only at their own site, so that fd may
     hold its fields at any sites (FieldData.at_sites); None where a term vanishes."""
-    return _gravitino_density(fd), _qchi_density(fd), _curvature_density(fd)
+    return (_gravitino_density(fd), *local_densities(fd))
 
 
 def _densities(fd: FieldData) -> tuple:

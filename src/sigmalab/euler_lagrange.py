@@ -32,9 +32,10 @@ Dirac coupling C(psi) discretizes the continuum coupling and is not the exact
 derivative of the discrete Dirac term.  action_gradient_fd checks both by
 central differences with per-site tangent-space perturbations (the
 vector-spinor is reprojected when the base point moves, i.e.
-parallel-transported to first order).  A psi probe re-evaluates only the
-summands that read psi: the Dirac summand on the grid, and the pointwise
-summands III, IV and V at the probed sites alone.
+parallel-transported to first order).  A probe re-evaluates only the summands
+its move changes: the Dirac summand's change by polarization, one D_u per pair
+of probes; the summands that read phi through d phi on the grid; and those that
+read the moved field only at its own site at the probed sites alone.
 
 Both residuals read the intermediates they share with each other and with the
 action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2 and the Gauss
@@ -61,11 +62,12 @@ import numpy as np
 
 from . import clifford as cl
 from ._planes import contract, tangent, to_planes, to_sites
-from .action import (FieldData, action_density, checked_target_data, dirac_density, field_data,
-                     gamma_chi, pointwise_densities, snr_of, snr_planes, sr_planes, summed,
-                     target_data)
-from .fields import dirac_conformal_sym, tangency_project
-from .geometry import Grid, TargetData, div, grad, tangent_basis, tangent_part
+from .action import (FieldData, checked_target_data, dirac_change, dphi_densities, field_data,
+                     gamma_chi, local_densities, pointwise_densities, snr_of, snr_planes,
+                     sr_planes, summed, target_data)
+from .fields import dirac_conformal, dirac_conformal_sym
+from .geometry import (Grid, TargetData, div, grad, tangent_basis, tangent_part,
+                       tangent_part_slots)
 
 __all__ = [
     "ELResidual",
@@ -345,16 +347,29 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     reads another perturbed site.
 
     phi's TargetData and FieldData are built once, after checking phi on N and
-    psi tangent along phi's frame (ConstraintError otherwise).  A phi probe
-    evaluates the whole density, on its own map's TargetData.  A psi probe
-    re-evaluates only the summands that read psi.  The Dirac summand II
-    (action.dirac_density) reads psi one step away and runs on the grid, on a
-    FieldData that shares the psi-free parts of phi's one FieldData
-    (FieldData.with_psi).  III + IV + V (action.pointwise_densities) read psi
-    only at their own site, so they change only at the probed sites: per class
-    and tangent direction they run once, on the 4 slots x 2 signs of probed psi
-    stacked at the class's m sites (FieldData.at_sites), 8 m sites in all (one
-    grid's worth on 2^k grids from 8^2, 8/5 of one at 10^2).
+    psi tangent along phi's frame (ConstraintError otherwise), and so is D_u psi,
+    which every probe's Dirac change reads.  A probe re-evaluates only the
+    summands that its move changes, each on the sites it reads.  It differences
+    the action's own summand code alone and reads no residual and no adjoint of
+    D_u, so the oracle stays an independent check of both residuals.
+
+    - The Dirac summand II is a quadratic form in psi.  The + and - probes move
+      psi by a and b on one class only, and D_u reads a site's neighbours, never
+      the site itself, so <a, D_u a> and <b, D_u b> vanish and II changes by
+      e^{3u} (<a - b, D_u psi> + <psi, D_u (a - b)>) (action.dirac_change): one
+      D_u of a - b per pair of probes, on the grid.
+    - A phi probe moves psi too (reprojected) and evaluates I + III
+      (action.dphi_densities) on the grid, as they read phi one step away
+      through d phi; its FieldData shares Gamma chi and |Q chi|^2 with phi's one
+      (FieldData.with_map) and builds no TargetData.  IV + V
+      (action.local_densities) read every field only at their own site: they run
+      at the class's m sites, the two probes stacked on one TargetData of the 2 m
+      moved points.
+    - A psi probe re-evaluates III + IV + V (action.pointwise_densities), which
+      read psi only at their own site, at the probed sites alone: per class and
+      tangent direction they run once, on the 4 slots x 2 signs of probed psi
+      stacked at the class's m sites (FieldData.at_sites), 8 m sites in all (one
+      grid's worth on 2^k grids from 8^2, 8/5 of one at 10^2).
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError("finite-difference step must be positive and finite")
@@ -373,18 +388,34 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         action change there between the + and the - probe."""
         return (delta / (2.0 * h[mask]) * grid.cell_area)[:, None]
 
-    def phi_probe(mask, direction, sign):
-        """The action density with phi moved at mask's sites."""
-        phi_w, psi_w = phi.copy(), psi.copy(order="K")
-        phi_w[mask] = target.project(phi[mask] + sign * hstep[mask][:, None] * direction)
-        psi_w[mask] = tangency_project(psi[mask], phi_w[mask], target)
-        return action_density(phi_w, psi_w, u, chi, grid, target, target_data(target, phi_w))
+    def dirac_between(mask, delta_m):
+        """The Dirac density's change between two probes whose psi differ by delta_m at
+        mask's sites and agree elsewhere."""
+        delta = np.zeros(psi.shape)
+        delta[mask] = delta_m
+        return dirac_change(fdata0, delta, dirac_conformal(delta, u, grid))
 
-    def dirac_probe(mask, psi_mask):
-        """The Dirac density with psi set to psi_mask at mask's sites."""
-        psi_w = psi.copy(order="K")
-        psi_w[mask] = psi_mask
-        return dirac_density(fdata0.with_psi(psi_w))
+    def phi_change(mask, direction):
+        """The action change at mask's sites between the probes that move phi there by
+        +- hstep direction, psi reprojected onto the moved tangent spaces."""
+        m = len(direction)
+        move = hstep[mask][:, None] * direction
+        moved = target_data(target, target.project(np.concatenate((phi[mask] + move,
+                                                                   phi[mask] - move))))
+        psi_s = tangent_part_slots(moved.nu, np.concatenate((psi[mask], psi[mask])))
+        on_grid = []
+        for k in range(2):
+            phi_w, psi_w = phi.copy(), psi.copy(order="K")
+            phi_w[mask], psi_w[mask] = moved.phi[k * m:(k + 1) * m], psi_s[k * m:(k + 1) * m]
+            on_grid.append(summed(dphi_densities(fdata0.with_map(phi_w, psi_w))))
+        change = on_grid[0] - on_grid[1]
+        change += dirac_between(mask, psi_s[:m] - psi_s[m:])
+        delta = _cross_sum(change)[mask]
+        sites = np.tile(np.flatnonzero(mask), 2)
+        at_sites = summed(local_densities(fdata0.with_map(moved.phi, psi_s, moved, sites)))
+        if at_sites is not None:
+            delta += at_sites[:m] - at_sites[m:]
+        return delta
 
     colors = _fd_colors(grid)
     for color in range(int(colors.max()) + 1):
@@ -394,8 +425,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         local = fdata0.at_sites(np.tile(np.flatnonzero(mask), 8))     # 4 slots x 2 signs
         for t in range(tb.shape[2]):
             d = tb[:, :, t, :][mask]
-            delta = _cross_sum(phi_probe(mask, d, 1.0) - phi_probe(mask, d, -1.0))[mask]
-            grad_phi[mask] += central(mask, hstep, delta) * d
+            grad_phi[mask] += central(mask, hstep, phi_change(mask, d)) * d
             probes = np.tile(psi_m, (8, 1, 1)).reshape(4, 2, m, K, 4)    # [slot, sign]
             for slot in range(4):
                 for k, sign in enumerate((1.0, -1.0)):
@@ -403,8 +433,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
             pw = summed(pointwise_densities(local.with_psi(probes.reshape(8 * m, K, 4))))
             pw = pw.reshape(4, 2, m)
             for slot in range(4):
-                delta = _cross_sum(dirac_probe(mask, probes[slot, 0])
-                                   - dirac_probe(mask, probes[slot, 1]))[mask]
+                delta = _cross_sum(dirac_between(mask, probes[slot, 0] - probes[slot, 1]))[mask]
                 delta += pw[slot, 0] - pw[slot, 1]
                 grad_psi[mask, :, slot] += central(mask, sstep, delta) * d
     return grad_phi, grad_psi
@@ -415,14 +444,19 @@ def residual_norms(res: ELResidual, grid: Grid, tdata: TargetData) -> dict:
     return tangent_residual_norms(tangent_part(tdata.nu, res.r_phi), res.r_psi, grid)
 
 
-def tangent_residual_norms(rp: np.ndarray, r_psi: np.ndarray, grid: Grid) -> dict:
-    """residual_norms from the tangent part rp of r_phi, taken by the caller."""
+def tangent_residual_norms(rp: np.ndarray, r_psi: np.ndarray | None, grid: Grid) -> dict:
+    """residual_norms from the tangent part rp of r_phi, taken by the caller; r_psi is None
+    where it vanishes identically, and its norms then read 0.0 without an array."""
     cell = grid.cell_area
     l2_phi = float(np.sqrt(np.sum(rp * rp) * cell))
-    l2_psi = float(np.sqrt(np.sum(r_psi * r_psi) * cell))
+    if r_psi is None:
+        l2_psi = linf_psi = 0.0
+    else:
+        l2_psi = float(np.sqrt(np.sum(r_psi * r_psi) * cell))
+        linf_psi = float(np.max(np.abs(r_psi)))
     out = {
         "phi": {"l2": l2_phi, "linf": float(np.max(np.abs(rp)))},
-        "psi": {"l2": l2_psi, "linf": float(np.max(np.abs(r_psi)))},
+        "psi": {"l2": l2_psi, "linf": linf_psi},
     }
     out["combined"] = {
         "l2": float(np.sqrt(l2_phi**2 + l2_psi**2)),

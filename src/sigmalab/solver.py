@@ -155,13 +155,14 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
         psi = tangent_part_slots(tdata.nu, psi)
     fdata = field_data(phi, psi, chi, u, grid, target, tdata)
     r_phi_t = _tangent_residual_phi(fdata)
-    if fdata.has_psi or fdata.has_chi:
+    has_r_psi = fdata.has_psi or fdata.has_chi
+    if has_r_psi:
         r_psi = residual_psi(phi, psi, chi, u, grid, target, fdata=fdata)
     else:  # r_psi vanishes identically at psi = chi = 0: a read-only zero view, no array
         r_psi = np.broadcast_to(0.0, psi.shape)
     action = total_action(phi, psi, u, chi, grid, target, fdata=fdata)
     del fdata  # with its parts
-    combined = tangent_residual_norms(r_phi_t, r_psi, grid)["combined"]
+    combined = tangent_residual_norms(r_phi_t, r_psi if has_r_psi else None, grid)["combined"]
     return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
 
 

@@ -88,14 +88,29 @@ def _non_tangent(phi, psi):
 def test_the_fd_oracle_checks_its_constraints_before_any_probe(monkeypatch, corrupt, message):
     # the oracle takes neither tdata nor fdata, so it checks phi and psi like every
     # other function that takes neither (README: the one door)
-    def probe(*args, **kwargs):
-        raise AssertionError("a probe ran on unchecked fields")
-
-    monkeypatch.setattr(euler_lagrange, "action_density", probe)
+    _fail_the_probes(monkeypatch)
     tg = SphereTarget(3)
     g, phi, psi, chi, u = _fields(tg)
     phi, psi = corrupt(phi, psi)
     with pytest.raises(ConstraintError, match=message):
+        action_gradient_fd(phi, psi, u, chi, g, tg)
+
+
+def _fail_the_probes(monkeypatch):
+    """Make the D_u of a probe's psi change, which every probe of the FD oracle takes, raise."""
+    def probe(*args, **kwargs):
+        raise AssertionError("a probe ran on unchecked fields")
+
+    monkeypatch.setattr(euler_lagrange, "dirac_conformal", probe)
+
+
+def test_the_fd_oracle_constraint_test_patches_what_the_probes_call(monkeypatch):
+    # the control of the test above: on valid fields the patched call raises, so that
+    # test would catch a probe run before the check
+    _fail_the_probes(monkeypatch)
+    tg = SphereTarget(3)
+    g, phi, psi, chi, u = _fields(tg)
+    with pytest.raises(AssertionError, match="a probe ran"):
         action_gradient_fd(phi, psi, u, chi, g, tg)
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from oracles import _action_gradient_fd_sitewise, sr_of
 from test_kernels import PlaneSphere
-from sigmalab import euler_lagrange
-from sigmalab.action import field_data, total_action
+from sigmalab import action, euler_lagrange, fields
+from sigmalab.action import (FieldData, dirac_change, dirac_density, field_data, target_data,
+                             total_action)
 from sigmalab.clifford import sigma_lift
 from sigmalab.euler_lagrange import (
     _fd_colors,
@@ -19,7 +20,7 @@ from sigmalab.euler_lagrange import (
     residuals,
     v_fields,
 )
-from sigmalab.fields import frame_violation, tangency_project, twisted_dirac
+from sigmalab.fields import dirac_conformal, frame_violation, tangency_project, twisted_dirac
 from sigmalab.geometry import (Grid, SphereTarget, TargetData, div, ellipsoid_target, grad,
                                tangent_part, tangent_part_slots)
 from sigmalab.presets import (
@@ -249,29 +250,41 @@ def test_fd_color_counts(n1, n2, count):
 
 
 def test_fd_oracle_density_calls_at_32(monkeypatch):
-    # per class (8) and tangent direction (2): the 2 phi probes evaluate the whole density,
-    # the 4 slots x 2 signs of psi probes the Dirac density each, and one evaluation of the
-    # pointwise summands serves those 8 at the class's 128 sites, one grid's worth
+    # per class (8) and tangent direction (2): the phi probes' pair and each of the 4 psi
+    # slots take one D_u of their psi change (80, beside psi's own D_u), the 2 phi probes
+    # evaluate I + III on the grid, and one stacked evaluation each serves the phi probes'
+    # IV + V at 2 x 128 sites and the psi probes' III + IV + V at 8 x 128 sites
     g = Grid(32, 32)
     phi = smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1)
     psi = smooth_vector_spinor(g, phi, TG, seed=7, amplitude=0.1, modes=1)
     chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=1)
-    calls = {"action_density": [], "dirac_density": [], "pointwise_densities": []}
+    calls = {"dirac_conformal": [], "dphi_densities": [], "local_densities": [],
+             "pointwise_densities": []}
     for name, log in calls.items():
         fn = getattr(euler_lagrange, name)
-        monkeypatch.setattr(euler_lagrange, name,
-                            lambda *a, _fn=fn, _log=log, **k: _log.append(a) or _fn(*a, **k))
+        logged = lambda *a, _fn=fn, _log=log, **k: _log.append(a) or _fn(*a, **k)  # noqa: E731
+        monkeypatch.setattr(euler_lagrange, name, logged)
+        if name == "dirac_conformal":               # D_u psi, built by phi's FieldData
+            monkeypatch.setattr(action, name, logged)
+    grid_frames = []
+    frame = TG.normal_frame
+    monkeypatch.setattr(TG, "normal_frame", lambda p: (
+        p.shape[:2] == g.shape and grid_frames.append(np.array_equal(p, phi))) or frame(p))
     action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
-    assert len(calls["action_density"]) == 8 * 2 * 2 == 32
-    assert len(calls["dirac_density"]) == 8 * 2 * 4 * 2 == 128
+    assert len(calls["dirac_conformal"]) == 1 + 8 * 2 * 5 == 81
+    assert len(calls["dphi_densities"]) == 8 * 2 * 2 == 32
+    assert {fd.phi.shape for (fd,) in calls["dphi_densities"]} == {phi.shape}
+    assert len(calls["local_densities"]) == 8 * 2 == 16
+    assert {fd.psi.shape for (fd,) in calls["local_densities"]} == {(2 * 128, 3, 4)}
     assert len(calls["pointwise_densities"]) == 8 * 2 == 16
     assert {fd.psi.shape for (fd,) in calls["pointwise_densities"]} == {(8 * 128, 3, 4)}
+    assert grid_frames == [True]
 
 
 def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
-    """The tangent bases read one TargetData of phi (the psi probes' Dirac densities read
-    no frame); each phi probe builds the frames of its own moved map, and each class the
-    frames of phi at its stacked sites for the pointwise summands."""
+    """The tangent bases read one TargetData of phi (no probe reads a frame on the grid);
+    the phi probes build the frames of their moved points, and each class the frames of
+    phi at its stacked sites for the pointwise summands."""
     te = ellipsoid_target([1.0, 1.3, 0.8])
     g = Grid(8, 8)
     phi = te.project(smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1))
@@ -284,6 +297,56 @@ def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
     action_gradient_fd(phi, psi, smooth_scalar_field(g, seed=11, amplitude=0.3), chi, g, te)
     assert sum(of_phi) == 1
     assert len(of_phi) > 1
+
+
+@pytest.mark.parametrize("target", [TG, ellipsoid_target([1.0, 1.3, 0.8])],
+                         ids=["sphere", "ellipsoid"])
+@pytest.mark.parametrize("n1, n2", [(8, 8), (10, 10), (5, 6), (4, 4)])
+def test_the_dirac_change_of_one_colour_class_is_its_polarization(target, n1, n2):
+    # a and b supported on one _fd_colors class: D_u reads a site's neighbours, never the
+    # site, so <a, D_u a> and <b, D_u b> vanish and II(psi + a) - II(psi + b) is
+    # e^{3u} (<a - b, D_u psi> + <psi, D_u (a - b)>) at every site
+    g = Grid(n1, n2)
+    phi = smooth_map_field(g, target, seed=10, amplitude=0.4)
+    psi = smooth_vector_spinor(g, phi, target, seed=11, amplitude=0.3)
+    chi, u = np.zeros(g.shape + (2, 4)), smooth_scalar_field(g, seed=15, amplitude=0.25)
+    tdata = target_data(target, phi)
+    rng = np.random.default_rng(38)
+
+    def errors(mask):
+        a, b = np.zeros((2,) + psi.shape)
+        a[mask], b[mask] = rng.standard_normal((2,) + a[mask].shape)
+        direct = (dirac_density(FieldData(phi, psi + a, chi, u, g, tdata=tdata))
+                  - dirac_density(FieldData(phi, psi + b, chi, u, g, tdata=tdata)))
+        polarized = dirac_change(FieldData(phi, psi, chi, u, g, tdata=tdata), a - b,
+                                 dirac_conformal(a - b, u, g))
+        return np.max(np.abs(direct - polarized)) / np.max(np.abs(direct))
+
+    mask = _fd_colors(g) == 1
+    assert errors(mask) <= 1e-13
+    i, j = np.argwhere(mask)[0]                 # a neighbour in the mask breaks the identity
+    mask[i, (j + 1) % n2] = True
+    assert errors(mask) > 1e-8
+
+
+def test_the_fd_oracle_reads_no_residual_and_no_adjoint(monkeypatch):
+    # the oracle differences the action's own summands only, so it is an independent
+    # check of the residuals and of the symmetrized Dirac operator they read
+    g, phi, psi, chi, _ = _fields(n=8)
+    u = smooth_scalar_field(g, seed=15, amplitude=0.25)
+    expected = action_gradient_fd(phi, psi, u, chi, g, TG)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the oracle read a residual or the Dirac adjoint")
+
+    for module in (fields, action, euler_lagrange):
+        for name in ("dirac_conformal_adjoint", "dirac_conformal_sym", "residual_phi",
+                     "residual_psi"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    gp, gs = action_gradient_fd(phi, psi, u, chi, g, TG)
+    assert np.array_equal(gp, expected[0]) and np.array_equal(gs, expected[1])
+    assert np.max(np.abs(gp)) > 0.0 and np.max(np.abs(gs)) > 0.0
 
 
 @pytest.mark.parametrize("n", [8, 4])

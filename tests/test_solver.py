@@ -313,6 +313,30 @@ def test_pure_map_flow_never_evaluates_the_spinor_residual(monkeypatch):
     assert report.iterations == 5
 
 
+def test_pure_map_residual_norms_allocate_no_spinor_array(monkeypatch):
+    # at psi = chi = 0 the flow hands the norms no r_psi: its part reads 0.0, and the
+    # norms allocate less than one psi-sized array (r_phi's square is a quarter of one)
+    peaks = []
+
+    def traced(rp, r_psi, grid):
+        tracemalloc.start()
+        try:
+            out = tangent_residual_norms(rp, r_psi, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(solver, "tangent_residual_norms", traced)
+    g = Grid(32, 32)
+    psi0, chi0, u0 = _zeros(g)
+    phi0 = perturbed_equator_map(g, amplitude=0.05, seed=3)
+    _, ev = solver._evaluate(phi0, psi0, chi0, u0, g, TG)
+    assert len(peaks) == 1 and peaks[0] < psi0.nbytes
+    full = tangent_residual_norms(ev.r_phi_t, np.zeros(psi0.shape), g)["combined"]
+    assert ev.norms == (full["l2"], full["linf"])
+
+
 def test_flow_report_counts_rejected_trials():
     g = Grid(16, 16)
     phi0 = smooth_map_field(g, TG, seed=8, amplitude=0.3, modes=1)
