@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from sigmalab import clifford as cl
 from sigmalab._planes import to_planes
 from oracles import curvature_operator, nabla_A, second_fund_form, sr_of
-from sigmalab.action import (FieldData, _densities, gamma_chi, pointwise_densities, snr_of,
-                             target_data, total_action)
+from sigmalab.action import (FieldData, _densities, dphi_densities, gamma_chi, local_densities,
+                             pointwise_densities, snr_of, target_data, total_action)
 from sigmalab.clifford import sigma_lift
 from sigmalab.euler_lagrange import residual_phi, residual_psi
 from sigmalab.fields import conformal_rescale, tangency_project
@@ -354,6 +354,31 @@ def test_pointwise_densities_at_gathered_sites_are_the_grid_ones(ellipsoid):
     local = FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi)).at_sites(sites)
     gathered = pointwise_densities(local.with_psi(psi.reshape(-1, 3, 4)[sites]))
     for a, b in zip(gathered, on_grid, strict=True):
+        assert a.shape == sites.shape
+        assert np.array_equal(a, b.reshape(-1)[sites])
+
+
+def test_with_map_shares_the_chi_parts_on_the_grid_and_gathers_them_at_sites():
+    # another map and psi beside the same chi and u: on the grid I and III read no frame,
+    # and at chosen sites IV and V are the grid's there, bit for bit
+    te, g, phi, psi, chi, u = _ellipsoid_fields()
+    phi2 = te.project(smooth_map_field(g, te, seed=13, amplitude=0.3))
+    psi2 = smooth_vector_spinor(g, phi2, te, seed=14, amplitude=0.3)
+    base = FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi))
+    shared = base.with_map(phi2, psi2)
+    for name in ("gamma_chi", "q_chi2"):
+        part = shared.__dict__[name]
+        assert part is base.__dict__[name]
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] += 1.0
+    fresh = FieldData(phi2, psi2, chi, u, g, tdata=target_data(te, phi2))
+    for a, b in zip(dphi_densities(shared), dphi_densities(fresh), strict=True):
+        assert a is not None and np.array_equal(a, b)
+    assert shared.tdata is None
+    sites = np.array([5, 0, 63, 5, 17])                 # any order, repeats allowed
+    phi_s, psi_s = phi2.reshape(-1, 3)[sites], psi2.reshape(-1, 3, 4)[sites]
+    local = base.with_map(phi_s, psi_s, target_data(te, phi_s), sites)
+    for a, b in zip(local_densities(local), local_densities(fresh), strict=True):
         assert a.shape == sites.shape
         assert np.array_equal(a, b.reshape(-1)[sites])
 
