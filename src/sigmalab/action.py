@@ -82,7 +82,7 @@ site-major layouts and return site-major views.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -131,7 +131,8 @@ class ActionBreakdown:
     total: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, in a plain dict; unlike dataclasses.asdict, no deep copy."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def target_data(target: TargetManifold, phi: np.ndarray) -> TargetData:

@@ -36,7 +36,7 @@ sum the squares plane by plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,9 +122,17 @@ def _centered(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray
 def grad(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Centered first derivatives, stacked on a new leading axis of length 2.
 
-    Works for any field shaped (n1, n2, ...); the component axes ride along.
+    Works for any field shaped (n1, n2, ...); the component axes ride along.  Behind
+    the new axis the result keeps the memory order of field: the grad of the to_sites
+    view of a component-major (K, n1, n2) array is the to_sites view of a (2, K, n1, n2)
+    one, and that of a C-contiguous field is C-contiguous.
     """
-    out = np.empty((2,) + field.shape, dtype=field.dtype)
+    if field.flags.c_contiguous:
+        out = np.empty((2,) + field.shape, dtype=field.dtype)
+    else:
+        order = sorted(range(field.ndim), key=lambda a: -abs(field.strides[a]))  # slowest first
+        out = np.empty((2,) + tuple(field.shape[a] for a in order), dtype=field.dtype)
+        out = out.transpose((0,) + tuple(1 + order.index(a) for a in range(field.ndim)))
     _centered(field, 0, grid.h1, out[0])
     _centered(field, 1, grid.h2, out[1])
     return out
@@ -137,9 +145,10 @@ def div(vec: np.ndarray, grid: Grid) -> np.ndarray:
     return d0
 
 
+@cache
 def wide_laplacian_symbol(grid: Grid) -> np.ndarray:
     """-div grad, the wide 5-point stencil with spacing 2h, in the rfft2 basis of the
-    grid axes, shaped (n1, n2 // 2 + 1).
+    grid axes, shaped (n1, n2 // 2 + 1); built once per grid and read-only.
 
     sum_a sin^2(theta_a) / h_a^2 with theta_a = 2 pi fftfreq(n_a): each centered
     difference has the symbol i sin(theta_a) / h_a.  It vanishes on the null
@@ -147,7 +156,9 @@ def wide_laplacian_symbol(grid: Grid) -> np.ndarray:
     """
     s1 = np.sin(2.0 * np.pi * np.fft.fftfreq(grid.n1)) ** 2 / grid.h1**2
     s2 = np.sin(2.0 * np.pi * np.fft.rfftfreq(grid.n2)) ** 2 / grid.h2**2
-    return s1[:, None] + s2[None, :]
+    symbol = s1[:, None] + s2[None, :]
+    symbol.flags.writeable = False
+    return symbol
 
 
 def _checked_norm(v: np.ndarray, message: str) -> np.ndarray:

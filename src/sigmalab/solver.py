@@ -31,7 +31,15 @@ Step control is accept/reject, in one of two sectors:
   not improve, at most START_DOUBLINGS times, and starts the flow one halving
   below the best d_k.  Accepted steps grow dt by `grow`.  The criterion-8
   benchmark at 32^2, 64^2 and 128^2 takes 23 iterations from
-  initial_step = 1e-5, and 22/26/26 from 1e-1.
+  initial_step = 1e-5, and 22/26/26 from 1e-1.  The increment of a trial a
+  over the iterate b is taken exactly, as
+
+      E(a) - E(b) = sum <d(a - b), d(a - b) + 2 db> h1 h2,
+
+  from one grad of the step a - b and the iterate's own db, which its
+  Evaluation keeps in this sector only: near convergence the two energies
+  agree to machine precision while their difference still decides the step,
+  and the only subtraction here is a - b itself.
 * The other sectors accept a trial iff the combined residual L2 norm
   decreases; initial_step is the first trial dt.  A start ramp multiplies dt
   by START_FACTOR after each accepted step until the solve's first rejected
@@ -69,6 +77,7 @@ import numpy as np
 from .action import ActionBreakdown, field_data, target_data, total_action
 from .errors import ConstraintError, SolverError
 from .euler_lagrange import _tangent_residual_phi, residual_psi, tangent_residual_norms
+from ._planes import to_sites
 from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
                        wide_laplacian_symbol)
 
@@ -109,13 +118,17 @@ class Evaluation:
     """Residuals of one iterate (the tangent part of r_phi, taken without its
     normal term, and r_psi), their combined (L2, Linf) norms, the action
     breakdown and the normal frame nu; all from the iterate's one TargetData, of
-    which it keeps only nu, the frame that the trial steps project along."""
+    which it keeps only nu, the frame that the trial steps project along.  At
+    psi = chi = 0, where r_psi vanishes identically and is a read-only zero view,
+    it also keeps the FieldData's d phi (2, K, n1, n2), against which the
+    Dirichlet increment of a trial is taken; else dphi is None."""
 
     r_phi_t: np.ndarray
     r_psi: np.ndarray
     norms: tuple[float, float]
     action: ActionBreakdown
     nu: np.ndarray
+    dphi: np.ndarray | None
 
 
 @dataclass
@@ -151,9 +164,10 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     which forms no normal term, and no frame derivative at psi = 0), r_psi and the
     action share."""
     tdata = target_data(target, phi)
-    if np.any(psi):  # the pure-map flow keeps its zeros, which are tangent
-        psi = tangent_part_slots(tdata.nu, psi)
     fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    if fdata.has_psi:  # the pure-map flow keeps its zeros, which are tangent
+        psi = tangent_part_slots(tdata.nu, psi)
+        fdata = field_data(phi, psi, chi, u, grid, target, tdata)  # of the projected psi
     r_phi_t = _tangent_residual_phi(fdata)
     has_r_psi = fdata.has_psi or fdata.has_chi
     if has_r_psi:
@@ -161,9 +175,11 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
     else:  # r_psi vanishes identically at psi = chi = 0: a read-only zero view, no array
         r_psi = np.broadcast_to(0.0, psi.shape)
     action = total_action(phi, psi, u, chi, grid, target, fdata=fdata)
-    del fdata  # with its parts
+    dphi = None if has_r_psi else fdata.dphi
+    del fdata  # with its other parts
     combined = tangent_residual_norms(r_phi_t, r_psi if has_r_psi else None, grid)["combined"]
-    return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu)
+    return psi, Evaluation(r_phi_t, r_psi, (combined["l2"], combined["linf"]), action, tdata.nu,
+                           dphi)
 
 
 def _resolvent(rhs: np.ndarray, grid: Grid):
@@ -176,20 +192,33 @@ def _resolvent(rhs: np.ndarray, grid: Grid):
     return lambda dt: np.fft.irfft2(rhs_hat / (1.0 + dt * symbol), s=grid.shape, axes=(0, 1))
 
 
-def _dirichlet_increment(phi_new, phi_old, grid) -> float:
-    """E(phi_new) - E(phi_old) without cancellation: sum <d(a-b), d(a+b)>.
+def _map_step(phi_new, phi) -> np.ndarray:
+    """phi_new - phi, as the site-major view of a component-major (K, n1, n2) array, whose
+    grad is the site-major view of one laid out like FieldData.dphi."""
+    return to_sites(np.subtract(np.moveaxis(phi_new, -1, 0), np.moveaxis(phi, -1, 0),
+                                order="C"), 1)
+
+
+def _dirichlet_increment(step, d_old, grid) -> float:
+    """E(b + step) - E(b) of the Dirichlet energy E, without cancellation:
+    sum <d step, d step + 2 db> h1 h2, with d_old = db component-major (2, K, n1, n2).
 
     Near convergence the raw energies agree to machine precision while the
-    increment is still meaningful; this form resolves it exactly.  One grad
-    of a - b and a + b stacked on a last axis (grad acts per component).
+    increment is still meaningful.  Here no two O(1) gradients are subtracted:
+    the only subtraction is the step a - b, so the increment is exact to
+    rounding relative to sum |d(a - b) . d(a + b)| h1 h2.  One grad of the step
+    (in d_old's layout when the step is a _map_step) and one dot product.
     """
-    d = grad(np.stack((phi_new - phi_old, phi_new + phi_old), axis=-1), grid)
-    return float(np.sum(d[..., 0] * d[..., 1]) * grid.cell_area)
+    d = np.moveaxis(grad(step, grid), (1, 2), (-2, -1))   # (2, K, n1, n2)
+    d_new = d_old * 2.0
+    d_new += d
+    return float(np.vdot(d, d_new) * grid.cell_area)
 
 
-def _is_pure_map(psi, chi, config: SolverConfig) -> bool:
-    """The sector of the implicit step and the Dirichlet accept test."""
-    return config.mode != "psi-only" and not np.any(psi) and not np.any(chi)
+def _is_pure_map(ev: Evaluation, config: SolverConfig) -> bool:
+    """The sector of the implicit step and the Dirichlet accept test: psi = chi = 0 at the
+    evaluated iterate, which then keeps d phi, and mode not psi-only."""
+    return config.mode != "psi-only" and ev.dphi is not None
 
 
 def _implicit_trial(phi, nu, resolve, dt, target: TargetManifold) -> np.ndarray:
@@ -216,7 +245,7 @@ def _start_step(phi, ev: Evaluation, grid: Grid, target: TargetManifold,
             trial = _implicit_trial(phi, ev.nu, resolve, initial_step * START_FACTOR**k, target)
         except (ConstraintError, FloatingPointError):
             return math.inf
-        return _dirichlet_increment(trial, phi, grid)
+        return _dirichlet_increment(_map_step(trial, phi), ev.dphi, grid)
 
     best, k_best, trials = increment(0), 0, 1
     if best > 0.0:
@@ -243,10 +272,12 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
     """
     phi, psi = state.phi, state.psi
     ev = state.evaluation
-    if not (np.all(np.isfinite(ev.r_phi_t)) and np.all(np.isfinite(ev.r_psi))):
+    # at psi = chi = 0 r_psi is the zero view: finite, and not multiplied out here
+    if not (np.all(np.isfinite(ev.r_phi_t))
+            and (ev.dphi is not None or np.all(np.isfinite(ev.r_psi)))):
         raise SolverError("non-finite residual")
 
-    pure_map = _is_pure_map(psi, chi, config)
+    pure_map = _is_pure_map(ev, config)
     if config.mode != "psi-only":
         resolve = _resolvent(ev.r_phi_t, grid)
 
@@ -266,7 +297,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
             if config.mode != "psi-only":
                 phi_new = _implicit_trial(phi, ev.nu, resolve, dt, target)
             if pure_map:
-                accepted = _dirichlet_increment(phi_new, phi, grid) <= 0.0
+                accepted = _dirichlet_increment(_map_step(phi_new, phi), ev.dphi, grid) <= 0.0
             else:
                 if config.mode != "phi-only":
                     psi_new = psi - dt * ev.r_psi
@@ -310,7 +341,7 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     phi = target.project(phi)
     psi, ev = _evaluate(phi, psi, chi, u, grid, target)
     step_size, start_trials = config.initial_step, None
-    if (_is_pure_map(psi, chi, config) and config.max_iterations > 0
+    if (_is_pure_map(ev, config) and config.max_iterations > 0
             and ev.norms[0] >= config.tolerance):
         step_size, start_trials = _start_step(phi, ev, grid, target, config.initial_step)
     state = FlowState(

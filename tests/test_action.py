@@ -1,5 +1,6 @@
 """The five action terms, the curvature contractions, and the exact symmetries."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -409,6 +410,14 @@ def test_component_major_parts_are_c_contiguous_and_converted_without_copies(tar
 
 
 # ---- totals and symmetries ------------------------------------------------------
+
+
+def test_breakdown_to_dict_is_its_fields_in_order():
+    # a plain dict of the fields, item for item what dataclasses.asdict gave
+    g, phi, psi, chi, u = _fields(8)
+    b = total_action(phi, psi, u, chi, g, TG)
+    assert list(b.to_dict().items()) == list(dataclasses.asdict(b).items())
+    assert all(type(v) is float for v in b.to_dict().values())
 
 
 def test_total_action_decoupling():

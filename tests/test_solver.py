@@ -2,6 +2,7 @@
 
 import functools
 import json
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -539,15 +540,75 @@ def test_pure_map_evaluation_takes_one_grad(monkeypatch):
     assert counts == {"grad": 1, "m": 0}
 
 
-@pytest.mark.parametrize("shape", [(8, 8), (12, 20), (33, 17)])
-def test_dirichlet_increment_equals_two_grad_form_bit_for_bit(shape):
+def test_pure_map_solve_takes_one_grad_per_trial(monkeypatch):
+    # each evaluation takes grad phi and each trial, of the start-step search or of the
+    # flow, one grad of its step a - b (3 components), against the d phi its iterate's
+    # evaluation keeps; nothing takes the gradient of a stacked (a - b, a + b)
+    g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
+    counts = _count_shared_parts(monkeypatch)
+    shapes, counted = [], solver.grad
+
+    def recorded(field, grid):
+        shapes.append(field.shape)
+        return counted(field, grid)
+
+    for module in (geometry, fields, action, euler_lagrange, solver):
+        if getattr(module, "grad", None) is counted:
+            monkeypatch.setattr(module, "grad", recorded)
+    state, report = solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(tolerance=1e-6))
+    assert report.converged
+    evaluations = 1 + report.iterations
+    flow_trials = sum(rec["rejected"] + 1 for rec in report.records[1:])
+    assert counts["grad"] == evaluations + report.records[0]["start_trials"] + flow_trials
+    assert all(shape == g.shape + (3,) for shape in shapes)
+    kept = state.evaluation.dphi
+    fresh = field_data(state.phi, state.psi, chi0, u0, g, TG, TargetData(TG, state.phi)).dphi
+    assert kept.shape == fresh.shape and np.array_equal(kept, fresh)
+
+
+def test_coupled_evaluation_keeps_no_dphi():
+    g = Grid(16, 16)
+    te, phi, psi, chi, u = _ellipsoid_fields(g)
+    assert solver._evaluate(phi, psi, chi, u, g, te)[1].dphi is None
+    assert solver._evaluate(phi, np.zeros_like(psi), chi, u, g, te)[1].dphi is None
+
+
+def _exact_dirichlet(x, g) -> Fraction:
+    """sum_e |d_e x|^2 h1 h2 in exact rationals, from the float values of x, with h_e = 1/n_e."""
+    xf = np.array([Fraction(v) for v in x.ravel()], dtype=object).reshape(x.shape)
+    total = Fraction(0)
+    for axis, n in enumerate(g.shape):
+        diff = np.roll(xf, -1, axis=axis) - np.roll(xf, 1, axis=axis)
+        total += (diff * diff).sum() * Fraction(n, 2) ** 2
+    return total * Fraction(1, g.n1 * g.n2)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", [(8, 8), (12, 20)])
+def test_dirichlet_increment_is_exact(shape, k):
+    # E(a) - E(b) against exact rationals for steps |a - b| of 1e-2 down to 1e-13: within
+    # rounding of the scale sum |d(a-b) . d(a+b)| h1 h2, which a form that subtracts two
+    # O(1) gradients would lose.  Along the descent direction div grad b, the kind of step
+    # the flow takes, the increment's terms do not cancel, and it is exact relative to
+    # itself too; along a random direction they cancel to about 1/sqrt(entries) of the
+    # scale, which bounds the relative error of any form (7.2e-15 measured here, 6.3e-15
+    # for the stacked (a - b, a + b) form)
     g = Grid(*shape)
-    r = np.random.default_rng(shape[0] * shape[1])
-    for k in (1, 3):
-        a = r.standard_normal(g.shape + (k,))
-        b = r.standard_normal(g.shape + (k,))
-        two_calls = float(np.sum(grad(a - b, g) * grad(a + b, g)) * g.cell_area)
-        assert solver._dirichlet_increment(a, b, g) == two_calls
+    r = np.random.default_rng(shape[0] * shape[1] + k)
+    b = r.standard_normal(g.shape + (k,))
+    d_old = action.FieldData(b, None, grid=g, tdata=None).dphi   # reads only b and the grid
+    e_b = _exact_dirichlet(b, g)
+    descent = div(grad(b, g), g)
+    descent /= np.abs(descent).max()
+    for size in 10.0 ** -np.arange(2, 14):
+        for direction in (descent, r.standard_normal(b.shape)):
+            a = b + size * direction
+            exact = _exact_dirichlet(a, g) - e_b
+            inc = solver._dirichlet_increment(solver._map_step(a, b), d_old, g)
+            err = abs(Fraction(inc) - exact)
+            assert err <= 1e-15 * np.sum(np.abs(grad(a - b, g) * grad(a + b, g))) * g.cell_area
+            if direction is descent:
+                assert err <= 4e-15 * abs(exact)
 
 
 def _criterion_8_inputs(n):
