@@ -122,17 +122,9 @@ def _centered(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray
 def grad(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Centered first derivatives, stacked on a new leading axis of length 2.
 
-    Works for any field shaped (n1, n2, ...); the component axes ride along.  Behind
-    the new axis the result keeps the memory order of field: the grad of the to_sites
-    view of a component-major (K, n1, n2) array is the to_sites view of a (2, K, n1, n2)
-    one, and that of a C-contiguous field is C-contiguous.
+    Works for any field shaped (n1, n2, ...); the component axes ride along.
     """
-    if field.flags.c_contiguous:
-        out = np.empty((2,) + field.shape, dtype=field.dtype)
-    else:
-        order = sorted(range(field.ndim), key=lambda a: -abs(field.strides[a]))  # slowest first
-        out = np.empty((2,) + tuple(field.shape[a] for a in order), dtype=field.dtype)
-        out = out.transpose((0,) + tuple(1 + order.index(a) for a in range(field.ndim)))
+    out = np.empty((2,) + field.shape, dtype=field.dtype)
     _centered(field, 0, grid.h1, out[0])
     _centered(field, 1, grid.h2, out[1])
     return out

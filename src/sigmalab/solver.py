@@ -77,7 +77,6 @@ import numpy as np
 from .action import ActionBreakdown, field_data, target_data, total_action
 from .errors import ConstraintError, SolverError
 from .euler_lagrange import _tangent_residual_phi, residual_psi, tangent_residual_norms
-from ._planes import to_sites
 from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
                        wide_laplacian_symbol)
 
@@ -192,13 +191,6 @@ def _resolvent(rhs: np.ndarray, grid: Grid):
     return lambda dt: np.fft.irfft2(rhs_hat / (1.0 + dt * symbol), s=grid.shape, axes=(0, 1))
 
 
-def _map_step(phi_new, phi) -> np.ndarray:
-    """phi_new - phi, as the site-major view of a component-major (K, n1, n2) array, whose
-    grad is the site-major view of one laid out like FieldData.dphi."""
-    return to_sites(np.subtract(np.moveaxis(phi_new, -1, 0), np.moveaxis(phi, -1, 0),
-                                order="C"), 1)
-
-
 def _dirichlet_increment(step, d_old, grid) -> float:
     """E(b + step) - E(b) of the Dirichlet energy E, without cancellation:
     sum <d step, d step + 2 db> h1 h2, with d_old = db component-major (2, K, n1, n2).
@@ -206,11 +198,12 @@ def _dirichlet_increment(step, d_old, grid) -> float:
     Near convergence the raw energies agree to machine precision while the
     increment is still meaningful.  Here no two O(1) gradients are subtracted:
     the only subtraction is the step a - b, so the increment is exact to
-    rounding relative to sum |d(a - b) . d(a + b)| h1 h2.  One grad of the step
-    (in d_old's layout when the step is a _map_step) and one dot product.
+    rounding relative to sum |d(a - b) . d(a + b)| h1 h2.  One grad of the
+    site-major step (n1, n2, K) and one dot product, with d_old read into the
+    step's layout.
     """
-    d = np.moveaxis(grad(step, grid), (1, 2), (-2, -1))   # (2, K, n1, n2)
-    d_new = d_old * 2.0
+    d = grad(step, grid)                                             # (2, n1, n2, K)
+    d_new = np.multiply(np.moveaxis(d_old, 1, -1), 2.0, order="C")
     d_new += d
     return float(np.vdot(d, d_new) * grid.cell_area)
 
@@ -245,7 +238,7 @@ def _start_step(phi, ev: Evaluation, grid: Grid, target: TargetManifold,
             trial = _implicit_trial(phi, ev.nu, resolve, initial_step * START_FACTOR**k, target)
         except (ConstraintError, FloatingPointError):
             return math.inf
-        return _dirichlet_increment(_map_step(trial, phi), ev.dphi, grid)
+        return _dirichlet_increment(trial - phi, ev.dphi, grid)
 
     best, k_best, trials = increment(0), 0, 1
     if best > 0.0:
@@ -297,7 +290,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
             if config.mode != "psi-only":
                 phi_new = _implicit_trial(phi, ev.nu, resolve, dt, target)
             if pure_map:
-                accepted = _dirichlet_increment(_map_step(phi_new, phi), ev.dphi, grid) <= 0.0
+                accepted = _dirichlet_increment(phi_new - phi, ev.dphi, grid) <= 0.0
             else:
                 if config.mode != "phi-only":
                     psi_new = psi - dt * ev.r_psi

@@ -80,19 +80,6 @@ def test_div_grad_is_wide_stencil():
     assert np.max(np.abs(div(grad(f, g), g) - direct)) < 1e-12
 
 
-def test_grad_keeps_the_memory_order_of_its_field():
-    # the grad of a component-major field's site-major view is the site-major view of a
-    # component-major array, with the same values as the grad of a C-contiguous copy
-    g = Grid(8, 12)
-    planes = np.random.default_rng(4).standard_normal((3, 4) + g.shape)
-    field = planes.transpose(2, 3, 0, 1)
-    d = grad(field, g)
-    assert d.shape == (2,) + field.shape
-    assert np.moveaxis(d, (1, 2), (-2, -1)).flags.c_contiguous
-    assert np.array_equal(d, grad(np.ascontiguousarray(field), g))
-    assert grad(np.ascontiguousarray(field), g).flags.c_contiguous
-
-
 def test_wide_laplacian_symbol_is_built_once_per_grid_and_read_only():
     g = Grid(8, 12)
     symbol = wide_laplacian_symbol(g)
