@@ -58,14 +58,16 @@ constraints are checked.  The FD oracle's probes read FieldData that share
 parts with phi's one, and each evaluates only the summands its move changes, on
 the sites they read:
 
+* at_sites, the one gather, takes phi, chi, u and the parts that do not read
+  psi at chosen sites, with site axes (1, m), on one TargetData there;
 * with_psi shares the parts that do not read psi with a FieldData of another
-  psi, and at_sites gathers the fields and those parts at chosen sites, where
-  the summands III, IV and V (pointwise_densities), which read psi only at
-  their own site, evaluate;
+  psi: on gathered sites, probes stacked as (P, m, K, 4) for the summands
+  III, IV and V (pointwise_densities), which read psi only at their own site;
 * with_map shares the parts that read chi alone with a FieldData of another
-  map and psi, on the grid for the summands I and III (dphi_densities), which
-  read phi one stencil step away through d phi, or at chosen sites for IV and
-  V (local_densities), which read every field only at their own site;
+  map and psi: on the grid for the summands I and III (dphi_densities), which
+  read phi one stencil step away through d phi, and on gathered sites, maps
+  stacked as (2, m, K), for IV and V (local_densities), which read every
+  field only at their own site;
 * the Dirac summand II reads psi one stencil step away: dirac_density
   evaluates it on the grid, and dirac_change its change between two psi by
   polarization, from the D_u of their difference.  Both read the one form
@@ -147,10 +149,10 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
     return tdata
 
 
-# the parts of a FieldData that do not read psi, which FieldData.with_psi and at_sites share,
-# and those that read chi alone, which FieldData.with_map shares
-_PSI_FREE = ("dphi", "dphi_gamma_chi", "q_chi2", "has_chi")
+# the parts of a FieldData that read chi alone, which FieldData.with_map shares, and those
+# that do not read psi, which FieldData.with_psi shares and at_sites gathers
 _CHI_ONLY = ("gamma_chi", "q_chi2", "has_chi")
+_PSI_FREE = ("dphi", "dphi_gamma_chi") + _CHI_ONLY
 
 
 class FieldData:
@@ -225,8 +227,8 @@ class FieldData:
         return contract(np.moveaxis(a_l, 2, 0)[:, :, :, None], self.m[:, None, None])
 
     def _sharing(self, fd: FieldData, names, sites: np.ndarray | None = None) -> FieldData:
-        """fd holding self's parts names, built here if need be: gathered at the flat
-        grid-site indices sites when given, else shared and made read-only, so that an
+        """fd holding self's parts names, built here if need be: gathered at the flat grid-site
+        indices sites when given, as (..., 1, m), else shared and made read-only, so that an
         in-place write raises.  A shared part lives as long as the longer-lived of the two."""
         for name in names:
             value = getattr(self, name)
@@ -234,34 +236,29 @@ class FieldData:
                 if sites is None:
                     value.flags.writeable = False
                 else:                   # component-major: the site axes last
-                    value = value.reshape(value.shape[:-2] + (-1,))[..., sites]
+                    value = value.reshape(value.shape[:-2] + (1, -1))[..., sites]
             fd.__dict__[name] = value
         return fd
 
     def with_psi(self, psi) -> FieldData:
         """The FieldData of psi beside self's phi, chi and u on self's TargetData, sharing
-        self's parts that do not read psi (d phi, d phi . Gamma chi, |Q chi|^2 and has_chi)."""
+        self's parts that do not read psi (d phi, d phi . Gamma chi and the chi parts)."""
         fd = FieldData(self.phi, psi, self.chi, self.u, self.grid, tdata=self.tdata)
         return self._sharing(fd, _PSI_FREE)
 
-    def with_map(self, phi, psi, tdata: TargetData | None = None,
-                 sites: np.ndarray | None = None) -> FieldData:
+    def with_map(self, phi, psi, tdata: TargetData | None = None) -> FieldData:
         """The FieldData of another map phi and a psi beside self's chi and u, on tdata, the
         TargetData of phi (None where no summand that reads it runs), sharing self's parts
-        that read chi alone (Gamma chi, |Q chi|^2 and has_chi).  With sites, flat grid-site
-        indices (repeats allowed), phi and psi are given at those sites (site-major, sites
-        first) and chi, u and those parts are gathered there: a FieldData with no grid, for
-        the summands that read every field only at its own site (local_densities)."""
-        chi, u, grid = self.chi, self.u, self.grid
-        if sites is not None:
-            chi, u, grid = _at(chi, sites), _at(u, sites), None
-        return self._sharing(FieldData(phi, psi, chi, u, grid, tdata=tdata), _CHI_ONLY, sites)
+        that read chi alone (Gamma chi, |Q chi|^2 and has_chi), on the grid or at_sites."""
+        fd = FieldData(phi, psi, self.chi, self.u, self.grid, tdata=tdata)
+        return self._sharing(fd, _CHI_ONLY)
 
     def at_sites(self, sites: np.ndarray) -> FieldData:
-        """self's phi, chi and u at the flat grid-site indices sites (repeats allowed), on
-        one TargetData of phi there, with self's parts that do not read psi gathered there:
-        a FieldData with no psi and no grid, whose with_psi takes a psi at those sites
-        (site-major, sites first).  Only the pointwise summands read it (pointwise_densities)."""
+        """self's phi, chi, u and parts that do not read psi at the m flat grid-site indices
+        sites (repeats allowed), with site axes (1, m), on one TargetData of phi there: a
+        FieldData with no psi and no grid.  Its with_psi and with_map take fields stacked on
+        a leading axis, as (P, m, ...), for the summands that read those fields only at their
+        own site (pointwise_densities and local_densities)."""
         phi = _at(self.phi, sites)
         fd = FieldData(phi, None, _at(self.chi, sites), _at(self.u, sites),
                        tdata=target_data(self.tdata.target, phi))
@@ -269,8 +266,8 @@ class FieldData:
 
 
 def _at(x: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """A site-major field (the site axes first) at the flat grid-site indices sites."""
-    return x.reshape((-1,) + x.shape[2:])[sites]
+    """A site-major field (site axes first) at the flat grid-site indices sites: (1, m, ...)."""
+    return x.reshape((1, -1) + x.shape[2:])[:, sites]
 
 
 def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,

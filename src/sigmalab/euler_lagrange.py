@@ -363,18 +363,18 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
       through d phi; its FieldData shares Gamma chi and |Q chi|^2 with phi's one
       (FieldData.with_map) and builds no TargetData.  IV + V
       (action.local_densities) read every field only at their own site: they run
-      at the class's m sites, the two probes stacked on one TargetData of the 2 m
-      moved points.
+      at the class's m sites, on its one gathered FieldData (FieldData.at_sites,
+      site axes (1, m)), the two moved maps stacked as (2, m, K) on one TargetData.
     - A psi probe re-evaluates III + IV + V (action.pointwise_densities), which
       read psi only at their own site, at the probed sites alone: per class and
       tangent direction they run once, on the 4 slots x 2 signs of probed psi
-      stacked at the class's m sites (FieldData.at_sites), 8 m sites in all (one
-      grid's worth on 2^k grids from 8^2, 8/5 of one at 10^2).
+      stacked as (8, m, K, 4) against the same gathered FieldData and its one
+      frame of phi at the m sites.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError("finite-difference step must be positive and finite")
 
-    n1, n2, K = phi.shape
+    n1, n2 = grid.shape
     tdata0 = checked_target_data(target, phi, psi)
     tb = tangent_basis(tdata0)                # (n1, n2, dimN, K)
     fdata0 = field_data(phi, psi, chi, u, grid, target, tdata0)
@@ -395,46 +395,42 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         delta[mask] = delta_m
         return dirac_change(fdata0, delta, dirac_conformal(delta, u, grid))
 
-    def phi_change(mask, direction):
-        """The action change at mask's sites between the probes that move phi there by
-        +- hstep direction, psi reprojected onto the moved tangent spaces."""
-        m = len(direction)
+    def phi_change(mask, here, direction):
+        """The action change at mask's sites (here = fdata0.at_sites there) between the
+        probes that move phi there by +- hstep direction, psi reprojected onto the moved
+        tangent spaces."""
         move = hstep[mask][:, None] * direction
-        moved = target_data(target, target.project(np.concatenate((phi[mask] + move,
-                                                                   phi[mask] - move))))
-        psi_s = tangent_part_slots(moved.nu, np.concatenate((psi[mask], psi[mask])))
+        moved = target_data(target, target.project(phi[mask] + np.stack((move, -move))))
+        psi_s = tangent_part_slots(moved.nu, psi[mask][None])        # (2, m, K, 4)
         on_grid = []
-        for k in range(2):
+        for phi_k, psi_k in zip(moved.phi, psi_s):
             phi_w, psi_w = phi.copy(), psi.copy(order="K")
-            phi_w[mask], psi_w[mask] = moved.phi[k * m:(k + 1) * m], psi_s[k * m:(k + 1) * m]
+            phi_w[mask], psi_w[mask] = phi_k, psi_k
             on_grid.append(summed(dphi_densities(fdata0.with_map(phi_w, psi_w))))
         change = on_grid[0] - on_grid[1]
-        change += dirac_between(mask, psi_s[:m] - psi_s[m:])
+        change += dirac_between(mask, psi_s[0] - psi_s[1])
         delta = _cross_sum(change)[mask]
-        sites = np.tile(np.flatnonzero(mask), 2)
-        at_sites = summed(local_densities(fdata0.with_map(moved.phi, psi_s, moved, sites)))
+        at_sites = summed(local_densities(here.with_map(moved.phi, psi_s, moved)))
         if at_sites is not None:
-            delta += at_sites[:m] - at_sites[m:]
+            delta += at_sites[0] - at_sites[1]
         return delta
 
     colors = _fd_colors(grid)
     for color in range(int(colors.max()) + 1):
         mask = colors == color
         psi_m, s_m = psi[mask], sstep[mask][:, None]
-        m = len(psi_m)
-        local = fdata0.at_sites(np.tile(np.flatnonzero(mask), 8))     # 4 slots x 2 signs
+        here = fdata0.at_sites(np.flatnonzero(mask))                 # site axes (1, m)
         for t in range(tb.shape[2]):
             d = tb[:, :, t, :][mask]
-            grad_phi[mask] += central(mask, hstep, phi_change(mask, d)) * d
-            probes = np.tile(psi_m, (8, 1, 1)).reshape(4, 2, m, K, 4)    # [slot, sign]
+            grad_phi[mask] += central(mask, hstep, phi_change(mask, here, d)) * d
+            probes = np.tile(psi_m, (4, 2, 1, 1, 1))                 # [slot, sign, m, K, 4]
             for slot in range(4):
                 for k, sign in enumerate((1.0, -1.0)):
                     probes[slot, k, :, :, slot] = psi_m[:, :, slot] + sign * s_m * d
-            pw = summed(pointwise_densities(local.with_psi(probes.reshape(8 * m, K, 4))))
-            pw = pw.reshape(4, 2, m)
+            pw = summed(pointwise_densities(here.with_psi(probes.reshape(8, *psi_m.shape))))
             for slot in range(4):
                 delta = _cross_sum(dirac_between(mask, probes[slot, 0] - probes[slot, 1]))[mask]
-                delta += pw[slot, 0] - pw[slot, 1]
+                delta += pw[2 * slot] - pw[2 * slot + 1]
                 grad_psi[mask, :, slot] += central(mask, sstep, delta) * d
     return grad_phi, grad_psi
 

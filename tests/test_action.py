@@ -346,22 +346,31 @@ def test_with_psi_shares_the_psi_free_parts_read_only():
 
 @pytest.mark.parametrize("ellipsoid", [False, True])
 def test_pointwise_densities_at_gathered_sites_are_the_grid_ones(ellipsoid):
+    # P probes of psi stacked on a leading axis, (P, m, 3, 4), against the gathered
+    # site axes (1, m): each probe's III, IV and V are the grid's at the sites, bit for bit
     te, g, phi, psi, chi, u = _ellipsoid_fields()
     if not ellipsoid:
         te, phi = TG, TG.project(phi)
         psi = tangency_project(psi, phi, TG)
-    on_grid = pointwise_densities(FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi)))
     sites = np.array([5, 0, 63, 5, 17, 40, 0])          # any order, repeats allowed
     local = FieldData(phi, psi, chi, u, g, tdata=target_data(te, phi)).at_sites(sites)
-    gathered = pointwise_densities(local.with_psi(psi.reshape(-1, 3, 4)[sites]))
-    for a, b in zip(gathered, on_grid, strict=True):
-        assert a.shape == sites.shape
-        assert np.array_equal(a, b.reshape(-1)[sites])
+    rng = np.random.default_rng(17)
+    for count in (1, 8):
+        psis = [psi] + [tangency_project(rng.standard_normal(psi.shape), phi, te)
+                        for _ in range(count - 1)]
+        probes = np.stack([p.reshape(-1, 3, 4)[sites] for p in psis])
+        gathered = pointwise_densities(local.with_psi(probes))
+        for k, psi_k in enumerate(psis):
+            fd = FieldData(phi, psi_k, chi, u, g, tdata=target_data(te, phi))
+            for a, b in zip(gathered, pointwise_densities(fd), strict=True):
+                assert a.shape == (count, len(sites))
+                assert np.array_equal(a[k], b.reshape(-1)[sites])
 
 
 def test_with_map_shares_the_chi_parts_on_the_grid_and_gathers_them_at_sites():
     # another map and psi beside the same chi and u: on the grid I and III read no frame,
-    # and at chosen sites IV and V are the grid's there, bit for bit
+    # and two maps stacked against the gathered site axes (1, m) give IV and V of each
+    # map's grid evaluation there, bit for bit
     te, g, phi, psi, chi, u = _ellipsoid_fields()
     phi2 = te.project(smooth_map_field(g, te, seed=13, amplitude=0.3))
     psi2 = smooth_vector_spinor(g, phi2, te, seed=14, amplitude=0.3)
@@ -376,12 +385,18 @@ def test_with_map_shares_the_chi_parts_on_the_grid_and_gathers_them_at_sites():
     for a, b in zip(dphi_densities(shared), dphi_densities(fresh), strict=True):
         assert a is not None and np.array_equal(a, b)
     assert shared.tdata is None
+    phi3 = te.project(smooth_map_field(g, te, seed=15, amplitude=0.3))
+    psi3 = smooth_vector_spinor(g, phi3, te, seed=16, amplitude=0.3)
     sites = np.array([5, 0, 63, 5, 17])                 # any order, repeats allowed
-    phi_s, psi_s = phi2.reshape(-1, 3)[sites], psi2.reshape(-1, 3, 4)[sites]
-    local = base.with_map(phi_s, psi_s, target_data(te, phi_s), sites)
-    for a, b in zip(local_densities(local), local_densities(fresh), strict=True):
-        assert a.shape == sites.shape
-        assert np.array_equal(a, b.reshape(-1)[sites])
+    maps = [(phi2, psi2), (phi3, psi3)]
+    phi_s = np.stack([p.reshape(-1, 3)[sites] for p, _ in maps])
+    psi_s = np.stack([q.reshape(-1, 3, 4)[sites] for _, q in maps])
+    local = local_densities(base.at_sites(sites).with_map(phi_s, psi_s, target_data(te, phi_s)))
+    for k, (phi_k, psi_k) in enumerate(maps):
+        fd = FieldData(phi_k, psi_k, chi, u, g, tdata=target_data(te, phi_k))
+        for a, b in zip(local, local_densities(fd), strict=True):
+            assert a.shape == (2, len(sites))
+            assert np.array_equal(a[k], b.reshape(-1)[sites])
 
 
 @pytest.mark.parametrize("target", [TG, ellipsoid_target([1.0, 1.3, 0.8])],

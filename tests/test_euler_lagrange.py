@@ -249,15 +249,21 @@ def test_fd_color_counts(n1, n2, count):
     assert int(_fd_colors(Grid(n1, n2)).max()) + 1 == count
 
 
-def test_fd_oracle_density_calls_at_32(monkeypatch):
-    # per class (8) and tangent direction (2): the phi probes' pair and each of the 4 psi
-    # slots take one D_u of their psi change (80, beside psi's own D_u), the 2 phi probes
-    # evaluate I + III on the grid, and one stacked evaluation each serves the phi probes'
-    # IV + V at 2 x 128 sites and the psi probes' III + IV + V at 8 x 128 sites
+def _oracle_fields_32():
     g = Grid(32, 32)
     phi = smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1)
     psi = smooth_vector_spinor(g, phi, TG, seed=7, amplitude=0.1, modes=1)
     chi = smooth_gravitino(g, seed=9, amplitude=0.1, modes=1)
+    return g, phi, psi, chi
+
+
+def test_fd_oracle_density_calls_at_32(monkeypatch):
+    # per class (8) and tangent direction (2): the phi probes' pair and each of the 4 psi
+    # slots take one D_u of their psi change (80, beside psi's own D_u), the 2 phi probes
+    # evaluate I + III on the grid, and one evaluation each, its probes stacked on a
+    # leading axis against the class's 128 sites, serves the phi probes' IV + V (2 maps)
+    # and the psi probes' III + IV + V (4 slots x 2 signs)
+    g, phi, psi, chi = _oracle_fields_32()
     calls = {"dirac_conformal": [], "dphi_densities": [], "local_densities": [],
              "pointwise_densities": []}
     for name, log in calls.items():
@@ -275,16 +281,30 @@ def test_fd_oracle_density_calls_at_32(monkeypatch):
     assert len(calls["dphi_densities"]) == 8 * 2 * 2 == 32
     assert {fd.phi.shape for (fd,) in calls["dphi_densities"]} == {phi.shape}
     assert len(calls["local_densities"]) == 8 * 2 == 16
-    assert {fd.psi.shape for (fd,) in calls["local_densities"]} == {(2 * 128, 3, 4)}
+    assert {fd.psi.shape for (fd,) in calls["local_densities"]} == {(2, 128, 3, 4)}
     assert len(calls["pointwise_densities"]) == 8 * 2 == 16
-    assert {fd.psi.shape for (fd,) in calls["pointwise_densities"]} == {(8 * 128, 3, 4)}
+    assert {fd.psi.shape for (fd,) in calls["pointwise_densities"]} == {(8, 128, 3, 4)}
     assert grid_frames == [True]
+
+
+def test_fd_oracle_frame_points_at_32(monkeypatch):
+    # the frame of phi on the grid, of phi at each class's 128 sites (site axes (1, 128),
+    # read by all the class's psi probes) and of each pair of phi probes' moved points,
+    # (2, 128): 6,144 points per call, not 8 x 1,024 for the psi probes alone
+    g, phi, psi, chi = _oracle_fields_32()
+    shapes = []
+    frame = TG.normal_frame
+    monkeypatch.setattr(TG, "normal_frame", lambda p: shapes.append(p.shape[:-1]) or frame(p))
+    action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
+    assert sorted(set(shapes)) == [(1, 128), (2, 128), (32, 32)]
+    assert [shapes.count(s) for s in ((32, 32), (1, 128), (2, 128))] == [1, 8, 16]
+    assert sum(int(np.prod(s)) for s in shapes) == 6144
 
 
 def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):
     """The tangent bases read one TargetData of phi (no probe reads a frame on the grid);
-    the phi probes build the frames of their moved points, and each class the frames of
-    phi at its stacked sites for the pointwise summands."""
+    the phi probes build the frames of their moved points, and each class one frame of
+    phi at its sites, which all its probes' pointwise summands read."""
     te = ellipsoid_target([1.0, 1.3, 0.8])
     g = Grid(8, 8)
     phi = te.project(smooth_map_field(g, TG, seed=5, amplitude=0.4, modes=1))
