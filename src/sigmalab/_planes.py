@@ -54,11 +54,16 @@ def contract(x: np.ndarray, y: np.ndarray, axes: int = 1) -> np.ndarray:
     return out
 
 
-def tangent(nu_c: np.ndarray, w_c: np.ndarray) -> np.ndarray:
+def tangent(nu_c: np.ndarray, w_c: np.ndarray, in_place: bool = False) -> np.ndarray:
     """w_c (K, ..., sites) less its components along the frame nu_c (L, K, sites), both
     component-major; the axes between K and the sites of w_c ride along.  The result is
-    C-contiguous in w_c's axes."""
+    C-contiguous in w_c's axes; in_place writes it into w_c, one component of K at a time,
+    so that no array of w_c's size is allocated."""
     nu_b = nu_c.reshape(nu_c.shape[:2] + (1,) * (w_c.ndim - nu_c.ndim + 1) + nu_c.shape[2:])
     coeff = contract(nu_b.swapaxes(0, 1), w_c[:, None])     # [l, ...] = <nu_l, w>
+    if in_place:
+        for b in range(w_c.shape[0]):
+            w_c[b] -= contract(nu_b[:, b], coeff)
+        return w_c
     normal = contract(nu_b, coeff[:, None])                 # sum_l coeff_l nu_l
     return np.subtract(w_c, normal, out=normal)

@@ -50,21 +50,25 @@ it with D_u psi itself, as it would with the twisted operator Pi D_u psi.
 
 The intermediates that the action shares with both residuals at one
 (phi, psi, chi, u) live in one FieldData beside that TargetData: d phi, D_u psi,
-Gamma chi, d phi . Gamma chi, |Q chi|^2 and the Gauss parts M, c_l and A_l M
-(A_l is the TargetData's).  A part is built on first use and lives as long as
-its FieldData, so its readers may come in any order.  Every
-evaluation takes its FieldData from field_data, which states when the
-constraints are checked.  The FD oracle's probes read FieldData that share
-parts with phi's one, and each evaluates only the summands its move changes, on
-the sites they read:
+Gamma chi, d phi . Gamma chi, |Q chi|^2, the conformal weights e^{2u}, e^{3u}
+and e^{4u}, D_u's four weights and the Gauss parts M, c_l and A_l M (A_l is the
+TargetData's).  A part is built on first use and lives as long as its
+FieldData, so its readers may come in any order, and each weight has one home
+that the action, both residuals and D_u read.  An evaluation takes its
+FieldData from field_data, which states when the constraints are checked, or,
+in a solve, from the parameter FieldData of chi and u (parameters): chi and u
+are parameters of the functional, so their parts (Gamma chi, |Q chi|^2 and the
+weights) are built once per solve, and each evaluation's with_map shares them.
+The FD oracle's probes read FieldData that share parts with phi's one, and
+each evaluates only the summands its move changes, on the sites they read:
 
 * at_sites, the one gather, takes phi, chi, u and the parts that do not read
   psi at chosen sites, with site axes (1, m), on one TargetData there;
 * with_psi shares the parts that do not read psi with a FieldData of another
   psi: on gathered sites, probes stacked as (P, m, K, 4) for the summands
   III, IV and V (pointwise_densities), which read psi only at their own site;
-* with_map shares the parts that read chi alone with a FieldData of another
-  map and psi: on the grid for the summands I and III (dphi_densities), which
+* with_map shares the parts that read chi and u alone with a FieldData of
+  another map and psi: on the grid for the summands I and III (dphi_densities), which
   read phi one stencil step away through d phi, and on gathered sites, maps
   stacked as (2, m, K), for IV and V (local_densities), which read every
   field only at their own site;
@@ -73,8 +77,8 @@ the sites they read:
   polarization, from the D_u of their difference.  Both read the one form
   e^{3u} <f, D_u g> (_dirac_form).
 
-The parts and the contractions are component-major (see _planes): psi as
-(K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
+The parts and the contractions are component-major (see _planes): psi and D_u psi
+as (K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
 (L, K, K, ...), (L, ...) and (L, K, K, ...), sites last.  Each per-site product
 is a short sum of elementwise products of whole site planes (_planes.contract),
 so there is no einsum and no product per site, and overflow raises under
@@ -91,8 +95,8 @@ import numpy as np
 
 from . import clifford as cl
 from ._planes import contract, to_planes, to_sites
-from .fields import dirac_conformal, q_norm2_field, require_tangent
-from .geometry import Grid, TargetData, TargetManifold, grad, require_on_manifold
+from .fields import dirac_planes, dirac_weights, require_tangent, site_inner
+from .geometry import Grid, TargetData, TargetManifold, grad_planes, require_on_manifold
 
 __all__ = [
     "ActionBreakdown",
@@ -101,6 +105,7 @@ __all__ = [
     "checked_target_data",
     "FieldData",
     "field_data",
+    "parameters",
     "gamma_chi",
     "dirac_density",
     "dirac_change",
@@ -149,22 +154,22 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
     return tdata
 
 
-# the parts of a FieldData that read chi alone, which FieldData.with_map shares, and those
-# that do not read psi, which FieldData.with_psi shares and at_sites gathers
-_CHI_ONLY = ("gamma_chi", "q_chi2", "has_chi")
-_PSI_FREE = ("dphi", "dphi_gamma_chi") + _CHI_ONLY
+# the parts of a FieldData that read the parameters chi and u alone, which FieldData.with_map
+# shares, and those that do not read psi, which FieldData.with_psi shares and at_sites gathers
+_PARAMETERS = ("gamma_chi", "q_chi2", "has_chi", "e2u", "e3u", "e4u", "dirac_weights")
+_PSI_FREE = ("dphi", "dphi_gamma_chi") + _PARAMETERS
 
 
 class FieldData:
     """The intermediates one evaluation of both residuals and the action shares
-    at (phi, psi, chi, u): psi_c (K, 4, ...), d phi (2, K, ...), D_u psi, Gamma chi
-    (2, 4, ...), the gravitino coefficient d phi . Gamma chi of psi (K, 4, ...),
-    |Q chi|^2 and the Gauss parts of psi along tdata: M (K, K, ...), c_l (L, ...)
-    and A_l M (L, K, K, ...), with A_l = tdata.asym_c (L, K, K, ...).
-    All but D_u psi, which keeps the flat Dirac operator's site-major layout, are
-    component-major; the fields themselves stay as given.  tdata is the TargetData
-    of phi; the other arguments are needed only by the parts that read them.  A
-    part is built on first use and lives as long as its FieldData."""
+    at (phi, psi, chi, u): psi_c (K, 4, ...), d phi (2, K, ...), D_u psi (K, 4, ...),
+    Gamma chi (2, 4, ...), the gravitino coefficient d phi . Gamma chi of psi
+    (K, 4, ...), |Q chi|^2, the conformal weights e^{2u}, e^{3u} and e^{4u}, D_u's
+    weights (4, ...) and the Gauss parts of psi along tdata: M (K, K, ...), c_l
+    (L, ...) and A_l M (L, K, K, ...), with A_l = tdata.asym_c (L, K, K, ...).
+    All are component-major; the fields themselves stay as given.  tdata is the
+    TargetData of phi; the other arguments are needed only by the parts that read
+    them.  A part is built on first use and lives as long as its FieldData."""
 
     def __init__(self, phi, psi, chi=None, u=None, grid: Grid | None = None, *,
                  tdata: TargetData):
@@ -186,13 +191,13 @@ class FieldData:
     @cached_property
     def dphi(self) -> np.ndarray:
         """d phi[e, b, ...] = d_e phi^b."""
-        return to_planes(np.moveaxis(grad(self.phi, self.grid), 0, -2), 2)
+        return grad_planes(to_planes(self.phi, 1), self.grid)
 
     @cached_property
     def dirac(self) -> np.ndarray:
         """D_u psi, slot-wise and not tangent (r_psi projects it; the Dirac density pairs
-        it with tangent psi), site-major like psi: the flat Dirac operator's own layout."""
-        return dirac_conformal(self.psi, self.u, self.grid)
+        it with tangent psi), shaped like psi_c."""
+        return dirac_planes(self.psi_c, self.dirac_weights, self.grid)
 
     @cached_property
     def gamma_chi(self) -> np.ndarray:
@@ -207,7 +212,31 @@ class FieldData:
 
     @cached_property
     def q_chi2(self) -> np.ndarray:
-        return q_norm2_field(self.chi)
+        """|Q chi|^2 = <chi, Q chi> = -<chi, Gamma chi> / 2, so Q chi is formed once: scaling
+        by -1/2 is exact, which gives fields.q_norm2_field's bits."""
+        out = site_inner(self.chi, to_sites(self.gamma_chi, 2))
+        out *= -0.5
+        return out
+
+    @cached_property
+    def e2u(self) -> np.ndarray:
+        """e^{2u}, the weight of summand III and of the gravitino couplings."""
+        return np.exp(2.0 * self.u)
+
+    @cached_property
+    def e3u(self) -> np.ndarray:
+        """e^{3u}, the weight of the Dirac summand II."""
+        return np.exp(3.0 * self.u)
+
+    @cached_property
+    def e4u(self) -> np.ndarray:
+        """e^{4u}, the weight of the summands IV and V."""
+        return np.exp(4.0 * self.u)
+
+    @cached_property
+    def dirac_weights(self) -> np.ndarray:
+        """D_u's weights (fields.dirac_weights), (4, ...)."""
+        return dirac_weights(self.u)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -249,9 +278,12 @@ class FieldData:
     def with_map(self, phi, psi, tdata: TargetData | None = None) -> FieldData:
         """The FieldData of another map phi and a psi beside self's chi and u, on tdata, the
         TargetData of phi (None where no summand that reads it runs), sharing self's parts
-        that read chi alone (Gamma chi, |Q chi|^2 and has_chi), on the grid or at_sites."""
+        that read chi and u alone (Gamma chi, |Q chi|^2, has_chi and the conformal weights),
+        on the grid or at_sites.  self may be a parameter FieldData (parameters).  Where psi
+        and chi both vanish no summand and no residual reads those parts, so only has_chi
+        is shared and the others are not built."""
         fd = FieldData(phi, psi, self.chi, self.u, self.grid, tdata=tdata)
-        return self._sharing(fd, _CHI_ONLY)
+        return self._sharing(fd, _PARAMETERS if self.has_chi or fd.has_psi else ("has_chi",))
 
     def at_sites(self, sites: np.ndarray) -> FieldData:
         """self's phi, chi, u and parts that do not read psi at the m flat grid-site indices
@@ -263,6 +295,12 @@ class FieldData:
         fd = FieldData(phi, None, _at(self.chi, sites), _at(self.u, sites),
                        tdata=target_data(self.tdata.target, phi))
         return self._sharing(fd, _PSI_FREE, sites)
+
+
+def parameters(chi, u, grid: Grid) -> FieldData:
+    """A FieldData of the parameters chi and u alone, with no map, psi or TargetData: its
+    with_map gives each evaluation's FieldData, which shares the parts built here once."""
+    return FieldData(None, None, chi, u, grid, tdata=None)
 
 
 def _at(x: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -290,11 +328,11 @@ def _dirichlet_density(dphi: np.ndarray) -> np.ndarray:
     return contract(dphi, dphi, axes=2)
 
 
-def _dirac_form(u: np.ndarray, pairs) -> np.ndarray:
-    """e^{3u} sum <f, D_u g> per site over pairs of f, component-major (K, 4, ...), and D_u g,
-    site-major: the form of summand II, which dirac_density and dirac_change read."""
-    out = summed(contract(f, to_planes(dg, 2), axes=2) for f, dg in pairs)
-    out *= np.exp(3.0 * u)
+def _dirac_form(fd: FieldData, pairs) -> np.ndarray:
+    """e^{3u} sum <f, D_u g> per site over pairs of f and D_u g, both component-major
+    (K, 4, ...): the form of summand II, which dirac_density and dirac_change read."""
+    out = summed(contract(f, dg, axes=2) for f, dg in pairs)
+    out *= fd.e3u
     return out
 
 
@@ -302,28 +340,28 @@ def dirac_density(fd: FieldData) -> np.ndarray | None:
     """Summand II, e^{3u} <psi, D_u psi>, which reads psi one stencil step away: grid only."""
     if not fd.has_psi:
         return None
-    return _dirac_form(fd.u, [(fd.psi_c, fd.dirac)])
+    return _dirac_form(fd, [(fd.psi_c, fd.dirac)])
 
 
 def dirac_change(fd: FieldData, delta: np.ndarray, d_delta: np.ndarray) -> np.ndarray:
     """II(psi + a) - II(psi + b) per site, on fd's grid and psi, from delta = a - b and
-    d_delta = D_u delta (site-major): by polarization e^{3u} (<delta, D_u psi> + <psi,
+    d_delta = D_u delta (site-major, as views of planes in the oracle): by polarization e^{3u} (<delta, D_u psi> + <psi,
     D_u delta>), which holds where <a, D_u a> and <b, D_u b> vanish at every site.  They do
     when a and b are supported on sites at least 3 apart: D_u a reads a site's
     neighbours, never the site itself."""
-    return _dirac_form(fd.u, [(to_planes(delta, 2), fd.dirac), (fd.psi_c, d_delta)])
+    return _dirac_form(fd, [(to_planes(delta, 2), fd.dirac), (fd.psi_c, to_planes(d_delta, 2))])
 
 
 def _gravitino_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return 2.0 * contract(fd.psi_c, fd.dphi_gamma_chi, axes=2) * np.exp(2.0 * fd.u)
+    return 2.0 * contract(fd.psi_c, fd.dphi_gamma_chi, axes=2) * fd.e2u
 
 
 def _qchi_density(fd: FieldData) -> np.ndarray | None:
     if not (fd.has_psi and fd.has_chi):
         return None
-    return -(fd.q_chi2 * contract(fd.psi_c, fd.psi_c, axes=2) * np.exp(4.0 * fd.u))
+    return -(fd.q_chi2 * contract(fd.psi_c, fd.psi_c, axes=2) * fd.e4u)
 
 
 def _curvature_density(fd: FieldData) -> np.ndarray | None:
@@ -332,7 +370,7 @@ def _curvature_density(fd: FieldData) -> np.ndarray | None:
     am, c = fd.a_m, fd.c
     r = contract(c, c)
     r -= contract(am, am.swapaxes(1, 2), axes=3)
-    return -r * np.exp(4.0 * fd.u) / 6.0
+    return -r * fd.e4u / 6.0
 
 
 def dphi_densities(fd: FieldData) -> tuple:
@@ -374,15 +412,19 @@ def _integral(density: np.ndarray | None, grid: Grid) -> float:
 # ---- curvature contractions ----------------------------------------------------
 
 
-def sr_planes(fd: FieldData) -> np.ndarray:
-    """SR(psi) = sum_l (c_l A_l - A_l M A_l) psi from fd's Gauss parts, shaped like fd.psi_c."""
+def sr_operator(fd: FieldData) -> np.ndarray:
+    """sum_l (c_l A_l - A_l M A_l) from fd's Gauss parts, (K, K, ...): SR(psi) is this
+    matrix applied to each spinor component of psi."""
     a_l, a_m = fd.tdata.asym_c, fd.a_m
     ama = contract(a_m.swapaxes(1, 2)[:, :, :, None], a_l[:, :, None], axes=2)  # sum_l A_l M A_l
     w = contract(fd.c[:, None, None], a_l)
     w -= ama
-    del ama
-    psi = fd.psi_c
-    return contract(w.swapaxes(0, 1)[:, :, None], psi[:, None])
+    return w
+
+
+def sr_planes(fd: FieldData) -> np.ndarray:
+    """SR(psi) = sr_operator(fd) psi, shaped like fd.psi_c."""
+    return contract(sr_operator(fd).swapaxes(0, 1)[:, :, None], fd.psi_c[:, None])
 
 
 def snr_of(psi, tdata: TargetData) -> np.ndarray:

@@ -38,10 +38,13 @@ of probes; the summands that read phi through d phi on the grid; and those that
 read the moved field only at its own site at the probed sites alone.
 
 Both residuals read the intermediates they share with each other and with the
-action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2 and the Gauss
-parts M, c_l and A_l M of psi) from one action.FieldData: the flow builds one
-per evaluation and hands it to _tangent_residual_phi, residual_psi and
-total_action, so each part is computed once.
+action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2, the conformal
+weights and the Gauss parts M, c_l and A_l M of psi) from one action.FieldData:
+the flow builds one per evaluation and hands it to _tangent_residual_phi,
+residual_psi and total_action, so each part is computed once, and the parts
+that read chi and u alone once per solve.  r_psi takes the symmetrized D_u on
+component planes (fields.dirac_sym_planes), and C(psi) gamma psi as signed
+planes (fields.gamma_planes).
 
 The coupling chunks use the tangent-projected difference so that the
 antisymmetric rewriting of the critical-point equation,
@@ -64,9 +67,9 @@ from . import clifford as cl
 from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, checked_target_data, dirac_change, dphi_densities, field_data,
                      gamma_chi, local_densities, pointwise_densities, snr_of, snr_planes,
-                     sr_planes, summed, target_data)
-from .fields import dirac_conformal, dirac_conformal_sym
-from .geometry import (Grid, TargetData, div, grad, tangent_basis, tangent_part,
+                     sr_operator, summed, target_data)
+from .fields import dirac_conformal, dirac_sym_planes, gamma_planes
+from .geometry import (Grid, TargetData, div, div_planes, grad, tangent_basis, tangent_part,
                        tangent_part_slots)
 
 __all__ = [
@@ -161,7 +164,7 @@ def _map_source(fdata: FieldData, ev: np.ndarray | None,
     where it vanishes: at psi = 0, and on targets whose second fundamental form is
     parallel, as on round spheres."""
     flux = fdata.dphi if ev is None else fdata.dphi + ev
-    r = to_planes(div(np.moveaxis(flux, 1, -1), fdata.grid), 1)
+    r = div_planes(flux, fdata.grid)
     del flux
     if fdata.has_psi:
         if s is None:
@@ -169,7 +172,7 @@ def _map_source(fdata: FieldData, ev: np.ndarray | None,
         r -= _dirac_coupling(fdata, s)
         del s
         if not fdata.tdata.target.parallel_second_fund:
-            r += (np.exp(4.0 * fdata.u) / 12.0) * snr_planes(fdata)
+            r += (fdata.e4u / 12.0) * snr_planes(fdata)
     return r
 
 
@@ -179,7 +182,7 @@ def _gravitino_flux(fdata: FieldData) -> np.ndarray | None:
     if not (fdata.has_psi and fdata.has_chi):
         return None
     ev = _v_c(fdata.gamma_chi, fdata.psi_c)
-    ev *= np.exp(2.0 * fdata.u)
+    ev *= fdata.e2u
     return ev
 
 
@@ -198,14 +201,13 @@ def _dirac_coupling(fdata: FieldData, s: np.ndarray) -> np.ndarray:
     (K, ...): <S_l, gamma psi>_i, then the tangent part of sum_{l,c} w[l, c] dnu_l/du^c."""
     tdata = fdata.tdata
     nu, psi = tdata.nu_c, fdata.psi_c
-    gpsi = np.matmul(cl.GAMMA[:, None], psi.reshape(psi.shape[:2] + (-1,))).reshape(
-        (2,) + psi.shape)                                           # (gamma_e psi^b)_i
+    gpsi = gamma_planes(psi)                                        # (gamma_e psi^b)_i
     s_gpsi = contract(s.swapaxes(1, 2)[:, :, :, None], gpsi[:, :, None], axes=2)  # [l, i]
     del gpsi
     w = contract(s_gpsi.swapaxes(0, 1)[:, :, None], psi.swapaxes(0, 1)[:, None])  # [l, c]
     del s_gpsi
     rc = tangent(nu, contract(w[:, :, None], tdata.dnu_c, axes=2))
-    rc *= np.exp(2.0 * fdata.u)
+    rc *= fdata.e2u
     return rc
 
 
@@ -219,27 +221,27 @@ def residual_psi(phi, psi, chi, u, grid, target, tdata: TargetData | None = None
     slot-wise operator is the flat one.
     """
     fdata = field_data(phi, psi, chi, u, grid, target, tdata, fdata)
-    psi, u, grid = fdata.psi, fdata.u, fdata.grid
     has_psi, has_chi = fdata.has_psi, fdata.has_chi
     if not (has_psi or has_chi):
-        return np.zeros_like(psi)
+        return np.zeros_like(fdata.psi)
     if has_psi:
-        sym = dirac_conformal_sym(psi, u, grid, forward=fdata.dirac)
-        out = np.empty(fdata.psi_c.shape)     # e^{3u} D_sym psi, written component-major
-        np.multiply(np.exp(3.0 * u)[..., None, None], sym, out=to_sites(out, 2))
-        del sym
-        sr = sr_planes(fdata)
-        sr *= np.exp(4.0 * u)
-        sr /= 3.0
-        out -= sr
-        del sr
+        out = dirac_sym_planes(fdata.psi_c, fdata.dirac_weights, fdata.grid, fdata.dirac)
+        out *= fdata.e3u                        # e^{3u} D_sym psi
+        w = sr_operator(fdata).swapaxes(0, 1)
+        # (1/3) e^{4u} SR(psi), one spinor component at a time: no psi-sized temporary
+        for i in range(out.shape[1]):
+            sr = contract(w, fdata.psi_c[:, None, i])
+            sr *= fdata.e4u
+            sr /= 3.0
+            out[:, i] -= sr
+        del w, sr
     else:
         out = np.zeros(fdata.dphi_gamma_chi.shape)
     if has_chi:
-        out += np.exp(2.0 * u) * fdata.dphi_gamma_chi
+        out += fdata.e2u * fdata.dphi_gamma_chi
         if has_psi:
-            out -= (np.exp(4.0 * u) * fdata.q_chi2) * fdata.psi_c
-    return to_sites(tangent(fdata.tdata.nu_c, out), 2)
+            out -= (fdata.e4u * fdata.q_chi2) * fdata.psi_c
+    return to_sites(tangent(fdata.tdata.nu_c, out, in_place=True), 2)
 
 
 def residuals(phi, psi, chi, u, grid, target,

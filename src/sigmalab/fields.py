@@ -27,12 +27,19 @@ operator applied slot-wise, then with the normal components along phi
 removed.  In the extrinsic picture the twisting term A(d phi, psi) is normal
 to N, so taking the tangential part removes it and it is never formed.
 
-The gamma matrices act as one (sites * slots, 4) @ (4, 4) product per frame
-direction, in the site-major layout above, and site_inner pairs two fields as
-a sum of products of their component planes (_planes.contract), reading them in
-place; an overflow in either raises under np.errstate (einsum would not report
-it).  The action and the residuals hold psi component-major, (K, 4, n1, n2), and
-convert the Dirac operator's result once (README, Layout).
+The Dirac operators have one kernel, clifford_planes, on component-major spinor
+planes (..., 4, n1, n2), the site axes last (_planes): each row of a gamma
+matrix has one entry +-1, so gamma(e1) d1 s + gamma(e2) d2 s is, per spinor
+component, a sum or difference of two planes of grad_planes(s), with the bits
+of a batched @.  The action and the residuals hold psi component-major,
+(K, 4, n1, n2), and take D_u, its symmetrization and gamma psi on planes
+(dirac_planes, dirac_sym_planes, gamma_planes), with D_u's weights e^{k u}
+(dirac_weights) built once for the fixed u and handed in.  dirac_flat,
+dirac_flat_sigma, dirac_conformal, dirac_conformal_adjoint, dirac_conformal_sym
+and twisted_dirac keep the site-major layouts above: they convert to planes and
+return site-major views.  site_inner pairs two fields as a sum of products of
+their component planes (_planes.contract), reading them in place; an overflow
+raises under np.errstate (einsum would not report it).
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import clifford as cl
-from ._planes import contract
+from ._planes import contract, to_planes, to_sites
 from .errors import ConstraintError
-from .geometry import Grid, TargetManifold, grad, require_on_manifold, tangent_part_slots
+from .geometry import Grid, TargetManifold, grad_planes, require_on_manifold, tangent_part_slots
 
 __all__ = [
     "frame_violation",
@@ -107,12 +114,93 @@ def tangency_project(psi: np.ndarray, phi: np.ndarray, target: TargetManifold) -
 # ---- Dirac operators ----------------------------------------------------------
 
 
+def _signed_entries(gammas: np.ndarray) -> list:
+    """[(j0, s0 > 0, j1, s1 > 0) per row i]: row i of gammas[a] is s_a = +-1 at column j_a
+    and 0 elsewhere, as in every gamma matrix of clifford."""
+    entries = []
+    for row0, row1 in zip(gammas[0], gammas[1]):
+        (j0,), (j1,) = np.flatnonzero(row0), np.flatnonzero(row1)
+        if not abs(row0[j0]) == abs(row1[j1]) == 1.0:
+            raise ValueError("each row of a gamma matrix must have one entry +-1")
+        entries.append((int(j0), row0[j0] > 0, int(j1), row1[j1] > 0))
+    return entries
+
+
+_ENTRIES = {id(g): _signed_entries(g) for g in (cl.GAMMA, cl.GAMMA_PLUS)}
+
+
+def clifford_planes(gammas: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_a gammas[a] d[a] for the centered differences d = grad_planes(s) (2, ..., m, n1, n2)
+    of a component-major spinor field s, sites last: the flat Dirac operator's one kernel.
+
+    Row i of gammas[a] has one entry +-1, so component i of the result is a sum or a
+    difference of two planes of d.  That is exact, so the result has the bits of the
+    batched (sites * slots, m) @ (m, m) product, zeros included: a row whose entries are
+    both -1 is taken as (0 - a) - b, which is +0, like @, where a and b are +0.
+    """
+    out = np.empty(d.shape[1:])
+    for i, (j0, pos0, j1, pos1) in enumerate(_ENTRIES.get(id(gammas)) or _signed_entries(gammas)):
+        a, b, o = d[0, ..., j0, :, :], d[1, ..., j1, :, :], out[..., i, :, :]
+        if pos0:
+            (np.add if pos1 else np.subtract)(a, b, out=o)
+        elif pos1:
+            np.subtract(b, a, out=o)
+        else:
+            np.subtract(0.0, a, out=o)
+            o -= b
+    return out
+
+
+def gamma_planes(s_c: np.ndarray) -> np.ndarray:
+    """gamma_a s for a = 0, 1 on component-major spinor planes s_c (..., 4, n1, n2):
+    (2,) + s_c.shape, each component one plane of s, or 0 - that plane, so with the bits
+    of the batched gamma_a @ s."""
+    out = np.empty((2,) + s_c.shape)
+    for i, (j0, pos0, j1, pos1) in enumerate(_ENTRIES[id(cl.GAMMA)]):
+        for a, j, pos in ((0, j0, pos0), (1, j1, pos1)):
+            if pos:
+                out[a, ..., i, :, :] = s_c[..., j, :, :]
+            else:
+                np.subtract(0.0, s_c[..., j, :, :], out=out[a, ..., i, :, :])
+    return out
+
+
+def dirac_weights(u: np.ndarray) -> np.ndarray:
+    """D_u's four conformal weights e^{k u}, k = 1/2, -3/2, 3/2, -5/2, stacked (4, n1, n2):
+    D_u = e^{-3u/2} D_flat e^{u/2} and its adjoint e^{-5u/2} D_flat e^{3u/2}."""
+    return np.exp(np.multiply.outer(_DIRAC_EXPONENTS, u))
+
+
+_DIRAC_EXPONENTS = np.array([0.5, -1.5, 1.5, -2.5])
+
+
+def _conjugated(s_c: np.ndarray, w_in: np.ndarray, w_out: np.ndarray, grid: Grid) -> np.ndarray:
+    """w_out D_flat(w_in s) on planes; w_in s is freed before the result is allocated."""
+    out = clifford_planes(cl.GAMMA, grad_planes(w_in * s_c, grid))
+    out *= w_out
+    return out
+
+
+def dirac_planes(s_c: np.ndarray, weights: np.ndarray, grid: Grid) -> np.ndarray:
+    """D_u s = e^{-3u/2} D_flat(e^{u/2} s) on component-major spinor planes s_c
+    (..., 4, n1, n2), with weights = dirac_weights(u); dirac_conformal's bits."""
+    return _conjugated(s_c, weights[0], weights[1], grid)
+
+
+def dirac_sym_planes(s_c: np.ndarray, weights: np.ndarray, grid: Grid,
+                     forward: np.ndarray) -> np.ndarray:
+    """(D_u + D_u^*) s / 2 on planes, the adjoint e^{-5u/2} D_flat(e^{3u/2} s) taken here,
+    with forward = dirac_planes(s_c, weights, grid); dirac_conformal_sym's bits."""
+    out = _conjugated(s_c, weights[2], weights[3], grid)
+    out += forward
+    out *= 0.5
+    return out
+
+
 def _clifford_derivative(gammas: np.ndarray, s: np.ndarray, grid: Grid) -> np.ndarray:
-    """sum_a gammas[a] d^h_a s: one (sites * slots, m) @ (m, m) product per direction a."""
-    ds = grad(s, grid).reshape(2, -1, s.shape[-1])
-    out = ds[0] @ gammas[0].T
-    out += np.matmul(ds[1], gammas[1].T, out=ds[0])   # ds[0] is spent; reuse it
-    return out.reshape(s.shape)
+    """clifford_planes on a site-major field (n1, n2, ..., m), returned as a site-major view."""
+    k = s.ndim - 2
+    return to_sites(clifford_planes(gammas, grad_planes(to_planes(s, k), grid)), k)
 
 
 def dirac_flat(s: np.ndarray, grid: Grid) -> np.ndarray:
@@ -132,16 +220,21 @@ def dirac_flat_sigma(s: np.ndarray, grid: Grid) -> np.ndarray:
 def dirac_conformal(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """e^{-3u/2} D_flat(e^{u/2} s); reduces to dirac_flat at u = 0."""
     w = _expand(u, s.ndim)
-    # site-major whatever the memory order of s, so that D_flat's differences read it contiguously
+    # written C-contiguous whatever the memory order of s, so that a component-major s gives
+    # its copy's bits
     scaled = np.multiply(np.exp(0.5 * w), s, out=np.empty(s.shape))
-    return np.exp(-1.5 * w) * dirac_flat(scaled, grid)
+    out = dirac_flat(scaled, grid)
+    out *= np.exp(-1.5 * w)
+    return out
 
 
 def dirac_conformal_adjoint(s: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """Exact adjoint of dirac_conformal for the sum <s, t> e^{3u} h1 h2."""
     w = _expand(u, s.ndim)
     scaled = np.multiply(np.exp(1.5 * w), s, out=np.empty(s.shape))  # site-major, as above
-    return np.exp(-2.5 * w) * dirac_flat(scaled, grid)
+    out = dirac_flat(scaled, grid)
+    out *= np.exp(-2.5 * w)
+    return out
 
 
 def dirac_conformal_sym(s: np.ndarray, u: np.ndarray, grid: Grid,

@@ -4,6 +4,9 @@ The domain is the flat torus [0,1)^2 sampled on a periodic n1 x n2 grid with
 spacings h_a = 1/n_a; a conformal metric e^{2u}(dx^2 + dy^2) is carried as a
 scalar field u elsewhere in the package.  First derivatives are centered
 differences, so grad and -div are exact adjoints under the plain grid sum.
+grad and div take site-major fields (n1, n2, ...), and grad_planes and
+div_planes the component-major ones of an evaluation (..., n1, n2), with the
+same bits.
 
 Embedded targets are described extrinsically: a retraction onto N, an
 orthonormal normal frame nu_l with its ambient derivative, and the curvature
@@ -48,6 +51,8 @@ __all__ = [
     "Grid",
     "grad",
     "div",
+    "grad_planes",
+    "div_planes",
     "wide_laplacian_symbol",
     "tangent_part",
     "tangent_part_slots",
@@ -134,6 +139,42 @@ def div(vec: np.ndarray, grid: Grid) -> np.ndarray:
     """Centered divergence of a (2, n1, n2, ...) field; adjoint of -grad."""
     d0 = _centered(vec[0], 0, grid.h1, np.empty_like(vec[0]))
     d0 += _centered(vec[1], 1, grid.h2, np.empty_like(vec[1]))
+    return d0
+
+
+def _centered_planes(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """_centered along the site axis 0 or 1 of component-major planes f (..., n1, n2), the
+    site axes last, written into the C-contiguous out, with _centered's bits.
+
+    The differences are one subtraction over the flattened planes, shifted by one step
+    along axis (n2 sites for axis 0, one site for axis 1); then the rows (axis 0) or
+    columns (axis 1) where that shift leaves its plane or its row are overwritten with
+    their periodic differences.  One long contiguous subtraction is several times faster
+    than the same one over rows of a strided view.
+    """
+    s = f.shape[-1] if axis == 0 else 1
+    a, o = f.reshape(-1), out.reshape(-1)
+    np.subtract(a[2 * s:], a[:-2 * s], out=o[s:-s])
+    a, o = np.moveaxis(f, axis - 2, 0), np.moveaxis(out, axis - 2, 0)
+    np.subtract(a[1], a[-1], out=o[0])
+    np.subtract(a[0], a[-2], out=o[-1])
+    out /= 2.0 * h
+    return out
+
+
+def grad_planes(field: np.ndarray, grid: Grid) -> np.ndarray:
+    """grad of a component-major field (..., n1, n2), its site axes last: (2, ..., n1, n2),
+    C-contiguous, with grad's bits."""
+    out = np.empty((2,) + field.shape, dtype=field.dtype)
+    _centered_planes(field, 0, grid.h1, out[0])
+    _centered_planes(field, 1, grid.h2, out[1])
+    return out
+
+
+def div_planes(vec: np.ndarray, grid: Grid) -> np.ndarray:
+    """div of a component-major (2, ..., n1, n2) field, its site axes last, with div's bits."""
+    d0 = _centered_planes(vec[0], 0, grid.h1, np.empty(vec.shape[1:]))
+    d0 += _centered_planes(vec[1], 1, grid.h2, np.empty(vec.shape[1:]))
     return d0
 
 

@@ -55,16 +55,21 @@ overflows (ConstraintError, FloatingPointError) is a rejected one.  A
 non-finite dt or dt underflow below 1e-14 raises SolverError in every sector,
 and solve records either error as a stall.
 
-Each evaluation of an iterate builds one TargetData and one action.FieldData
-of the fields and hands both to the tangent map residual
+The gravitino and the conformal factor are parameters of the functional and
+stay fixed, so solve builds one parameter action.FieldData of chi and u
+(action.parameters) that lives for the whole solve: Gamma chi, |Q chi|^2 (one
+q_project), the conformal weights e^{2u}, e^{3u} and e^{4u} and D_u's four
+weights (seven u-sized exponentials), and nothing that reads phi or psi.  Each
+evaluation of an iterate builds one TargetData and the FieldData of the fields,
+which shares those parts, and hands both to the tangent map residual
 (euler_lagrange._tangent_residual_phi), residual_psi and total_action: grad
-phi, D_u psi, Gamma chi, the gravitino coefficient, |Q chi|^2 and the Gauss
-parts M, c_l and A_l M are computed once, as a part is built on first use and
-lives as long as its FieldData.  The flow reads only P_T r_phi,
+phi, D_u psi, the gravitino coefficient and the Gauss parts M, c_l and A_l M
+are computed once, as a part is built on first use and lives as long as its
+FieldData.  The stencils run on component planes, the site axes last: d phi,
+D_u psi, the divergence of the map source, the resolvent's rfft2 and irfft2
+and the Dirichlet increment of a trial step.  The flow reads only P_T r_phi,
 so the normal term of r_phi, which P_T annihilates, is never formed, and a
 pure-map evaluation builds no frame derivative dnu.
-The gravitino and the conformal factor are parameters of the functional and
-stay fixed.
 """
 
 from __future__ import annotations
@@ -74,10 +79,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import ActionBreakdown, field_data, target_data, total_action
+from ._planes import to_planes, to_sites
+from .action import ActionBreakdown, FieldData, parameters, target_data, total_action
 from .errors import ConstraintError, SolverError
 from .euler_lagrange import _tangent_residual_phi, residual_psi, tangent_residual_norms
-from .geometry import (Grid, TargetManifold, grad, tangent_part, tangent_part_slots,
+from .geometry import (Grid, TargetManifold, grad_planes, tangent_part, tangent_part_slots,
                        wide_laplacian_symbol)
 
 __all__ = ["SolverConfig", "Evaluation", "FlowState", "FlowReport", "flow_step", "solve"]
@@ -157,16 +163,21 @@ class FlowReport:
     records: list[dict] = field(default_factory=list)
 
 
-def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
+def _evaluate(phi, psi, chi, u, grid, target,
+              params: FieldData | None = None) -> tuple[np.ndarray, Evaluation]:
     """psi tangent-projected along phi, and the evaluation at it, from one TargetData
     and one FieldData, whose parts the tangent part of r_phi (_tangent_residual_phi,
     which forms no normal term, and no frame derivative at psi = 0), r_psi and the
-    action share."""
+    action share.  That FieldData is params.with_map(phi, psi, tdata), so it shares the
+    parts of params, the parameter FieldData of chi and u on grid (action.parameters),
+    which is built here when not handed in."""
+    if params is None:
+        params = parameters(chi, u, grid)
     tdata = target_data(target, phi)
-    fdata = field_data(phi, psi, chi, u, grid, target, tdata)
+    fdata = params.with_map(phi, psi, tdata)
     if fdata.has_psi:  # the pure-map flow keeps its zeros, which are tangent
         psi = tangent_part_slots(tdata.nu, psi)
-        fdata = field_data(phi, psi, chi, u, grid, target, tdata)  # of the projected psi
+        fdata = params.with_map(phi, psi, tdata)  # of the projected psi
     r_phi_t = _tangent_residual_phi(fdata)
     has_r_psi = fdata.has_psi or fdata.has_chi
     if has_r_psi:
@@ -182,13 +193,14 @@ def _evaluate(phi, psi, chi, u, grid, target) -> tuple[np.ndarray, Evaluation]:
 
 
 def _resolvent(rhs: np.ndarray, grid: Grid):
-    """dt -> (I - dt div grad)^{-1} rhs for a (n1, n2, K) field.
+    """dt -> (I - dt div grad)^{-1} rhs for a (n1, n2, K) field, as a site-major view.
 
-    rhs is transformed once; each dt costs one division and one irfft2.
+    rhs is transformed once, on its component planes, whose site axes are the last two
+    and contiguous; each dt costs one division and one irfft2.
     """
-    rhs_hat = np.fft.rfft2(rhs, axes=(0, 1))
-    symbol = wide_laplacian_symbol(grid)[:, :, None]
-    return lambda dt: np.fft.irfft2(rhs_hat / (1.0 + dt * symbol), s=grid.shape, axes=(0, 1))
+    rhs_hat = np.fft.rfft2(to_planes(rhs, 1))
+    symbol = wide_laplacian_symbol(grid)
+    return lambda dt: to_sites(np.fft.irfft2(rhs_hat / (1.0 + dt * symbol), s=grid.shape), 1)
 
 
 def _dirichlet_increment(step, d_old, grid) -> float:
@@ -199,11 +211,10 @@ def _dirichlet_increment(step, d_old, grid) -> float:
     increment is still meaningful.  Here no two O(1) gradients are subtracted:
     the only subtraction is the step a - b, so the increment is exact to
     rounding relative to sum |d(a - b) . d(a + b)| h1 h2.  One grad of the
-    site-major step (n1, n2, K) and one dot product, with d_old read into the
-    step's layout.
+    step (n1, n2, K) on its component planes and one dot product with d_old.
     """
-    d = grad(step, grid)                                             # (2, n1, n2, K)
-    d_new = np.multiply(np.moveaxis(d_old, 1, -1), 2.0, order="C")
+    d = grad_planes(to_planes(step, 1), grid)                        # (2, K, n1, n2)
+    d_new = np.multiply(d_old, 2.0)
     d_new += d
     return float(np.vdot(d, d_new) * grid.cell_area)
 
@@ -256,12 +267,13 @@ def _start_step(phi, ev: Evaluation, grid: Grid, target: TargetManifold,
 
 
 def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
-              config: SolverConfig) -> FlowState:
+              config: SolverConfig, params: FieldData | None = None) -> FlowState:
     """One accepted step (shrinking dt until the acceptance rule passes).
 
     The returned state carries its own evaluation, so the next step starts
     from it without recomputing the residuals.  The rejected of a SolverError
-    counts the trials the failing step evaluated.
+    counts the trials the failing step evaluated.  params, the parameter
+    FieldData of chi and u, is handed to every evaluation (see _evaluate).
     """
     phi, psi = state.phi, state.psi
     ev = state.evaluation
@@ -294,7 +306,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
             else:
                 if config.mode != "phi-only":
                     psi_new = psi - dt * ev.r_psi
-                psi_new, trial = _evaluate(phi_new, psi_new, chi, u, grid, target)
+                psi_new, trial = _evaluate(phi_new, psi_new, chi, u, grid, target, params)
                 accepted = trial.norms[0] < ev.norms[0]
         except (ConstraintError, FloatingPointError):  # a trial that fails is a rejected one
             accepted = False
@@ -305,7 +317,7 @@ def flow_step(state: FlowState, chi, u, grid: Grid, target: TargetManifold,
 
     ramping = state.ramping and rejected == 0 and not pure_map
     if pure_map:
-        trial = _evaluate(phi_new, psi_new, chi, u, grid, target)[1]
+        trial = _evaluate(phi_new, psi_new, chi, u, grid, target, params)[1]
     return FlowState(
         phi=phi_new,
         psi=psi_new,
@@ -329,10 +341,12 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
     SolverError appends a stall record with its detail and the trials the
     stalled step evaluated.  report.stop_reason is converged, stalled or
     max_iterations; reaching max_iterations yields converged=False, not an
-    error.
+    error.  chi and u are parameters of the functional: their parts are built once, in
+    one parameter FieldData that every evaluation of the solve shares.
     """
     phi = target.project(phi)
-    psi, ev = _evaluate(phi, psi, chi, u, grid, target)
+    params = parameters(chi, u, grid)
+    psi, ev = _evaluate(phi, psi, chi, u, grid, target, params)
     step_size, start_trials = config.initial_step, None
     if (_is_pure_map(ev, config) and config.max_iterations > 0
             and ev.norms[0] >= config.tolerance):
@@ -367,7 +381,7 @@ def solve(phi, psi, chi, u, grid, target, config: SolverConfig) -> tuple[FlowSta
             report.converged = True
             break
         try:
-            state = flow_step(state, chi, u, grid, target, config)
+            state = flow_step(state, chi, u, grid, target, config, params)
         except SolverError as exc:
             # honest stall report: no accepted step can make progress
             report.records.append({"stalled": True, "detail": str(exc),

@@ -11,15 +11,21 @@ slow, direct way, pointwise or site by site:
 * _action_gradient_fd_sitewise, the finite-difference gradient of the action
   with one full re-evaluation per probe, which checks the coloured
   euler_lagrange.action_gradient_fd;
-* sr_of, the cubic contraction SR(psi) in the site-major layout of psi.
+* sr_of, the cubic contraction SR(psi) in the site-major layout of psi;
+* clifford_derivative_matmul and gamma_matmul, the gamma matrices applied as
+  batched @ products on the site-major and the component-major layout, which
+  check the signed plane sums of fields.clifford_planes and fields.gamma_planes
+  bit for bit.
 """
 
 import numpy as np
 
 from sigmalab._planes import to_sites
 from sigmalab.action import FieldData, action_density, sr_planes, target_data
+from sigmalab.clifford import GAMMA
 from sigmalab.fields import tangency_project
-from sigmalab.geometry import TargetData, require_on_manifold, tangent_basis, tangent_part
+from sigmalab.geometry import (TargetData, grad, require_on_manifold, tangent_basis,
+                               tangent_part)
 
 
 def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
@@ -27,6 +33,22 @@ def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     if tdata is None:
         tdata = target_data(target, phi)
     return to_sites(sr_planes(FieldData(phi, psi, tdata=tdata)), 2)
+
+
+def clifford_derivative_matmul(gammas, s, grid) -> np.ndarray:
+    """sum_a gammas[a] d^h_a s on a site-major field s (n1, n2, ..., m): one
+    (sites * slots, m) @ (m, m) product per direction a."""
+    ds = grad(s, grid).reshape(2, -1, s.shape[-1])
+    out = ds[0] @ gammas[0].T
+    out += np.matmul(ds[1], gammas[1].T, out=ds[0])   # ds[0] is spent; reuse it
+    return out.reshape(s.shape)
+
+
+def gamma_matmul(psi_c) -> np.ndarray:
+    """(gamma_a psi^b)_i on component-major planes psi_c (K, 4, ...): one (4, 4) @ (4, sites)
+    product per direction a and slot b, shaped (2,) + psi_c.shape."""
+    flat = psi_c.reshape(psi_c.shape[:2] + (-1,))
+    return np.matmul(GAMMA[:, None], flat).reshape((2,) + psi_c.shape)
 
 
 # ---- criterion 5: the curvature data at single points ----------------------------

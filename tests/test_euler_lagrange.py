@@ -259,25 +259,25 @@ def _oracle_fields_32():
 
 def test_fd_oracle_density_calls_at_32(monkeypatch):
     # per class (8) and tangent direction (2): the phi probes' pair and each of the 4 psi
-    # slots take one D_u of their psi change (80, beside psi's own D_u), the 2 phi probes
-    # evaluate I + III on the grid, and one evaluation each, its probes stacked on a
-    # leading axis against the class's 128 sites, serves the phi probes' IV + V (2 maps)
+    # slots take one D_u of their psi change (80, beside psi's own D_u, which phi's
+    # FieldData builds), each through the flat Dirac operator's one kernel; the 2 phi
+    # probes evaluate I + III on the grid, and one evaluation each, its probes stacked on
+    # a leading axis against the class's 128 sites, serves the phi probes' IV + V (2 maps)
     # and the psi probes' III + IV + V (4 slots x 2 signs)
     g, phi, psi, chi = _oracle_fields_32()
-    calls = {"dirac_conformal": [], "dphi_densities": [], "local_densities": [],
+    calls = {"clifford_planes": [], "dphi_densities": [], "local_densities": [],
              "pointwise_densities": []}
     for name, log in calls.items():
-        fn = getattr(euler_lagrange, name)
+        module = fields if name == "clifford_planes" else euler_lagrange
+        fn = getattr(module, name)
         logged = lambda *a, _fn=fn, _log=log, **k: _log.append(a) or _fn(*a, **k)  # noqa: E731
-        monkeypatch.setattr(euler_lagrange, name, logged)
-        if name == "dirac_conformal":               # D_u psi, built by phi's FieldData
-            monkeypatch.setattr(action, name, logged)
+        monkeypatch.setattr(module, name, logged)
     grid_frames = []
     frame = TG.normal_frame
     monkeypatch.setattr(TG, "normal_frame", lambda p: (
         p.shape[:2] == g.shape and grid_frames.append(np.array_equal(p, phi))) or frame(p))
     action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
-    assert len(calls["dirac_conformal"]) == 1 + 8 * 2 * 5 == 81
+    assert len(calls["clifford_planes"]) == 1 + 8 * 2 * 5 == 81
     assert len(calls["dphi_densities"]) == 8 * 2 * 2 == 32
     assert {fd.phi.shape for (fd,) in calls["dphi_densities"]} == {phi.shape}
     assert len(calls["local_densities"]) == 8 * 2 == 16
@@ -359,8 +359,8 @@ def test_the_fd_oracle_reads_no_residual_and_no_adjoint(monkeypatch):
         raise AssertionError("the oracle read a residual or the Dirac adjoint")
 
     for module in (fields, action, euler_lagrange):
-        for name in ("dirac_conformal_adjoint", "dirac_conformal_sym", "residual_phi",
-                     "residual_psi"):
+        for name in ("dirac_conformal_adjoint", "dirac_conformal_sym", "dirac_sym_planes",
+                     "residual_phi", "residual_psi"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fail)
     gp, gs = action_gradient_fd(phi, psi, u, chi, g, TG)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import clifford_derivative_matmul, gamma_matmul
+from sigmalab._planes import to_planes
 from sigmalab.errors import ConstraintError
 from sigmalab.fields import (
     conformal_rescale,
@@ -18,7 +20,7 @@ from sigmalab.fields import (
 )
 from sigmalab import clifford as cl
 from sigmalab import fields
-from sigmalab.geometry import Grid, SphereTarget
+from sigmalab.geometry import Grid, SphereTarget, grad_planes
 from sigmalab.presets import smooth_map_field, smooth_scalar_field, smooth_vector_spinor
 
 
@@ -99,6 +101,57 @@ def test_dirac_conformal_reads_a_component_major_psi_like_its_copy(monkeypatch):
     for op in (dirac_conformal, dirac_conformal_adjoint, dirac_conformal_sym):
         assert np.array_equal(op(psi, u, g), op(copy, u, g))
     assert layouts and all(layouts)
+
+
+def _with_flat_patches(shape, seed):
+    """Random entries with constant blocks, so that many centered differences are exactly
+    +0 and the zeros' signs are checked too."""
+    s = np.random.default_rng(seed).standard_normal(shape)
+    s[2:7, 1:6] = 0.75
+    s[9:, :4] = 0.0
+    return s
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("gammas, shape", [
+    (cl.GAMMA, (4,)), (cl.GAMMA, (3, 4)), (cl.GAMMA, (2, 3, 4)),
+    (cl.GAMMA_PLUS, (2,)), (cl.GAMMA_PLUS, (3, 2)),
+], ids=["gamma", "gamma-slots", "gamma-two-slot-axes", "gamma-plus", "gamma-plus-slots"])
+def test_the_planes_kernel_has_the_bits_of_the_batched_product(gammas, shape):
+    # each row of a gamma matrix has one entry +-1, so its signed plane sums are exact:
+    # the same numbers as the batched @, zeros and their signs included, on the planes
+    # and through the site-major thin conversions
+    g = Grid(12, 10)
+    s = _with_flat_patches(g.shape + shape, seed=len(shape))
+    expected = clifford_derivative_matmul(gammas, s, g)
+    k = len(shape)
+    planes = fields.clifford_planes(gammas, grad_planes(to_planes(s, k), g))
+    assert _same_bits(planes, to_planes(expected, k))
+    assert _same_bits(fields._clifford_derivative(gammas, s, g), expected)
+    public = dirac_flat if gammas is cl.GAMMA else dirac_flat_sigma
+    assert _same_bits(public(s, g), expected)
+
+
+def test_the_conformal_operators_have_the_bits_of_the_batched_product():
+    # D_u and its adjoint at u != 0, site-major and on planes with the shared weights, and
+    # gamma psi on planes, each against the batched @ of the same products
+    g = Grid(12, 10)
+    s = _with_flat_patches(g.shape + (3, 4), seed=7)
+    u = smooth_scalar_field(g, seed=8, amplitude=0.4)
+    w = u[..., None, None]
+    forward = np.exp(-1.5 * w) * clifford_derivative_matmul(cl.GAMMA, np.exp(0.5 * w) * s, g)
+    adjoint = np.exp(-2.5 * w) * clifford_derivative_matmul(cl.GAMMA, np.exp(1.5 * w) * s, g)
+    assert _same_bits(dirac_conformal(s, u, g), forward)
+    assert _same_bits(dirac_conformal_adjoint(s, u, g), adjoint)
+    s_c, weights = to_planes(s, 2), fields.dirac_weights(u)
+    planes = fields.dirac_planes(s_c, weights, g)
+    assert _same_bits(planes, to_planes(forward, 2))
+    sym = fields.dirac_sym_planes(s_c, weights, g, planes)
+    assert _same_bits(sym, to_planes(dirac_conformal_sym(s, u, g), 2))
+    assert _same_bits(fields.gamma_planes(s_c), gamma_matmul(s_c))
 
 
 def test_conformal_law_in_quadratic_form_refines_at_second_order():

@@ -29,7 +29,7 @@ from sigmalab.presets import (
     smooth_scalar_field,
     smooth_vector_spinor,
 )
-from sigmalab import action, euler_lagrange, fields, geometry, solver
+from sigmalab import action, clifford, euler_lagrange, fields, geometry, solver
 from sigmalab.solver import FlowState, SolverConfig, _resolvent, flow_step, solve
 
 TG = SphereTarget(3)
@@ -412,17 +412,18 @@ def test_flow_evaluation_equals_the_standalone_residuals_and_action_on_the_ellip
 
 
 def _count_shared_parts(monkeypatch) -> dict:
-    """Count grad (under every name that binds it) and the Gauss part M built."""
+    """Count the gradients taken, through grad_planes under every name that binds it (d phi
+    and the D_u of an evaluation take it), and the Gauss part M built."""
     counts = {"grad": 0, "m": 0}
-    grad_fn = geometry.grad
+    grad_fn = geometry.grad_planes
 
     def counted_grad(*args, **kwargs):
         counts["grad"] += 1
         return grad_fn(*args, **kwargs)
 
     for module in (geometry, fields, action, euler_lagrange, solver):
-        if getattr(module, "grad", None) is grad_fn:
-            monkeypatch.setattr(module, "grad", counted_grad)
+        if getattr(module, "grad_planes", None) is grad_fn:
+            monkeypatch.setattr(module, "grad_planes", counted_grad)
 
     build = action.FieldData.__dict__["m"].func
 
@@ -542,25 +543,25 @@ def test_pure_map_evaluation_takes_one_grad(monkeypatch):
 
 def test_pure_map_solve_takes_one_grad_per_trial(monkeypatch):
     # each evaluation takes grad phi and each trial, of the start-step search or of the
-    # flow, one grad of its step a - b (3 components), against the d phi its iterate's
-    # evaluation keeps; nothing takes the gradient of a stacked (a - b, a + b)
+    # flow, one grad of its step a - b (3 component planes), against the d phi its
+    # iterate's evaluation keeps; nothing takes the gradient of a stacked (a - b, a + b)
     g, phi0, (psi0, chi0, u0) = _criterion_8_inputs(16)
     counts = _count_shared_parts(monkeypatch)
-    shapes, counted = [], solver.grad
+    shapes, counted = [], solver.grad_planes
 
     def recorded(field, grid):
         shapes.append(field.shape)
         return counted(field, grid)
 
     for module in (geometry, fields, action, euler_lagrange, solver):
-        if getattr(module, "grad", None) is counted:
-            monkeypatch.setattr(module, "grad", recorded)
+        if getattr(module, "grad_planes", None) is counted:
+            monkeypatch.setattr(module, "grad_planes", recorded)
     state, report = solve(phi0, psi0, chi0, u0, g, TG, SolverConfig(tolerance=1e-6))
     assert report.converged
     evaluations = 1 + report.iterations
     flow_trials = sum(rec["rejected"] + 1 for rec in report.records[1:])
     assert counts["grad"] == evaluations + report.records[0]["start_trials"] + flow_trials
-    assert all(shape == g.shape + (3,) for shape in shapes)
+    assert all(shape == (3,) + g.shape for shape in shapes)
     kept = state.evaluation.dphi
     fresh = field_data(state.phi, state.psi, chi0, u0, g, TG, TargetData(TG, state.phi)).dphi
     assert kept.shape == fresh.shape and np.array_equal(kept, fresh)
@@ -792,6 +793,55 @@ def test_joint_flow_takes_coupled64_to_tolerance_in_a_few_steps(n):
     assert report.stop_reason == "converged"
     assert on_manifold_violation(TG, state.phi) <= 1e-9
     assert frame_violation(state.psi, TG.normal_frame(state.phi)) <= 1e-9
+
+
+def test_a_coupled_solve_builds_its_parameter_parts_once(monkeypatch):
+    # chi and u are parameters of the functional: one q_project (Gamma chi and |Q chi|^2
+    # share it) and seven u-sized exponentials (e^{2u}, e^{3u}, e^{4u} and D_u's four
+    # weights) per solve, where each of the 12 evaluations took 2 and 14 of them
+    g, phi, psi, chi, u = _coupled64_inputs(16)
+    q_calls, exp_sizes = [], []
+    q_project, exp = clifford.q_project, np.exp
+
+    def counted_q(x):
+        q_calls.append(1)
+        return q_project(x)
+
+    def counted_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        exp_sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(clifford, "q_project", counted_q)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    _, report = solve(phi, psi, chi, u, g, TG, SolverConfig(max_iterations=1000, tolerance=10.0))
+    assert report.converged and report.iterations == 11
+    assert len(q_calls) == 1
+    assert sum(size for size in exp_sizes if size % u.size == 0) <= 7 * u.size
+
+
+# every record's (residual_l2, action total) of the joint flow from _coupled64_inputs(16)
+# to tolerance 10, taken before the parameter parts were shared and D_u moved to planes
+_COUPLED16_RECORDS = [
+    (48.886670823785764, 16.559236640223766), (48.806664790417415, 16.51157467348221),
+    (48.64721150232798, 16.416823334510106), (48.330525679706334, 16.229583530693226),
+    (47.705923673482516, 15.863940688633614), (46.49091408579303, 15.16636481495486),
+    (44.19093110207672, 13.894123076494521), (40.06174442351152, 11.761392241868244),
+    (33.35193076911832, 8.682011914240137), (24.194852545355147, 5.186231382157214),
+    (14.656669895173422, 2.3300731919466724), (7.745517120661112, 0.6289101611400051),
+]
+
+
+def test_joint_flow_trajectory_is_pinned():
+    # the coupled flow ends close to its gates, so a change that moves its iterates can
+    # fail them: every record of this solve is pinned to 1e-12 relative
+    g, phi, psi, chi, u = _coupled64_inputs(16)
+    _, report = solve(phi, psi, chi, u, g, TG, SolverConfig(max_iterations=1000, tolerance=10.0))
+    assert report.iterations == 11 and report.stop_reason == "converged"
+    assert len(report.records) == len(_COUPLED16_RECORDS)
+    for rec, (l2, total) in zip(report.records, _COUPLED16_RECORDS):
+        assert abs(rec["residual_l2"] - l2) <= 1e-12 * abs(l2)
+        assert abs(rec["action"]["total"] - total) <= 1e-12 * abs(total)
 
 
 def test_joint_step_doubles_until_the_first_rejection():
