@@ -34,8 +34,11 @@ central differences with per-site tangent-space perturbations (the
 vector-spinor is reprojected when the base point moves, i.e.
 parallel-transported to first order).  A probe re-evaluates only the summands
 its move changes: the Dirac summand's change by polarization, one D_u per pair
-of probes; the summands that read phi through d phi on the grid; and those that
-read the moved field only at its own site at the probed sites alone.
+of probes, taken on component planes with the D_u weights of phi's FieldData;
+the summands that read phi through d phi on the grid; and those that read the
+moved field only at its own site at the probed sites alone.  Each colour class
+takes one pass: there the probes of all tangent directions are stacked, and the
+5-point cross sums are read at the class's sites alone.
 
 Both residuals read the intermediates they share with each other and with the
 action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2, the conformal
@@ -68,7 +71,7 @@ from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, checked_target_data, dirac_change, dphi_densities, field_data,
                      gamma_chi, local_densities, pointwise_densities, snr_of, snr_planes,
                      sr_operator, summed, target_data)
-from .fields import dirac_conformal, dirac_sym_planes, gamma_planes
+from .fields import dirac_planes, dirac_sym_planes, gamma_planes
 from .geometry import (Grid, TargetData, div, div_planes, grad, tangent_basis, tangent_part,
                        tangent_part_slots)
 
@@ -302,12 +305,13 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
 # ---- finite-difference oracle ----------------------------------------------------
 
 
-def _cross_sum(d: np.ndarray) -> np.ndarray:
-    """Sum of a density delta over the 5-point cross around each site."""
-    out = d.copy()
-    for axis in (0, 1):
-        out += np.roll(d, 1, axis) + np.roll(d, -1, axis)
-    return out
+def _cross_sum(d: np.ndarray, sites: tuple) -> np.ndarray:
+    """Sum of a density delta d (n1, n2) over the 5-point cross around each of the sites
+    (i, j), two index arrays: (d + (d[i - 1] + d[i + 1])) + (d[j - 1] + d[j + 1]), read at
+    the sites alone."""
+    i, j = sites
+    n1, n2 = d.shape
+    return (d[i, j] + (d[i - 1, j] + d[(i + 1) % n1, j])) + (d[i, j - 1] + d[i, (j + 1) % n2])
 
 
 def _fd_colors(grid: Grid) -> np.ndarray:
@@ -344,34 +348,42 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     The sites of one colour class (_fd_colors) are perturbed simultaneously:
     the action density only reaches one stencil step, so the per-site action
     change is the density change between the + and - probes summed over the
-    5-point cross, and one grid evaluation serves a whole class.  Same-class
-    sites are at least 3 apart, so no density in one perturbed site's cross
-    reads another perturbed site.
+    5-point cross (_cross_sum, read at the class's sites alone), and one grid
+    evaluation serves a whole class.  Same-class sites are at least 3 apart, so
+    no density in one perturbed site's cross reads another perturbed site.
 
     phi's TargetData and FieldData are built once, after checking phi on N and
-    psi tangent along phi's frame (ConstraintError otherwise), and so is D_u psi,
-    which every probe's Dirac change reads.  A probe re-evaluates only the
-    summands that its move changes, each on the sites it reads.  It differences
-    the action's own summand code alone and reads no residual and no adjoint of
-    D_u, so the oracle stays an independent check of both residuals.
+    psi tangent along phi's frame (ConstraintError otherwise), and so are D_u psi
+    and D_u's weights, which every probe's Dirac change reads.  A probe
+    re-evaluates only the summands that its move changes, each on the sites it
+    reads, and each class takes one pass: the probes of all its tangent
+    directions are stacked wherever a summand reads them only at their own site.
+    The oracle differences the action's own summand code alone and reads no
+    residual and no adjoint of D_u, so it stays an independent check of both
+    residuals.
 
     - The Dirac summand II is a quadratic form in psi.  The + and - probes move
       psi by a and b on one class only, and D_u reads a site's neighbours, never
       the site itself, so <a, D_u a> and <b, D_u b> vanish and II changes by
       e^{3u} (<a - b, D_u psi> + <psi, D_u (a - b)>) (action.dirac_change): one
-      D_u of a - b per pair of probes, on the grid.
+      D_u of a - b per pair of probes, on the grid, with a - b written into zeroed
+      component planes and D_u taken there on phi's weights (fields.dirac_planes).
     - A phi probe moves psi too (reprojected) and evaluates I + III
       (action.dphi_densities) on the grid, as they read phi one step away
       through d phi; its FieldData shares Gamma chi and |Q chi|^2 with phi's one
       (FieldData.with_map) and builds no TargetData.  IV + V
       (action.local_densities) read every field only at their own site: they run
       at the class's m sites, on its one gathered FieldData (FieldData.at_sites,
-      site axes (1, m)), the two moved maps stacked as (2, m, K) on one TargetData.
+      site axes (1, m)), the moved maps of both signs and every tangent direction
+      stacked as (2 dimN, m, K) on one TargetData.  The retraction onto N runs once
+      per direction, as the level-set Newton loop tests convergence over all the
+      points it is given.
     - A psi probe re-evaluates III + IV + V (action.pointwise_densities), which
-      read psi only at their own site, at the probed sites alone: per class and
-      tangent direction they run once, on the 4 slots x 2 signs of probed psi
-      stacked as (8, m, K, 4) against the same gathered FieldData and its one
-      frame of phi at the m sites.
+      read psi only at their own site, at the probed sites alone: per class they
+      run once, on the tangent directions x 4 slots x 2 signs of probed psi
+      stacked as (8 dimN, m, K, 4) against the same gathered FieldData and its
+      one frame of phi at the m sites; the stack is the site-major view of
+      component-major planes, which that FieldData reads without a copy.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError("finite-difference step must be positive and finite")
@@ -390,49 +402,68 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         action change there between the + and the - probe."""
         return (delta / (2.0 * h[mask]) * grid.cell_area)[:, None]
 
-    def dirac_between(mask, delta_m):
-        """The Dirac density's change between two probes whose psi differ by delta_m at
-        mask's sites and agree elsewhere."""
-        delta = np.zeros(psi.shape)
-        delta[mask] = delta_m
-        return dirac_change(fdata0, delta, dirac_conformal(delta, u, grid))
+    def dirac_between(ij, slots, delta_m):
+        """The Dirac density's change between two probes whose psi differ by delta_m in
+        the spinor slots `slots` at the sites ij = (i, j) and agree elsewhere; delta_m is
+        component-major, (K, 4, m) for every slot or (K, m) for one."""
+        i, j = ij
+        delta = np.zeros(psi.shape[2:] + grid.shape)
+        delta[:, slots, i, j] = delta_m
+        d_delta = dirac_planes(delta, fdata0.dirac_weights, grid)
+        return dirac_change(fdata0, to_sites(delta, 2), to_sites(d_delta, 2))
 
-    def phi_change(mask, here, direction):
-        """The action change at mask's sites (here = fdata0.at_sites there) between the
-        probes that move phi there by +- hstep direction, psi reprojected onto the moved
-        tangent spaces."""
-        move = hstep[mask][:, None] * direction
-        moved = target_data(target, target.project(phi[mask] + np.stack((move, -move))))
-        psi_s = tangent_part_slots(moved.nu, psi[mask][None])        # (2, m, K, 4)
-        on_grid = []
-        for phi_k, psi_k in zip(moved.phi, psi_s):
-            phi_w, psi_w = phi.copy(), psi.copy(order="K")
-            phi_w[mask], psi_w[mask] = phi_k, psi_k
-            on_grid.append(summed(dphi_densities(fdata0.with_map(phi_w, psi_w))))
-        change = on_grid[0] - on_grid[1]
-        change += dirac_between(mask, psi_s[0] - psi_s[1])
-        delta = _cross_sum(change)[mask]
+    def phi_changes(mask, ij, here, dirs):
+        """The action change at mask's sites (ij = np.nonzero(mask), here = fdata0.at_sites
+        there) for each direction of dirs between the probes that move phi there by
+        +- hstep direction, psi reprojected onto the moved tangent spaces."""
+        phi_m, h_m = phi[mask], hstep[mask][:, None]
+        moves = [h_m * d for d in dirs]
+        moved = target_data(target, np.concatenate(
+            [target.project(phi_m + np.stack((move, -move))) for move in moves]))
+        psi_s = tangent_part_slots(moved.nu, psi[mask][None])       # (2 dimN, m, K, 4)
         at_sites = summed(local_densities(here.with_map(moved.phi, psi_s, moved)))
-        if at_sites is not None:
-            delta += at_sites[0] - at_sites[1]
-        return delta
+        changes = []
+        for t in range(0, 2 * len(dirs), 2):
+            on_grid = []
+            for phi_k, psi_k in zip(moved.phi[t:t + 2], psi_s[t:t + 2]):
+                phi_w, psi_w = phi.copy(), psi.copy(order="K")
+                phi_w[mask], psi_w[mask] = phi_k, psi_k
+                on_grid.append(summed(dphi_densities(fdata0.with_map(phi_w, psi_w))))
+            change = on_grid[0] - on_grid[1]
+            change += dirac_between(ij, slice(None), to_planes(psi_s[t] - psi_s[t + 1], 2))
+            delta = _cross_sum(change, ij)
+            if at_sites is not None:
+                delta += at_sites[t] - at_sites[t + 1]
+            changes.append(delta)
+        return changes
 
     colors = _fd_colors(grid)
     for color in range(int(colors.max()) + 1):
         mask = colors == color
-        psi_m, s_m = psi[mask], sstep[mask][:, None]
+        ij = np.nonzero(mask)
         here = fdata0.at_sites(np.flatnonzero(mask))                 # site axes (1, m)
-        for t in range(tb.shape[2]):
-            d = tb[:, :, t, :][mask]
-            grad_phi[mask] += central(mask, hstep, phi_change(mask, here, d)) * d
-            probes = np.tile(psi_m, (4, 2, 1, 1, 1))                 # [slot, sign, m, K, 4]
+        dirs = [tb[:, :, t, :][mask] for t in range(tb.shape[2])]
+        for d, delta in zip(dirs, phi_changes(mask, ij, here, dirs)):
+            grad_phi[mask] += central(mask, hstep, delta) * d
+        psi_mc, s_m = to_planes(psi[mask], 2), sstep[mask][:, None]  # (K, 4, m)
+        # the psi probes component-major, [b, i, (dir, slot, sign), m], so that their
+        # FieldData reads them without a copy
+        probes = np.repeat(psi_mc[:, :, None], 8 * len(dirs), axis=2)
+        gaps = np.empty((len(dirs), 4, len(psi_mc), psi_mc.shape[2]))  # [dir, slot, K, m]
+        for t, d in enumerate(dirs):
+            move = (s_m * d).T
             for slot in range(4):
-                for k, sign in enumerate((1.0, -1.0)):
-                    probes[slot, k, :, :, slot] = psi_m[:, :, slot] + sign * s_m * d
-            pw = summed(pointwise_densities(here.with_psi(probes.reshape(8, *psi_m.shape))))
+                k = 8 * t + 2 * slot
+                plus, minus = probes[:, slot, k], probes[:, slot, k + 1]
+                plus += move
+                minus -= move
+                np.subtract(plus, minus, out=gaps[t, slot])
+        pw = summed(pointwise_densities(here.with_psi(to_sites(probes, 2))))
+        del probes
+        for t, d in enumerate(dirs):
             for slot in range(4):
-                delta = _cross_sum(dirac_between(mask, probes[slot, 0] - probes[slot, 1]))[mask]
-                delta += pw[2 * slot] - pw[2 * slot + 1]
+                delta = _cross_sum(dirac_between(ij, slot, gaps[t, slot]), ij)
+                delta += pw[8 * t + 2 * slot] - pw[8 * t + 2 * slot + 1]
                 grad_psi[mask, :, slot] += central(mask, sstep, delta) * d
     return grad_phi, grad_psi
 

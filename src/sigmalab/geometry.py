@@ -149,15 +149,16 @@ def _centered_planes(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.
     The differences are one subtraction over the flattened planes, shifted by one step
     along axis (n2 sites for axis 0, one site for axis 1); then the rows (axis 0) or
     columns (axis 1) where that shift leaves its plane or its row are overwritten with
-    their periodic differences.  One long contiguous subtraction is several times faster
-    than the same one over rows of a strided view.
+    their periodic differences, indexed directly as (..., k, :) or (..., k).  One long
+    contiguous subtraction is several times faster than the same one over rows of a
+    strided view.
     """
     s = f.shape[-1] if axis == 0 else 1
     a, o = f.reshape(-1), out.reshape(-1)
     np.subtract(a[2 * s:], a[:-2 * s], out=o[s:-s])
-    a, o = np.moveaxis(f, axis - 2, 0), np.moveaxis(out, axis - 2, 0)
-    np.subtract(a[1], a[-1], out=o[0])
-    np.subtract(a[0], a[-2], out=o[-1])
+    cols = (slice(None),) if axis == 0 else ()
+    np.subtract(f[(..., 1) + cols], f[(..., -1) + cols], out=out[(..., 0) + cols])
+    np.subtract(f[(..., 0) + cols], f[(..., -2) + cols], out=out[(..., -1) + cols])
     out /= 2.0 * h
     return out
 
@@ -395,7 +396,9 @@ class ImplicitSurfaceTarget(TargetManifold):
         self.codim = 1
 
     def project(self, p: np.ndarray) -> np.ndarray:
-        q = np.array(p, dtype=np.float64)
+        # a C-ordered copy, so that p gives the same bits whatever its memory order: an
+        # einsum, as in F and |grad F|^2, may sum in an order that follows the layout
+        q = np.array(p, dtype=np.float64, order="C")
         for _ in range(60):
             f = np.asarray(self.value(q))
             if np.max(np.abs(f)) < PROJECT_TOL:

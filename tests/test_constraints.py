@@ -101,7 +101,7 @@ def _fail_the_probes(monkeypatch):
     def probe(*args, **kwargs):
         raise AssertionError("a probe ran on unchecked fields")
 
-    monkeypatch.setattr(euler_lagrange, "dirac_conformal", probe)
+    monkeypatch.setattr(euler_lagrange, "dirac_planes", probe)
 
 
 def test_the_fd_oracle_constraint_test_patches_what_the_probes_call(monkeypatch):

@@ -260,10 +260,11 @@ def _oracle_fields_32():
 def test_fd_oracle_density_calls_at_32(monkeypatch):
     # per class (8) and tangent direction (2): the phi probes' pair and each of the 4 psi
     # slots take one D_u of their psi change (80, beside psi's own D_u, which phi's
-    # FieldData builds), each through the flat Dirac operator's one kernel; the 2 phi
-    # probes evaluate I + III on the grid, and one evaluation each, its probes stacked on
-    # a leading axis against the class's 128 sites, serves the phi probes' IV + V (2 maps)
-    # and the psi probes' III + IV + V (4 slots x 2 signs)
+    # FieldData builds), each through the flat Dirac operator's one kernel, and the 2 phi
+    # probes evaluate I + III on the grid; per class, one evaluation each, its probes of
+    # both directions stacked on a leading axis against the class's 128 sites, serves the
+    # phi probes' IV + V (2 directions x 2 maps) and the psi probes' III + IV + V
+    # (2 directions x 4 slots x 2 signs)
     g, phi, psi, chi = _oracle_fields_32()
     calls = {"clifford_planes": [], "dphi_densities": [], "local_densities": [],
              "pointwise_densities": []}
@@ -280,24 +281,65 @@ def test_fd_oracle_density_calls_at_32(monkeypatch):
     assert len(calls["clifford_planes"]) == 1 + 8 * 2 * 5 == 81
     assert len(calls["dphi_densities"]) == 8 * 2 * 2 == 32
     assert {fd.phi.shape for (fd,) in calls["dphi_densities"]} == {phi.shape}
-    assert len(calls["local_densities"]) == 8 * 2 == 16
-    assert {fd.psi.shape for (fd,) in calls["local_densities"]} == {(2, 128, 3, 4)}
-    assert len(calls["pointwise_densities"]) == 8 * 2 == 16
-    assert {fd.psi.shape for (fd,) in calls["pointwise_densities"]} == {(8, 128, 3, 4)}
+    assert len(calls["local_densities"]) == 8
+    assert {fd.psi.shape for (fd,) in calls["local_densities"]} == {(4, 128, 3, 4)}
+    assert len(calls["pointwise_densities"]) == 8
+    assert {fd.psi.shape for (fd,) in calls["pointwise_densities"]} == {(16, 128, 3, 4)}
     assert grid_frames == [True]
 
 
 def test_fd_oracle_frame_points_at_32(monkeypatch):
     # the frame of phi on the grid, of phi at each class's 128 sites (site axes (1, 128),
-    # read by all the class's psi probes) and of each pair of phi probes' moved points,
-    # (2, 128): 6,144 points per call
+    # read by all the class's psi probes) and of the class's phi probes' moved points, both
+    # directions' pairs stacked, (4, 128): 6,144 points per call
     g, phi, psi, chi = _oracle_fields_32()
     shapes = []
     frame = TG.normal_frame
     monkeypatch.setattr(TG, "normal_frame", lambda p: shapes.append(p.shape[:-1]) or frame(p))
     action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
-    assert {s: shapes.count(s) for s in shapes} == {(32, 32): 1, (1, 128): 8, (2, 128): 16}
+    assert {s: shapes.count(s) for s in shapes} == {(32, 32): 1, (1, 128): 8, (4, 128): 8}
     assert sum(int(np.prod(s)) for s in shapes) == 6144
+
+
+def test_fd_oracle_takes_at_most_seven_exponentials_of_u_at_32(monkeypatch):
+    # e^{2u}, e^{3u}, e^{4u} and D_u's four weights, once per call in phi's FieldData: the
+    # probes' D_u reads those weights (167 u-sized exponentials when each probe pair took
+    # its own)
+    g, phi, psi, chi = _oracle_fields_32()
+    u = smooth_scalar_field(g, seed=15, amplitude=0.25)
+    exp_sizes, exp = [], np.exp
+
+    def counted_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        exp_sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    action_gradient_fd(phi, psi, u, chi, g, TG)
+    assert sum(size for size in exp_sizes if size % u.size == 0) <= 7 * u.size
+
+
+# sum(grad_phi * w_phi) and sum(grad_psi * w_psi) of action_gradient_fd at 8^2 with u and
+# chi nonzero, w_phi and w_psi standard normal from default_rng(43), taken before the
+# oracle stacked its directions and took its probes' D_u on planes
+_FD_ORACLE_PINS = {"sphere": (-7.092434989246983, 0.41773681033624044),
+                   "ellipsoid": (-6.095539203237214, 0.8506768597723512)}
+
+
+@pytest.mark.parametrize("name, target", [("sphere", TG),
+                                          ("ellipsoid", ellipsoid_target([1.0, 1.3, 0.8]))],
+                         ids=["sphere", "ellipsoid"])
+def test_fd_oracle_seeded_regression_values(name, target):
+    g = Grid(8, 8)
+    phi = target.project(smooth_map_field(g, TG, seed=10, amplitude=0.4))
+    psi = smooth_vector_spinor(g, phi, target, seed=11, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=15, amplitude=0.25)
+    gp, gs = action_gradient_fd(phi, psi, u, chi, g, target)
+    rng = np.random.default_rng(43)
+    values = [np.sum(grad * rng.standard_normal(grad.shape)) for grad in (gp, gs)]
+    for value, pinned in zip(values, _FD_ORACLE_PINS[name]):
+        assert abs(value - pinned) <= 1e-13 * abs(pinned)
 
 
 def test_fd_oracle_builds_the_frame_of_phi_once(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import curvature_operator, nabla_A, second_fund_form, shape_operator
+from sigmalab._planes import to_planes, to_sites
 from sigmalab.errors import ConstraintError
 from sigmalab.geometry import (
     Grid,
@@ -20,6 +21,7 @@ from sigmalab.geometry import (
     tangent_part_slots,
     wide_laplacian_symbol,
 )
+from sigmalab.presets import smooth_map_field
 
 
 def test_grid_validation():
@@ -247,6 +249,15 @@ def test_projection_fixes_points():
     assert np.max(np.abs(tg.project(p) - p)) < 1e-14
     te, pe = ellipsoid_points()
     assert np.max(np.abs(te.project(pe) - pe)) < 1e-10
+
+
+def test_level_set_projection_reads_its_input_in_c_order():
+    # a component-major view of p gives project(p)'s bits: the retraction copies p in C
+    # order, so its einsums sum in the same order whatever the caller's layout (the
+    # uncopied view was off by 1.1e-16 here)
+    te = ellipsoid_target([1.0, 1.3, 0.8])
+    p = smooth_map_field(Grid(16, 16), SphereTarget(3), seed=5, amplitude=0.4, modes=1)
+    assert np.array_equal(te.project(to_sites(to_planes(p, 1), 1)), te.project(p))
 
 
 def test_projection_without_convergence_raises():
