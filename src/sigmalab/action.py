@@ -62,20 +62,22 @@ weights) are built once per solve, and each evaluation's with_map shares them.
 The FD oracle's probes read FieldData that share parts with phi's one, and
 each evaluates only the summands its move changes, on the sites they read:
 
-* at_sites, the one gather, takes phi, chi, u and the parts that do not read
-  psi at chosen sites, with site axes (1, m), on one TargetData there;
+* at_sites, the one gather, takes phi, psi, chi, u, D_u psi and the parts that
+  do not read psi at chosen sites, with site axes (1, m), on one TargetData
+  there, or at the neighbours of those sites, (1, 4, m), with none;
 * with_psi shares the parts that do not read psi with a FieldData of another
   psi: on gathered sites, probes stacked as (P, m, K, 4) for the summands
   III, IV and V (pointwise_densities), which read psi only at their own site;
 * with_map shares the parts that read chi and u alone with a FieldData of
-  another map and psi: on the grid for the summands I and III (dphi_densities), which
-  read phi one stencil step away through d phi, and on gathered sites, maps
-  stacked as (2, m, K), for IV and V (local_densities), which read every
-  field only at their own site;
+  another map and psi: on the grid, and on gathered sites, maps stacked as
+  (P, m, K), for IV and V (local_densities), which read every field only at
+  their own site; at gathered neighbours, the FieldData of probes stacked as
+  (P, 4, m) takes the d phi that its caller recomputed there, for the summands
+  I and III (dphi_densities), which read phi one stencil step away;
 * the Dirac summand II reads psi one stencil step away: dirac_density
   evaluates it on the grid, and dirac_change its change between two psi by
-  polarization, from the D_u of their difference.  Both read the one form
-  e^{3u} <f, D_u g> (_dirac_form).
+  polarization, from the D_u of their difference, on the grid or at gathered
+  sites.  Both read the one form e^{3u} <f, D_u g> (_dirac_form).
 
 The parts and the contractions are component-major (see _planes): psi and D_u psi
 as (K, 4, n1, n2), d phi as (2, K, n1, n2), and M, A_l, c_l and A_l M as (K, K, ...),
@@ -155,9 +157,11 @@ def checked_target_data(target: TargetManifold, phi: np.ndarray, psi: np.ndarray
 
 
 # the parts of a FieldData that read the parameters chi and u alone, which FieldData.with_map
-# shares, and those that do not read psi, which FieldData.with_psi shares and at_sites gathers
+# shares, those that do not read psi, which FieldData.with_psi shares, and those that at_sites
+# gathers: beside these, psi and D_u psi, which reads a site's neighbours
 _PARAMETERS = ("gamma_chi", "q_chi2", "has_chi", "e2u", "e3u", "e4u", "dirac_weights")
 _PSI_FREE = ("dphi", "dphi_gamma_chi") + _PARAMETERS
+_GATHERED = ("psi_c", "dirac") + _PSI_FREE
 
 
 class FieldData:
@@ -213,7 +217,7 @@ class FieldData:
     @cached_property
     def q_chi2(self) -> np.ndarray:
         """|Q chi|^2 = <chi, Q chi> = -<chi, Gamma chi> / 2, so Q chi is formed once: scaling
-        by -1/2 is exact, which gives fields.q_norm2_field's bits."""
+        by -1/2 is exact, so this has the bits of site_inner(chi, clifford.q_project(chi))."""
         out = site_inner(self.chi, to_sites(self.gamma_chi, 2))
         out *= -0.5
         return out
@@ -255,17 +259,18 @@ class FieldData:
         a_l = self.tdata.asym_c
         return contract(np.moveaxis(a_l, 2, 0)[:, :, :, None], self.m[:, None, None])
 
-    def _sharing(self, fd: FieldData, names, sites: np.ndarray | None = None) -> FieldData:
-        """fd holding self's parts names, built here if need be: gathered at the flat grid-site
-        indices sites when given, as (..., 1, m), else shared and made read-only, so that an
-        in-place write raises.  A shared part lives as long as the longer-lived of the two."""
+    def _sharing(self, fd: FieldData, names, ij: tuple | None = None) -> FieldData:
+        """fd holding self's parts names, built here if need be: gathered at the grid sites
+        ij, a pair of index arrays, when given, as (...,) + their shape, else shared and made
+        read-only, so that an in-place write raises.  A shared part lives as long as the
+        longer-lived of the two."""
         for name in names:
             value = getattr(self, name)
             if name != "has_chi":
-                if sites is None:
+                if ij is None:
                     value.flags.writeable = False
                 else:                   # component-major: the site axes last
-                    value = value.reshape(value.shape[:-2] + (1, -1))[..., sites]
+                    value = value[(...,) + ij]
             fd.__dict__[name] = value
         return fd
 
@@ -275,37 +280,46 @@ class FieldData:
         fd = FieldData(self.phi, psi, self.chi, self.u, self.grid, tdata=self.tdata)
         return self._sharing(fd, _PSI_FREE)
 
-    def with_map(self, phi, psi, tdata: TargetData | None = None) -> FieldData:
+    def with_map(self, phi, psi, tdata: TargetData | None = None,
+                 dphi: np.ndarray | None = None) -> FieldData:
         """The FieldData of another map phi and a psi beside self's chi and u, on tdata, the
         TargetData of phi (None where no summand that reads it runs), sharing self's parts
         that read chi and u alone (Gamma chi, |Q chi|^2, has_chi and the conformal weights),
         on the grid or at_sites.  self may be a parameter FieldData (parameters).  Where psi
         and chi both vanish no summand and no residual reads those parts, so only has_chi
-        is shared and the others are not built."""
+        is shared and the others are not built.  dphi, when given, is d phi of the map
+        (2, K, ...), which a FieldData at gathered sites cannot take: phi may then be None."""
         fd = FieldData(phi, psi, self.chi, self.u, self.grid, tdata=tdata)
+        if dphi is not None:
+            fd.__dict__["dphi"] = dphi
         return self._sharing(fd, _PARAMETERS if self.has_chi or fd.has_psi else ("has_chi",))
 
-    def at_sites(self, sites: np.ndarray) -> FieldData:
-        """self's phi, chi, u and parts that do not read psi at the m flat grid-site indices
-        sites (repeats allowed), with site axes (1, m), on one TargetData of phi there: a
-        FieldData with no psi and no grid.  Its with_psi and with_map take fields stacked on
-        a leading axis, as (P, m, ...), for the summands that read those fields only at their
-        own site (pointwise_densities and local_densities)."""
-        phi = _at(self.phi, sites)
-        fd = FieldData(phi, None, _at(self.chi, sites), _at(self.u, sites),
-                       tdata=target_data(self.tdata.target, phi))
-        return self._sharing(fd, _PSI_FREE, sites)
+    def at_sites(self, sites: np.ndarray, framed: bool = True) -> FieldData:
+        """self's phi, psi, chi, u, D_u psi and parts that do not read psi at the flat
+        grid-site indices sites (repeats allowed), with site axes (1,) + sites.shape: a
+        FieldData with no grid, on one TargetData of phi there unless framed is False.
+        Each field and part is gathered by its two site indices, so no grid-sized array is
+        copied whatever the fields' memory order.
+
+        With m sites, (1, m), fields stacked on a leading axis, as (P, m, ...), go to its
+        with_psi and with_map for the summands that read them only at their own site
+        (pointwise_densities and local_densities), and to dirac_change.  With the m sites'
+        neighbours, (4, m) (unframed: neither summand below reads the target), so do
+        probes' D_u of a psi change, to dirac_change, and their d phi, recomputed there, to
+        with_map for dphi_densities."""
+        ij = np.divmod(sites[None], self.grid.n2)
+        phi = self.phi[ij]
+        tdata = target_data(self.tdata.target, phi) if framed else None
+        fd = self._sharing(FieldData(phi, None, self.chi[ij], self.u[ij], tdata=tdata),
+                           _GATHERED, ij)
+        fd.psi = to_sites(fd.psi_c, 2)
+        return fd
 
 
 def parameters(chi, u, grid: Grid) -> FieldData:
     """A FieldData of the parameters chi and u alone, with no map, psi or TargetData: its
     with_map gives each evaluation's FieldData, which shares the parts built here once."""
     return FieldData(None, None, chi, u, grid, tdata=None)
-
-
-def _at(x: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """A site-major field (site axes first) at the flat grid-site indices sites: (1, m, ...)."""
-    return x.reshape((1, -1) + x.shape[2:])[:, sites]
 
 
 def field_data(phi, psi, chi, u, grid, target, tdata: TargetData | None = None,
@@ -344,10 +358,11 @@ def dirac_density(fd: FieldData) -> np.ndarray | None:
 
 
 def dirac_change(fd: FieldData, delta: np.ndarray, d_delta: np.ndarray) -> np.ndarray:
-    """II(psi + a) - II(psi + b) per site, on fd's grid and psi, from delta = a - b and
-    d_delta = D_u delta (site-major, as views of planes in the oracle): by polarization e^{3u} (<delta, D_u psi> + <psi,
-    D_u delta>), which holds where <a, D_u a> and <b, D_u b> vanish at every site.  They do
-    when a and b are supported on sites at least 3 apart: D_u a reads a site's
+    """II(psi + a) - II(psi + b) per site, at fd's sites and psi, from delta = a - b and
+    d_delta = D_u delta (site-major; in the FD oracle, views of planes at gathered sites,
+    probes stacked on a leading axis): by polarization e^{3u} (<delta, D_u psi> +
+    <psi, D_u delta>), which holds where <a, D_u a> and <b, D_u b> vanish at every site.
+    They do when a and b are supported on sites at least 3 apart: D_u a reads a site's
     neighbours, never the site itself."""
     return _dirac_form(fd, [(to_planes(delta, 2), fd.dirac), (fd.psi_c, to_planes(d_delta, 2))])
 
@@ -374,8 +389,9 @@ def _curvature_density(fd: FieldData) -> np.ndarray | None:
 
 
 def dphi_densities(fd: FieldData) -> tuple:
-    """Summands I and III, which read phi one stencil step away, through d phi: grid only;
-    None where a term vanishes."""
+    """Summands I and III, which read phi one stencil step away, through d phi: on the grid,
+    or at gathered sites whose d phi fd was handed (FieldData.with_map); None where a term
+    vanishes."""
     return _dirichlet_density(fd.dphi), _gravitino_density(fd)
 
 
@@ -420,11 +436,6 @@ def sr_operator(fd: FieldData) -> np.ndarray:
     w = contract(fd.c[:, None, None], a_l)
     w -= ama
     return w
-
-
-def sr_planes(fd: FieldData) -> np.ndarray:
-    """SR(psi) = sr_operator(fd) psi, shaped like fd.psi_c."""
-    return contract(sr_operator(fd).swapaxes(0, 1)[:, :, None], fd.psi_c[:, None])
 
 
 def snr_of(psi, tdata: TargetData) -> np.ndarray:

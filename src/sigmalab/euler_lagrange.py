@@ -33,12 +33,13 @@ derivative of the discrete Dirac term.  action_gradient_fd checks both by
 central differences with per-site tangent-space perturbations (the
 vector-spinor is reprojected when the base point moves, i.e.
 parallel-transported to first order).  A probe re-evaluates only the summands
-its move changes: the Dirac summand's change by polarization, one D_u per pair
-of probes, taken on component planes with the D_u weights of phi's FieldData;
-the summands that read phi through d phi on the grid; and those that read the
-moved field only at its own site at the probed sites alone.  Each colour class
-takes one pass: there the probes of all tangent directions are stacked, and the
-5-point cross sums are read at the class's sites alone.
+its move changes, and only on the 5-point crosses of its colour class's sites,
+where that change lives: no array in the colour loop has the grid's site axes.
+The Dirac summand's change is taken by polarization, from the D_u of each pair
+of probes' psi change at the sites' neighbours; the summands that read phi
+through d phi take d phi again only where it reads a moved point; and those
+that read the moved field only at its own site run at the sites alone.  Each
+colour class takes one pass, the probes of all tangent directions stacked.
 
 Both residuals read the intermediates they share with each other and with the
 action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2, the conformal
@@ -71,7 +72,7 @@ from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, checked_target_data, dirac_change, dphi_densities, field_data,
                      gamma_chi, local_densities, pointwise_densities, snr_of, snr_planes,
                      sr_operator, summed, target_data)
-from .fields import dirac_planes, dirac_sym_planes, gamma_planes
+from .fields import clifford_planes, dirac_sym_planes, gamma_planes
 from .geometry import (Grid, TargetData, div, div_planes, grad, tangent_basis, tangent_part,
                        tangent_part_slots)
 
@@ -305,13 +306,73 @@ def assemble_map_residual(phi, psi, chi, u, grid, target) -> np.ndarray:
 # ---- finite-difference oracle ----------------------------------------------------
 
 
-def _cross_sum(d: np.ndarray, sites: tuple) -> np.ndarray:
-    """Sum of a density delta d (n1, n2) over the 5-point cross around each of the sites
-    (i, j), two index arrays: (d + (d[i - 1] + d[i + 1])) + (d[j - 1] + d[j + 1]), read at
-    the sites alone."""
-    i, j = sites
-    n1, n2 = d.shape
-    return (d[i, j] + (d[i - 1, j] + d[(i + 1) % n1, j])) + (d[i, j - 1] + d[i, (j + 1) % n2])
+def _neighbours(sites: np.ndarray, shape: tuple, reach: int = 1) -> np.ndarray:
+    """Flat indices (4, m) of the points reach steps from the flat grid-site indices sites
+    (m,) along each axis, periodic, in the rows i - reach, i + reach, j - reach, j + reach:
+    with the sites, their 5-point crosses for reach = 1."""
+    n1, n2 = shape
+    i, j = np.divmod(sites, n2)
+    return np.stack([(i - reach) % n1 * n2 + j, (i + reach) % n1 * n2 + j,
+                     i * n2 + (j - reach) % n2, i * n2 + (j + reach) % n2])
+
+
+def _cross_sum(at: np.ndarray, around: np.ndarray) -> np.ndarray:
+    """Sum of a density delta over the 5-point cross of each of m sites, from its values at
+    the sites, at (..., m), and at their neighbours, around (..., 4, m) in _neighbours'
+    rows: (d + (d[i - 1] + d[i + 1])) + (d[j - 1] + d[j + 1])."""
+    return ((at + (around[..., 0, :] + around[..., 1, :]))
+            + (around[..., 2, :] + around[..., 3, :]))
+
+
+def _dirac_changes(here: FieldData, near: FieldData, delta: np.ndarray,
+                   grid: Grid) -> tuple:
+    """The Dirac summand's change between the P pairs of probes whose psi differ by delta
+    (K, 4, P, m), component-major, at m sites and agree elsewhere, with the grid's bits:
+    at the sites, (P, m), and at their neighbours, (P, 4, m), from dirac_change on here and
+    near, the FieldData.at_sites of the sites and of their neighbours (_neighbours).
+
+    delta vanishes at the neighbours, and D_u delta = e^{-3u/2} D_flat(e^{u/2} delta) at the
+    sites, whose neighbours delta leaves at 0.  At a neighbour each centred difference of
+    e^{u/2} delta has one nonzero axis, that to the site, where _centered_planes takes
+    (x - 0) / (2 h) or (0 - x) / (2 h), x = e^{u/2} delta at the site; those differences go
+    through clifford_planes, and the result is scaled by e^{-3u/2} there."""
+    x = here.dirac_weights[0] * delta
+    d = np.zeros((2,) + delta.shape[:3] + (4,) + delta.shape[3:])  # [a, b, i, p, row, m]
+    for a, h in ((0, grid.h1), (1, grid.h2)):
+        np.divide(x, 2.0 * h, out=d[a, :, :, :, 2 * a])         # x - 0 at i - 1 or j - 1
+        hi = np.subtract(0.0, x, out=d[a, :, :, :, 2 * a + 1])  # 0 - x at i + 1 or j + 1
+        hi /= 2.0 * h
+    del x
+    # the rows and sites as one site axis, so that the spinor axis is third from last
+    d_delta = clifford_planes(cl.GAMMA, d.reshape(d.shape[:4] + (-1,))).reshape(d.shape[1:])
+    del d
+    d_delta *= near.dirac_weights[1]
+    zero = np.zeros(delta.shape[:2])
+    return (dirac_change(here, to_sites(delta, 2), zero),
+            dirac_change(near, zero, to_sites(d_delta, 2)))
+
+
+def _moved_map_summands(here: FieldData, near: FieldData, phi_c: np.ndarray,
+                        psi_c: np.ndarray, far: np.ndarray, grid: Grid) -> tuple:
+    """I + III of P probes that move phi to phi_c (K, P, m) and psi to psi_c (K, 4, P, m),
+    both component-major, at m sites and leave both elsewhere, with the grid's bits: at the
+    sites, (P, m), and at their neighbours, (P, 4, m), from dphi_densities on here and near,
+    the FieldData.at_sites of the sites and of their neighbours (_neighbours).  far (K, 4, m)
+    is phi two steps from the sites, in the rows of _neighbours(sites, shape, 2).
+
+    A site's own d phi reads only its neighbours, so here's serves the moved psi there.  A
+    neighbour's reads the moved site along one axis, so that component alone is taken again,
+    as (phi(x + e) - phi(x - e)) / (2 h), _centered_planes' operands, beside psi there."""
+    at = summed(dphi_densities(here.with_psi(to_sites(psi_c, 2))))
+    dphi = np.empty(near.dphi.shape[:2] + phi_c.shape[1:2] + near.dphi.shape[3:])
+    dphi[...] = near.dphi                                    # [a, b, p, row, m]
+    for a, h in ((0, grid.h1), (1, grid.h2)):
+        lo = np.subtract(phi_c, far[:, 2 * a, None], out=dphi[a, :, :, 2 * a])
+        lo /= 2.0 * h
+        hi = np.subtract(far[:, 2 * a + 1, None], phi_c, out=dphi[a, :, :, 2 * a + 1])
+        hi /= 2.0 * h
+    around = summed(dphi_densities(near.with_map(None, near.psi, dphi=dphi)))
+    return np.broadcast_to(at, around.shape[:1] + at.shape[1:]), around
 
 
 def _fd_colors(grid: Grid) -> np.ndarray:
@@ -348,123 +409,121 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     The sites of one colour class (_fd_colors) are perturbed simultaneously:
     the action density only reaches one stencil step, so the per-site action
     change is the density change between the + and - probes summed over the
-    5-point cross (_cross_sum, read at the class's sites alone), and one grid
-    evaluation serves a whole class.  Same-class sites are at least 3 apart, so
-    no density in one perturbed site's cross reads another perturbed site.
+    5-point cross (_cross_sum), and one evaluation serves a whole class.  Same-class
+    sites are at least 3 apart, so no density in one perturbed site's cross reads
+    another perturbed site.  Grids are at least 4 x 4, so each cross has five
+    distinct sites.
 
     phi's TargetData and FieldData are built once, after checking phi on N and
     psi tangent along phi's frame (ConstraintError otherwise), and so are D_u psi
-    and D_u's weights, which every probe's Dirac change reads.  A probe
-    re-evaluates only the summands that its move changes, each on the sites it
-    reads, and each class takes one pass: the probes of all its tangent
-    directions are stacked wherever a summand reads them only at their own site.
-    The oracle differences the action's own summand code alone and reads no
-    residual and no adjoint of D_u, so it stays an independent check of both
-    residuals.
+    and D_u's weights, which every probe's Dirac change reads.  Per class, one
+    FieldData.at_sites gathers phi's FieldData at its m sites (site axes (1, m),
+    on one TargetData there) and one at their 4m neighbours ((1, 4, m), with
+    none); each summand a probe changes is evaluated there, with the probes of
+    all tangent directions stacked on a leading axis, so no array in the colour
+    loop has the grid's site axes.  Every per-site operation keeps the operands
+    and the order of the whole-grid evaluation, so each change has its bits
+    (tests/oracles.py holds that evaluation).  The oracle differences the
+    action's own summand code alone, with the forward D_u, and reads no residual
+    and no adjoint of D_u, so it stays an independent check of both residuals.
 
     - The Dirac summand II is a quadratic form in psi.  The + and - probes move
       psi by a and b on one class only, and D_u reads a site's neighbours, never
       the site itself, so <a, D_u a> and <b, D_u b> vanish and II changes by
-      e^{3u} (<a - b, D_u psi> + <psi, D_u (a - b)>) (action.dirac_change): one
-      D_u of a - b per pair of probes, on the grid, with a - b written into zeroed
-      component planes and D_u taken there on phi's weights (fields.dirac_planes).
-    - A phi probe moves psi too (reprojected) and evaluates I + III
-      (action.dphi_densities) on the grid, as they read phi one step away
-      through d phi; its FieldData shares Gamma chi and |Q chi|^2 with phi's one
-      (FieldData.with_map) and builds no TargetData.  IV + V
-      (action.local_densities) read every field only at their own site: they run
-      at the class's m sites, on its one gathered FieldData (FieldData.at_sites,
-      site axes (1, m)), the moved maps of both signs and every tangent direction
-      stacked as (2 dimN, m, K) on one TargetData.  The retraction onto N runs once
-      per direction, as the level-set Newton loop tests convergence over all the
-      points it is given.
+      e^{3u} (<a - b, D_u psi> + <psi, D_u (a - b)>) (action.dirac_change).  The
+      psi changes a - b of the class's probe pairs, dimN phi pairs and then
+      dimN x 4 (direction, slot) psi pairs, stacked as (K, 4, 5 dimN, m), take
+      one D_u at the neighbours, where each centred difference of e^{u/2} (a - b)
+      has one nonzero axis (_dirac_changes).
+    - A phi probe moves psi too (reprojected).  I + III (action.dphi_densities)
+      read phi one step away through d phi: at a site they keep its d phi and
+      read the moved psi (FieldData.with_psi), and at a neighbour they take d phi
+      again along the axis that reads the moved point (_moved_map_summands).
+      IV + V (action.local_densities) read every field only at their own site:
+      they run at the class's m sites, the moved maps of both signs and every
+      tangent direction stacked as (2 dimN, m, K) on one TargetData.  The
+      retraction onto N runs once per direction, as the level-set Newton loop
+      tests convergence over all the points it is given.
     - A psi probe re-evaluates III + IV + V (action.pointwise_densities), which
       read psi only at their own site, at the probed sites alone: per class they
       run once, on the tangent directions x 4 slots x 2 signs of probed psi
-      stacked as (8 dimN, m, K, 4) against the same gathered FieldData and its
-      one frame of phi at the m sites; the stack is the site-major view of
+      stacked as (8 dimN, m, K, 4) against the class's gathered FieldData and
+      its one frame of phi at the m sites; the stack is the site-major view of
       component-major planes, which that FieldData reads without a copy.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError("finite-difference step must be positive and finite")
 
-    n1, n2 = grid.shape
+    n = grid.n1 * grid.n2
     tdata0 = checked_target_data(target, phi, psi)
     tb = tangent_basis(tdata0)                # (n1, n2, dimN, K)
     fdata0 = field_data(phi, psi, chi, u, grid, target, tdata0)
-    grad_phi = np.zeros_like(phi)
-    grad_psi = np.zeros_like(psi)
+    dim_n, k = tb.shape[2:]
+    grad_phi, grad_psi = np.zeros(phi.shape), np.zeros(psi.shape)
     hstep = step * (1.0 + np.linalg.norm(phi, axis=-1))          # (n1, n2)
-    sstep = step * (1.0 + np.linalg.norm(psi.reshape(n1, n2, -1), axis=-1))
+    sstep = step * (1.0 + np.linalg.norm(psi.reshape(phi.shape[:2] + (-1,)), axis=-1))
+    # the fields with flat site indices, gathered and updated per class without a grid array
+    phi_f, psi_f, tb_f = phi.reshape(n, k), psi.reshape(n, k, 4), tb.reshape(n, dim_n, k)
+    gp_f, gs_f = grad_phi.reshape(n, k), grad_psi.reshape(n, k, 4)
+    hstep, sstep = hstep.reshape(n), sstep.reshape(n)
+    colors = _fd_colors(grid).reshape(n)
+    classes = [np.flatnonzero(colors == c) for c in range(int(colors.max()) + 1)]
+    # phi's FieldData builds the parts that the classes' gathers read (D_u psi among them)
+    # here, so that no array the colour loop allocates has the grid's site axes
+    fdata0.at_sites(np.empty(0, dtype=np.intp), framed=False)
 
-    def central(mask, h, delta):
-        """The central difference at mask's sites (h the per-site step) from delta, the
-        action change there between the + and the - probe."""
-        return (delta / (2.0 * h[mask]) * grid.cell_area)[:, None]
+    def central(sites, h, delta):
+        """The central difference at the sites (h the per-site step) from delta, the action
+        change there between the + and the - probe."""
+        return (delta / (2.0 * h[sites]) * grid.cell_area)[:, None]
 
-    def dirac_between(ij, slots, delta_m):
-        """The Dirac density's change between two probes whose psi differ by delta_m in
-        the spinor slots `slots` at the sites ij = (i, j) and agree elsewhere; delta_m is
-        component-major, (K, 4, m) for every slot or (K, m) for one."""
-        i, j = ij
-        delta = np.zeros(psi.shape[2:] + grid.shape)
-        delta[:, slots, i, j] = delta_m
-        d_delta = dirac_planes(delta, fdata0.dirac_weights, grid)
-        return dirac_change(fdata0, to_sites(delta, 2), to_sites(d_delta, 2))
-
-    def phi_changes(mask, ij, here, dirs):
-        """The action change at mask's sites (ij = np.nonzero(mask), here = fdata0.at_sites
-        there) for each direction of dirs between the probes that move phi there by
-        +- hstep direction, psi reprojected onto the moved tangent spaces."""
-        phi_m, h_m = phi[mask], hstep[mask][:, None]
+    for sites in classes:
+        here = fdata0.at_sites(sites)                            # site axes (1, m)
+        near = fdata0.at_sites(_neighbours(sites, grid.shape), framed=False)   # (1, 4, m)
+        dirs = tb_f[sites].swapaxes(0, 1)                        # (dimN, m, K)
+        # the phi probes: +- hstep along each direction, psi reprojected
+        phi_m, h_m = phi_f[sites], hstep[sites][:, None]
         moves = [h_m * d for d in dirs]
         moved = target_data(target, np.concatenate(
             [target.project(phi_m + np.stack((move, -move))) for move in moves]))
-        psi_s = tangent_part_slots(moved.nu, psi[mask][None])       # (2 dimN, m, K, 4)
-        at_sites = summed(local_densities(here.with_map(moved.phi, psi_s, moved)))
-        changes = []
-        for t in range(0, 2 * len(dirs), 2):
-            on_grid = []
-            for phi_k, psi_k in zip(moved.phi[t:t + 2], psi_s[t:t + 2]):
-                phi_w, psi_w = phi.copy(), psi.copy(order="K")
-                phi_w[mask], psi_w[mask] = phi_k, psi_k
-                on_grid.append(summed(dphi_densities(fdata0.with_map(phi_w, psi_w))))
-            change = on_grid[0] - on_grid[1]
-            change += dirac_between(ij, slice(None), to_planes(psi_s[t] - psi_s[t + 1], 2))
-            delta = _cross_sum(change, ij)
-            if at_sites is not None:
-                delta += at_sites[t] - at_sites[t + 1]
-            changes.append(delta)
-        return changes
-
-    colors = _fd_colors(grid)
-    for color in range(int(colors.max()) + 1):
-        mask = colors == color
-        ij = np.nonzero(mask)
-        here = fdata0.at_sites(np.flatnonzero(mask))                 # site axes (1, m)
-        dirs = [tb[:, :, t, :][mask] for t in range(tb.shape[2])]
-        for d, delta in zip(dirs, phi_changes(mask, ij, here, dirs)):
-            grad_phi[mask] += central(mask, hstep, delta) * d
-        psi_mc, s_m = to_planes(psi[mask], 2), sstep[mask][:, None]  # (K, 4, m)
+        psi_s = tangent_part_slots(moved.nu, psi_f[sites][None])  # (2 dimN, m, K, 4)
+        local = summed(local_densities(here.with_map(moved.phi, psi_s, moved)))
+        # the psi changes of every probe pair at the sites, component-major [b, i, pair, m]:
+        # first the phi pairs', per direction, then the psi pairs', per (direction, slot)
+        delta = np.zeros((k, 4, 5 * dim_n, len(sites)))
+        delta[:, :, :dim_n] = to_planes(psi_s[0::2] - psi_s[1::2], 2)
         # the psi probes component-major, [b, i, (dir, slot, sign), m], so that their
         # FieldData reads them without a copy
-        probes = np.repeat(psi_mc[:, :, None], 8 * len(dirs), axis=2)
-        gaps = np.empty((len(dirs), 4, len(psi_mc), psi_mc.shape[2]))  # [dir, slot, K, m]
+        psi_mc, s_m = to_planes(psi_f[sites], 2), sstep[sites][:, None]  # (K, 4, m)
+        probes = np.repeat(psi_mc[:, :, None], 8 * dim_n, axis=2)
         for t, d in enumerate(dirs):
             move = (s_m * d).T
             for slot in range(4):
-                k = 8 * t + 2 * slot
-                plus, minus = probes[:, slot, k], probes[:, slot, k + 1]
+                col = 8 * t + 2 * slot
+                plus, minus = probes[:, slot, col], probes[:, slot, col + 1]
                 plus += move
                 minus -= move
-                np.subtract(plus, minus, out=gaps[t, slot])
+                np.subtract(plus, minus, out=delta[:, slot, dim_n + 4 * t + slot])
         pw = summed(pointwise_densities(here.with_psi(to_sites(probes, 2))))
         del probes
+        dirac_at, dirac_around = _dirac_changes(here, near, delta, grid)
+        del delta
+        far = np.moveaxis(phi_f[_neighbours(sites, grid.shape, 2)], -1, 0)   # (K, 4, m)
+        at, around = _moved_map_summands(here, near, to_planes(moved.phi, 1),
+                                         to_planes(psi_s, 2), far, grid)
+        change_at, change_around = at[0::2] - at[1::2], around[0::2] - around[1::2]
+        change_at += dirac_at[:dim_n]
+        change_around += dirac_around[:dim_n]
+        phi_changes = _cross_sum(change_at, change_around)        # (dimN, m)
+        if local is not None:
+            phi_changes += local[0::2] - local[1::2]
+        for d, change in zip(dirs, phi_changes):
+            gp_f[sites] += central(sites, hstep, change) * d
+        psi_changes = _cross_sum(dirac_at[dim_n:], dirac_around[dim_n:])   # (4 dimN, m)
+        psi_changes += pw[0::2] - pw[1::2]
         for t, d in enumerate(dirs):
             for slot in range(4):
-                delta = _cross_sum(dirac_between(ij, slot, gaps[t, slot]), ij)
-                delta += pw[8 * t + 2 * slot] - pw[8 * t + 2 * slot + 1]
-                grad_psi[mask, :, slot] += central(mask, sstep, delta) * d
+                gs_f[sites, :, slot] += central(sites, sstep, psi_changes[4 * t + slot]) * d
     return grad_phi, grad_psi
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "dirac_conformal_sym",
     "twisted_dirac",
     "site_inner",
-    "q_norm2_field",
     "conformal_rescale",
 ]
 
@@ -274,11 +273,6 @@ def site_inner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per-site Euclidean pairing of two (n1, n2, ...) fields over all their component axes."""
     return contract(np.moveaxis(f, (0, 1), (-2, -1)), np.moveaxis(g, (0, 1), (-2, -1)),
                     axes=f.ndim - 2)
-
-
-def q_norm2_field(chi: np.ndarray) -> np.ndarray:
-    """|Q chi|^2 per site, evaluated as <chi, Q chi> (orthogonal projector)."""
-    return site_inner(chi, cl.q_project(chi))
 
 
 def conformal_rescale(psi: np.ndarray, chi: np.ndarray, u: np.ndarray):

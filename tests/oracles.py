@@ -11,7 +11,12 @@ slow, direct way, pointwise or site by site:
 * _action_gradient_fd_sitewise, the finite-difference gradient of the action
   with one full re-evaluation per probe, which checks the coloured
   euler_lagrange.action_gradient_fd;
-* sr_of, the cubic contraction SR(psi) in the site-major layout of psi;
+* dirac_changes_on_grid and moved_map_summands_on_grid, a colour class's probe
+  changes of the summands that read a site's neighbours evaluated on the whole
+  grid, one probe at a time, which check the oracle's evaluation at the
+  classes' 5-point crosses bit for bit;
+* sr_planes and sr_of, the cubic contraction SR(psi) on component planes and in
+  the site-major layout of psi, and q_norm2_field, |Q chi|^2 as <chi, Q chi>;
 * clifford_derivative_matmul and gamma_matmul, the gamma matrices applied as
   batched @ products on the site-major and the component-major layout, which
   check the signed plane sums of fields.clifford_planes and fields.gamma_planes
@@ -20,12 +25,18 @@ slow, direct way, pointwise or site by site:
 
 import numpy as np
 
-from sigmalab._planes import to_sites
-from sigmalab.action import FieldData, action_density, sr_planes, target_data
-from sigmalab.clifford import GAMMA
-from sigmalab.fields import tangency_project
+from sigmalab._planes import contract, to_sites
+from sigmalab.action import (FieldData, action_density, dirac_change, dphi_densities,
+                             sr_operator, summed, target_data)
+from sigmalab.clifford import GAMMA, q_project
+from sigmalab.fields import dirac_planes, site_inner, tangency_project
 from sigmalab.geometry import (TargetData, grad, require_on_manifold, tangent_basis,
                                tangent_part)
+
+
+def sr_planes(fd: FieldData) -> np.ndarray:
+    """SR(psi) = sr_operator(fd) psi, shaped like fd.psi_c."""
+    return contract(sr_operator(fd).swapaxes(0, 1)[:, :, None], fd.psi_c[:, None])
 
 
 def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
@@ -33,6 +44,11 @@ def sr_of(psi, phi, target, tdata: TargetData | None = None) -> np.ndarray:
     if tdata is None:
         tdata = target_data(target, phi)
     return to_sites(sr_planes(FieldData(phi, psi, tdata=tdata)), 2)
+
+
+def q_norm2_field(chi: np.ndarray) -> np.ndarray:
+    """|Q chi|^2 per site, evaluated as <chi, Q chi> (orthogonal projector)."""
+    return site_inner(chi, q_project(chi))
 
 
 def clifford_derivative_matmul(gammas, s, grid) -> np.ndarray:
@@ -162,3 +178,31 @@ def _action_gradient_fd_sitewise(phi, psi, u, chi, grid, target, step):
                         psi_w[i, j, :, c] = s0[:, c]
                     grad_psi[i, j, :, c] += ((vals[0] - vals[1]) / (2.0 * sstep)) * direction
     return grad_phi, grad_psi
+
+
+def dirac_changes_on_grid(fdata: FieldData, sites, delta) -> np.ndarray:
+    """The Dirac summand's change (P, n1, n2) between the P pairs of probes whose psi differ
+    by delta (K, 4, P, m), component-major, at the flat grid-site indices sites and agree
+    elsewhere, on fdata's grid: per pair, delta written into zeroed planes, its D_u taken
+    there on fdata's weights and the change read by polarization (action.dirac_change)."""
+    i, j = np.divmod(sites, fdata.grid.n2)
+    out = []
+    for p in range(delta.shape[2]):
+        d = np.zeros(fdata.psi_c.shape)
+        d[:, :, i, j] = delta[:, :, p]
+        d_delta = dirac_planes(d, fdata.dirac_weights, fdata.grid)
+        out.append(dirac_change(fdata, to_sites(d, 2), to_sites(d_delta, 2)))
+    return np.stack(out)
+
+
+def moved_map_summands_on_grid(fdata: FieldData, sites, phi_m, psi_m) -> np.ndarray:
+    """I + III (P, n1, n2) of P probes that move fdata's phi to phi_m (P, m, K) and its psi to
+    psi_m (P, m, K, 4) at the flat grid-site indices sites and leave both elsewhere, on
+    fdata's grid: per probe, copies of phi and psi moved there (FieldData.with_map)."""
+    i, j = np.divmod(sites, fdata.grid.n2)
+    out = []
+    for phi_k, psi_k in zip(phi_m, psi_m):
+        phi_w, psi_w = fdata.phi.copy(), fdata.psi.copy()
+        phi_w[i, j], psi_w[i, j] = phi_k, psi_k
+        out.append(summed(dphi_densities(fdata.with_map(phi_w, psi_w))))
+    return np.stack(out)

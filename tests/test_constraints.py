@@ -97,11 +97,12 @@ def test_the_fd_oracle_checks_its_constraints_before_any_probe(monkeypatch, corr
 
 
 def _fail_the_probes(monkeypatch):
-    """Make the D_u of a probe's psi change, which every probe of the FD oracle takes, raise."""
+    """Make the flat Dirac kernel of the probes' D_u, which every colour class of the FD
+    oracle takes once at its 5-point crosses, raise."""
     def probe(*args, **kwargs):
         raise AssertionError("a probe ran on unchecked fields")
 
-    monkeypatch.setattr(euler_lagrange, "dirac_planes", probe)
+    monkeypatch.setattr(euler_lagrange, "clifford_planes", probe)
 
 
 def test_the_fd_oracle_constraint_test_patches_what_the_probes_call(monkeypatch):

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from oracles import _action_gradient_fd_sitewise, sr_of
+from oracles import (_action_gradient_fd_sitewise, dirac_changes_on_grid,
+                     moved_map_summands_on_grid, sr_of)
 from test_kernels import PlaneSphere
 from sigmalab import action, euler_lagrange, fields
 from sigmalab.action import (FieldData, dirac_change, dirac_density, field_data, target_data,
                              total_action)
 from sigmalab.clifford import sigma_lift
+from sigmalab._planes import to_planes
 from sigmalab.euler_lagrange import (
+    _cross_sum,
+    _dirac_changes,
     _fd_colors,
+    _moved_map_summands,
+    _neighbours,
     action_gradient_fd,
     assemble_map_residual,
     potentials,
@@ -22,7 +28,7 @@ from sigmalab.euler_lagrange import (
 )
 from sigmalab.fields import dirac_conformal, frame_violation, tangency_project, twisted_dirac
 from sigmalab.geometry import (Grid, SphereTarget, TargetData, div, ellipsoid_target, grad,
-                               tangent_part, tangent_part_slots)
+                               tangent_basis, tangent_part, tangent_part_slots)
 from sigmalab.presets import (
     equator_map,
     smooth_gravitino,
@@ -258,29 +264,34 @@ def _oracle_fields_32():
 
 
 def test_fd_oracle_density_calls_at_32(monkeypatch):
-    # per class (8) and tangent direction (2): the phi probes' pair and each of the 4 psi
-    # slots take one D_u of their psi change (80, beside psi's own D_u, which phi's
-    # FieldData builds), each through the flat Dirac operator's one kernel, and the 2 phi
-    # probes evaluate I + III on the grid; per class, one evaluation each, its probes of
-    # both directions stacked on a leading axis against the class's 128 sites, serves the
-    # phi probes' IV + V (2 directions x 2 maps) and the psi probes' III + IV + V
-    # (2 directions x 4 slots x 2 signs)
+    # the only D_u on the grid is psi's own, which phi's FieldData builds, and no I + III
+    # runs there; per class (8), one evaluation each at the class's 128 sites or at their
+    # 4 x 128 neighbours, its probes of both tangent directions stacked on a leading axis,
+    # serves the D_u of the 10 probe pairs' psi changes (2 phi pairs, 2 directions x 4
+    # slots of psi) at the neighbours, the phi probes' I + III (2 directions x 2 maps) at
+    # the sites and at the neighbours, their IV + V at the sites, and the psi probes'
+    # III + IV + V (2 directions x 4 slots x 2 signs) there
     g, phi, psi, chi = _oracle_fields_32()
     calls = {"clifford_planes": [], "dphi_densities": [], "local_densities": [],
              "pointwise_densities": []}
     for name, log in calls.items():
-        module = fields if name == "clifford_planes" else euler_lagrange
-        fn = getattr(module, name)
-        logged = lambda *a, _fn=fn, _log=log, **k: _log.append(a) or _fn(*a, **k)  # noqa: E731
-        monkeypatch.setattr(module, name, logged)
+        modules = (fields, euler_lagrange) if name == "clifford_planes" else (euler_lagrange,)
+        for module in modules:
+            fn = getattr(module, name)
+            logged = lambda *a, _fn=fn, _log=log, **k: _log.append(a) or _fn(*a, **k)  # noqa: E731
+            monkeypatch.setattr(module, name, logged)
     grid_frames = []
     frame = TG.normal_frame
     monkeypatch.setattr(TG, "normal_frame", lambda p: (
         p.shape[:2] == g.shape and grid_frames.append(np.array_equal(p, phi))) or frame(p))
     action_gradient_fd(phi, psi, np.zeros(g.shape), chi, g, TG)
-    assert len(calls["clifford_planes"]) == 1 + 8 * 2 * 5 == 81
-    assert len(calls["dphi_densities"]) == 8 * 2 * 2 == 32
-    assert {fd.phi.shape for (fd,) in calls["dphi_densities"]} == {phi.shape}
+    shapes = [d.shape for _, d in calls["clifford_planes"]]
+    assert [s for s in shapes if s[-2:] == g.shape] == [(2, 3, 4, 32, 32)]
+    assert shapes.count((2, 3, 4, 10, 4 * 128)) == 8 == len(shapes) - 1
+    dphi_shapes = [fd.dphi.shape for (fd,) in calls["dphi_densities"]]
+    assert not [s for s in dphi_shapes if s[-2:] == g.shape]
+    assert {s: dphi_shapes.count(s) for s in dphi_shapes} == {(2, 3, 1, 128): 8,
+                                                              (2, 3, 4, 4, 128): 8}
     assert len(calls["local_densities"]) == 8
     assert {fd.psi.shape for (fd,) in calls["local_densities"]} == {(4, 128, 3, 4)}
     assert len(calls["pointwise_densities"]) == 8
@@ -388,6 +399,62 @@ def test_the_dirac_change_of_one_colour_class_is_its_polarization(target, n1, n2
     i, j = np.argwhere(mask)[0]                 # a neighbour in the mask breaks the identity
     mask[i, (j + 1) % n2] = True
     assert errors(mask) > 1e-8
+
+
+@pytest.mark.parametrize("target", [TG, ellipsoid_target([1.0, 1.3, 0.8])],
+                         ids=["sphere", "ellipsoid"])
+@pytest.mark.parametrize("n1, n2", [(4, 4), (5, 6), (10, 10), (12, 8), (16, 16)])
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "psi-chi-u-zero"])
+def test_the_fd_oracle_cross_path_has_the_grid_path_bits(target, n1, n2, coupled):
+    # for every colour class (on 4^2, s + 2e = s - 2e), the probes' Dirac changes and the
+    # phi probes' I + III evaluated at the sites and their neighbours alone equal the whole
+    # grid's, probe by probe, bit for bit; the grid's changes vanish off the 5-point
+    # crosses, so their cross sums are the whole action changes
+    g = Grid(n1, n2)
+    phi = target.project(smooth_map_field(g, TG, seed=10, amplitude=0.4))
+    psi = smooth_vector_spinor(g, phi, target, seed=11, amplitude=0.3)
+    chi = smooth_gravitino(g, seed=12, amplitude=0.3)
+    u = smooth_scalar_field(g, seed=15, amplitude=0.25)
+    if not coupled:
+        psi, chi, u = np.zeros_like(psi), np.zeros_like(chi), np.zeros_like(u)
+    fdata = field_data(phi, psi, chi, u, g, target)
+    tb = tangent_basis(fdata.tdata).reshape(n1 * n2, 2, 3)
+    rng = np.random.default_rng(44)
+    colors = _fd_colors(g).reshape(-1)
+    for color in range(int(colors.max()) + 1):
+        sites = np.flatnonzero(colors == color)
+        m, dirs = len(sites), tb[sites].swapaxes(0, 1)              # (2, m, 3)
+        crosses = np.concatenate([sites[None], _neighbours(sites, g.shape)])
+        off = np.setdiff1d(np.arange(n1 * n2), crosses)
+        here, near = fdata.at_sites(sites), fdata.at_sites(crosses[1:], framed=False)
+        # the phi probes, +- 0.05 along each tangent direction with psi reprojected, and
+        # their pairs' psi changes; then one psi change per direction and slot
+        phi_m = phi.reshape(-1, 3)[sites]
+        moved = target_data(target, np.concatenate(
+            [target.project(phi_m + np.stack((0.05 * d, -0.05 * d))) for d in dirs]))
+        psi_m = tangent_part_slots(moved.nu, psi.reshape(-1, 3, 4)[sites][None])
+        delta = np.zeros((3, 4, 10, m))
+        delta[:, :, :2] = to_planes(psi_m[0::2] - psi_m[1::2], 2)
+        for t, d in enumerate(dirs):
+            for slot in range(4):
+                delta[:, slot, 2 + 4 * t + slot] = (rng.standard_normal((m, 1)) * d).T
+        grid_changes = (
+            dirac_changes_on_grid(fdata, sites, delta).reshape(10, -1),
+            moved_map_summands_on_grid(fdata, sites, moved.phi, psi_m).reshape(4, -1))
+        far = np.moveaxis(phi.reshape(-1, 3)[_neighbours(sites, g.shape, 2)], -1, 0)
+        cross_changes = (
+            _dirac_changes(here, near, delta, g),
+            _moved_map_summands(here, near, to_planes(moved.phi, 1), to_planes(psi_m, 2),
+                                far, g))
+        for on_grid, (at, around) in zip(grid_changes, cross_changes):
+            assert np.array_equal(at, on_grid[:, sites])
+            assert np.array_equal(around, on_grid[:, crosses[1:]])
+            assert np.array_equal(_cross_sum(at, around),
+                                  _cross_sum(on_grid[:, sites], on_grid[:, crosses[1:]]))
+        dirac, dens = grid_changes
+        assert not np.any(dirac[:, off]) and not np.any(dens[0::2, off] - dens[1::2, off])
+        assert np.any(dens[0::2] - dens[1::2])
+        assert np.any(dirac[2:]) == coupled     # at psi = 0, <a, D_u a> - <b, D_u b> = 0
 
 
 def test_the_fd_oracle_reads_no_residual_and_no_adjoint(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import clifford_derivative_matmul, gamma_matmul
+from oracles import clifford_derivative_matmul, gamma_matmul, q_norm2_field
 from sigmalab._planes import to_planes
 from sigmalab.errors import ConstraintError
 from sigmalab.fields import (
@@ -14,7 +14,6 @@ from sigmalab.fields import (
     dirac_flat,
     dirac_flat_sigma,
     frame_violation,
-    q_norm2_field,
     tangency_project,
     twisted_dirac,
 )

@@ -17,7 +17,7 @@ import pytest
 
 from sigmalab import clifford as cl
 from sigmalab._planes import contract
-from oracles import sr_of
+from oracles import q_norm2_field, sr_of
 from sigmalab.action import (FieldData, _curvature_density, _densities, dirac_density,
                              field_data, gamma_chi, snr_of)
 from sigmalab.euler_lagrange import (
@@ -26,8 +26,7 @@ from sigmalab.euler_lagrange import (
     residual_psi,
     v_fields,
 )
-from sigmalab.fields import (dirac_flat, dirac_flat_sigma, q_norm2_field, site_inner,
-                             twisted_dirac)
+from sigmalab.fields import dirac_flat, dirac_flat_sigma, site_inner, twisted_dirac
 from sigmalab.geometry import (
     Grid,
     SphereTarget,
