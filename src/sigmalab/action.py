@@ -301,12 +301,13 @@ class FieldData:
         Each field and part is gathered by its two site indices, so no grid-sized array is
         copied whatever the fields' memory order.
 
-        With m sites, (1, m), fields stacked on a leading axis, as (P, m, ...), go to its
-        with_psi and with_map for the summands that read them only at their own site
-        (pointwise_densities and local_densities), and to dirac_change.  With the m sites'
-        neighbours, (4, m) (unframed: neither summand below reads the target), so do
-        probes' D_u of a psi change, to dirac_change, and their d phi, recomputed there, to
-        with_map for dphi_densities."""
+        With m sites, (1, m): fields stacked on a leading axis, as (P, m, ...), go to its
+        with_psi and with_map, for the summands that read them only at their own site
+        (pointwise_densities, local_densities) and for I + III of probes that keep d phi
+        there (dphi_densities), and psi changes to dirac_change.  With the neighbours of m
+        sites, (4, m), unframed, as no summand evaluated there reads the target: the D_u of
+        probes' psi changes goes to dirac_change, and d phi recomputed there to with_map,
+        for dphi_densities."""
         ij = np.divmod(sites[None], self.grid.n2)
         phi = self.phi[ij]
         tdata = target_data(self.tdata.target, phi) if framed else None

@@ -482,11 +482,11 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         near = fdata0.at_sites(_neighbours(sites, grid.shape), framed=False)   # (1, 4, m)
         dirs = tb_f[sites].swapaxes(0, 1)                        # (dimN, m, K)
         # the phi probes: +- hstep along each direction, psi reprojected
-        phi_m, h_m = phi_f[sites], hstep[sites][:, None]
+        phi_m, psi_m, h_m = phi_f[sites], psi_f[sites], hstep[sites][:, None]
         moves = [h_m * d for d in dirs]
         moved = target_data(target, np.concatenate(
             [target.project(phi_m + np.stack((move, -move))) for move in moves]))
-        psi_s = tangent_part_slots(moved.nu, psi_f[sites][None])  # (2 dimN, m, K, 4)
+        psi_s = tangent_part_slots(moved.nu, psi_m[None])        # (2 dimN, m, K, 4)
         local = summed(local_densities(here.with_map(moved.phi, psi_s, moved)))
         # the psi changes of every probe pair at the sites, component-major [b, i, pair, m]:
         # first the phi pairs', per direction, then the psi pairs', per (direction, slot)
@@ -494,7 +494,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         delta[:, :, :dim_n] = to_planes(psi_s[0::2] - psi_s[1::2], 2)
         # the psi probes component-major, [b, i, (dir, slot, sign), m], so that their
         # FieldData reads them without a copy
-        psi_mc, s_m = to_planes(psi_f[sites], 2), sstep[sites][:, None]  # (K, 4, m)
+        psi_mc, s_m = to_planes(psi_m, 2), sstep[sites][:, None]  # (K, 4, m)
         probes = np.repeat(psi_mc[:, :, None], 8 * dim_n, axis=2)
         for t, d in enumerate(dirs):
             move = (s_m * d).T

@@ -7,10 +7,10 @@ from oracles import (_action_gradient_fd_sitewise, dirac_changes_on_grid,
                      moved_map_summands_on_grid, sr_of)
 from test_kernels import PlaneSphere
 from sigmalab import action, euler_lagrange, fields
+from sigmalab._planes import to_planes
 from sigmalab.action import (FieldData, dirac_change, dirac_density, field_data, target_data,
                              total_action)
 from sigmalab.clifford import sigma_lift
-from sigmalab._planes import to_planes
 from sigmalab.euler_lagrange import (
     _cross_sum,
     _dirac_changes,
