@@ -310,11 +310,28 @@ class FieldData:
         for dphi_densities."""
         ij = np.divmod(sites[None], self.grid.n2)
         phi = self.phi[ij]
-        tdata = target_data(self.tdata.target, phi) if framed else None
+        tdata = _GatheredTargetData(self.tdata, phi, ij) if framed else None
         fd = self._sharing(FieldData(phi, None, self.chi[ij], self.u[ij], tdata=tdata),
                            _GATHERED, ij)
         fd.psi = to_sites(fd.psi_c, 2)
         return fd
+
+
+class _GatheredTargetData(TargetData):
+    """The TargetData of phi at the grid sites ij, a pair of index arrays, read from
+    grid_data, the TargetData of phi on the grid: its frame nu gathered there, and A
+    gathered on first use, so that A is built on the grid once whatever the number of
+    gathers.  No frame is computed; the other parts are built from these, as on any
+    TargetData, with the grid's bits, as each is a per-site function of phi."""
+
+    def __init__(self, grid_data: TargetData, phi: np.ndarray, ij: tuple):
+        self.target, self.phi = grid_data.target, phi
+        self.nu = to_sites(grid_data.nu_c[(...,) + ij], 2)
+        self._grid_data, self._ij = grid_data, ij
+
+    @cached_property
+    def asym_c(self) -> np.ndarray:
+        return self._grid_data.asym_c[(...,) + self._ij]
 
 
 def parameters(chi, u, grid: Grid) -> FieldData:

@@ -72,7 +72,7 @@ from ._planes import contract, tangent, to_planes, to_sites
 from .action import (FieldData, checked_target_data, dirac_change, dphi_densities, field_data,
                      gamma_chi, local_densities, pointwise_densities, snr_of, snr_planes,
                      sr_operator, summed, target_data)
-from .fields import clifford_planes, dirac_sym_planes, gamma_planes
+from .fields import _ENTRIES, dirac_sym_planes, gamma_planes
 from .geometry import (Grid, TargetData, div, div_planes, grad, tangent_basis, tangent_part,
                        tangent_part_slots)
 
@@ -333,19 +333,22 @@ def _dirac_changes(here: FieldData, near: FieldData, delta: np.ndarray,
 
     delta vanishes at the neighbours, and D_u delta = e^{-3u/2} D_flat(e^{u/2} delta) at the
     sites, whose neighbours delta leaves at 0.  At a neighbour each centred difference of
-    e^{u/2} delta has one nonzero axis, that to the site, where _centered_planes takes
-    (x - 0) / (2 h) or (0 - x) / (2 h), x = e^{u/2} delta at the site; those differences go
-    through clifford_planes, and the result is scaled by e^{-3u/2} there."""
+    e^{u/2} delta has one nonzero axis a, that to the site, where _centered_planes takes
+    (x - 0) / (2 h) or (0 - x) / (2 h), x = e^{u/2} delta at the site.  clifford_planes
+    then reduces to a signed permutation: component i of D_flat is +-(x / (2 h_a))[j_a(i)],
+    with the columns j_a and signs of fields._ENTRIES, the negated difference of the row
+    past the site its negation.  The result is scaled by e^{-3u/2} there."""
     x = here.dirac_weights[0] * delta
-    d = np.zeros((2,) + delta.shape[:3] + (4,) + delta.shape[3:])  # [a, b, i, p, row, m]
-    for a, h in ((0, grid.h1), (1, grid.h2)):
-        np.divide(x, 2.0 * h, out=d[a, :, :, :, 2 * a])         # x - 0 at i - 1 or j - 1
-        hi = np.subtract(0.0, x, out=d[a, :, :, :, 2 * a + 1])  # 0 - x at i + 1 or j + 1
-        hi /= 2.0 * h
+    d_delta = np.empty(delta.shape[:3] + (4,) + delta.shape[3:])   # [b, i, p, row, m]
+    for i, (j0, pos0, j1, pos1) in enumerate(_ENTRIES[id(cl.GAMMA)]):
+        for a, h, j, pos in ((0, grid.h1, j0, pos0), (1, grid.h2, j1, pos1)):
+            # x / (2h) at i - 1 or j - 1 and its negation at i + 1 or j + 1, signed
+            lo, hi = d_delta[:, i, :, 2 * a], d_delta[:, i, :, 2 * a + 1]
+            if not pos:
+                lo, hi = hi, lo
+            np.divide(x[:, j], 2.0 * h, out=lo)
+            np.negative(lo, out=hi)
     del x
-    # the rows and sites as one site axis, so that the spinor axis is third from last
-    d_delta = clifford_planes(cl.GAMMA, d.reshape(d.shape[:4] + (-1,))).reshape(d.shape[1:])
-    del d
     d_delta *= near.dirac_weights[1]
     zero = np.zeros(delta.shape[:2])
     return (dirac_change(here, to_sites(delta, 2), zero),
@@ -373,6 +376,9 @@ def _moved_map_summands(here: FieldData, near: FieldData, phi_c: np.ndarray,
         hi /= 2.0 * h
     around = summed(dphi_densities(near.with_map(None, near.psi, dphi=dphi)))
     return np.broadcast_to(at, around.shape[:1] + at.shape[1:]), around
+
+
+_SLOTS = np.arange(4)
 
 
 def _fd_colors(grid: Grid) -> np.ndarray:
@@ -472,10 +478,10 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     # here, so that no array the colour loop allocates has the grid's site axes
     fdata0.at_sites(np.empty(0, dtype=np.intp), framed=False)
 
-    def central(sites, h, delta):
-        """The central difference at the sites (h the per-site step) from delta, the action
-        change there between the + and the - probe."""
-        return (delta / (2.0 * h[sites]) * grid.cell_area)[:, None]
+    def central(h, delta):
+        """The central differences at m sites from delta (..., m), the action changes there
+        between the + and the - probes, and h (m,), the sites' steps."""
+        return delta / (2.0 * h) * grid.cell_area
 
     for sites in classes:
         here = fdata0.at_sites(sites)                            # site axes (1, m)
@@ -494,16 +500,17 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         delta[:, :, :dim_n] = to_planes(psi_s[0::2] - psi_s[1::2], 2)
         # the psi probes component-major, [b, i, (dir, slot, sign), m], so that their
         # FieldData reads them without a copy
-        psi_mc, s_m = to_planes(psi_m, 2), sstep[sites][:, None]  # (K, 4, m)
+        psi_mc = to_planes(psi_m, 2)                             # (K, 4, m)
         probes = np.repeat(psi_mc[:, :, None], 8 * dim_n, axis=2)
-        for t, d in enumerate(dirs):
-            move = (s_m * d).T
-            for slot in range(4):
-                col = 8 * t + 2 * slot
-                plus, minus = probes[:, slot, col], probes[:, slot, col + 1]
-                plus += move
-                minus -= move
-                np.subtract(plus, minus, out=delta[:, slot, dim_n + 4 * t + slot])
+        moves = (sstep[sites][:, None] * dirs).transpose(2, 0, 1)   # (K, dimN, m)
+        plus, minus = psi_mc[:, :, None] + moves[:, None], psi_mc[:, :, None] - moves[:, None]
+        # the moved slot of each (direction, slot) pair: the diagonal of [i, dir, slot]
+        by_slot = probes.reshape(k, 4, dim_n, 4, 2, -1)
+        by_slot[:, _SLOTS, :, _SLOTS, 0] = plus.swapaxes(0, 1)
+        by_slot[:, _SLOTS, :, _SLOTS, 1] = minus.swapaxes(0, 1)
+        delta[:, :, dim_n:].reshape(k, 4, dim_n, 4, -1)[:, _SLOTS, :, _SLOTS] = (
+            (plus - minus).swapaxes(0, 1))
+        del plus, minus
         pw = summed(pointwise_densities(here.with_psi(to_sites(probes, 2))))
         del probes
         dirac_at, dirac_around = _dirac_changes(here, near, delta, grid)
@@ -517,13 +524,12 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         phi_changes = _cross_sum(change_at, change_around)        # (dimN, m)
         if local is not None:
             phi_changes += local[0::2] - local[1::2]
-        for d, change in zip(dirs, phi_changes):
-            gp_f[sites] += central(sites, hstep, change) * d
+        # each site's row once, the directions' terms added in order
+        gp_f[sites] = summed(central(hstep[sites], phi_changes)[:, :, None] * dirs)
         psi_changes = _cross_sum(dirac_at[dim_n:], dirac_around[dim_n:])   # (4 dimN, m)
         psi_changes += pw[0::2] - pw[1::2]
-        for t, d in enumerate(dirs):
-            for slot in range(4):
-                gs_f[sites, :, slot] += central(sites, sstep, psi_changes[4 * t + slot]) * d
+        psi_changes = central(sstep[sites], psi_changes.reshape(dim_n, 4, -1))
+        gs_f[sites] = summed(psi_changes.transpose(0, 2, 1)[:, :, None] * dirs[..., None])
     return grad_phi, grad_psi
 
 
