@@ -63,8 +63,9 @@ The FD oracle's probes read FieldData that share parts with phi's one, and
 each evaluates only the summands its move changes, on the sites they read:
 
 * at_sites, the one gather, takes phi, psi, chi, u, D_u psi and the parts that
-  do not read psi at chosen sites, with site axes (1, m), on one TargetData
-  there, or at the neighbours of those sites, (1, 4, m), with none;
+  do not read psi at chosen sites, with site axes (1, m), on phi's frame and A
+  gathered there from phi's TargetData (A built on the grid once, however many
+  gathers read it), or at the neighbours of those sites, (1, 4, m), with none;
 * with_psi shares the parts that do not read psi with a FieldData of another
   psi: on gathered sites, probes stacked as (P, m, K, 4) for the summands
   III, IV and V (pointwise_densities), which read psi only at their own site;
@@ -297,9 +298,11 @@ class FieldData:
     def at_sites(self, sites: np.ndarray, framed: bool = True) -> FieldData:
         """self's phi, psi, chi, u, D_u psi and parts that do not read psi at the flat
         grid-site indices sites (repeats allowed), with site axes (1,) + sites.shape: a
-        FieldData with no grid, on one TargetData of phi there unless framed is False.
-        Each field and part is gathered by its two site indices, so no grid-sized array is
-        copied whatever the fields' memory order.
+        FieldData with no grid, on the TargetData of phi there unless framed is False,
+        whose frame nu and A are gathered from self's (_GatheredTargetData), so that no
+        frame is computed and A is built on the grid once, on first use.  Each field and
+        part is gathered by its two site indices, so no grid-sized array is copied
+        whatever the fields' memory order.
 
         With m sites, (1, m): fields stacked on a leading axis, as (P, m, ...), go to its
         with_psi and with_map, for the summands that read them only at their own site

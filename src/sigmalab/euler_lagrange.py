@@ -36,10 +36,11 @@ parallel-transported to first order).  A probe re-evaluates only the summands
 its move changes, and only on the 5-point crosses of its colour class's sites,
 where that change lives: no array in the colour loop has the grid's site axes.
 The Dirac summand's change is taken by polarization, from the D_u of each pair
-of probes' psi change at the sites' neighbours; the summands that read phi
-through d phi take d phi again only where it reads a moved point; and those
-that read the moved field only at its own site run at the sites alone.  Each
-colour class takes one pass, the probes of all tangent directions stacked.
+of probes' psi change at the sites' neighbours, where it is a signed
+permutation of that change; the summands that read phi through d phi take
+d phi again only where it reads a moved point; and those that read the moved
+field only at its own site run at the sites alone.  Each colour class takes
+one pass, the probes of all tangent directions stacked.
 
 Both residuals read the intermediates they share with each other and with the
 action (d phi, D_u psi, Gamma chi, d phi . Gamma chi, |Q chi|^2, the conformal
@@ -335,14 +336,14 @@ def _dirac_changes(here: FieldData, near: FieldData, delta: np.ndarray,
     sites, whose neighbours delta leaves at 0.  At a neighbour each centred difference of
     e^{u/2} delta has one nonzero axis a, that to the site, where _centered_planes takes
     (x - 0) / (2 h) or (0 - x) / (2 h), x = e^{u/2} delta at the site.  clifford_planes
-    then reduces to a signed permutation: component i of D_flat is +-(x / (2 h_a))[j_a(i)],
-    with the columns j_a and signs of fields._ENTRIES, the negated difference of the row
-    past the site its negation.  The result is scaled by e^{-3u/2} there."""
+    then reduces to a signed permutation: component i of D_flat delta is
+    s_a(i) (x / (2 h_a))[j_a(i)] at the neighbour before the site (i - 1 or j - 1) and its
+    negation at the one past it, with the columns j_a and signs s_a of fields._ENTRIES, so
+    it is written directly.  The result is scaled by e^{-3u/2} there."""
     x = here.dirac_weights[0] * delta
     d_delta = np.empty(delta.shape[:3] + (4,) + delta.shape[3:])   # [b, i, p, row, m]
     for i, (j0, pos0, j1, pos1) in enumerate(_ENTRIES[id(cl.GAMMA)]):
         for a, h, j, pos in ((0, grid.h1, j0, pos0), (1, grid.h2, j1, pos1)):
-            # x / (2h) at i - 1 or j - 1 and its negation at i + 1 or j + 1, signed
             lo, hi = d_delta[:, i, :, 2 * a], d_delta[:, i, :, 2 * a + 1]
             if not pos:
                 lo, hi = hi, lo
@@ -376,9 +377,6 @@ def _moved_map_summands(here: FieldData, near: FieldData, phi_c: np.ndarray,
         hi /= 2.0 * h
     around = summed(dphi_densities(near.with_map(None, near.psi, dphi=dphi)))
     return np.broadcast_to(at, around.shape[:1] + at.shape[1:]), around
-
-
-_SLOTS = np.arange(4)
 
 
 def _fd_colors(grid: Grid) -> np.ndarray:
@@ -424,10 +422,12 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     psi tangent along phi's frame (ConstraintError otherwise), and so are D_u psi
     and D_u's weights, which every probe's Dirac change reads.  Per class, one
     FieldData.at_sites gathers phi's FieldData at its m sites (site axes (1, m),
-    on one TargetData there) and one at their 4m neighbours ((1, 4, m), with
-    none); each summand a probe changes is evaluated there, with the probes of
-    all tangent directions stacked on a leading axis, so no array in the colour
-    loop has the grid's site axes.  Every per-site operation keeps the operands
+    with phi's frame and A gathered there, A built on the grid once per call, so
+    no class builds a frame of phi) and one at their 4m neighbours ((1, 4, m),
+    with none); each summand a probe changes is evaluated there, with the probes
+    of all tangent directions stacked on a leading axis, so no array in the
+    colour loop has the grid's site axes, and each class writes its sites' rows
+    of grad_phi and grad_psi once.  Every per-site operation keeps the operands
     and the order of the whole-grid evaluation, so each change has its bits
     (tests/oracles.py holds that evaluation).  The oracle differences the
     action's own summand code alone, with the forward D_u, and reads no residual
@@ -439,8 +439,10 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
       e^{3u} (<a - b, D_u psi> + <psi, D_u (a - b)>) (action.dirac_change).  The
       psi changes a - b of the class's probe pairs, dimN phi pairs and then
       dimN x 4 (direction, slot) psi pairs, stacked as (K, 4, 5 dimN, m), take
-      one D_u at the neighbours, where each centred difference of e^{u/2} (a - b)
-      has one nonzero axis (_dirac_changes).
+      their D_u at the neighbours, where each centred difference of
+      e^{u/2} (a - b) has one nonzero axis, so that D_flat is a signed
+      permutation of the spinor components there (_dirac_changes): no
+      clifford_planes call and no zeroed input.
     - A phi probe moves psi too (reprojected).  I + III (action.dphi_densities)
       read phi one step away through d phi: at a site they keep its d phi and
       read the moved psi (FieldData.with_psi), and at a neighbour they take d phi
@@ -454,7 +456,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
       read psi only at their own site, at the probed sites alone: per class they
       run once, on the tangent directions x 4 slots x 2 signs of probed psi
       stacked as (8 dimN, m, K, 4) against the class's gathered FieldData and
-      its one frame of phi at the m sites; the stack is the site-major view of
+      the A of phi gathered at the m sites; the stack is the site-major view of
       component-major planes, which that FieldData reads without a copy.
     """
     if not (np.isfinite(step) and step > 0):
@@ -474,6 +476,7 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     hstep, sstep = hstep.reshape(n), sstep.reshape(n)
     colors = _fd_colors(grid).reshape(n)
     classes = [np.flatnonzero(colors == c) for c in range(int(colors.max()) + 1)]
+    slots = np.arange(4)
     # phi's FieldData builds the parts that the classes' gathers read (D_u psi among them)
     # here, so that no array the colour loop allocates has the grid's site axes
     fdata0.at_sites(np.empty(0, dtype=np.intp), framed=False)
@@ -502,13 +505,13 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
         # FieldData reads them without a copy
         psi_mc = to_planes(psi_m, 2)                             # (K, 4, m)
         probes = np.repeat(psi_mc[:, :, None], 8 * dim_n, axis=2)
-        moves = (sstep[sites][:, None] * dirs).transpose(2, 0, 1)   # (K, dimN, m)
-        plus, minus = psi_mc[:, :, None] + moves[:, None], psi_mc[:, :, None] - moves[:, None]
+        kicks = (sstep[sites][:, None] * dirs).transpose(2, 0, 1)   # (K, dimN, m)
+        plus, minus = psi_mc[:, :, None] + kicks[:, None], psi_mc[:, :, None] - kicks[:, None]
         # the moved slot of each (direction, slot) pair: the diagonal of [i, dir, slot]
         by_slot = probes.reshape(k, 4, dim_n, 4, 2, -1)
-        by_slot[:, _SLOTS, :, _SLOTS, 0] = plus.swapaxes(0, 1)
-        by_slot[:, _SLOTS, :, _SLOTS, 1] = minus.swapaxes(0, 1)
-        delta[:, :, dim_n:].reshape(k, 4, dim_n, 4, -1)[:, _SLOTS, :, _SLOTS] = (
+        by_slot[:, slots, :, slots, 0] = plus.swapaxes(0, 1)
+        by_slot[:, slots, :, slots, 1] = minus.swapaxes(0, 1)
+        delta[:, :, dim_n:].reshape(k, 4, dim_n, 4, -1)[:, slots, :, slots] = (
             (plus - minus).swapaxes(0, 1))
         del plus, minus
         pw = summed(pointwise_densities(here.with_psi(to_sites(probes, 2))))

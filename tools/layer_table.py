@@ -27,7 +27,8 @@ frame, dnu, A, nabla A (nabla_a_tensor, handed a TargetData with dnu and A
 built) and project on the ellipsoid (1.0, 1.3, 0.8), with phi the same smooth
 map projected onto it.  The action_gradient_fd row times one call of the FD
 oracle on the S^2 fields at every size (one call takes about 0.065 s at 64^2
-and 0.23 s at 128^2 on one core of a 2-vCPU KVM host).
+and 0.23 s at 128^2 on one core of a 2-vCPU KVM host), and reports the
+tracemalloc peak of one more call, in MB (tracemalloc_peak_mb), untimed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -68,6 +70,16 @@ def _time(fn, prepare, seconds: float, min_calls: int = 5) -> dict:
     q1, med, q3 = statistics.quantiles(times, n=4)
     return {"median_s": med, "q1_s": q1, "q3_s": q3, "calls": len(times),
             "minflt_per_call": faults / len(times)}
+
+
+def _peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn(), in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def table(sizes, seconds: float) -> dict:
@@ -128,9 +140,10 @@ def table(sizes, seconds: float) -> dict:
                                          lambda: tdata("dnu", "asym", target=te, p=phi_e)),
             "ellipsoid project": (lambda _: te.project(off_e), none),
         }
-        rows["action_gradient_fd"] = (lambda _: euler_lagrange.action_gradient_fd(
-            phi, psi, u, chi, g, tg), none)
+        oracle = lambda: euler_lagrange.action_gradient_fd(phi, psi, u, chi, g, tg)  # noqa: E731
+        rows["action_gradient_fd"] = (lambda _: oracle(), none)
         out[str(n)] = {name: _time(fn, prepare, seconds) for name, (fn, prepare) in rows.items()}
+        out[str(n)]["action_gradient_fd"]["tracemalloc_peak_mb"] = _peak_mb(oracle)
     return out
 
 
