@@ -26,9 +26,11 @@ project of phi scaled by 1.01.  The "ellipsoid ..." rows time the normal
 frame, dnu, A, nabla A (nabla_a_tensor, handed a TargetData with dnu and A
 built) and project on the ellipsoid (1.0, 1.3, 0.8), with phi the same smooth
 map projected onto it.  The action_gradient_fd row times one call of the FD
-oracle on the S^2 fields at every size (one call takes about 0.065 s at 64^2
-and 0.23 s at 128^2 on one core of a 2-vCPU KVM host), and reports the
-tracemalloc peak of one more call, in MB (tracemalloc_peak_mb), untimed.
+oracle on the S^2 fields at every size, and reports the tracemalloc peak of
+one more call, untimed, in MB (tracemalloc_peak_mb).  One call takes about
+0.026 s at 32^2, 0.11 s at 64^2 and 0.35 s at 128^2 on one core of a 2-vCPU
+KVM host, whose neighbours slow it by up to 1.8x, and peaks at 2.6, 10.0 and
+39.8 MB.
 """
 
 from __future__ import annotations
