@@ -300,9 +300,9 @@ class FieldData:
         grid-site indices sites (repeats allowed), with site axes (1,) + sites.shape: a
         FieldData with no grid, on the TargetData of phi there unless framed is False,
         whose frame nu and A are gathered from self's (_GatheredTargetData), so that no
-        frame is computed and A is built on the grid once, on first use.  Each field and
-        part is gathered by its two site indices, so no grid-sized array is copied
-        whatever the fields' memory order.
+        frame is computed and A is built on the grid once, by the first framed gather
+        (which may take no sites).  Each field and part is gathered by its two site
+        indices, so no grid-sized array is copied whatever the fields' memory order.
 
         With m sites, (1, m): fields stacked on a leading axis, as (P, m, ...), go to its
         with_psi and with_map, for the summands that read them only at their own site
@@ -322,19 +322,29 @@ class FieldData:
 
 class _GatheredTargetData(TargetData):
     """The TargetData of phi at the grid sites ij, a pair of index arrays, read from
-    grid_data, the TargetData of phi on the grid: its frame nu gathered there, and A
-    gathered on first use, so that A is built on the grid once whatever the number of
-    gathers.  No frame is computed; the other parts are built from these, as on any
-    TargetData, with the grid's bits, as each is a per-site function of phi."""
+    grid_data, the TargetData of phi on the grid: its frame nu and A gathered there on
+    construction, which builds grid_data's A if need be, so that A is built on the grid
+    once whatever the number of gathers, and dnu gathered on first use.  No frame or
+    frame derivative is computed at the sites, and each part has the grid's bits; pi is
+    built from the gathered nu, as on any TargetData."""
 
     def __init__(self, grid_data: TargetData, phi: np.ndarray, ij: tuple):
         self.target, self.phi = grid_data.target, phi
         self.nu = to_sites(grid_data.nu_c[(...,) + ij], 2)
+        self.asym_c = grid_data.asym_c[(...,) + ij]
         self._grid_data, self._ij = grid_data, ij
 
     @cached_property
-    def asym_c(self) -> np.ndarray:
-        return self._grid_data.asym_c[(...,) + self._ij]
+    def dnu_c(self) -> np.ndarray:
+        return self._grid_data.dnu_c[(...,) + self._ij]
+
+    @cached_property
+    def dnu(self) -> np.ndarray:
+        return to_sites(self.dnu_c, 3)
+
+    @cached_property
+    def asym(self) -> np.ndarray:
+        return np.moveaxis(self.asym_c, (0, 1, 2), (-1, -3, -2))
 
 
 def parameters(chi, u, grid: Grid) -> FieldData:

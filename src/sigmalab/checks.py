@@ -47,17 +47,15 @@ class CheckResult:
 
 
 def symmetry_suite(psi, chi, u, grid, tdata: TargetData, rng):
-    """Super-Weyl shift and the sign flip, term by term, and the conformal change, at
-    phi's TargetData tdata.
+    """Super-Weyl shift and the sign flip, term by term, at phi's TargetData tdata.
 
-    The five actions share phi and only negate or rescale psi, so they read tdata.  At
-    u = 0 the conformal change leaves psi and chi as they are and the flat action is the
-    base one, so that row reads the base action and the suite takes three.
+    The five actions share phi and only negate or rescale psi, so they read tdata.
     """
     out = []
     phi, target = tdata.phi, tdata.target
     spin = rng.standard_normal(grid.shape + (4,))
-    chi_s = chi + sigma_lift(spin)
+    psi_r, chi_r = conformal_rescale(psi, chi, u)
+    chi_s, zero = chi + sigma_lift(spin), np.zeros(grid.shape)
 
     base = total_action(phi, psi, u, chi, grid, target, tdata=tdata)
     scale = 1.0 + max(abs(v) for v in base.to_dict().values())
@@ -71,12 +69,8 @@ def symmetry_suite(psi, chi, u, grid, tdata: TargetData, rng):
     out.append(CheckResult("symmetry", "sign_flip", err / scale, EXACT_TOL))
 
     # not exact at finite h (the Dirac conjugation leaks O(h^2)); generous bound
-    if np.any(u):
-        psi_r, chi_r = conformal_rescale(psi, chi, u)
-        conf = total_action(phi, psi_r, u, chi_r, grid, target, tdata=tdata)
-        flat = total_action(phi, psi, np.zeros(grid.shape), chi, grid, target, tdata=tdata)
-    else:
-        conf = flat = base
+    conf = total_action(phi, psi_r, u, chi_r, grid, target, tdata=tdata)
+    flat = total_action(phi, psi, zero, chi, grid, target, tdata=tdata)
     out.append(
         CheckResult("symmetry", "conformal_total", abs(conf.total - flat.total) / scale, 1e-1)
     )

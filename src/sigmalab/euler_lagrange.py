@@ -419,12 +419,12 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     distinct sites.
 
     phi's TargetData and FieldData are built once, after checking phi on N and
-    psi tangent along phi's frame (ConstraintError otherwise), and so are D_u psi
-    and D_u's weights, which every probe's Dirac change reads.  Per class, one
+    psi tangent along phi's frame (ConstraintError otherwise), and so, before the
+    colour loop, are D_u psi and D_u's weights, which every probe's Dirac change
+    reads, and A, which every psi probe's curvature summand reads.  Per class, one
     FieldData.at_sites gathers phi's FieldData at its m sites (site axes (1, m),
-    with phi's frame and A gathered there, A built on the grid once per call, so
-    no class builds a frame of phi) and one at their 4m neighbours ((1, 4, m),
-    with none); each summand a probe changes is evaluated there, with the probes
+    with phi's frame and A gathered there, so no class builds a frame of phi) and
+    one at their 4m neighbours ((1, 4, m), with none); each summand a probe changes is evaluated there, with the probes
     of all tangent directions stacked on a leading axis, so no array in the
     colour loop has the grid's site axes, and each class writes its sites' rows
     of grad_phi and grad_psi once.  Every per-site operation keeps the operands
@@ -477,9 +477,10 @@ def action_gradient_fd(phi, psi, u, chi, grid, target, step: float = 1e-5):
     colors = _fd_colors(grid).reshape(n)
     classes = [np.flatnonzero(colors == c) for c in range(int(colors.max()) + 1)]
     slots = np.arange(4)
-    # phi's FieldData builds the parts that the classes' gathers read (D_u psi among them)
-    # here, so that no array the colour loop allocates has the grid's site axes
-    fdata0.at_sites(np.empty(0, dtype=np.intp), framed=False)
+    # phi's FieldData and TargetData build the parts that the classes' gathers read (D_u psi
+    # and A among them) here, so that no array the colour loop allocates has the grid's
+    # site axes
+    fdata0.at_sites(np.empty(0, dtype=np.intp))
 
     def central(h, delta):
         """The central differences at m sites from delta (..., m), the action changes there

@@ -367,6 +367,36 @@ def test_pointwise_densities_at_gathered_sites_are_the_grid_ones(ellipsoid):
                 assert np.array_equal(a[k], b.reshape(-1)[sites])
 
 
+@pytest.mark.parametrize("ellipsoid", [False, True])
+def test_a_gathered_target_data_reads_every_part_from_the_grid(ellipsoid, monkeypatch):
+    # the first framed gather, even of no sites, builds A on the grid; then nu, dnu, A and pi
+    # at gathered sites are the grid's there, bit for bit, and no frame or frame derivative
+    # is computed at the sites
+    te, g, phi, psi, chi, u = _ellipsoid_fields()
+    if not ellipsoid:
+        te, phi = TG, TG.project(phi)
+        psi = tangency_project(psi, phi, TG)
+    grid_data = target_data(te, phi)
+    fd = FieldData(phi, psi, chi, u, g, tdata=grid_data)
+    fd.at_sites(np.empty(0, dtype=np.intp))
+    assert "asym_c" in grid_data.__dict__
+    calls = []
+    for name in ("normal_frame", "normal_frame_derivative"):
+        fn = getattr(te, name)
+        monkeypatch.setattr(te, name, lambda p, _fn=fn: calls.append(p.shape) or _fn(p))
+    sites = np.array([5, 0, 63, 5, 17])                 # any order, repeats allowed
+    here = fd.at_sites(sites).tdata
+    for name in ("nu", "dnu", "asym", "pi"):            # site-major, (1, m, ...)
+        part = getattr(grid_data, name)
+        assert np.array_equal(getattr(here, name),
+                              part.reshape((-1,) + part.shape[2:])[sites][None])
+    for name in ("nu_c", "dnu_c", "asym_c"):            # component-major, (..., 1, m)
+        part = getattr(grid_data, name)
+        assert np.array_equal(getattr(here, name),
+                              part.reshape(part.shape[:-2] + (-1,))[..., None, sites])
+    assert calls == []
+
+
 def test_with_map_shares_the_chi_parts_on_the_grid_and_gathers_them_at_sites():
     # another map and psi beside the same chi and u: on the grid I and III read no frame,
     # and two maps stacked against the gathered site axes (1, m) give IV and V of each

@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalab import checks, euler_lagrange
+from sigmalab import euler_lagrange
 from sigmalab.action import action_density, checked_target_data, field_data, total_action
 from sigmalab.cli import _COMMANDS, _cmd_residual, parse_config
 from sigmalab.checks import run_all_checks
 from sigmalab.errors import ConstraintError
 from sigmalab.euler_lagrange import (action_gradient_fd, assemble_map_residual, potentials,
                                      residual_phi, residual_psi, residuals)
-from sigmalab.fields import conformal_rescale, frame_violation, require_tangent, twisted_dirac
+from sigmalab.fields import frame_violation, require_tangent, twisted_dirac
 from sigmalab.geometry import Grid, SphereTarget, TargetData, ellipsoid_target
 from sigmalab.presets import (
     smooth_gravitino,
@@ -277,29 +277,6 @@ def test_residuals_read_one_frame_on_the_ellipsoid(monkeypatch):
     calls = _count_frames(monkeypatch, tg)
     residuals(phi, psi, chi, u, g, tg)
     assert len(calls) == 1
-
-
-def test_the_symmetry_suite_reads_the_base_action_for_the_conformal_row_at_u_zero(monkeypatch):
-    # at u = 0 the conformal change leaves psi and chi as they are and the flat action is
-    # the base one: 3 total_action calls, not 5, with the error the two extra ones give
-    tg = ellipsoid_target([1.0, 1.3, 0.8])
-    g, phi, psi, chi, u = _fields(tg)
-    tdata, zero = TargetData(tg, phi), np.zeros(g.shape)
-    calls = []
-    monkeypatch.setattr(checks, "total_action",
-                        lambda *a, **k: calls.append(a) or total_action(*a, **k))
-    for u_k, count in ((zero, 3), (u, 5)):
-        calls.clear()
-        rows = {r.name: r for r in checks.symmetry_suite(psi, chi, u_k, g, tdata,
-                                                          np.random.default_rng(0))}
-        assert len(calls) == count
-        assert rows["conformal_total"].passed
-    psi_r, chi_r = conformal_rescale(psi, chi, zero)
-    conf = total_action(phi, psi_r, zero, chi_r, g, tg, tdata=tdata)
-    flat = total_action(phi, psi, zero, chi, g, tg, tdata=tdata)
-    rows = checks.symmetry_suite(psi, chi, zero, g, tdata, np.random.default_rng(0))
-    assert [r.error for r in rows if r.name == "conformal_total"] == [0.0]
-    assert abs(conf.total - flat.total) == 0.0
 
 
 def test_check_suites_measure_the_constraints_on_one_frame(monkeypatch):
